@@ -27,16 +27,25 @@ EXIT_USER_ERROR = 2
 EXIT_COUNTEREXAMPLE = 3
 
 
+class UsageError(LamuError):
+    """An unreadable input file or a malformed setting."""
+
+
 def _default_seed() -> int:
+    text = os.environ.get("LUNI_SEED", "0")
     try:
-        return int(os.environ.get("LUNI_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise UsageError(f"LUNI_SEED must be an integer, not {text!r}") from None
 
 
 def _load(path: str) -> SourceFile:
-    with open(path, encoding="utf-8") as handle:
-        return parse_file(handle.read())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+    return parse_file(text)
 
 
 def _print_trace(trace, out):
@@ -130,15 +139,17 @@ def cmd_test_confluence(args, out) -> int:
     gen = Generator(config)
     stream = gen.programs()
     src = _generator_source(config)
+    bound_limited = 0
     for i in range(args.samples):
         p = next(stream)
         exploration = reachable_normal_forms(p, fuel=args.fuel,
                                              max_states=args.max_states)
-        forms = list(exploration.normal_forms)
-        if len(forms) > 1:
+        bound_limited += not exploration.complete
+        if len(exploration.normal_forms) > 1:
             _write_counterexample("confluence", i, src, p, out)
             return EXIT_COUNTEREXAMPLE
-    print(f"confluence: {args.samples} samples, 0 counterexamples", file=out)
+    print(f"confluence: {args.samples} samples, {bound_limited} bound-limited, "
+          "0 counterexamples", file=out)
     return EXIT_OK
 
 
@@ -312,14 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args, sys.stdout)
     except SystemExit as exc:
         return EXIT_USER_ERROR if exc.code else EXIT_OK
-    try:
-        return args.func(args, sys.stdout)
-    except (ParseError, TypeCheckError, CoherenceError, FileNotFoundError,
+    except (UsageError, ParseError, TypeCheckError, CoherenceError,
             denot.DenotError, denot.TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR

@@ -1,19 +1,20 @@
-"""Structural equivalence, canonical thread forms, and the normal/stuck
+"""Structural equivalence, canonical thread keys, and the normal/stuck
 term classifier.
 
 Structural equivalence quotients programs by thread reordering plus
-injective renaming of thread-local free variables and locations; it is
-decided by comparing multisets of canonical threads.
+injective renaming of thread-local free variables and locations.  It is
+decided by the shape part of ``syntax.term_key``: a thread's shape is
+its canonical key, and a program's key is the sorted tuple of its
+threads' shapes.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    AbsLoc, Cons, Guard, Program, Term, Unif, Var,
-    canonicalize, is_value, spine,
+    AbsLoc, Cons, Guard, Program, Term, Unif, Var, is_value, spine,
+    term_key,
 )
 
 STUCK_VAR = "stuck-var"
@@ -23,23 +24,20 @@ STUCK_UNIF = "stuck-unif"
 STUCK_LAM = "stuck-lam"
 
 
-def canonical_thread(t: Term) -> Term:
-    """Deterministic representative of a thread modulo alpha plus
-    injective renaming of its free variables and locations."""
-    return canonicalize(t, rename_free=True, rename_locs=True)
+def canonical_thread(t: Term) -> str:
+    """Key of a thread modulo alpha plus injective renaming of its free
+    variables and locations."""
+    return term_key(t)[0]
 
 
-def canonical_program(p: Program) -> Program:
-    """Canonical threads in a canonical (sorted) order; two programs are
+def canonical_program(p: Program) -> tuple:
+    """Sorted tuple of the threads' canonical keys; two programs are
     structurally equivalent iff their canonical programs are equal."""
-    threads = sorted((canonical_thread(t) for t in p), key=repr)
-    return Program(tuple(threads))
+    return tuple(sorted(canonical_thread(t) for t in p))
 
 
 def struct_equiv(p: Program, q: Program) -> bool:
-    if len(p) != len(q):
-        return False
-    return Counter(map(canonical_thread, p)) == Counter(map(canonical_thread, q))
+    return canonical_program(p) == canonical_program(q)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,6 @@ from .syntax import (
     subst_single,
 )
 
-MAXIMAL = "maximal"
-REFLEXIVE = "reflexive"
-
-
 @dataclass(frozen=True)
 class ParResult:
     program: Program
@@ -32,14 +28,10 @@ def _lift(ctor, p: Program, q: Program) -> Program:
     return Program(tuple(ctor(t, s) for t in p for s in q))
 
 
-def par_term(t: Term, session: Session, policy=MAXIMAL) -> ParResult:
-    """One simultaneous reduction of a term.  Under the maximal policy
-    every root redex is contracted and every value-value unification is
-    emitted as a pending goal; values map to themselves."""
-    if policy == REFLEXIVE:
-        return ParResult(singleton(t), ())
-    if policy != MAXIMAL:
-        raise ValueError(f"unknown policy {policy!r}")
+def par_term(t: Term, session: Session) -> ParResult:
+    """One maximal simultaneous reduction of a term: every root redex is
+    contracted and every value-value unification is emitted as a pending
+    goal; values map to themselves."""
     if is_value(t):
         return ParResult(singleton(t), ())
     if isinstance(t, Abs):
@@ -47,41 +39,41 @@ def par_term(t: Term, session: Session, policy=MAXIMAL) -> ParResult:
         return ParResult(singleton(AbsLoc(loc, t.var, t.body, t.ann)), ())
     if isinstance(t, Fresh):
         y = session.fresh_var()
-        return par_term(subst_single(t.body, t.var, Var(y)), session, policy)
+        return par_term(subst_single(t.body, t.var, Var(y)), session)
     if isinstance(t, App):
         if isinstance(t.fn, AbsLoc) and is_value(t.arg):
             body = subst_single(t.fn.body, t.fn.var, t.arg)
             return ParResult(body, ())
-        fn = par_term(t.fn, session, policy)
-        arg = par_term(t.arg, session, policy)
+        fn = par_term(t.fn, session)
+        arg = par_term(t.arg, session)
         return ParResult(_lift(App, fn.program, arg.program),
                          fn.goals + arg.goals)
     if isinstance(t, Guard):
         if is_value(t.left):
-            return par_term(t.right, session, policy)
-        left = par_term(t.left, session, policy)
-        right = par_term(t.right, session, policy)
+            return par_term(t.right, session)
+        left = par_term(t.left, session)
+        right = par_term(t.right, session)
         return ParResult(_lift(Guard, left.program, right.program),
                          left.goals + right.goals)
     if isinstance(t, Unif):
         if is_value(t.left) and is_value(t.right):
             return ParResult(singleton(Cons(OK)),
                              (unify.Goal(t.left, t.right),))
-        left = par_term(t.left, session, policy)
-        right = par_term(t.right, session, policy)
+        left = par_term(t.left, session)
+        right = par_term(t.right, session)
         return ParResult(_lift(Unif, left.program, right.program),
                          left.goals + right.goals)
     raise TypeError(f"unexpected term {t!r}")
 
 
-def par_step(p: Program, session=None, policy=MAXIMAL) -> Program:
+def par_step(p: Program, session=None) -> Program:
     """One simultaneous reduction of a program: reduce each thread, then
     apply the mgu of its pending goals, dropping the thread on failure."""
     if session is None:
         session = Session.for_program(p)
     threads = []
     for t in p:
-        result = par_term(t, session, policy)
+        result = par_term(t, session)
         outcome = unify.mgu(unify.Problem(result.goals))
         if isinstance(outcome, unify.Failed):
             continue

@@ -228,7 +228,9 @@ class BoundsExceeded(Exception):
 
 @dataclass
 class Exploration:
-    normal_forms: set       # canonical programs
+    """normal_forms holds the canonical_program keys of the reachable
+    normal forms, one per structural-equivalence class."""
+    normal_forms: set
     states: int
     complete: bool
 
@@ -237,11 +239,10 @@ def reachable_normal_forms(p: Program, fuel=200, max_states=10000,
                            strict=False) -> Exploration:
     """Breadth-first exploration of every redex choice; states are
     identified up to structural equivalence (justified by the strong
-    bisimulation property).  Returns the set of canonical normal forms."""
+    bisimulation property) and kept as canonical_program keys."""
     check_coherent(p)
     session = Session.for_program(p)
-    start = canonical_program(p)
-    visited = {start}
+    visited = {canonical_program(p)}
     frontier = [p]
     normal_forms = set()
     states = 1

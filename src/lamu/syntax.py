@@ -1,8 +1,12 @@
-"""Core AST: terms, programs, weak contexts, substitutions, coherence.
+"""Core AST: terms, programs, weak contexts, substitutions, the
+canonical key, coherence.
 
 Terms and programs are immutable; all operations are pure functions.
 Binder type annotations (``ann``) are metadata filled in by the type
-checker and excluded from equality and hashing.
+checker and excluded from equality, hashing and ``term_key``.
+``term_key`` is the one canonical form: alpha-equivalence compares whole
+keys, and structural equivalence (module ``equiv``) compares their
+shapes.
 """
 from __future__ import annotations
 
@@ -10,12 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
 OK = "Ok"
-
-# Prefix reserved for machine-generated names (canonicalization).  The
-# concrete syntax never produces identifiers starting with '%', so
-# canonical names cannot collide with source names.
-_CANON_PREFIX = "%"
-
 
 class LamuError(Exception):
     """Base class for errors raised by this package."""
@@ -398,73 +396,78 @@ def is_weak_context(w: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Alpha equivalence and canonical forms
+# Canonical key: alpha equivalence and structural equivalence
 
-def _canon_term(t, bound, free_map, loc_map, counters, rename_free, rename_locs):
-    if isinstance(t, Var):
-        if t.name in bound:
-            return Var(bound[t.name])
-        if rename_free:
-            if t.name not in free_map:
-                free_map[t.name] = f"{_CANON_PREFIX}v{len(free_map)}"
-            return Var(free_map[t.name])
-        return t
-    if isinstance(t, (Cons, Hole)):
-        return t
-    if isinstance(t, (Abs, AbsLoc, Fresh)):
-        new = f"{_CANON_PREFIX}b{counters[0]}"
-        counters[0] += 1
-        inner = dict(bound)
-        inner[t.var] = new
-        if isinstance(t, Fresh):
-            body = _canon_term(t.body, inner, free_map, loc_map, counters,
-                               rename_free, rename_locs)
-            return Fresh(new, body)
-        body = _canon_program(t.body, inner, free_map, loc_map, counters,
-                              rename_free, rename_locs)
-        if isinstance(t, Abs):
-            return Abs(new, body)
-        loc = t.loc
-        if rename_locs:
-            if loc not in loc_map:
-                loc_map[loc] = len(loc_map)
-            loc = loc_map[loc]
-        return AbsLoc(loc, new, body)
-    if isinstance(t, App):
-        return App(
-            _canon_term(t.fn, bound, free_map, loc_map, counters, rename_free, rename_locs),
-            _canon_term(t.arg, bound, free_map, loc_map, counters, rename_free, rename_locs))
-    if isinstance(t, Guard):
-        return Guard(
-            _canon_term(t.left, bound, free_map, loc_map, counters, rename_free, rename_locs),
-            _canon_term(t.right, bound, free_map, loc_map, counters, rename_free, rename_locs))
-    if isinstance(t, Unif):
-        return Unif(
-            _canon_term(t.left, bound, free_map, loc_map, counters, rename_free, rename_locs),
-            _canon_term(t.right, bound, free_map, loc_map, counters, rename_free, rename_locs))
-    raise TypeError(f"unexpected term {t!r}")
+def term_key(x):
+    """Canonical key of a term or program, built in one traversal.
 
+    Returns ``(shape, free, locs)``.  ``shape`` is a string in prefix
+    form: binders become de Bruijn indices, free variables and locations
+    become their first-occurrence numbers, constructor names are
+    length-prefixed, and ``ann`` is dropped.  ``free`` and ``locs`` list
+    the free names and the locations in that numbering.  The whole key
+    is equal exactly for alpha-equivalent inputs; the shape alone is
+    equal exactly up to an injective renaming of free names and
+    locations as well.
+    """
+    out = []
+    bound = {}          # binder name -> depth of its innermost binding
+    free = {}
+    locs = {}
 
-def _canon_program(p, bound, free_map, loc_map, counters, rename_free, rename_locs):
-    return Program(tuple(
-        _canon_term(t, bound, free_map, loc_map, counters, rename_free, rename_locs)
-        for t in p))
+    def program(p, depth):
+        out.append(f"P{len(p.threads)}")
+        for t in p.threads:
+            term(t, depth)
 
+    def term(t, depth):
+        cls = type(t)
+        if cls is Var:
+            level = bound.get(t.name)
+            if level is None:
+                out.append(f"v{free.setdefault(t.name, len(free))}")
+            else:
+                out.append(f"b{depth - level}")
+        elif cls is Cons:
+            out.append(f"c{len(t.name)}:{t.name}")
+        elif cls is App:
+            out.append("@")
+            term(t.fn, depth)
+            term(t.arg, depth)
+        elif cls is Guard or cls is Unif:
+            out.append(";" if cls is Guard else "=")
+            term(t.left, depth)
+            term(t.right, depth)
+        elif cls is Abs or cls is AbsLoc or cls is Fresh:
+            if cls is AbsLoc:
+                out.append(f"L{locs.setdefault(t.loc, len(locs))}")
+            else:
+                out.append("\\" if cls is Abs else "F")
+            outer = bound.get(t.var)
+            bound[t.var] = depth
+            if cls is Fresh:
+                term(t.body, depth + 1)
+            else:
+                program(t.body, depth + 1)
+            if outer is None:
+                del bound[t.var]
+            else:
+                bound[t.var] = outer
+        elif cls is Hole:
+            out.append("_")
+        else:
+            raise TypeError(f"unexpected term {t!r}")
 
-def canonicalize(x, rename_free=False, rename_locs=False):
-    """Rename binders in traversal order; optionally also rename free
-    variables and locations by first occurrence."""
-    counters = [0]
     if isinstance(x, Program):
-        return _canon_program(x, {}, {}, {}, counters, rename_free, rename_locs)
-    return _canon_term(x, {}, {}, {}, counters, rename_free, rename_locs)
+        program(x, 0)
+    else:
+        term(x, 0)
+    return "".join(out), tuple(free), tuple(locs)
 
 
 def alpha_eq(a, b) -> bool:
     """Equality up to renaming of bound variables."""
-    if isinstance(a, Program) != isinstance(b, Program):
-        return False
-    return canonicalize(a) == canonicalize(b)
+    return term_key(a) == term_key(b)
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +507,7 @@ def coherence_witness(terms: Iterable[Term]):
     for loc, nodes in by_loc.items():
         first = nodes[0]
         for other in nodes[1:]:
-            if not alpha_eq(AbsLoc(loc, first.var, first.body),
-                            AbsLoc(loc, other.var, other.body)):
+            if not alpha_eq(first, other):
                 return ("location-mismatch", loc, first, other)
     return None
 

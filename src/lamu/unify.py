@@ -13,8 +13,8 @@ from typing import Optional
 
 from .syntax import (
     AbsLoc, CoherenceError, Cons, LamuError, Substitution, Term, Var,
-    alpha_eq, canonicalize, coherence_witness, free_vars, is_value,
-    spine, subst_apply,
+    alpha_eq, coherence_witness, free_vars, is_value, spine, subst_apply,
+    term_key,
 )
 
 
@@ -39,7 +39,7 @@ class Goal:
 
 
 def _goal_key(g: Goal):
-    return (canonicalize(g.lhs), canonicalize(g.rhs))
+    return term_key(g.lhs), term_key(g.rhs)
 
 
 class Problem:
@@ -84,10 +84,6 @@ class Problem:
         for g in self.goals:
             yield g.lhs
             yield g.rhs
-
-
-def goal_subst(problem: Problem, sigma: Substitution) -> Problem:
-    return problem.subst(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +186,7 @@ def unify_step(problem: Problem):
         if rule == "u-orient":
             return Stepped(Problem(rest[:i] + (Goal(w, v),) + rest[i:]), rule)
         if rule == "u-match-lam":
-            if not alpha_eq(AbsLoc(v.loc, v.var, v.body),
-                            AbsLoc(v.loc, w.var, w.body)):
+            if not alpha_eq(v, w):
                 raise CoherenceError(
                     "equal locations with distinct bodies in unification goal")
             return Stepped(Problem(rest), rule)

@@ -304,7 +304,7 @@ def _ground_eq(v, w, asg):
 
 def test_criterion_6_unification_metatheory():
     from lamu.syntax import coherence_witness
-    from lamu.unify import Failed, goal_subst
+    from lamu.unify import Failed
     start = time.time()
     gen = Generator(GeneratorConfig(seed=13, max_depth=3,
                                     variables=("x", "y")))
@@ -319,7 +319,7 @@ def test_criterion_6_unification_metatheory():
             sigma = outcome.substitution
             idempotent = subst_equal(sigma, sigma.compose(sigma))
             coherent_after = coherence_witness(
-                list(goal_subst(problem, sigma).terms())
+                list(problem.subst(sigma).terms())
                 + sigma.range_values()) is None
             if not (is_unifier(sigma, problem) and idempotent
                     and coherent_after):

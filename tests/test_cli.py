@@ -74,6 +74,27 @@ def test_missing_file_exits_two(capsys):
     assert code == EXIT_USER_ERROR
 
 
+def test_directory_exits_two(tmp_path, capsys):
+    code, out, err = run_main(["run", str(tmp_path)], capsys)
+    assert code == EXIT_USER_ERROR
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.luni"
+    path.write_bytes(b"C \xe9\n")
+    code, out, err = run_main(["run", str(path)], capsys)
+    assert code == EXIT_USER_ERROR
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_seed_env_variable_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("LUNI_SEED", "abc")
+    code, out, err = run_main(["run", corpus("trace.luni")], capsys)
+    assert code == EXIT_USER_ERROR
+    assert out == "" and err == "error: LUNI_SEED must be an integer, not 'abc'\n"
+
+
 def test_usage_error_exits_two(capsys):
     code, _, _ = run_main(["frobnicate"], capsys)
     assert code == EXIT_USER_ERROR
@@ -91,6 +112,14 @@ def test_confluence_suite_small(capsys):
         ["test-confluence", "--samples", "30", "--seed", "7"], capsys)
     assert code == EXIT_OK
     assert "0 counterexamples" in out
+
+
+def test_confluence_suite_reports_bound_limited(capsys):
+    code, out, _ = run_main(
+        ["test-confluence", "--samples", "5", "--seed", "7",
+         "--max-states", "1"], capsys)
+    assert code == EXIT_OK
+    assert out.strip() == "confluence: 5 samples, 4 bound-limited, 0 counterexamples"
 
 
 def test_subject_reduction_suite_small(capsys):

@@ -5,8 +5,7 @@ from lamu.concrete import parse_program
 from lamu.equiv import struct_equiv
 from lamu.generator import Generator, GeneratorConfig
 from lamu.parallel import (
-    REFLEXIVE, par_normalize, par_step, par_step_all, par_term,
-    par_term_all,
+    par_normalize, par_step, par_step_all, par_term, par_term_all,
 )
 from lamu.reduction import evaluate
 from lamu.syntax import (
@@ -21,12 +20,6 @@ ID1 = AbsLoc(1, "x", singleton(X))
 def test_par_term_value_is_identity():
     r = par_term(C, Session())
     assert r.program == singleton(C) and r.goals == ()
-
-
-def test_par_term_reflexive_policy():
-    t = Unif(C, C)
-    r = par_term(t, Session(), policy=REFLEXIVE)
-    assert r.program == singleton(t) and r.goals == ()
 
 
 def test_par_term_contracts_nested_redexes():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from lamu.syntax import (
     FAIL, HOLE, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard,
     NotAValueError, Program, Session, Substitution, Unif, Var, all_names,
-    alpha_eq, canonicalize, check_coherent, coherence_witness, coherent,
+    alpha_eq, check_coherent, coherence_witness, coherent,
     free_vars, is_structure, is_value, is_weak_context, locations,
     make_spine, plug, plug_term, singleton, spine, subst_apply, subst_equal,
     subst_loc, subst_single,
@@ -134,13 +134,6 @@ def test_alpha_eq():
     assert not alpha_eq(X, Y)
 
 
-def test_canonicalize_free_and_locs():
-    a = canonicalize(App(X, Y), rename_free=True)
-    b = canonicalize(App(Z, X), rename_free=True)
-    assert a == b
-    assert canonicalize(ID1, rename_locs=True) == canonicalize(ID2, rename_locs=True)
-
-
 def test_weak_contexts():
     w = App(HOLE, C)
     assert is_weak_context(w)
@@ -208,12 +201,6 @@ values = st.recursive(
 @given(values, values)
 def test_subst_preserves_valueness(v, w):
     assert is_value(subst_single(v, "x", w))
-
-
-@given(values)
-def test_canonicalize_idempotent(v):
-    c = canonicalize(v, rename_free=True, rename_locs=True)
-    assert canonicalize(c, rename_free=True, rename_locs=True) == c
 
 
 @given(values, values, values)

@@ -14,7 +14,7 @@ from lamu.syntax import (
 from lamu.unify import (
     ARITY_CLASH, CONSTRUCTOR_CLASH, LOCATION_CLASH, NORMAL_FORM,
     OCCURS_CHECK, TYPE_CLASH, Bottom, Failed, Goal, NotAGoalError, Problem,
-    Solved, Stepped, clash, goal_subst, is_unifier, mgu, mgu_goal,
+    Solved, Stepped, clash, is_unifier, mgu, mgu_goal,
     unify_step,
 )
 
@@ -231,7 +231,7 @@ def test_mgu_laws_on_random_goal_sets():
             # idempotence
             assert subst_equal(sigma, sigma.compose(sigma))
             # instantiated problem plus the range stays coherent
-            leftover = list(goal_subst(problem, sigma).terms()) + \
+            leftover = list(problem.subst(sigma).terms()) + \
                 sigma.range_values()
             assert coherence_witness(leftover) is None
         else:
