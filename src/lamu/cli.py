@@ -1,8 +1,9 @@
 """Command-line interface: run, check, denote, the property-suite
 subcommands, and a small REPL.
 
-Exit codes: 0 success, 1 the program normalized to fail, 2 usage or
-parse or type errors, 3 property-suite counterexample.
+Exit codes: 0 success, 1 the program normalized to fail, 2 any rejected
+input (a LamuError, or nesting too deep to recurse over), 3
+property-suite counterexample.
 """
 from __future__ import annotations
 
@@ -12,12 +13,12 @@ import sys
 from typing import Dict, List, Optional
 
 from . import denot, reduction
-from .concrete import ParseError, SourceFile, parse_file, pretty_program
+from .concrete import SourceFile, parse_file, pretty_program
 from .generator import STRATIFIED_SIGNATURE, Generator, GeneratorConfig
 from .reduction import evaluate, reachable_normal_forms
-from .syntax import CoherenceError, LamuError, Program, free_vars
+from .syntax import LamuError, Program, free_vars
 from .typecheck import (
-    Type, TypeCheckError, ambient_context, base_names_used,
+    Type, ambient_context, base_names_used,
     default_signature, infer, subject_reduction_check,
 )
 
@@ -49,8 +50,8 @@ def _load(path: str) -> SourceFile:
 
 
 def _print_trace(trace, out):
-    for ts in trace:
-        print(f"#{ts.index} [{ts.rule}] thread={ts.thread}", file=out)
+    for n, ts in enumerate(trace):
+        print(f"#{n} [{ts.rule}] thread={ts.thread}", file=out)
         print(pretty_program(ts.after), file=out)
 
 
@@ -236,7 +237,7 @@ def cmd_repl(args, out) -> int:
             program = parser.parse_program()
             parser.expect("eof")
             _repl_run(program, out)
-        except LamuError as exc:
+        except (LamuError, RecursionError) as exc:
             print(f"error: {exc}", file=out)
 
 
@@ -328,8 +329,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args, sys.stdout)
     except SystemExit as exc:
         return EXIT_USER_ERROR if exc.code else EXIT_OK
-    except (UsageError, ParseError, TypeCheckError, CoherenceError,
-            denot.DenotError, denot.TooLarge) as exc:
+    except (LamuError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
 

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from .reduction import FAILRULE, FRESH, Session, step
+from .reduction import FAILRULE, FRESH, evaluate
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Term,
     Unif, Var, check_coherent, free_vars,
@@ -307,28 +307,22 @@ class SoundnessVerdict:
 
 
 def soundness_check(p: Program, model: Model, fuel=200,
-                    gamma: Optional[Dict[str, Optional[Type]]] = None,
-                    strategy="leftmost") -> SoundnessVerdict:
-    """Step the program; at each step check that the denotation shrinks
-    or stays equal, with strict equality required for every rule other
-    than fail."""
+                    gamma: Optional[Dict[str, Optional[Type]]] = None
+                    ) -> SoundnessVerdict:
+    """Evaluate the program; at each step of the trace check that the
+    denotation shrinks or stays equal, with strict equality required for
+    every rule other than fail."""
     check_coherent(p)
     from .typecheck import ambient_context
     typing = infer(gamma if gamma is not None else ambient_context(p),
                    model.sig, p)
     context = dict(typing.gamma)
-    current = typing.node
-    session = Session.for_program(current)
-    before_sem = denote_toplevel(current, model, context)
+    before_sem = denote_toplevel(typing.node, model, context)
     verdict = SoundnessVerdict(True, [])
-    for n in range(fuel):
-        ts = step(current, strategy, session, index=n)
-        if ts is None:
-            break
-        current = ts.after
-        if ts.rule == FRESH and ts.fresh_var is not None:
+    for ts in evaluate(typing.node, fuel).trace:
+        if ts.rule == FRESH:
             context[ts.fresh_var] = ts.focus.ann
-        after_sem = denote_toplevel(current, model, context)
+        after_sem = denote_toplevel(ts.after, model, context)
         if ts.rule == FAILRULE:
             ok = after_sem <= before_sem
             report = InclusionReport(ts.rule, ok, after_sem == before_sem)

@@ -6,7 +6,7 @@ evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from . import unify
 from .equiv import is_normal_program
@@ -99,76 +99,3 @@ def par_normalize(p: Program, fuel=200) -> ParNormalResult:
             return ParNormalResult(current, n, True)
         current = par_step(current, session)
     return ParNormalResult(current, fuel, False)
-
-
-# ---------------------------------------------------------------------------
-# Full relational enumeration, for tiny terms only (diamond spot checks)
-
-def par_term_all(t: Term, session: Session) -> List[ParResult]:
-    """Every member of the simultaneous reduction relation for a term.
-    Exponential; intended for bounded-size inputs."""
-    out: List[ParResult] = []
-
-    def binary(ctor, left, right, extra=None):
-        for lp in par_term_all(left, session):
-            for rp in par_term_all(right, session):
-                out.append(ParResult(_lift(ctor, lp.program, rp.program),
-                                     lp.goals + rp.goals))
-        if extra is not None:
-            out.append(extra())
-
-    if isinstance(t, (Var, Cons, AbsLoc)):
-        return [ParResult(singleton(t), ())]
-    if isinstance(t, Abs):
-        loc = session.fresh_loc()
-        return [ParResult(singleton(t), ()),
-                ParResult(singleton(AbsLoc(loc, t.var, t.body, t.ann)), ())]
-    if isinstance(t, Fresh):
-        results = [ParResult(singleton(t), ())]
-        y = session.fresh_var()
-        results.extend(par_term_all(subst_single(t.body, t.var, Var(y)), session))
-        return results
-    if isinstance(t, App):
-        binary(App, t.fn, t.arg)
-        if isinstance(t.fn, AbsLoc) and is_value(t.arg):
-            out.append(ParResult(subst_single(t.fn.body, t.fn.var, t.arg), ()))
-        return out
-    if isinstance(t, Guard):
-        binary(Guard, t.left, t.right)
-        if is_value(t.left):
-            out.extend(par_term_all(t.right, session))
-        return out
-    if isinstance(t, Unif):
-        binary(Unif, t.left, t.right)
-        if is_value(t.left) and is_value(t.right):
-            out.append(ParResult(singleton(Cons(OK)),
-                                 (unify.Goal(t.left, t.right),)))
-        return out
-    raise TypeError(f"unexpected term {t!r}")
-
-
-def par_step_all(p: Program, session=None) -> List[Program]:
-    """Every program reachable by one simultaneous reduction."""
-    if session is None:
-        session = Session.for_program(p)
-    options_per_thread = []
-    for t in p:
-        resolved = []
-        for r in par_term_all(t, session):
-            outcome = unify.mgu(unify.Problem(r.goals))
-            if isinstance(outcome, unify.Failed):
-                resolved.append(None)
-            else:
-                resolved.append(subst_apply(r.program, outcome.substitution))
-        options_per_thread.append(resolved)
-    results = [Program(())]
-    for options in options_per_thread:
-        new_results = []
-        for prefix in results:
-            for option in options:
-                if option is None:
-                    new_results.append(prefix)
-                else:
-                    new_results.append(prefix + option)
-        results = new_results
-    return results

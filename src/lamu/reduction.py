@@ -3,21 +3,23 @@ the six reduction rules, and fuel-bounded normalization with traces.
 
 Reduction rules rewrite a single thread of the toplevel program; beta
 steps may split one thread into several, and failed unifications delete
-the thread.
+the thread.  ``step_at`` is the one place that contracts a redex: it
+returns a ``TraceStep`` naming the location, variable or substitution
+the rule issued.  ``evaluate`` is the one loop that steps a program; the
+subject-reduction and soundness harnesses read its trace.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 from . import unify
 from .equiv import canonical_program
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, HOLE,
     Program, Session, Substitution, Term, Unif, Var, check_coherent,
-    free_vars, is_value, locations, plug, plug_term, subst_apply,
-    subst_single,
+    is_value, plug, plug_term, subst_apply, subst_single,
 )
 
 ALLOC = "alloc"
@@ -41,9 +43,9 @@ class Redex:
     unify_outcome: object = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    index: int
+class TraceStep(NamedTuple):
+    """One contracted redex.  A NamedTuple because the explorer builds
+    one per edge."""
     rule: str
     thread: int
     before: Program
@@ -89,12 +91,14 @@ def enumerate_redexes(p: Program) -> List[Redex]:
     return out
 
 
-def find_redex(p: Program, strategy="leftmost", rng=None) -> Optional[Redex]:
+def find_redex(p: Program, strategy="leftmost", rng=None,
+               start=0) -> Optional[Redex]:
     """Select a redex.  Default: leftmost thread, leftmost-innermost
-    position.  Returns None iff the program is normal."""
+    position, searching from thread start on.  Returns None iff the
+    program is normal (from thread start on, under leftmost)."""
     if strategy == "leftmost":
-        for i, t in enumerate(p):
-            for r in _term_redexes(t, lambda h: h, i):
+        for i in range(start, len(p.threads)):
+            for r in _term_redexes(p.threads[i], lambda h: h, i):
                 return r
         return None
     redexes = enumerate_redexes(p)
@@ -109,72 +113,44 @@ def find_redex(p: Program, strategy="leftmost", rng=None) -> Optional[Redex]:
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def step_at(p: Program, redex: Redex, session: Session) -> Program:
-    """Contract the given redex."""
+def step_at(p: Program, redex: Redex, session: Session) -> TraceStep:
+    """Contract the given redex.  The step records what the rule issued:
+    the location of alloc and the variable of fresh, taken from the
+    session, and the substitution of unif."""
     i = redex.thread
-    before_threads = p.threads[:i]
-    after_threads = p.threads[i + 1:]
     w = redex.context
     focus = redex.focus
     rule = redex.rule
+    sigma = fresh_var = fresh_loc = None
     if rule == ALLOC:
-        loc = session.fresh_loc()
-        new = plug_term(w, AbsLoc(loc, focus.var, focus.body, focus.ann))
-        middle = (new,)
+        fresh_loc = session.fresh_loc()
+        middle = (plug_term(w, AbsLoc(fresh_loc, focus.var, focus.body, focus.ann)),)
     elif rule == BETA:
         body = subst_single(focus.fn.body, focus.fn.var, focus.arg)
         middle = plug(w, body).threads
     elif rule == GUARD:
         middle = (plug_term(w, focus.right),)
     elif rule == FRESH:
-        y = session.fresh_var()
-        middle = (plug_term(w, subst_single(focus.body, focus.var, Var(y))),)
+        fresh_var = session.fresh_var()
+        middle = (plug_term(w, subst_single(focus.body, focus.var, Var(fresh_var))),)
     elif rule == UNIF:
-        outcome = redex.unify_outcome or unify.mgu_goal(focus.left, focus.right)
-        assert isinstance(outcome, unify.Solved)
-        new = subst_apply(plug_term(w, Cons(OK)), outcome.substitution)
-        middle = (new,)
+        sigma = redex.unify_outcome.substitution
+        middle = (subst_apply(plug_term(w, Cons(OK)), sigma),)
     elif rule == FAILRULE:
         middle = ()
     else:
         raise ValueError(f"unknown rule {rule!r}")
-    return Program(before_threads + middle + after_threads)
+    after = Program(p.threads[:i] + middle + p.threads[i + 1:])
+    return TraceStep(rule, i, p, after, sigma, fresh_var, fresh_loc, focus)
 
 
 def step(p: Program, strategy="leftmost", session: Optional[Session] = None,
-         rng=None, check=False, index=0) -> Optional[TraceStep]:
+         rng=None) -> Optional[TraceStep]:
     """One reduction step under the chosen strategy, or None if normal."""
-    if check:
-        check_coherent(p)
-    if session is None:
-        session = Session.for_program(p)
     redex = find_redex(p, strategy, rng)
     if redex is None:
         return None
-    sigma = fresh_var = fresh_loc = None
-    if redex.rule == UNIF:
-        sigma = (redex.unify_outcome
-                 or unify.mgu_goal(redex.focus.left, redex.focus.right)).substitution
-    after = step_at(p, redex, session)
-    if redex.rule == FRESH:
-        new_names = free_names_introduced(p, after)
-        fresh_var = new_names[0] if new_names else None
-    if redex.rule == ALLOC:
-        new_thread = after.threads[redex.thread]
-        old_thread = p.threads[redex.thread]
-        fresh_loc = _new_location(old_thread, new_thread)
-    return TraceStep(index, redex.rule, redex.thread, p, after,
-                     substitution=sigma, fresh_var=fresh_var,
-                     fresh_loc=fresh_loc, focus=redex.focus)
-
-
-def free_names_introduced(before: Program, after: Program):
-    return sorted(free_vars(after) - free_vars(before))
-
-
-def _new_location(old: Term, new: Term):
-    diff = locations(new) - locations(old)
-    return next(iter(diff)) if diff else None
+    return step_at(p, redex, session or Session.for_program(p))
 
 
 @dataclass
@@ -188,35 +164,25 @@ class EvalResult:
         return len(self.trace)
 
 
-def evaluate(p: Program, fuel=1000, strategy="leftmost", seed=0,
-             check_each_step=False) -> EvalResult:
-    """Iterate step up to fuel times.  normal=False means out of fuel."""
+def evaluate(p: Program, fuel=1000, strategy="leftmost", seed=0) -> EvalResult:
+    """Step the program up to fuel times.  normal=False means out of fuel.
+    Under leftmost every thread before the last stepped one is normal and
+    unchanged, so the search resumes at that thread."""
     check_coherent(p)
     session = Session.for_program(p)
     rng = random.Random(seed) if strategy == "random" else None
     trace: List[TraceStep] = []
-    current = p
-    for n in range(fuel):
-        ts = step(current, strategy, session, rng,
-                  check=check_each_step, index=n)
-        if ts is None:
+    current, start = p, 0
+    for _ in range(fuel):
+        redex = find_redex(current, strategy, rng, start)
+        if redex is None:
             return EvalResult(current, trace, True)
+        ts = step_at(current, redex, session)
         trace.append(ts)
         current = ts.after
-    if find_redex(current) is None:
-        return EvalResult(current, trace, True)
-    return EvalResult(current, trace, False)
-
-
-def replay(trace: List[TraceStep], initial: Program) -> bool:
-    """Check that the trace, replayed from the initial program,
-    reproduces each recorded snapshot."""
-    current = initial
-    for ts in trace:
-        if current != ts.before:
-            return False
-        current = ts.after
-    return True
+        if strategy == "leftmost":
+            start = ts.thread
+    return EvalResult(current, trace, find_redex(current, start=start) is None)
 
 
 class BoundsExceeded(Exception):
@@ -257,7 +223,7 @@ def reachable_normal_forms(p: Program, fuel=200, max_states=10000,
                 normal_forms.add(canonical_program(q))
                 continue
             for r in redexes:
-                nxt = step_at(q, r, session)
+                nxt = step_at(q, r, session).after
                 key = canonical_program(nxt)
                 if key in visited:
                     continue

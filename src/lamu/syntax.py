@@ -94,9 +94,6 @@ class Hole(Term):
 
 HOLE = Hole()
 
-_BINARY = (App, Guard, Unif)
-
-
 @dataclass(frozen=True)
 class Program:
     """Ordered sequence of threads; the empty program is fail."""
@@ -213,11 +210,6 @@ def is_value(t: Term) -> bool:
         return True
     head, args = spine(t)
     return isinstance(head, Cons) and all(is_value(a) for a in args)
-
-
-def is_structure(t: Term) -> bool:
-    head, _ = spine(t)
-    return isinstance(head, Cons) and is_value(t)
 
 
 # ---------------------------------------------------------------------------
@@ -338,27 +330,6 @@ def subst_single(x, name: str, value: Term):
     return subst_apply(x, Substitution({name: value}))
 
 
-def subst_loc(x, old: int, new: int):
-    """Replace every location decoration old by new."""
-    if isinstance(x, Program):
-        return Program(tuple(subst_loc(t, old, new) for t in x))
-    t = x
-    if isinstance(t, (Var, Cons, Hole)):
-        return t
-    if isinstance(t, Abs):
-        return Abs(t.var, subst_loc(t.body, old, new), t.ann)
-    if isinstance(t, AbsLoc):
-        loc = new if t.loc == old else t.loc
-        return AbsLoc(loc, t.var, subst_loc(t.body, old, new), t.ann)
-    if isinstance(t, Fresh):
-        return Fresh(t.var, subst_loc(t.body, old, new), t.ann)
-    if isinstance(t, App):
-        return App(subst_loc(t.fn, old, new), subst_loc(t.arg, old, new))
-    if isinstance(t, Guard):
-        return Guard(subst_loc(t.left, old, new), subst_loc(t.right, old, new))
-    return Unif(subst_loc(t.left, old, new), subst_loc(t.right, old, new))
-
-
 # ---------------------------------------------------------------------------
 # Weak contexts
 
@@ -383,16 +354,6 @@ def plug(w: Term, x):
     if isinstance(x, Program):
         return Program(tuple(plug_term(w, t) for t in x))
     return plug_term(w, x)
-
-
-def is_weak_context(w: Term) -> bool:
-    def count(t):
-        if isinstance(t, Hole):
-            return 1
-        if isinstance(t, _BINARY):
-            return sum(count(c) for c in _children(t))
-        return 0
-    return count(w) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +484,6 @@ def check_coherent(p: Program):
         w = coherence_witness([t])
         if w is not None:
             raise CoherenceError(f"thread {i} violates coherence: {w[0]}", w)
-
-
-def subst_equal(a: Substitution, b: Substitution) -> bool:
-    """Extensional equality of substitutions, up to alpha."""
-    if a.support != b.support:
-        return False
-    return all(alpha_eq(a(x), b(x)) for x in a.support)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
-from .reduction import FRESH, Session, step
+from .reduction import FRESH, evaluate
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Term,
     Unif, Var, check_coherent, free_vars,
@@ -322,30 +322,23 @@ class Verdict:
     final: Optional[Program] = None
 
 
-def subject_reduction_check(gamma, sig, p: Program, fuel=200,
-                            strategy="leftmost") -> Verdict:
-    """Step the program and re-check it at its inferred type after each
-    step, extending the context on fresh-variable introduction."""
+def subject_reduction_check(gamma, sig, p: Program, fuel=200) -> Verdict:
+    """Evaluate the program and re-check it at its inferred type after
+    each step of the trace, extending the context with the variable each
+    fresh step issues."""
     check_coherent(p)
     typing = infer(gamma, sig, p)
-    a = typing.type
     context = dict(typing.gamma)
-    current = typing.node
-    session = Session.for_program(current)
-    verdict = Verdict(True)
-    for n in range(fuel):
-        ts = step(current, strategy, session, index=n)
-        if ts is None:
-            break
-        current = ts.after
-        if ts.rule == FRESH and ts.fresh_var is not None:
+    result = evaluate(typing.node, fuel)
+    verdict = Verdict(True, final=result.program)
+    for ts in result.trace:
+        if ts.rule == FRESH:
             # the freshly introduced variable takes the binder's type
             context[ts.fresh_var] = ts.focus.ann
         try:
-            check(context, sig, current, a)
+            check(context, sig, ts.after, typing.type)
             verdict.steps.append(StepReport(ts.rule, True))
         except TypeCheckError as exc:
             verdict.steps.append(StepReport(ts.rule, False, str(exc)))
             verdict.ok = False
-    verdict.final = current
     return verdict

@@ -1,0 +1,140 @@
+"""Helpers that only the tests use: term predicates, location renaming,
+substitution equality, trace replay, and the full simultaneous
+reduction relation for the diamond spot checks."""
+
+from typing import List
+
+from lamu import unify
+from lamu.parallel import ParResult, _lift
+from lamu.syntax import (
+    OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Hole, Program, Session,
+    Substitution, Term, Unif, Var, alpha_eq, is_value, singleton, spine,
+    subst_apply, subst_single, _children,
+)
+
+
+def is_structure(t: Term) -> bool:
+    head, _ = spine(t)
+    return isinstance(head, Cons) and is_value(t)
+
+
+def is_weak_context(w: Term) -> bool:
+    def count(t):
+        if isinstance(t, Hole):
+            return 1
+        if isinstance(t, (App, Guard, Unif)):
+            return sum(count(c) for c in _children(t))
+        return 0
+    return count(w) == 1
+
+
+def subst_loc(x, old: int, new: int):
+    """Replace every location decoration old by new."""
+    if isinstance(x, Program):
+        return Program(tuple(subst_loc(t, old, new) for t in x))
+    t = x
+    if isinstance(t, (Var, Cons, Hole)):
+        return t
+    if isinstance(t, Abs):
+        return Abs(t.var, subst_loc(t.body, old, new), t.ann)
+    if isinstance(t, AbsLoc):
+        loc = new if t.loc == old else t.loc
+        return AbsLoc(loc, t.var, subst_loc(t.body, old, new), t.ann)
+    if isinstance(t, Fresh):
+        return Fresh(t.var, subst_loc(t.body, old, new), t.ann)
+    if isinstance(t, App):
+        return App(subst_loc(t.fn, old, new), subst_loc(t.arg, old, new))
+    if isinstance(t, Guard):
+        return Guard(subst_loc(t.left, old, new), subst_loc(t.right, old, new))
+    return Unif(subst_loc(t.left, old, new), subst_loc(t.right, old, new))
+
+
+def subst_equal(a: Substitution, b: Substitution) -> bool:
+    """Extensional equality of substitutions, up to alpha."""
+    if a.support != b.support:
+        return False
+    return all(alpha_eq(a(x), b(x)) for x in a.support)
+
+
+def replay(trace, initial: Program) -> bool:
+    """Check that the trace, replayed from the initial program,
+    reproduces each recorded snapshot."""
+    current = initial
+    for ts in trace:
+        if current != ts.before:
+            return False
+        current = ts.after
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Full relational enumeration, for tiny terms only (diamond spot checks)
+
+def par_term_all(t: Term, session: Session) -> List[ParResult]:
+    """Every member of the simultaneous reduction relation for a term.
+    Exponential; intended for bounded-size inputs."""
+    out: List[ParResult] = []
+
+    def binary(ctor, left, right, extra=None):
+        for lp in par_term_all(left, session):
+            for rp in par_term_all(right, session):
+                out.append(ParResult(_lift(ctor, lp.program, rp.program),
+                                     lp.goals + rp.goals))
+        if extra is not None:
+            out.append(extra())
+
+    if isinstance(t, (Var, Cons, AbsLoc)):
+        return [ParResult(singleton(t), ())]
+    if isinstance(t, Abs):
+        loc = session.fresh_loc()
+        return [ParResult(singleton(t), ()),
+                ParResult(singleton(AbsLoc(loc, t.var, t.body, t.ann)), ())]
+    if isinstance(t, Fresh):
+        results = [ParResult(singleton(t), ())]
+        y = session.fresh_var()
+        results.extend(par_term_all(subst_single(t.body, t.var, Var(y)), session))
+        return results
+    if isinstance(t, App):
+        binary(App, t.fn, t.arg)
+        if isinstance(t.fn, AbsLoc) and is_value(t.arg):
+            out.append(ParResult(subst_single(t.fn.body, t.fn.var, t.arg), ()))
+        return out
+    if isinstance(t, Guard):
+        binary(Guard, t.left, t.right)
+        if is_value(t.left):
+            out.extend(par_term_all(t.right, session))
+        return out
+    if isinstance(t, Unif):
+        binary(Unif, t.left, t.right)
+        if is_value(t.left) and is_value(t.right):
+            out.append(ParResult(singleton(Cons(OK)),
+                                 (unify.Goal(t.left, t.right),)))
+        return out
+    raise TypeError(f"unexpected term {t!r}")
+
+
+def par_step_all(p: Program, session=None) -> List[Program]:
+    """Every program reachable by one simultaneous reduction."""
+    if session is None:
+        session = Session.for_program(p)
+    options_per_thread = []
+    for t in p:
+        resolved = []
+        for r in par_term_all(t, session):
+            outcome = unify.mgu(unify.Problem(r.goals))
+            if isinstance(outcome, unify.Failed):
+                resolved.append(None)
+            else:
+                resolved.append(subst_apply(r.program, outcome.substitution))
+        options_per_thread.append(resolved)
+    results = [Program(())]
+    for options in options_per_thread:
+        new_results = []
+        for prefix in results:
+            for option in options:
+                if option is None:
+                    new_results.append(prefix)
+                else:
+                    new_results.append(prefix + option)
+        results = new_results
+    return results

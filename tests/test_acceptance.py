@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 
+from helpers import subst_equal, subst_loc
 from lamu.concrete import parse_program, pretty_program
 from lamu.denot import DenotError, Model, TooLarge, denote, soundness_check
 from lamu.equiv import is_normal_program, struct_equiv
@@ -23,7 +24,7 @@ from lamu.reduction import (
 )
 from lamu.syntax import (
     Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Session, Substitution,
-    Unif, Var, singleton, subst_apply, subst_equal, subst_loc,
+    Unif, Var, singleton, subst_apply,
 )
 from lamu.typecheck import (
     Arrow, Base, ambient_context, base_names_used, default_signature, infer,
@@ -249,10 +250,10 @@ def test_criterion_5_strong_bisimulation():
             checked += 1
             continue
         redex = redexes[rng.randrange(len(redexes))]
-        p2 = step_at(p, redex, Session.for_program(p))
+        p2 = step_at(p, redex, Session.for_program(p)).after
         session_q = Session.for_program(q)
         matched = any(
-            struct_equiv(p2, step_at(q, r, session_q))
+            struct_equiv(p2, step_at(q, r, session_q).after)
             for r in enumerate_redexes(q))
         if not matched:
             failures += 1

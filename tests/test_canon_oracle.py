@@ -8,13 +8,14 @@ from hypothesis import given, strategies as st
 
 import lamu.reduction
 from canon_oracle import canonical_program as oracle_program, canonicalize
+from helpers import subst_loc
 from lamu.equiv import canonical_program, canonical_thread, struct_equiv
 from lamu.generator import Generator, GeneratorConfig
 from lamu.reduction import reachable_normal_forms
 from lamu.syntax import (
     HOLE, Abs, AbsLoc, App, Cons, Fresh, Guard, Hole, Program, Substitution,
     Unif, Var, alpha_eq, free_vars, locations, singleton, subst_apply,
-    subst_loc, subterms, term_key,
+    subterms, term_key,
 )
 from lamu.typecheck import Base
 

@@ -95,6 +95,39 @@ def test_bad_seed_env_variable_exits_two(monkeypatch, capsys):
     assert out == "" and err == "error: LUNI_SEED must be an integer, not 'abc'\n"
 
 
+def _deep_inputs(tmp_path):
+    parens = tmp_path / "parens.luni"
+    parens.write_text("(" * 2000 + "C" + ")" * 2000 + "\n")
+    chain = tmp_path / "chain.luni"
+    chain.write_text(" ; ".join(["C"] * 3000) + "\n")
+    return parens, chain
+
+
+def test_deep_inputs_exit_two(tmp_path, capsys):
+    parens, chain = _deep_inputs(tmp_path)
+    for argv in (["run", str(parens)], ["check", str(chain)]):
+        code, out, err = run_main(argv, capsys)
+        assert code == EXIT_USER_ERROR
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_repl_reports_deep_input_and_continues(tmp_path, monkeypatch, capsys):
+    parens, _ = _deep_inputs(tmp_path)
+    lines = iter([parens.read_text().strip(), "C"])
+
+    def fake_input(prompt):
+        try:
+            return next(lines)
+        except StopIteration:
+            raise EOFError from None
+
+    monkeypatch.setattr("builtins.input", fake_input)
+    code, out, _ = run_main(["repl"], capsys)
+    assert code == EXIT_OK
+    error, result = out.splitlines()[1:3]
+    assert error.startswith("error: ") and result == "C"
+
+
 def test_usage_error_exits_two(capsys):
     code, _, _ = run_main(["frobnicate"], capsys)
     assert code == EXIT_USER_ERROR

@@ -1,12 +1,11 @@
 """Tests for the simultaneous evaluator and its agreement with the
 small-step semantics."""
 
+from helpers import par_step_all, par_term_all
 from lamu.concrete import parse_program
 from lamu.equiv import struct_equiv
 from lamu.generator import Generator, GeneratorConfig
-from lamu.parallel import (
-    par_normalize, par_step, par_step_all, par_term, par_term_all,
-)
+from lamu.parallel import par_normalize, par_step, par_term
 from lamu.reduction import evaluate
 from lamu.syntax import (
     AbsLoc, App, Cons, Guard, Program, Session, Unif, Var, singleton,

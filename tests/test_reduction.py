@@ -5,11 +5,12 @@ import random
 
 import pytest
 
+from helpers import replay
 from lamu.concrete import parse_program
 from lamu.equiv import struct_equiv
 from lamu.reduction import (
     ALLOC, BETA, FAILRULE, FRESH, GUARD, UNIF, BoundsExceeded, enumerate_redexes,
-    evaluate, find_redex, reachable_normal_forms, replay, step, step_at,
+    evaluate, find_redex, reachable_normal_forms, step, step_at,
 )
 from lamu.syntax import (
     Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, Program, Session,
@@ -158,8 +159,8 @@ def test_step_at_either_redex():
     p = singleton(App(Unif(C, C), Unif(D, D)))
     session = Session.for_program(p)
     redexes = enumerate_redexes(p)
-    left = step_at(p, redexes[0], session)
-    right = step_at(p, redexes[1], session)
+    left = step_at(p, redexes[0], session).after
+    right = step_at(p, redexes[1], session).after
     assert left == singleton(App(Cons("Ok"), Unif(D, D)))
     assert right == singleton(App(Unif(C, C), Cons("Ok")))
 

@@ -1,15 +1,16 @@
 """Tests for the unification engine: single rules, mgu outcomes, clash
 detection, and the unifier laws on random goal sets."""
 
-import itertools
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import subst_equal
 from lamu.generator import Generator, GeneratorConfig
 from lamu.syntax import (
     AbsLoc, App, CoherenceError, Cons, Substitution, Var,
-    coherence_witness, free_vars, make_spine, singleton, subst_equal,
+    coherence_witness, free_vars, make_spine, singleton,
 )
 from lamu.unify import (
     ARITY_CLASH, CONSTRUCTOR_CLASH, LOCATION_CLASH, NORMAL_FORM,
@@ -154,6 +155,7 @@ def test_is_unifier():
 
 # -- oracle: exhaustive search over a small ground value universe
 
+@functools.lru_cache(maxsize=None)
 def ground_values(depth):
     if depth == 0:
         return [C, D]
@@ -184,13 +186,33 @@ def _ground_eq(v, w, asg):
 
 
 def brute_force_unifiable(problem, depth=2):
+    """The first ground assignment, in itertools.product order over the
+    sorted names and the universe, that satisfies every goal, or None.
+    The search is depth-first and checks each goal as soon as all of its
+    variables are assigned, which prunes but visits candidates in the
+    same order."""
     names = sorted(problem.free_vars())
     universe = ground_values(depth)
-    for combo in itertools.product(universe, repeat=len(names)):
-        asg = dict(zip(names, combo))
-        if all(_ground_eq(g.lhs, g.rhs, asg) for g in problem):
-            return Substitution(asg)
-    return None
+    position = {name: k for k, name in enumerate(names)}
+    # due[k]: the goals whose variables are all among names[:k]
+    due = [[] for _ in range(len(names) + 1)]
+    for g in problem:
+        due[max((position[n] + 1 for n in g.free_vars()), default=0)].append(g)
+    asg = {}
+
+    def search(k):
+        if not all(_ground_eq(g.lhs, g.rhs, asg) for g in due[k]):
+            return False
+        if k == len(names):
+            return True
+        for v in universe:
+            asg[names[k]] = v
+            if search(k + 1):
+                return True
+        del asg[names[k]]
+        return False
+
+    return Substitution(dict(asg)) if search(0) else None
 
 
 def test_brute_force_agrees_on_small_problems():
