@@ -27,7 +27,7 @@ from .reduction import (
 )
 from .syntax import (
     FAIL, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, LamuError,
-    Program, Session, Substitution, Term, Unif, Var, alpha_eq, coherent,
+    Program, Session, Substitution, Term, Unif, Var, alpha_eq,
     free_vars, is_value, singleton, subst_apply, subst_single,
 )
 from .typecheck import (
@@ -44,7 +44,7 @@ __all__ = [
     "GeneratorConfig", "Goal", "Guard", "LamuError", "Model", "ParseError",
     "Problem", "Program", "Session", "Solved", "SourceFile", "Substitution",
     "Term", "TooLarge", "TraceStep", "Type", "TypeCheckError", "Unif", "Var",
-    "alpha_eq", "canonical_program", "canonical_thread", "check", "coherent",
+    "alpha_eq", "canonical_program", "canonical_thread", "check",
     "default_signature", "denote", "denote_toplevel", "evaluate",
     "find_redex", "free_vars", "hm_translate", "infer", "is_normal_program",
     "is_normal_term", "is_stuck", "is_unifier", "is_value", "mgu",

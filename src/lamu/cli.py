@@ -140,17 +140,22 @@ def cmd_test_confluence(args, out) -> int:
     gen = Generator(config)
     stream = gen.programs()
     src = _generator_source(config)
-    bound_limited = 0
+    bound_limited = states = 0
+    most = (0, 0)       # (states, index) of the first sample with the most
     for i in range(args.samples):
         p = next(stream)
         exploration = reachable_normal_forms(p, fuel=args.fuel,
                                              max_states=args.max_states)
         bound_limited += not exploration.complete
+        states += exploration.states
+        if exploration.states > most[0]:
+            most = (exploration.states, i)
         if len(exploration.normal_forms) > 1:
             _write_counterexample("confluence", i, src, p, out)
             return EXIT_COUNTEREXAMPLE
     print(f"confluence: {args.samples} samples, {bound_limited} bound-limited, "
-          "0 counterexamples", file=out)
+          f"0 counterexamples; {states} states, most in sample {most[1]} "
+          f"({most[0]})", file=out)
     return EXIT_OK
 
 

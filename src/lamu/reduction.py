@@ -7,6 +7,11 @@ the thread.  ``step_at`` is the one place that contracts a redex: it
 returns a ``TraceStep`` naming the location, variable or substitution
 the rule issued.  ``evaluate`` is the one loop that steps a program; the
 subject-reduction and soundness harnesses read its trace.
+
+Because threads never interact, ``reachable_normal_forms`` explores each
+thread on its own and sums the threads' normal forms: its cost is the
+sum of the threads' state spaces, not their product (partial-order
+reduction, Godefroid 1996).
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, NamedTuple, Optional
 
 from . import unify
-from .equiv import canonical_program
+from .equiv import canonical_thread
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, HOLE,
     Program, Session, Substitution, Term, Unif, Var, check_coherent,
@@ -195,7 +200,9 @@ class BoundsExceeded(Exception):
 @dataclass
 class Exploration:
     """normal_forms holds the canonical_program keys of the reachable
-    normal forms, one per structural-equivalence class."""
+    normal forms, one per structural-equivalence class; when complete is
+    False it holds a subset of them.  states counts the distinct
+    single-thread states visited, summed over every thread explored."""
     normal_forms: set
     states: int
     complete: bool
@@ -203,40 +210,100 @@ class Exploration:
 
 def reachable_normal_forms(p: Program, fuel=200, max_states=10000,
                            strict=False) -> Exploration:
-    """Breadth-first exploration of every redex choice; states are
-    identified up to structural equivalence (justified by the strong
-    bisimulation property) and kept as canonical_program keys."""
+    """Every normal form reachable by any choice of redexes, up to
+    structural equivalence.
+
+    Threads never interact, so each thread is explored on its own: a
+    breadth-first search over single-thread states keyed by
+    canonical_thread, at most fuel levels deep.  A step that leaves 0 or
+    several threads contributes the multiset-sums of its children's
+    normal forms; each child is explored once and memoised by its key.
+    A child or successor whose key is still being explored further out
+    (a thread that spawns a copy of itself) is not followed, and makes
+    the exploration incomplete, as does split nesting deeper than fuel.
+    states counts the distinct thread states of every exploration; past
+    max_states the search stops.  An incomplete exploration reports a
+    subset of the normal forms, or raises BoundsExceeded under strict.
+    """
     check_coherent(p)
     session = Session.for_program(p)
-    visited = {canonical_program(p)}
-    frontier = [p]
-    normal_forms = set()
-    states = 1
-    complete = True
-    for _ in range(fuel):
-        if not frontier:
-            break
-        next_frontier = []
-        for q in frontier:
-            redexes = enumerate_redexes(q)
-            if not redexes:
-                normal_forms.add(canonical_program(q))
-                continue
-            for r in redexes:
-                nxt = step_at(q, r, session).after
-                key = canonical_program(nxt)
-                if key in visited:
-                    continue
-                visited.add(key)
-                states += 1
-                if states > max_states:
-                    if strict:
-                        raise BoundsExceeded(states, normal_forms)
-                    return Exploration(normal_forms, states, False)
-                next_frontier.append(nxt)
-        frontier = next_frontier
-    if frontier:
-        complete = False
-        if strict:
-            raise BoundsExceeded(states, normal_forms)
+    states = 0
+    memo = {}           # thread key -> (normal forms, complete)
+    active = set()      # keys of the explorations in progress
+
+    def program_nfs(threads):
+        """Multiset-sums of the threads' normal forms; the driver below
+        answers each yielded thread with its (normal forms, complete)."""
+        nfs, complete = {()}, True
+        for t in threads:
+            sub, ok = yield t
+            nfs = {tuple(sorted(a + b)) for a in nfs for b in sub}
+            complete = complete and ok
+        return nfs, complete
+
+    def thread_nfs(t, key):
+        """Breadth-first search over the single-thread states reachable
+        from t; each split step's threads go through program_nfs."""
+        nonlocal states
+        visited = {key}
+        frontier = [(t, key)]
+        nfs, complete = set(), True
+        for _ in range(fuel):
+            next_frontier = []
+            for s, k in frontier:
+                q = Program((s,))
+                redexes = enumerate_redexes(q)
+                if not redexes:
+                    nfs.add((k,))
+                for r in redexes:
+                    after = step_at(q, r, session).after.threads
+                    if len(after) != 1:
+                        sub, ok = yield from program_nfs(after)
+                        nfs |= sub
+                        complete = complete and ok
+                        continue
+                    k2 = canonical_thread(after[0])
+                    if k2 in visited:
+                        continue
+                    if k2 in active:
+                        complete = False
+                        continue
+                    if states >= max_states:
+                        return nfs, False
+                    visited.add(k2)
+                    states += 1
+                    next_frontier.append((after[0], k2))
+            frontier = next_frontier
+            if not frontier:
+                break
+        return nfs, complete and not frontier
+
+    # Explicit stack of explorations: split nesting is bounded by fuel,
+    # not by Python's recursion limit.
+    stack = [(None, program_nfs(p.threads))]
+    reply = None
+    while True:
+        key, gen = stack[-1]
+        try:
+            t = gen.send(reply)
+        except StopIteration as stop:
+            stack.pop()
+            if not stack:
+                normal_forms, complete = stop.value
+                break
+            active.discard(key)
+            memo[key] = reply = stop.value
+            continue
+        k = canonical_thread(t)
+        if k in memo:
+            reply = memo[k]
+        elif k in active or len(stack) > fuel or states >= max_states:
+            reply = (set(), False)
+        else:
+            states += 1
+            active.add(k)
+            stack.append((k, thread_nfs(t, k)))
+            reply = None
+    if not complete and strict:
+        raise BoundsExceeded(states, normal_forms)
     return Exploration(normal_forms, states, complete)

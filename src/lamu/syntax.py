@@ -473,12 +473,6 @@ def coherence_witness(terms: Iterable[Term]):
     return None
 
 
-def coherent(x) -> bool:
-    if isinstance(x, Program):
-        return all(coherence_witness([t]) is None for t in x)
-    return coherence_witness([x]) is None
-
-
 def check_coherent(p: Program):
     for i, t in enumerate(p):
         w = coherence_witness([t])

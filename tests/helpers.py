@@ -1,15 +1,20 @@
-"""Helpers that only the tests use: term predicates, location renaming,
-substitution equality, trace replay, and the full simultaneous
-reduction relation for the diamond spot checks."""
+"""Helpers that only the tests use: term predicates, coherence as a
+predicate, location renaming, substitution equality, trace replay, the
+product-space explorer, the brute-force unification oracle, and the
+full simultaneous reduction relation for the diamond spot checks."""
 
+import functools
 from typing import List
 
 from lamu import unify
+from lamu.equiv import canonical_program
 from lamu.parallel import ParResult, _lift
+from lamu.reduction import Exploration, enumerate_redexes, step_at
 from lamu.syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Hole, Program, Session,
-    Substitution, Term, Unif, Var, alpha_eq, is_value, singleton, spine,
-    subst_apply, subst_single, _children,
+    Substitution, Term, Unif, Var, alpha_eq, check_coherent,
+    coherence_witness, is_value, make_spine, singleton, spine, subst_apply,
+    subst_single, _children,
 )
 
 
@@ -26,6 +31,12 @@ def is_weak_context(w: Term) -> bool:
             return sum(count(c) for c in _children(t))
         return 0
     return count(w) == 1
+
+
+def coherent(x) -> bool:
+    if isinstance(x, Program):
+        return all(coherence_witness([t]) is None for t in x)
+    return coherence_witness([x]) is None
 
 
 def subst_loc(x, old: int, new: int):
@@ -65,6 +76,103 @@ def replay(trace, initial: Program) -> bool:
             return False
         current = ts.after
     return True
+
+
+def product_bfs(p: Program, key=canonical_program, fuel=200,
+                max_states=10000) -> Exploration:
+    """Breadth-first search over whole programs, identified by key: the
+    product of the threads' state spaces.  The oracle that
+    reachable_normal_forms is checked against, on small bounds."""
+    check_coherent(p)
+    session = Session.for_program(p)
+    visited = {key(p)}
+    frontier = [p]
+    normal_forms = set()
+    states = 1
+    for _ in range(fuel):
+        if not frontier:
+            break
+        next_frontier = []
+        for q in frontier:
+            redexes = enumerate_redexes(q)
+            if not redexes:
+                normal_forms.add(key(q))
+                continue
+            for r in redexes:
+                nxt = step_at(q, r, session).after
+                k = key(nxt)
+                if k in visited:
+                    continue
+                visited.add(k)
+                states += 1
+                if states > max_states:
+                    return Exploration(normal_forms, states, False)
+                next_frontier.append(nxt)
+        frontier = next_frontier
+    return Exploration(normal_forms, states, not frontier)
+
+
+# ---------------------------------------------------------------------------
+# Ground unification oracle
+
+@functools.lru_cache(maxsize=None)
+def ground_universe(depth, closures):
+    """The ground values built from C and D by S and P up to depth, plus
+    the given located closures (a tuple) at every level."""
+    if depth == 0:
+        return [Cons("C"), Cons("D")]
+    smaller = ground_universe(depth - 1, closures)
+    out = list(smaller)
+    out.extend(make_spine(Cons("S"), [v]) for v in smaller)
+    out.extend(make_spine(Cons("P"), [v, w]) for v in smaller for w in smaller)
+    out.extend(closures)
+    return out
+
+
+def ground_eq(v, w, asg):
+    """Equality of the two sides under a total ground assignment.
+    Located closures compare by location alone, which is sound whenever
+    each location carries one body up to alpha."""
+    if isinstance(v, Var):
+        v = asg[v.name]
+    if isinstance(w, Var):
+        w = asg[w.name]
+    if isinstance(v, AbsLoc) or isinstance(w, AbsLoc):
+        return isinstance(v, AbsLoc) and isinstance(w, AbsLoc) and v.loc == w.loc
+    if isinstance(v, Cons) or isinstance(w, Cons):
+        return v == w
+    if isinstance(v, App) and isinstance(w, App):
+        return ground_eq(v.fn, w.fn, asg) and ground_eq(v.arg, w.arg, asg)
+    return False
+
+
+def brute_force_unifiable(problem, universe):
+    """The first ground assignment, in itertools.product order over the
+    sorted names and the universe, that satisfies every goal, or None.
+    The search is depth-first and checks each goal as soon as all of its
+    variables are assigned, which prunes but visits candidates in the
+    same order."""
+    names = sorted(problem.free_vars())
+    position = {name: k for k, name in enumerate(names)}
+    # due[k]: the goals whose variables are all among names[:k]
+    due = [[] for _ in range(len(names) + 1)]
+    for g in problem:
+        due[max((position[n] + 1 for n in g.free_vars()), default=0)].append(g)
+    asg = {}
+
+    def search(k):
+        if not all(ground_eq(g.lhs, g.rhs, asg) for g in due[k]):
+            return False
+        if k == len(names):
+            return True
+        for v in universe:
+            asg[names[k]] = v
+            if search(k + 1):
+                return True
+        del asg[names[k]]
+        return False
+
+    return Substitution(dict(asg)) if search(0) else None
 
 
 # ---------------------------------------------------------------------------

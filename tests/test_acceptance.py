@@ -5,13 +5,14 @@ The heavyweight exploration (shared by the confluence and the
 cross-evaluator criteria) runs once and is cached at module scope.
 """
 
-import itertools
 import os
 import subprocess
 import sys
 import time
 
-from helpers import subst_equal, subst_loc
+from helpers import (
+    brute_force_unifiable, ground_universe, subst_equal, subst_loc,
+)
 from lamu.concrete import parse_program, pretty_program
 from lamu.denot import DenotError, Model, TooLarge, denote, soundness_check
 from lamu.equiv import is_normal_program, struct_equiv
@@ -266,41 +267,8 @@ def test_criterion_5_strong_bisimulation():
 # ---------------------------------------------------------------------------
 # 6. Unification metatheory
 
-_C, _D = Cons("C"), Cons("D")
-
-
-def _cons(name, *args):
-    t = Cons(name)
-    for a in args:
-        t = App(t, a)
-    return t
-
-
-def _ground_universe(depth):
-    if depth == 0:
-        return [_C, _D]
-    smaller = _ground_universe(depth - 1)
-    out = list(smaller)
-    out.extend(_cons("S", v) for v in smaller)
-    out.extend(_cons("P", v, w) for v in smaller for w in smaller)
-    out.append(AbsLoc(901, "x", singleton(Var("x"))))
-    out.append(AbsLoc(902, "x", singleton(Cons("C"))))
-    return out
-
-
-def _ground_eq(v, w, asg):
-    if isinstance(v, Var):
-        v = asg[v.name]
-    if isinstance(w, Var):
-        w = asg[w.name]
-    if isinstance(v, AbsLoc) or isinstance(w, AbsLoc):
-        return (isinstance(v, AbsLoc) and isinstance(w, AbsLoc)
-                and v.loc == w.loc)
-    if isinstance(v, Cons) or isinstance(w, Cons):
-        return v == w
-    if isinstance(v, App) and isinstance(w, App):
-        return _ground_eq(v.fn, w.fn, asg) and _ground_eq(v.arg, w.arg, asg)
-    return False
+_UNIVERSE_CLOSURES = (AbsLoc(901, "x", singleton(Var("x"))),
+                      AbsLoc(902, "x", singleton(Cons("C"))))
 
 
 def test_criterion_6_unification_metatheory():
@@ -309,7 +277,7 @@ def test_criterion_6_unification_metatheory():
     start = time.time()
     gen = Generator(GeneratorConfig(seed=13, max_depth=3,
                                     variables=("x", "y")))
-    universe = _ground_universe(2)
+    universe = ground_universe(2, _UNIVERSE_CLOSURES)
     solved = failed = bad = 0
     for _ in range(1000):
         problem = Problem([Goal(*gen.goal())
@@ -327,12 +295,8 @@ def test_criterion_6_unification_metatheory():
                 bad += 1
         else:
             failed += 1
-            names = sorted(problem.free_vars())
-            for combo in itertools.product(universe, repeat=len(names)):
-                asg = dict(zip(names, combo))
-                if all(_ground_eq(g.lhs, g.rhs, asg) for g in problem):
-                    bad += 1
-                    break
+            if brute_force_unifiable(problem, universe) is not None:
+                bad += 1
     # located closures: same location unifies, distinct locations clash
     id1 = AbsLoc(1, "x", singleton(Var("x")))
     id1b = AbsLoc(1, "y", singleton(Var("y")))

@@ -1,17 +1,15 @@
 """The canonical key ``syntax.term_key`` against the reference forms in
 ``canon_oracle``: alpha-equivalence, structural equivalence, and the
-explorer keyed by either."""
+product-space explorer keyed by either."""
 
 import random
 
 from hypothesis import given, strategies as st
 
-import lamu.reduction
 from canon_oracle import canonical_program as oracle_program, canonicalize
-from helpers import subst_loc
+from helpers import product_bfs, subst_loc
 from lamu.equiv import canonical_program, canonical_thread, struct_equiv
 from lamu.generator import Generator, GeneratorConfig
-from lamu.reduction import reachable_normal_forms
 from lamu.syntax import (
     HOLE, Abs, AbsLoc, App, Cons, Fresh, Guard, Hole, Program, Substitution,
     Unif, Var, alpha_eq, free_vars, locations, singleton, subst_apply,
@@ -215,15 +213,14 @@ def test_equiv_key_agrees_with_oracle():
     assert outcomes.count(True) > 300 and outcomes.count(False) > 300
 
 
-# -- the explorer, keyed by term_key and by the oracle
+# -- the product-space explorer, keyed by term_key and by the oracle
 
-def test_explorer_matches_oracle_keyed_explorer(monkeypatch):
+def test_explorer_matches_oracle_keyed_explorer():
     gen = Generator(GeneratorConfig(seed=7, max_depth=4))
     programs = [gen.program() for _ in range(60)]
     bounds = dict(fuel=60, max_states=300)
-    fast = [reachable_normal_forms(p, **bounds) for p in programs]
-    monkeypatch.setattr(lamu.reduction, "canonical_program", oracle_program)
-    slow = [reachable_normal_forms(p, **bounds) for p in programs]
+    fast = [product_bfs(p, canonical_program, **bounds) for p in programs]
+    slow = [product_bfs(p, oracle_program, **bounds) for p in programs]
     for p, f, s in zip(programs, fast, slow):
         assert (f.states, f.complete) == (s.states, s.complete), p
         assert len(f.normal_forms) == len(s.normal_forms), p

@@ -152,7 +152,8 @@ def test_confluence_suite_reports_bound_limited(capsys):
         ["test-confluence", "--samples", "5", "--seed", "7",
          "--max-states", "1"], capsys)
     assert code == EXIT_OK
-    assert out.strip() == "confluence: 5 samples, 4 bound-limited, 0 counterexamples"
+    assert out.strip() == ("confluence: 5 samples, 4 bound-limited, 0 counterexamples; "
+                           "5 states, most in sample 0 (1)")
 
 
 def test_subject_reduction_suite_small(capsys):

@@ -1,10 +1,11 @@
 """Tests for the random program generator: determinism, coherence,
 depth bounds, and the shape of the sampled distribution."""
 
+from helpers import coherent
 from lamu.generator import (
     DEFAULT_SIGNATURE, Generator, GeneratorConfig, sample_programs,
 )
-from lamu.syntax import AbsLoc, Cons, Unif, Var, coherent, is_value, subterms
+from lamu.syntax import AbsLoc, Cons, Unif, Var, is_value, subterms
 from lamu.typecheck import (
     ambient_context, default_signature, infer,
 )

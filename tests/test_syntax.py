@@ -4,11 +4,13 @@ weak contexts, coherence, and name supplies."""
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import is_structure, is_weak_context, subst_equal, subst_loc
+from helpers import (
+    coherent, is_structure, is_weak_context, subst_equal, subst_loc,
+)
 from lamu.syntax import (
     FAIL, HOLE, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard,
     NotAValueError, Program, Session, Substitution, Unif, Var, all_names,
-    alpha_eq, check_coherent, coherence_witness, coherent,
+    alpha_eq, check_coherent, coherence_witness,
     free_vars, is_value, locations, make_spine, plug, plug_term, singleton,
     spine, subst_apply, subst_single,
 )

@@ -1,12 +1,10 @@
 """Tests for the unification engine: single rules, mgu outcomes, clash
 detection, and the unifier laws on random goal sets."""
 
-import functools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import subst_equal
+from helpers import brute_force_unifiable, ground_universe, subst_equal
 from lamu.generator import Generator, GeneratorConfig
 from lamu.syntax import (
     AbsLoc, App, CoherenceError, Cons, Substitution, Var,
@@ -155,64 +153,8 @@ def test_is_unifier():
 
 # -- oracle: exhaustive search over a small ground value universe
 
-@functools.lru_cache(maxsize=None)
-def ground_values(depth):
-    if depth == 0:
-        return [C, D]
-    smaller = ground_values(depth - 1)
-    out = list(smaller)
-    out.extend(cons("S", v) for v in smaller)
-    out.extend(cons("P", v, w) for v in smaller for w in smaller)
-    out.append(ID1)
-    out.append(ID2)
-    return out
-
-
-def _ground_eq(v, w, asg):
-    """Equality of the two sides under a total ground assignment.
-    Located closures compare by location alone, which is sound whenever
-    each location carries one body up to alpha."""
-    if isinstance(v, Var):
-        v = asg[v.name]
-    if isinstance(w, Var):
-        w = asg[w.name]
-    if isinstance(v, AbsLoc) or isinstance(w, AbsLoc):
-        return isinstance(v, AbsLoc) and isinstance(w, AbsLoc) and v.loc == w.loc
-    if isinstance(v, Cons) or isinstance(w, Cons):
-        return v == w
-    if isinstance(v, App) and isinstance(w, App):
-        return _ground_eq(v.fn, w.fn, asg) and _ground_eq(v.arg, w.arg, asg)
-    return False
-
-
-def brute_force_unifiable(problem, depth=2):
-    """The first ground assignment, in itertools.product order over the
-    sorted names and the universe, that satisfies every goal, or None.
-    The search is depth-first and checks each goal as soon as all of its
-    variables are assigned, which prunes but visits candidates in the
-    same order."""
-    names = sorted(problem.free_vars())
-    universe = ground_values(depth)
-    position = {name: k for k, name in enumerate(names)}
-    # due[k]: the goals whose variables are all among names[:k]
-    due = [[] for _ in range(len(names) + 1)]
-    for g in problem:
-        due[max((position[n] + 1 for n in g.free_vars()), default=0)].append(g)
-    asg = {}
-
-    def search(k):
-        if not all(_ground_eq(g.lhs, g.rhs, asg) for g in due[k]):
-            return False
-        if k == len(names):
-            return True
-        for v in universe:
-            asg[names[k]] = v
-            if search(k + 1):
-                return True
-        del asg[names[k]]
-        return False
-
-    return Substitution(dict(asg)) if search(0) else None
+def brute_force(problem):
+    return brute_force_unifiable(problem, ground_universe(2, (ID1, ID2)))
 
 
 def test_brute_force_agrees_on_small_problems():
@@ -226,7 +168,7 @@ def test_brute_force_agrees_on_small_problems():
     ]
     for g in goals:
         outcome = mgu(g)
-        witness = brute_force_unifiable(g)
+        witness = brute_force(g)
         if isinstance(outcome, Solved):
             assert witness is not None or not g.free_vars()
         else:
@@ -258,7 +200,7 @@ def test_mgu_laws_on_random_goal_sets():
             assert coherence_witness(leftover) is None
         else:
             failed += 1
-            assert brute_force_unifiable(problem) is None
+            assert brute_force(problem) is None
     assert solved > 20 and failed > 20
 
 
