@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    AbsLoc, Cons, Guard, Program, Term, Unif, Var, is_value, spine,
-    term_key,
+    AbsLoc, Cons, Guard, Program, Term, Unif, Var, spine, term_key,
 )
 
 STUCK_VAR = "stuck-var"
@@ -49,47 +48,52 @@ class StuckKind:
     sub: tuple = ()
 
 
-def is_stuck(t: Term) -> Optional[StuckKind]:
-    """Derivation of the stuck judgment, or None.  A stuck term is a
-    normal term that is not a value."""
+_VALUE = object()
+
+
+def _classify(t: Term):
+    """One walk deciding each sub-judgment once: the stuck derivation,
+    _VALUE for a value, or None for a term that is not normal."""
     head, args = spine(t)
-    arg_kinds = []
+    kinds = []
     for a in args:
-        if not is_normal_term(a):
+        k = _classify(a)
+        if k is None:
             return None
-        arg_kinds.append(is_stuck(a))
+        kinds.append(k)
     if isinstance(head, Var):
-        if args:
-            return StuckKind(STUCK_VAR)
-        return None
+        return StuckKind(STUCK_VAR) if args else _VALUE
     if isinstance(head, Cons):
-        stuck_args = tuple(k for k in arg_kinds if k is not None)
-        if stuck_args:
-            return StuckKind(STUCK_CONS, stuck_args)
-        return None
-    if isinstance(head, Guard):
-        left = is_stuck(head.left)
-        if left is not None and is_normal_term(head.right):
-            return StuckKind(STUCK_GUARD, (left,))
-        return None
-    if isinstance(head, Unif):
-        if not (is_normal_term(head.left) and is_normal_term(head.right)):
-            return None
-        sides = tuple(k for k in (is_stuck(head.left), is_stuck(head.right))
-                      if k is not None)
-        if sides:
-            return StuckKind(STUCK_UNIF, sides)
-        return None
+        stuck_args = tuple(k for k in kinds if k is not _VALUE)
+        return StuckKind(STUCK_CONS, stuck_args) if stuck_args else _VALUE
     if isinstance(head, AbsLoc):
-        if args and arg_kinds[0] is not None:
-            return StuckKind(STUCK_LAM, (arg_kinds[0],))
-        return None
+        if not args or kinds[0] is _VALUE:
+            return None if args else _VALUE
+        return StuckKind(STUCK_LAM, (kinds[0],))
+    if isinstance(head, Guard):
+        left = _classify(head.left)
+        if left is None or left is _VALUE or _classify(head.right) is None:
+            return None
+        return StuckKind(STUCK_GUARD, (left,))
+    if isinstance(head, Unif):
+        sides = (_classify(head.left), _classify(head.right))
+        if None in sides:
+            return None
+        stuck_sides = tuple(k for k in sides if k is not _VALUE)
+        return StuckKind(STUCK_UNIF, stuck_sides) if stuck_sides else None
     # unallocated abstractions and fresh binders are redexes, not stuck
     return None
 
 
+def is_stuck(t: Term) -> Optional[StuckKind]:
+    """Derivation of the stuck judgment, or None.  A stuck term is a
+    normal term that is not a value."""
+    kind = _classify(t)
+    return None if kind is _VALUE else kind
+
+
 def is_normal_term(t: Term) -> bool:
-    return is_value(t) or is_stuck(t) is not None
+    return _classify(t) is not None
 
 
 def is_normal_program(p: Program) -> bool:

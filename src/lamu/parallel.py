@@ -1,7 +1,8 @@
 """Simultaneous (parallel) reduction: a maximal-parallel evaluator that
 collects pending unification goals per thread and discharges them at the
 thread boundary.  Used as an independent oracle against the small-step
-evaluator.
+evaluator.  Threads never interact, so a thread is the unit of work:
+``par_normalize`` steps only the threads that are not yet normal.
 """
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import unify
-from .equiv import is_normal_program
+from .equiv import is_normal_term
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Session, Term,
     Unif, Var, check_coherent, is_value, singleton, subst_apply,
@@ -66,19 +67,23 @@ def par_term(t: Term, session: Session) -> ParResult:
     raise TypeError(f"unexpected term {t!r}")
 
 
+def _par_thread(t: Term, session: Session) -> Tuple[Term, ...]:
+    """One simultaneous step of one thread: reduce it, then apply the mgu
+    of its pending goals; no threads when they fail to unify."""
+    result = par_term(t, session)
+    if not result.goals:
+        return result.program.threads
+    outcome = unify.mgu(unify.Problem(result.goals))
+    if isinstance(outcome, unify.Failed):
+        return ()
+    return subst_apply(result.program, outcome.substitution).threads
+
+
 def par_step(p: Program, session=None) -> Program:
-    """One simultaneous reduction of a program: reduce each thread, then
-    apply the mgu of its pending goals, dropping the thread on failure."""
+    """One simultaneous reduction of a program, thread by thread."""
     if session is None:
         session = Session.for_program(p)
-    threads = []
-    for t in p:
-        result = par_term(t, session)
-        outcome = unify.mgu(unify.Problem(result.goals))
-        if isinstance(outcome, unify.Failed):
-            continue
-        threads.extend(subst_apply(result.program, outcome.substitution).threads)
-    return Program(tuple(threads))
+    return Program(tuple(u for t in p for u in _par_thread(t, session)))
 
 
 @dataclass
@@ -89,13 +94,18 @@ class ParNormalResult:
 
 
 def par_normalize(p: Program, fuel=200) -> ParNormalResult:
-    """Iterate par_step until the program is normal (a fixpoint up to
-    structural equivalence); normal=False means out of fuel."""
+    """Iterate par_step until the program is normal; normal=False means
+    out of fuel, with the program after exactly fuel steps.  A thread is
+    classified once, when it appears, and a normal one is carried over:
+    it is a fixpoint of par_term that emits no goal and draws nothing
+    from the session, so this equals par_step on the whole program."""
     check_coherent(p)
     session = Session.for_program(p)
-    current = p
-    for n in range(fuel + 1):
-        if is_normal_program(current):
-            return ParNormalResult(current, n, True)
-        current = par_step(current, session)
-    return ParNormalResult(current, fuel, False)
+    threads = [(t, is_normal_term(t)) for t in p]
+    steps = 0
+    while steps < fuel and not all(normal for _, normal in threads):
+        threads = [(u, normal or is_normal_term(u)) for t, normal in threads
+                   for u in ((t,) if normal else _par_thread(t, session))]
+        steps += 1
+    return ParNormalResult(Program(tuple(t for t, _ in threads)), steps,
+                           all(normal for _, normal in threads))

@@ -1,14 +1,19 @@
 """Helpers that only the tests use: term predicates, coherence as a
 predicate, location renaming, substitution equality, trace replay, the
-product-space explorer, the brute-force unification oracle, and the
-full simultaneous reduction relation for the diamond spot checks."""
+product-space explorer, the brute-force unification oracle, the
+criterion-4 critical pairs, the recursive normal/stuck classifier and
+the whole-program simultaneous evaluator, and the full simultaneous
+reduction relation for the diamond spot checks."""
 
 import functools
 from typing import List
 
 from lamu import unify
-from lamu.equiv import canonical_program
-from lamu.parallel import ParResult, _lift
+from lamu.equiv import (
+    STUCK_CONS, STUCK_GUARD, STUCK_LAM, STUCK_UNIF, STUCK_VAR, StuckKind,
+    canonical_program,
+)
+from lamu.parallel import ParNormalResult, ParResult, _lift, par_term
 from lamu.reduction import Exploration, enumerate_redexes, step_at
 from lamu.syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Hole, Program, Session,
@@ -110,6 +115,105 @@ def product_bfs(p: Program, key=canonical_program, fuel=200,
                 next_frontier.append(nxt)
         frontier = next_frontier
     return Exploration(normal_forms, states, not frontier)
+
+
+def critical_pair_instances():
+    """(v1 =:= v2) (w1 =:= w2) t with both goals solvable, so the two
+    interleavings must meet after discharging both unifiers."""
+    x, y, z = Var("x"), Var("y"), Var("z")
+    C, D = Cons("C"), Cons("D")
+    S = lambda v: App(Cons("S"), v)
+    P = lambda v, w: App(App(Cons("P"), v), w)
+    return [
+        (x, C, y, D, P(x, y)),
+        (x, S(y), y, C, P(x, y)),
+        (x, y, y, D, P(x, y)),
+        (P(x, y), P(C, D), x, C, P(y, x)),
+        (x, C, x, y, P(x, y)),
+        (S(x), S(C), y, S(x), P(x, y)),
+        (x, AbsLoc(1, "v", singleton(Var("v"))), y, C, P(x, y)),
+        (P(x, C), P(D, y), z, S(x), P(z, y)),
+        (x, y, z, D, P(x, z)),
+        (S(S(x)), S(S(C)), y, x, P(x, y)),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Recursive normal/stuck classifier and whole-program simultaneous
+# evaluator: the definitions that equiv's one-walk classifier and
+# parallel's thread-modular par_normalize are checked against
+
+def is_stuck_oracle(t: Term):
+    """The stuck judgment by its rules, deciding each premise on its own
+    (exponential in the nesting depth)."""
+    head, args = spine(t)
+    arg_kinds = []
+    for a in args:
+        if not is_normal_term_oracle(a):
+            return None
+        arg_kinds.append(is_stuck_oracle(a))
+    if isinstance(head, Var):
+        if args:
+            return StuckKind(STUCK_VAR)
+        return None
+    if isinstance(head, Cons):
+        stuck_args = tuple(k for k in arg_kinds if k is not None)
+        if stuck_args:
+            return StuckKind(STUCK_CONS, stuck_args)
+        return None
+    if isinstance(head, Guard):
+        left = is_stuck_oracle(head.left)
+        if left is not None and is_normal_term_oracle(head.right):
+            return StuckKind(STUCK_GUARD, (left,))
+        return None
+    if isinstance(head, Unif):
+        if not (is_normal_term_oracle(head.left)
+                and is_normal_term_oracle(head.right)):
+            return None
+        sides = tuple(k for k in (is_stuck_oracle(head.left),
+                                  is_stuck_oracle(head.right))
+                      if k is not None)
+        if sides:
+            return StuckKind(STUCK_UNIF, sides)
+        return None
+    if isinstance(head, AbsLoc):
+        if args and arg_kinds[0] is not None:
+            return StuckKind(STUCK_LAM, (arg_kinds[0],))
+        return None
+    return None
+
+
+def is_normal_term_oracle(t: Term) -> bool:
+    return is_value(t) or is_stuck_oracle(t) is not None
+
+
+def par_step_oracle(p: Program, session: Session) -> Program:
+    """One simultaneous reduction of the whole program: every thread is
+    reduced and its goals unified, normal or not."""
+    threads = []
+    for t in p:
+        result = par_term(t, session)
+        outcome = unify.mgu(unify.Problem(result.goals))
+        if isinstance(outcome, unify.Failed):
+            continue
+        threads.extend(
+            subst_apply(result.program, outcome.substitution).threads)
+    return Program(tuple(threads))
+
+
+def par_normalize_oracle(p: Program, fuel=200) -> ParNormalResult:
+    """par_step_oracle on the whole program until every thread is normal
+    by is_normal_term_oracle, or for exactly fuel steps."""
+    check_coherent(p)
+    session = Session.for_program(p)
+    current = p
+    for n in range(fuel + 1):
+        if all(is_normal_term_oracle(t) for t in current):
+            return ParNormalResult(current, n, True)
+        if n == fuel:
+            break
+        current = par_step_oracle(current, session)
+    return ParNormalResult(current, fuel, False)
 
 
 # ---------------------------------------------------------------------------

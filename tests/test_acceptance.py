@@ -11,7 +11,8 @@ import sys
 import time
 
 from helpers import (
-    brute_force_unifiable, ground_universe, subst_equal, subst_loc,
+    brute_force_unifiable, critical_pair_instances, ground_universe,
+    subst_equal, subst_loc,
 )
 from lamu.concrete import parse_program, pretty_program
 from lamu.denot import DenotError, Model, TooLarge, denote, soundness_check
@@ -175,32 +176,11 @@ def _exploration():
     return data
 
 
-def _critical_pair_instances():
-    """(v1 =:= v2) (w1 =:= w2) t with both goals solvable, so the two
-    interleavings must meet after discharging both unifiers."""
-    x, y, z = Var("x"), Var("y"), Var("z")
-    C, D = Cons("C"), Cons("D")
-    S = lambda v: App(Cons("S"), v)
-    P = lambda v, w: App(App(Cons("P"), v), w)
-    return [
-        (x, C, y, D, P(x, y)),
-        (x, S(y), y, C, P(x, y)),
-        (x, y, y, D, P(x, y)),
-        (P(x, y), P(C, D), x, C, P(y, x)),
-        (x, C, x, y, P(x, y)),
-        (S(x), S(C), y, S(x), P(x, y)),
-        (x, AbsLoc(1, "v", singleton(Var("v"))), y, C, P(x, y)),
-        (P(x, C), P(D, y), z, S(x), P(z, y)),
-        (x, y, z, D, P(x, z)),
-        (S(S(x)), S(S(C)), y, x, P(x, y)),
-    ]
-
-
 def test_criterion_4_confluence():
     start = time.time()
     data = _exploration()
     family_failures = []
-    for i, (v1, v2, w1, w2, t) in enumerate(_critical_pair_instances()):
+    for i, (v1, v2, w1, w2, t) in enumerate(critical_pair_instances()):
         p = singleton(App(App(Unif(v1, v2), Unif(w1, w2)), t))
         ex = reachable_normal_forms(p, fuel=200, max_states=10_000)
         if not ex.complete or len(ex.normal_forms) != 1:

@@ -1,16 +1,21 @@
 """Tests for structural equivalence and the normal/stuck classifier."""
 
+import signal
+
 from hypothesis import given, strategies as st
 
+from helpers import is_normal_term_oracle, is_stuck_oracle
 from lamu.equiv import (
     STUCK_CONS, STUCK_GUARD, STUCK_LAM, STUCK_UNIF, STUCK_VAR,
     canonical_program, canonical_thread, is_normal_program, is_normal_term,
     is_stuck, struct_equiv,
 )
 from lamu.generator import Generator, GeneratorConfig
+from lamu.parallel import par_normalize
 from lamu.reduction import find_redex
 from lamu.syntax import (
     Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Unif, Var, singleton,
+    subterms,
 )
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -104,6 +109,45 @@ def test_classifier_matches_redex_search_on_samples():
     for _ in range(300):
         p = gen.program()
         assert is_normal_program(p) == (find_redex(p) is None)
+
+
+def test_classifier_matches_recursive_oracle_on_every_subterm():
+    # the programs and their normal forms, which hold every stuck kind
+    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
+    kinds = set()
+    for _ in range(300):
+        p = gen.program()
+        for t in (*subterms(p), *subterms(par_normalize(p, fuel=300).program)):
+            k = is_stuck(t)
+            assert k == is_stuck_oracle(t), t
+            assert is_normal_term(t) == is_normal_term_oracle(t), t
+            kinds.add(k and k.kind)
+    assert kinds >= {None, STUCK_VAR, STUCK_CONS, STUCK_GUARD, STUCK_UNIF,
+                     STUCK_LAM}
+
+
+def test_deep_stuck_chain_is_classified_in_linear_time():
+    # the recursive oracle decides each argument twice: 2^60 walks here,
+    # so a timer turns that regression into a failure, not a hang
+    t = App(X, Y)
+    for _ in range(60):
+        t = App(Cons("S"), t)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("classifying a 60-deep chain took 0.5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        k = is_stuck(t)
+        assert is_normal_term(t)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    for _ in range(60):
+        assert k.kind == STUCK_CONS
+        k, = k.sub
+    assert k == is_stuck(App(X, Y))
 
 
 @given(st.integers(0, 10_000))

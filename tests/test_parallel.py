@@ -1,11 +1,16 @@
 """Tests for the simultaneous evaluator and its agreement with the
 small-step semantics."""
 
-from helpers import par_step_all, par_term_all
+from helpers import (
+    critical_pair_instances, par_normalize_oracle, par_step_all,
+    par_term_all,
+)
 from lamu.concrete import parse_program
-from lamu.equiv import struct_equiv
+from lamu.equiv import is_normal_term, struct_equiv
 from lamu.generator import Generator, GeneratorConfig
-from lamu.parallel import par_normalize, par_step, par_term
+from lamu.parallel import (
+    ParNormalResult, ParResult, par_normalize, par_step, par_term,
+)
 from lamu.reduction import evaluate
 from lamu.syntax import (
     AbsLoc, App, Cons, Guard, Program, Session, Unif, Var, singleton,
@@ -14,6 +19,19 @@ from lamu.syntax import (
 X, Y = Var("x"), Var("y")
 C, D = Cons("C"), Cons("D")
 ID1 = AbsLoc(1, "x", singleton(X))
+# never normal: every step makes one more C thread beside the redex
+DIVERGENT = parse_program(r"(\x. x x | C) (\x. x x | C)")
+
+
+def _parity_programs():
+    """150 seed-7 depth-4 generator programs, the criterion-4 critical
+    pairs and the divergent program."""
+    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
+    programs = [gen.program() for _ in range(150)]
+    programs.extend(singleton(App(App(Unif(v1, v2), Unif(w1, w2)), t))
+                    for v1, v2, w1, w2, t in critical_pair_instances())
+    programs.append(DIVERGENT)
+    return programs
 
 
 def test_par_term_value_is_identity():
@@ -65,6 +83,47 @@ def test_par_normalize_divergence_reports_fuel():
     omega = parse_program(r"(\x. x x) (\x. x x)")
     r = par_normalize(omega, fuel=20)
     assert not r.normal
+
+
+def test_par_normalize_out_of_fuel_takes_exactly_fuel_steps():
+    assert par_normalize(DIVERGENT, fuel=0) == ParNormalResult(
+        DIVERGENT, 0, False)
+    for fuel in (1, 2, 5):
+        session = Session.for_program(DIVERGENT)
+        expected = DIVERGENT
+        for _ in range(fuel):
+            expected = par_step(expected, session)
+        assert par_normalize(DIVERGENT, fuel=fuel) == ParNormalResult(
+            expected, fuel, False)
+
+
+def test_par_normalize_matches_whole_program_oracle():
+    # exact equality: thread order, names and locations issued, steps
+    for i, p in enumerate(_parity_programs()):
+        assert par_normalize(p, fuel=300) == par_normalize_oracle(
+            p, fuel=300), f"program {i}"
+
+
+def test_normal_threads_are_par_term_fixpoints():
+    """What par_normalize's carry-over relies on: a normal thread steps
+    to itself, emits no goal and draws no name or location."""
+    checked = set()
+    for p in _parity_programs():
+        session = Session.for_program(p)
+        current = p
+        for _ in range(300):
+            normal = [t for t in current if is_normal_term(t)]
+            for t in set(normal) - checked:
+                used = Session.for_program(singleton(t))
+                twin = Session.for_program(singleton(t))
+                assert par_term(t, used) == ParResult(singleton(t), ())
+                assert used.fresh_var() == twin.fresh_var()
+                assert used.fresh_loc() == twin.fresh_loc()
+                checked.add(t)
+            if len(normal) == len(current):
+                break
+            current = par_step(current, session)
+    assert len(checked) > 100
 
 
 def test_par_term_all_contains_reflexive_and_maximal():
