@@ -23,7 +23,7 @@ from .generator import Generator, GeneratorConfig, sample_programs
 from .parallel import par_normalize, par_step
 from .reduction import (
     EvalResult, Exploration, TraceStep, evaluate, find_redex,
-    reachable_normal_forms, step,
+    reachable_normal_forms, replay, step,
 )
 from .syntax import (
     FAIL, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, LamuError,
@@ -50,7 +50,7 @@ __all__ = [
     "is_normal_term", "is_stuck", "is_unifier", "is_value", "mgu",
     "mgu_goal", "par_normalize", "par_step", "parse_file", "parse_program",
     "parse_term", "pretty", "pretty_program", "pretty_term",
-    "reachable_normal_forms", "sample_programs", "singleton",
+    "reachable_normal_forms", "replay", "sample_programs", "singleton",
     "soundness_check", "step", "struct_equiv", "subject_reduction_check",
     "subst_apply", "subst_single",
 ]

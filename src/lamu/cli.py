@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 from . import denot, reduction
 from .concrete import SourceFile, parse_file, pretty_program
 from .generator import STRATIFIED_SIGNATURE, Generator, GeneratorConfig
-from .reduction import evaluate, reachable_normal_forms
+from .reduction import evaluate, reachable_normal_forms, replay
 from .syntax import LamuError, Program, free_vars
 from .typecheck import (
     Type, ambient_context, base_names_used,
@@ -49,10 +49,10 @@ def _load(path: str) -> SourceFile:
     return parse_file(text)
 
 
-def _print_trace(trace, out):
-    for n, ts in enumerate(trace):
+def _print_trace(p: Program, trace, out):
+    for n, (ts, after) in enumerate(replay(p, trace)):
         print(f"#{n} [{ts.rule}] thread={ts.thread}", file=out)
-        print(pretty_program(ts.after), file=out)
+        print(pretty_program(after), file=out)
 
 
 def _type_text(ty: Type) -> str:
@@ -93,7 +93,7 @@ def cmd_run(args, out) -> int:
     result = evaluate(src.program, fuel=args.fuel, strategy=args.strategy,
                       seed=args.seed)
     if args.trace:
-        _print_trace(result.trace, out)
+        _print_trace(src.program, result.trace, out)
     if not result.normal:
         print(f"out of fuel after {result.steps} steps:", file=out)
     print(pretty_program(result.program), file=out)
@@ -264,7 +264,7 @@ def _repl_meta(line: str, state: SourceFile, definitions, args, out) -> None:
     parser.expect("eof")
     if command == ":trace":
         result = evaluate(program, fuel=1000)
-        _print_trace(result.trace, out)
+        _print_trace(program, result.trace, out)
         print(pretty_program(result.program), file=out)
         return
     sig = default_signature(state.signature)

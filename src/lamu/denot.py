@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from .reduction import FAILRULE, FRESH, evaluate
+from .reduction import FAILRULE, FRESH, evaluate, replay
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Term,
     Unif, Var, check_coherent, free_vars,
@@ -319,10 +319,10 @@ def soundness_check(p: Program, model: Model, fuel=200,
     context = dict(typing.gamma)
     before_sem = denote_toplevel(typing.node, model, context)
     verdict = SoundnessVerdict(True, [])
-    for ts in evaluate(typing.node, fuel).trace:
+    for ts, after in replay(typing.node, evaluate(typing.node, fuel).trace):
         if ts.rule == FRESH:
             context[ts.fresh_var] = ts.focus.ann
-        after_sem = denote_toplevel(ts.after, model, context)
+        after_sem = denote_toplevel(after, model, context)
         if ts.rule == FAILRULE:
             ok = after_sem <= before_sem
             report = InclusionReport(ts.rule, ok, after_sem == before_sem)

@@ -4,9 +4,13 @@ the six reduction rules, and fuel-bounded normalization with traces.
 Reduction rules rewrite a single thread of the toplevel program; beta
 steps may split one thread into several, and failed unifications delete
 the thread.  ``step_at`` is the one place that contracts a redex: it
-returns a ``TraceStep`` naming the location, variable or substitution
-the rule issued.  ``evaluate`` is the one loop that steps a program; the
-subject-reduction and soundness harnesses read its trace.
+rewrites one thread and returns a ``TraceStep``, a delta naming the
+thread, what it became and the location, variable or substitution the
+rule issued.  ``evaluate`` is the one loop that steps a program: it
+splices each delta into a list of threads, so a step costs the size of
+the thread it rewrites, not the size of the program.  ``replay``
+rebuilds the whole programs from the deltas for the consumers that need
+them (``--trace`` and the subject-reduction and soundness harnesses).
 
 Because threads never interact, ``reachable_normal_forms`` explores each
 thread on its own and sums the threads' normal forms: its cost is the
@@ -17,14 +21,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, List, NamedTuple, Optional
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from . import unify
 from .equiv import canonical_thread
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, HOLE,
     Program, Session, Substitution, Term, Unif, Var, check_coherent,
-    is_value, plug, plug_term, subst_apply, subst_single,
+    is_value, plug_term, subst_apply, subst_single,
 )
 
 ALLOC = "alloc"
@@ -49,12 +53,14 @@ class Redex:
 
 
 class TraceStep(NamedTuple):
-    """One contracted redex.  A NamedTuple because the explorer builds
-    one per edge."""
+    """One contracted redex, as a delta: thread ``thread`` of the program
+    was the term ``before`` and became the threads ``after`` (none for
+    fail, several for a splitting beta).  A NamedTuple because the
+    explorer builds one per edge."""
     rule: str
     thread: int
-    before: Program
-    after: Program
+    before: Term
+    after: Tuple[Term, ...]
     substitution: Optional[Substitution] = None
     fresh_var: Optional[str] = None
     fresh_loc: Optional[int] = None
@@ -89,21 +95,23 @@ def _term_redexes(t: Term, context_of, thread: int) -> Iterator[Redex]:
     # Var, Cons, AbsLoc: no redex at or below this weak position
 
 
-def enumerate_redexes(p: Program) -> List[Redex]:
+def enumerate_redexes(p) -> List[Redex]:
+    """Every redex of a program or a sequence of threads, in order."""
     out = []
     for i, t in enumerate(p):
         out.extend(_term_redexes(t, lambda h: h, i))
     return out
 
 
-def find_redex(p: Program, strategy="leftmost", rng=None,
+def find_redex(p, strategy="leftmost", rng=None,
                start=0) -> Optional[Redex]:
-    """Select a redex.  Default: leftmost thread, leftmost-innermost
-    position, searching from thread start on.  Returns None iff the
-    program is normal (from thread start on, under leftmost)."""
+    """Select a redex of a program or a sequence of threads.  Default:
+    leftmost thread, leftmost-innermost position, searching from thread
+    start on.  Returns None iff the program is normal (from thread start
+    on, under leftmost)."""
     if strategy == "leftmost":
-        for i in range(start, len(p.threads)):
-            for r in _term_redexes(p.threads[i], lambda h: h, i):
+        for i in range(start, len(p)):
+            for r in _term_redexes(p[i], lambda h: h, i):
                 return r
         return None
     redexes = enumerate_redexes(p)
@@ -118,35 +126,35 @@ def find_redex(p: Program, strategy="leftmost", rng=None,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def step_at(p: Program, redex: Redex, session: Session) -> TraceStep:
-    """Contract the given redex.  The step records what the rule issued:
-    the location of alloc and the variable of fresh, taken from the
-    session, and the substitution of unif."""
-    i = redex.thread
+def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
+    """Contract the given redex of thread t (thread redex.thread of its
+    program) and return the delta.  The step records what the rule
+    issued: the location of alloc and the variable of fresh, taken from
+    the session, and the substitution of unif."""
     w = redex.context
     focus = redex.focus
     rule = redex.rule
     sigma = fresh_var = fresh_loc = None
     if rule == ALLOC:
         fresh_loc = session.fresh_loc()
-        middle = (plug_term(w, AbsLoc(fresh_loc, focus.var, focus.body, focus.ann)),)
+        after = (plug_term(w, AbsLoc(fresh_loc, focus.var, focus.body, focus.ann)),)
     elif rule == BETA:
         body = subst_single(focus.fn.body, focus.fn.var, focus.arg)
-        middle = plug(w, body).threads
+        after = tuple(plug_term(w, s) for s in body)
     elif rule == GUARD:
-        middle = (plug_term(w, focus.right),)
+        after = (plug_term(w, focus.right),)
     elif rule == FRESH:
         fresh_var = session.fresh_var()
-        middle = (plug_term(w, subst_single(focus.body, focus.var, Var(fresh_var))),)
+        after = (plug_term(w, subst_single(focus.body, focus.var, Var(fresh_var))),)
     elif rule == UNIF:
         sigma = redex.unify_outcome.substitution
-        middle = (subst_apply(plug_term(w, Cons(OK)), sigma),)
+        after = (subst_apply(plug_term(w, Cons(OK)), sigma),)
     elif rule == FAILRULE:
-        middle = ()
+        after = ()
     else:
         raise ValueError(f"unknown rule {rule!r}")
-    after = Program(p.threads[:i] + middle + p.threads[i + 1:])
-    return TraceStep(rule, i, p, after, sigma, fresh_var, fresh_loc, focus)
+    return TraceStep(rule, redex.thread, t, after, sigma, fresh_var,
+                     fresh_loc, focus)
 
 
 def step(p: Program, strategy="leftmost", session: Optional[Session] = None,
@@ -155,11 +163,13 @@ def step(p: Program, strategy="leftmost", session: Optional[Session] = None,
     redex = find_redex(p, strategy, rng)
     if redex is None:
         return None
-    return step_at(p, redex, session or Session.for_program(p))
+    return step_at(p[redex.thread], redex, session or Session.for_program(p))
 
 
 @dataclass
 class EvalResult:
+    """The program reached and the deltas of the steps that reached it;
+    ``replay`` turns the trace back into whole programs."""
     program: Program
     trace: List[TraceStep]
     normal: bool
@@ -171,23 +181,34 @@ class EvalResult:
 
 def evaluate(p: Program, fuel=1000, strategy="leftmost", seed=0) -> EvalResult:
     """Step the program up to fuel times.  normal=False means out of fuel.
+    The threads live in one list and each step splices its delta in.
     Under leftmost every thread before the last stepped one is normal and
     unchanged, so the search resumes at that thread."""
     check_coherent(p)
     session = Session.for_program(p)
     rng = random.Random(seed) if strategy == "random" else None
     trace: List[TraceStep] = []
-    current, start = p, 0
+    threads, start = list(p), 0
     for _ in range(fuel):
-        redex = find_redex(current, strategy, rng, start)
+        redex = find_redex(threads, strategy, rng, start)
         if redex is None:
-            return EvalResult(current, trace, True)
-        ts = step_at(current, redex, session)
+            return EvalResult(Program(threads), trace, True)
+        i = redex.thread
+        ts = step_at(threads[i], redex, session)
         trace.append(ts)
-        current = ts.after
+        threads[i:i + 1] = ts.after
         if strategy == "leftmost":
-            start = ts.thread
-    return EvalResult(current, trace, find_redex(current, start=start) is None)
+            start = i
+    return EvalResult(Program(threads), trace,
+                      find_redex(threads, start=start) is None)
+
+
+def replay(p: Program, trace) -> Iterator[Tuple[TraceStep, Program]]:
+    """Each step of a trace of p with the whole program it led to."""
+    threads = list(p)
+    for ts in trace:
+        threads[ts.thread:ts.thread + 1] = ts.after
+        yield ts, Program(threads)
 
 
 class BoundsExceeded(Exception):
@@ -251,12 +272,11 @@ def reachable_normal_forms(p: Program, fuel=200, max_states=10000,
         for _ in range(fuel):
             next_frontier = []
             for s, k in frontier:
-                q = Program((s,))
-                redexes = enumerate_redexes(q)
+                redexes = enumerate_redexes((s,))
                 if not redexes:
                     nfs.add((k,))
                 for r in redexes:
-                    after = step_at(q, r, session).after.threads
+                    after = step_at(s, r, session).after
                     if len(after) != 1:
                         sub, ok = yield from program_nfs(after)
                         nfs |= sub

@@ -115,6 +115,9 @@ class Program:
     def __len__(self):
         return len(self.threads)
 
+    def __getitem__(self, i):
+        return self.threads[i]
+
 
 FAIL = Program(())
 
@@ -233,10 +236,6 @@ class Substitution:
     def __call__(self, name: str) -> Term:
         return self._map.get(name, Var(name))
 
-    @property
-    def support(self) -> frozenset:
-        return frozenset(self._map)
-
     def items(self):
         return self._map.items()
 
@@ -246,21 +245,6 @@ class Substitution:
     def __repr__(self):
         inner = ", ".join(f"{k} -> {v!r}" for k, v in sorted(self._map.items()))
         return f"Substitution({{{inner}}})"
-
-    def apply(self, x):
-        return subst_apply(x, self)
-
-    def compose(self, other: "Substitution") -> "Substitution":
-        """(self . other)(x) = other applied to self(x)."""
-        out = {}
-        for name, v in self._map.items():
-            out[name] = subst_apply(v, other)
-        for name, v in other._map.items():
-            out.setdefault(name, v)
-        return Substitution(out)
-
-    def range_values(self):
-        return list(self._map.values())
 
 
 IDENTITY = Substitution()
@@ -346,14 +330,6 @@ def plug_term(w: Term, t: Term) -> Term:
         return Unif(plug_term(w.left, t), plug_term(w.right, t))
     # weak contexts never place the hole under a binder
     return w
-
-
-def plug(w: Term, x):
-    """Plug a term or program into a weak context; programs distribute
-    thread-wise and fail maps to fail."""
-    if isinstance(x, Program):
-        return Program(tuple(plug_term(w, t) for t in x))
-    return plug_term(w, x)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
-from .reduction import FRESH, evaluate
+from .reduction import FRESH, evaluate, replay
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Term,
     Unif, Var, check_coherent, free_vars,
@@ -331,12 +331,12 @@ def subject_reduction_check(gamma, sig, p: Program, fuel=200) -> Verdict:
     context = dict(typing.gamma)
     result = evaluate(typing.node, fuel)
     verdict = Verdict(True, final=result.program)
-    for ts in result.trace:
+    for ts, after in replay(typing.node, result.trace):
         if ts.rule == FRESH:
             # the freshly introduced variable takes the binder's type
             context[ts.fresh_var] = ts.focus.ann
         try:
-            check(context, sig, ts.after, typing.type)
+            check(context, sig, after, typing.type)
             verdict.steps.append(StepReport(ts.rule, True))
         except TypeCheckError as exc:
             verdict.steps.append(StepReport(ts.rule, False, str(exc)))

@@ -77,9 +77,6 @@ class Problem:
     def subst(self, sigma: Substitution) -> "Problem":
         return Problem(g.subst(sigma) for g in self.goals)
 
-    def union(self, other: "Problem") -> "Problem":
-        return Problem(self.goals + other.goals)
-
     def terms(self):
         for g in self.goals:
             yield g.lhs

@@ -1,12 +1,13 @@
 """Helpers that only the tests use: term predicates, coherence as a
-predicate, location renaming, substitution equality, trace replay, the
-product-space explorer, the brute-force unification oracle, the
+predicate, plugging a program into a weak context, location renaming,
+substitution equality, composition, support and range, trace replay,
+the whole-program step and the product-space explorer, the brute-force unification oracle, the
 criterion-4 critical pairs, the recursive normal/stuck classifier and
 the whole-program simultaneous evaluator, and the full simultaneous
 reduction relation for the diamond spot checks."""
 
 import functools
-from typing import List
+from typing import List, NamedTuple, Optional
 
 from lamu import unify
 from lamu.equiv import (
@@ -14,12 +15,15 @@ from lamu.equiv import (
     canonical_program,
 )
 from lamu.parallel import ParNormalResult, ParResult, _lift, par_term
-from lamu.reduction import Exploration, enumerate_redexes, step_at
+from lamu.reduction import (
+    ALLOC, BETA, FAILRULE, FRESH, GUARD, UNIF, Exploration, Redex,
+    enumerate_redexes,
+)
 from lamu.syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Hole, Program, Session,
     Substitution, Term, Unif, Var, alpha_eq, check_coherent,
-    coherence_witness, is_value, make_spine, singleton, spine, subst_apply,
-    subst_single, _children,
+    coherence_witness, is_value, make_spine, plug_term, singleton, spine,
+    subst_apply, subst_single, _children,
 )
 
 
@@ -44,6 +48,14 @@ def coherent(x) -> bool:
     return coherence_witness([x]) is None
 
 
+def plug(w: Term, x):
+    """Plug a term or program into a weak context; programs distribute
+    thread-wise and fail maps to fail."""
+    if isinstance(x, Program):
+        return Program(tuple(plug_term(w, t) for t in x))
+    return plug_term(w, x)
+
+
 def subst_loc(x, old: int, new: int):
     """Replace every location decoration old by new."""
     if isinstance(x, Program):
@@ -65,22 +77,88 @@ def subst_loc(x, old: int, new: int):
     return Unif(subst_loc(t.left, old, new), subst_loc(t.right, old, new))
 
 
+def support(sigma: Substitution) -> frozenset:
+    return frozenset(name for name, _ in sigma.items())
+
+
+def range_values(sigma: Substitution) -> list:
+    return [v for _, v in sigma.items()]
+
+
+def compose(rho: Substitution, sigma: Substitution) -> Substitution:
+    """(rho . sigma)(x) = sigma applied to rho(x)."""
+    out = {name: subst_apply(v, sigma) for name, v in rho.items()}
+    for name, v in sigma.items():
+        out.setdefault(name, v)
+    return Substitution(out)
+
+
 def subst_equal(a: Substitution, b: Substitution) -> bool:
     """Extensional equality of substitutions, up to alpha."""
-    if a.support != b.support:
+    if support(a) != support(b):
         return False
-    return all(alpha_eq(a(x), b(x)) for x in a.support)
+    return all(alpha_eq(a(x), b(x)) for x in support(a))
+
+
+def splice(p: Program, ts) -> Program:
+    """The whole program after the thread-level step ts of p."""
+    return Program(p.threads[:ts.thread] + ts.after + p.threads[ts.thread + 1:])
 
 
 def replay(trace, initial: Program) -> bool:
-    """Check that the trace, replayed from the initial program,
-    reproduces each recorded snapshot."""
+    """Check that the trace, replayed from the initial program, applies
+    each delta to the thread it names: the thread exists and is the
+    recorded before."""
     current = initial
     for ts in trace:
-        if current != ts.before:
+        if not 0 <= ts.thread < len(current) or current[ts.thread] != ts.before:
             return False
-        current = ts.after
+        current = splice(current, ts)
     return True
+
+
+class ProgramStep(NamedTuple):
+    """A whole-program step: the program before and after."""
+    rule: str
+    thread: int
+    before: Program
+    after: Program
+    substitution: Optional[Substitution] = None
+    fresh_var: Optional[str] = None
+    fresh_loc: Optional[int] = None
+    focus: Optional[Term] = None
+
+
+def program_step_at(p: Program, redex: Redex, session: Session) -> ProgramStep:
+    """Contract the redex by plugging the contractum into its weak
+    context, then splice the result into a new program: the
+    whole-program step that the thread-level step_at is checked
+    against."""
+    i = redex.thread
+    w = redex.context
+    focus = redex.focus
+    rule = redex.rule
+    sigma = fresh_var = fresh_loc = None
+    if rule == ALLOC:
+        fresh_loc = session.fresh_loc()
+        middle = (plug_term(w, AbsLoc(fresh_loc, focus.var, focus.body, focus.ann)),)
+    elif rule == BETA:
+        body = subst_single(focus.fn.body, focus.fn.var, focus.arg)
+        middle = plug(w, body).threads
+    elif rule == GUARD:
+        middle = (plug_term(w, focus.right),)
+    elif rule == FRESH:
+        fresh_var = session.fresh_var()
+        middle = (plug_term(w, subst_single(focus.body, focus.var, Var(fresh_var))),)
+    elif rule == UNIF:
+        sigma = redex.unify_outcome.substitution
+        middle = (subst_apply(plug_term(w, Cons(OK)), sigma),)
+    elif rule == FAILRULE:
+        middle = ()
+    else:
+        raise ValueError(f"unknown rule {rule!r}")
+    after = Program(p.threads[:i] + middle + p.threads[i + 1:])
+    return ProgramStep(rule, i, p, after, sigma, fresh_var, fresh_loc, focus)
 
 
 def product_bfs(p: Program, key=canonical_program, fuel=200,
@@ -104,7 +182,7 @@ def product_bfs(p: Program, key=canonical_program, fuel=200,
                 normal_forms.add(key(q))
                 continue
             for r in redexes:
-                nxt = step_at(q, r, session).after
+                nxt = program_step_at(q, r, session).after
                 k = key(nxt)
                 if k in visited:
                     continue

@@ -11,8 +11,8 @@ import sys
 import time
 
 from helpers import (
-    brute_force_unifiable, critical_pair_instances, ground_universe,
-    subst_equal, subst_loc,
+    brute_force_unifiable, compose, critical_pair_instances, ground_universe,
+    range_values, splice, subst_equal, subst_loc,
 )
 from lamu.concrete import parse_program, pretty_program
 from lamu.denot import DenotError, Model, TooLarge, denote, soundness_check
@@ -231,10 +231,11 @@ def test_criterion_5_strong_bisimulation():
             checked += 1
             continue
         redex = redexes[rng.randrange(len(redexes))]
-        p2 = step_at(p, redex, Session.for_program(p)).after
+        p2 = splice(p, step_at(p[redex.thread], redex,
+                               Session.for_program(p)))
         session_q = Session.for_program(q)
         matched = any(
-            struct_equiv(p2, step_at(q, r, session_q).after)
+            struct_equiv(p2, splice(q, step_at(q[r.thread], r, session_q)))
             for r in enumerate_redexes(q))
         if not matched:
             failures += 1
@@ -266,10 +267,10 @@ def test_criterion_6_unification_metatheory():
         if isinstance(outcome, Solved):
             solved += 1
             sigma = outcome.substitution
-            idempotent = subst_equal(sigma, sigma.compose(sigma))
+            idempotent = subst_equal(sigma, compose(sigma, sigma))
             coherent_after = coherence_witness(
                 list(problem.subst(sigma).terms())
-                + sigma.range_values()) is None
+                + range_values(sigma)) is None
             if not (is_unifier(sigma, problem) and idempotent
                     and coherent_after):
                 bad += 1
@@ -409,7 +410,12 @@ def test_criterion_10_round_trip_and_determinism():
         count += 1
     streams_equal = (sample_programs(50, GeneratorConfig(seed=43))
                      == sample_programs(50, GeneratorConfig(seed=43)))
-    env = dict(os.environ, PYTHONHASHSEED="0")
+    # the subprocess does not see pytest's pythonpath setting
+    src_dir = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    pythonpath = os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=pythonpath)
     cmd = [sys.executable, "-m", "lamu.cli", "test-confluence",
            "--samples", "20", "--seed", "3"]
     first = subprocess.run(cmd, capture_output=True, text=True, env=env)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import replay
+from helpers import replay, splice
 from lamu.concrete import parse_program
 from lamu.equiv import struct_equiv
 from lamu.reduction import (
@@ -27,9 +27,10 @@ def run(text, **kw):
 
 
 def test_alloc_rule():
-    r = evaluate(singleton(Abs("x", singleton(X))), fuel=1)
+    p = singleton(Abs("x", singleton(X)))
+    r = evaluate(p, fuel=1)
     assert r.trace[0].rule == ALLOC
-    out = r.trace[0].after.threads[0]
+    out = splice(p, r.trace[0]).threads[0]
     assert isinstance(out, AbsLoc)
     assert out.loc == 1
 
@@ -45,20 +46,21 @@ def test_beta_splits_threads():
     p = singleton(App(AbsLoc(1, "x", body), D))
     ts = step(p, session=Session.for_program(p))
     assert ts.rule == BETA
-    assert ts.after == Program((D, C))
+    assert splice(p, ts) == Program((D, C))
 
 
 def test_beta_fail_body_deletes_thread():
     p = Program((App(AbsLoc(1, "x", Program(())), D), C))
     ts = step(p, session=Session.for_program(p))
     assert ts.rule == BETA
-    assert ts.after == Program((C,))
+    assert splice(p, ts) == Program((C,))
 
 
 def test_guard_rule():
-    ts = step(singleton(Guard(C, D)), session=Session())
+    p = singleton(Guard(C, D))
+    ts = step(p, session=Session())
     assert ts.rule == GUARD
-    assert ts.after == singleton(D)
+    assert splice(p, ts) == singleton(D)
 
 
 def test_fresh_rule_renames():
@@ -66,28 +68,28 @@ def test_fresh_rule_renames():
     ts = step(p, session=Session.for_program(p))
     assert ts.rule == FRESH
     assert ts.fresh_var is not None
-    assert alpha_eq(ts.after.threads[0], Unif(Var(ts.fresh_var), C))
+    assert alpha_eq(splice(p, ts).threads[0], Unif(Var(ts.fresh_var), C))
 
 
 def test_unif_applies_mgu_to_whole_thread():
     p = singleton(Guard(Unif(X, C), App(D, X)))
     ts = step(p, session=Session.for_program(p))
     assert ts.rule == UNIF
-    assert ts.after == singleton(Guard(Cons("Ok"), App(D, C)))
+    assert splice(p, ts) == singleton(Guard(Cons("Ok"), App(D, C)))
     assert ts.substitution is not None and ts.substitution("x") == C
 
 
 def test_unif_does_not_touch_other_threads():
     p = Program((Unif(X, C), X))
     ts = step(p, session=Session.for_program(p))
-    assert ts.after == Program((Cons("Ok"), X))
+    assert splice(p, ts) == Program((Cons("Ok"), X))
 
 
 def test_fail_rule_deletes_thread():
     p = Program((Unif(C, D), X))
     ts = step(p, session=Session.for_program(p))
     assert ts.rule == FAILRULE
-    assert ts.after == Program((X,))
+    assert splice(p, ts) == Program((X,))
 
 
 def test_no_reduction_under_binders():
@@ -159,8 +161,8 @@ def test_step_at_either_redex():
     p = singleton(App(Unif(C, C), Unif(D, D)))
     session = Session.for_program(p)
     redexes = enumerate_redexes(p)
-    left = step_at(p, redexes[0], session).after
-    right = step_at(p, redexes[1], session).after
+    left = splice(p, step_at(p[0], redexes[0], session))
+    right = splice(p, step_at(p[0], redexes[1], session))
     assert left == singleton(App(Cons("Ok"), Unif(D, D)))
     assert right == singleton(App(Unif(C, C), Cons("Ok")))
 

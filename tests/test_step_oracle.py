@@ -1,18 +1,21 @@
 """``evaluate`` against the loop it replaced: ``find_redex`` from thread 0
-on every step, with the issued variable and location recovered by
-diffing ``free_vars`` and ``locations`` over the before and after
-programs, and the unif substitution recomputed by ``mgu_goal``."""
+on every step, the whole-program step (plug, then splice into a new
+program), the issued variable and location recovered by diffing
+``free_vars`` and ``locations`` over the before and after programs, and
+the unif substitution recomputed by ``mgu_goal``.  ``evaluate``'s
+thread-level deltas are replayed into whole programs and compared with
+the oracle's step by step."""
 
 import itertools
 import os
+import signal
 
+from helpers import ProgramStep, program_step_at
 from lamu import unify
 from lamu.concrete import parse_file, parse_program
 from lamu.generator import Generator, GeneratorConfig
-from lamu.reduction import (
-    ALLOC, FRESH, UNIF, TraceStep, evaluate, find_redex, step_at,
-)
-from lamu.syntax import Session, check_coherent, free_vars, locations
+from lamu.reduction import ALLOC, FRESH, UNIF, evaluate, find_redex, replay
+from lamu.syntax import Session, Term, check_coherent, free_vars, locations
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -35,7 +38,7 @@ def oracle_evaluate(p, fuel):
         redex = find_redex(current)
         if redex is None:
             return current, trace, True
-        after = step_at(current, redex, session).after
+        after = program_step_at(current, redex, session).after
         sigma = fresh_var = fresh_loc = None
         if redex.rule == UNIF:
             sigma = unify.mgu_goal(redex.focus.left,
@@ -46,8 +49,8 @@ def oracle_evaluate(p, fuel):
         if redex.rule == ALLOC:
             fresh_loc = _new_location(current.threads[redex.thread],
                                       after.threads[redex.thread])
-        trace.append(TraceStep(redex.rule, redex.thread, current, after,
-                               sigma, fresh_var, fresh_loc, redex.focus))
+        trace.append(ProgramStep(redex.rule, redex.thread, current, after,
+                                 sigma, fresh_var, fresh_loc, redex.focus))
         current = after
     return current, trace, find_redex(current) is None
 
@@ -57,9 +60,12 @@ def assert_same_trace(p, fuel):
     program, trace, normal = oracle_evaluate(p, fuel)
     assert (result.program, result.normal) == (program, normal)
     assert len(result.trace) == len(trace)
-    for ts, old in zip(result.trace, trace):
-        assert (ts.rule, ts.thread, ts.before, ts.after) == \
+    before = p
+    for (ts, after), old in zip(replay(p, result.trace), trace):
+        assert (ts.rule, ts.thread, before, after) == \
             (old.rule, old.thread, old.before, old.after)
+        assert ts.before == old.before.threads[ts.thread]
+        before = after
         if old.substitution is None:
             assert ts.substitution is None
         else:
@@ -103,3 +109,34 @@ def test_oracle_sees_issued_names():
     assert trace[0].fresh_var is None
     assert trace[1].fresh_var == result.trace[1].fresh_var
     assert result.trace[3].fresh_loc == trace[3].fresh_loc == 1
+
+
+DIVERGENT = r"(\x. x x | C) (\x. x x | C)"
+
+
+def test_divergent_matches_oracle():
+    result = assert_same_trace(parse_program(DIVERGENT), 2000)
+    assert not result.normal and len(result.program) == 1999
+
+
+def test_divergent_evaluates_in_linear_time():
+    # after two allocs every step splits a C off the diverging thread; a
+    # step that copied the whole program would make 20 000 steps
+    # quadratic (several seconds), so a timer turns that regression into
+    # a failure
+    p = parse_program(DIVERGENT)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("20 000 steps of the divergent program took 3 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 3.0)
+    try:
+        result = evaluate(p, fuel=20_000)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not result.normal and result.steps == 20_000
+    assert all(isinstance(ts.before, Term) for ts in result.trace)
+    assert sum(len(ts.after) - 1 for ts in result.trace) == \
+        len(result.program) - len(p)
