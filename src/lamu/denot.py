@@ -199,21 +199,6 @@ def _base_names_of(ty: Type):
         yield from _base_names_of(ty.right)
 
 
-def is_unitary(value: SemValue, ty: Type, model: Model) -> bool:
-    """Every (iterated) application image is a singleton."""
-    if isinstance(ty, Base):
-        return isinstance(value, Atom)
-    if not isinstance(value, Table):
-        return False
-    for _, image in value.entries:
-        if len(image) != 1:
-            return False
-        (b,) = image
-        if not is_unitary(b, ty.right, model):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Denotation
 

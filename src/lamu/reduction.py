@@ -1,10 +1,16 @@
 """Small-step operational semantics: redex search under weak contexts,
 the six reduction rules, and fuel-bounded normalization with traces.
 
+A weak context never goes under a binder, so it is a path of ``App``,
+``Guard`` and ``Unif`` nodes from the thread root down to the redex.  A
+``Redex`` carries that path as a zipper (Huet 1997): each link names the
+parent node and the side the path takes through it.
+
 Reduction rules rewrite a single thread of the toplevel program; beta
 steps may split one thread into several, and failed unifications delete
 the thread.  ``step_at`` is the one place that contracts a redex: it
-rewrites one thread and returns a ``TraceStep``, a delta naming the
+rebuilds only the nodes on the redex's path, shares every subterm beside
+it, and returns a ``TraceStep``, a delta naming the
 thread, what it became and the location, variable or substitution the
 rule issued.  ``evaluate`` is the one loop that steps a program: it
 splices each delta into a list of threads, so a step costs the size of
@@ -26,9 +32,9 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 from . import unify
 from .equiv import canonical_thread
 from .syntax import (
-    OK, Abs, AbsLoc, App, Cons, Fresh, Guard, HOLE,
-    Program, Session, Substitution, Term, Unif, Var, check_coherent,
-    is_value, plug_term, subst_apply, subst_single,
+    OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Session,
+    Substitution, Term, Unif, Var, check_coherent, subst_apply,
+    subst_single,
 )
 
 ALLOC = "alloc"
@@ -38,15 +44,23 @@ FRESH = "fresh"
 UNIF = "unif"
 FAILRULE = "fail"
 
-RULES = (ALLOC, BETA, GUARD, FRESH, UNIF, FAILRULE)
-
 STRATEGIES = ("leftmost", "rightmost", "random")
+
+
+# What _term_redexes tells about the subterm it searched: not a value, a
+# value that heads no spine (a variable or a located abstraction), or a
+# constructor applied to values.
+NOT_VALUE, LEAF, SPINE = 0, 1, 2
 
 
 @dataclass(frozen=True)
 class Redex:
+    """The redex focus of thread ``thread``, contracted by ``rule``.
+    ``path`` leads from focus back to the thread root: a linked list of
+    ``(parent, side, outer_path)`` with side 0 for the ``fn``/``left``
+    child of parent and 1 for ``arg``/``right``, None at the root."""
     thread: int
-    context: Term            # weak context: a term with one Hole
+    path: Optional[tuple]
     focus: Term
     rule: str
     unify_outcome: object = field(default=None, compare=False)
@@ -67,39 +81,57 @@ class TraceStep(NamedTuple):
     focus: Optional[Term] = None
 
 
-def _term_redexes(t: Term, context_of, thread: int) -> Iterator[Redex]:
-    """Redexes of one thread in leftmost-innermost order (post-order,
-    children left to right).  context_of(sub) rebuilds the weak context
-    around the given replacement for t."""
+def _term_redexes(t: Term, path, thread: int):
+    """Yield the redexes of t, reached along path in the given thread, in
+    leftmost-innermost order (post-order, children left to right), and
+    return NOT_VALUE, LEAF or SPINE for t, decided in the same walk."""
     if isinstance(t, App):
-        yield from _term_redexes(t.fn, lambda h: context_of(App(h, t.arg)), thread)
-        yield from _term_redexes(t.arg, lambda h: context_of(App(t.fn, h)), thread)
-        if isinstance(t.fn, AbsLoc) and is_value(t.arg):
-            yield Redex(thread, context_of(HOLE), t, BETA)
-    elif isinstance(t, Guard):
-        yield from _term_redexes(t.left, lambda h: context_of(Guard(h, t.right)), thread)
-        yield from _term_redexes(t.right, lambda h: context_of(Guard(t.left, h)), thread)
-        if is_value(t.left):
-            yield Redex(thread, context_of(HOLE), t, GUARD)
+        fn = yield from _term_redexes(t.fn, (t, 0, path), thread)
+        arg = yield from _term_redexes(t.arg, (t, 1, path), thread)
+        if isinstance(t.fn, AbsLoc) and arg:
+            yield Redex(thread, path, t, BETA)
+        return SPINE if fn == SPINE and arg else NOT_VALUE
+    if isinstance(t, Guard):
+        left = yield from _term_redexes(t.left, (t, 0, path), thread)
+        yield from _term_redexes(t.right, (t, 1, path), thread)
+        if left:
+            yield Redex(thread, path, t, GUARD)
     elif isinstance(t, Unif):
-        yield from _term_redexes(t.left, lambda h: context_of(Unif(h, t.right)), thread)
-        yield from _term_redexes(t.right, lambda h: context_of(Unif(t.left, h)), thread)
-        if is_value(t.left) and is_value(t.right):
+        left = yield from _term_redexes(t.left, (t, 0, path), thread)
+        right = yield from _term_redexes(t.right, (t, 1, path), thread)
+        if left and right:
             outcome = unify.mgu_goal(t.left, t.right)
             rule = UNIF if isinstance(outcome, unify.Solved) else FAILRULE
-            yield Redex(thread, context_of(HOLE), t, rule, outcome)
+            yield Redex(thread, path, t, rule, outcome)
     elif isinstance(t, Abs):
-        yield Redex(thread, context_of(HOLE), t, ALLOC)
+        yield Redex(thread, path, t, ALLOC)
     elif isinstance(t, Fresh):
-        yield Redex(thread, context_of(HOLE), t, FRESH)
-    # Var, Cons, AbsLoc: no redex at or below this weak position
+        yield Redex(thread, path, t, FRESH)
+    elif isinstance(t, Cons):
+        return SPINE
+    else:
+        return LEAF     # Var, AbsLoc: no redex at or below them
+    return NOT_VALUE
+
+
+def _plug(path, t: Term) -> Term:
+    """Rebuild the thread around t along path: only the nodes on the path
+    are new, every subterm beside it is shared."""
+    while path is not None:
+        parent, side, path = path
+        if isinstance(parent, App):
+            t = App(t, parent.arg) if side == 0 else App(parent.fn, t)
+        else:
+            t = (type(parent)(t, parent.right) if side == 0
+                 else type(parent)(parent.left, t))
+    return t
 
 
 def enumerate_redexes(p) -> List[Redex]:
     """Every redex of a program or a sequence of threads, in order."""
     out = []
     for i, t in enumerate(p):
-        out.extend(_term_redexes(t, lambda h: h, i))
+        out.extend(_term_redexes(t, None, i))
     return out
 
 
@@ -111,7 +143,7 @@ def find_redex(p, strategy="leftmost", rng=None,
     on, under leftmost)."""
     if strategy == "leftmost":
         for i in range(start, len(p)):
-            for r in _term_redexes(p[i], lambda h: h, i):
+            for r in _term_redexes(p[i], None, i):
                 return r
         return None
     redexes = enumerate_redexes(p)
@@ -128,27 +160,29 @@ def find_redex(p, strategy="leftmost", rng=None,
 
 def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
     """Contract the given redex of thread t (thread redex.thread of its
-    program) and return the delta.  The step records what the rule
-    issued: the location of alloc and the variable of fresh, taken from
-    the session, and the substitution of unif."""
-    w = redex.context
+    program) and return the delta.  Each thread after the step is the
+    contractum plugged back along redex.path, so it shares with t every
+    subterm beside that path.  The step records what the rule issued:
+    the location of alloc and the variable of fresh, taken from the
+    session, and the substitution of unif."""
+    path = redex.path
     focus = redex.focus
     rule = redex.rule
     sigma = fresh_var = fresh_loc = None
     if rule == ALLOC:
         fresh_loc = session.fresh_loc()
-        after = (plug_term(w, AbsLoc(fresh_loc, focus.var, focus.body, focus.ann)),)
+        after = (_plug(path, AbsLoc(fresh_loc, focus.var, focus.body, focus.ann)),)
     elif rule == BETA:
         body = subst_single(focus.fn.body, focus.fn.var, focus.arg)
-        after = tuple(plug_term(w, s) for s in body)
+        after = tuple(_plug(path, s) for s in body)
     elif rule == GUARD:
-        after = (plug_term(w, focus.right),)
+        after = (_plug(path, focus.right),)
     elif rule == FRESH:
         fresh_var = session.fresh_var()
-        after = (plug_term(w, subst_single(focus.body, focus.var, Var(fresh_var))),)
+        after = (_plug(path, subst_single(focus.body, focus.var, Var(fresh_var))),)
     elif rule == UNIF:
         sigma = redex.unify_outcome.substitution
-        after = (subst_apply(plug_term(w, Cons(OK)), sigma),)
+        after = (subst_apply(_plug(path, Cons(OK)), sigma),)
     elif rule == FAILRULE:
         after = ()
     else:

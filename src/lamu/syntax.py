@@ -1,5 +1,5 @@
-"""Core AST: terms, programs, weak contexts, substitutions, the
-canonical key, coherence.
+"""Core AST: terms, programs, substitutions, the canonical key,
+coherence.
 
 Terms and programs are immutable; all operations are pure functions.
 Binder type annotations (``ann``) are metadata filled in by the type
@@ -87,14 +87,6 @@ class Unif(Term):
 
 
 @dataclass(frozen=True)
-class Hole(Term):
-    """The hole of a weak context.  A weak context is a Term containing
-    exactly one Hole, never under Abs, AbsLoc, or Fresh."""
-
-
-HOLE = Hole()
-
-@dataclass(frozen=True)
 class Program:
     """Ordered sequence of threads; the empty program is fail."""
     threads: tuple = ()
@@ -161,7 +153,7 @@ def free_vars(x: Union[Term, Program]) -> frozenset:
         return out
     if isinstance(x, Var):
         return frozenset((x.name,))
-    if isinstance(x, (Cons, Hole)):
+    if isinstance(x, Cons):
         return frozenset()
     if isinstance(x, (Abs, AbsLoc)):
         return free_vars(x.body) - {x.var}
@@ -209,10 +201,18 @@ def make_spine(head: Term, args: Iterable[Term]) -> Term:
 
 
 def is_value(t: Term) -> bool:
-    if isinstance(t, (Var, AbsLoc)):
-        return True
-    head, args = spine(t)
-    return isinstance(head, Cons) and all(is_value(a) for a in args)
+    """A variable, a located abstraction, or a constructor applied to
+    values; an explicit stack, so any depth is fine."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, (Var, AbsLoc)):
+            continue
+        head, args = spine(t)
+        if not isinstance(head, Cons):
+            return False
+        stack.extend(args)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +247,6 @@ class Substitution:
         return f"Substitution({{{inner}}})"
 
 
-IDENTITY = Substitution()
-
-
 def _pick_fresh(base: str, forbidden) -> str:
     candidate = base + "'"
     while candidate in forbidden:
@@ -260,7 +257,7 @@ def _pick_fresh(base: str, forbidden) -> str:
 def _subst_term(t: Term, mapping: dict) -> Term:
     if isinstance(t, Var):
         return mapping.get(t.name, t)
-    if isinstance(t, (Cons, Hole)):
+    if isinstance(t, Cons):
         return t
     if isinstance(t, App):
         return App(_subst_term(t.fn, mapping), _subst_term(t.arg, mapping))
@@ -301,7 +298,7 @@ def _subst_program(p: Program, mapping: dict) -> Program:
 
 
 def subst_apply(x, sigma: Substitution):
-    """Simultaneous capture-avoiding substitution; holes map to holes."""
+    """Simultaneous capture-avoiding substitution."""
     mapping = dict(sigma.items())
     if isinstance(x, Program):
         return _subst_program(x, mapping)
@@ -309,27 +306,8 @@ def subst_apply(x, sigma: Substitution):
 
 
 def subst_single(x, name: str, value: Term):
-    if not is_value(value):
-        raise NotAValueError(f"cannot substitute non-value for {name}")
+    """x with value for name; Substitution rejects a non-value."""
     return subst_apply(x, Substitution({name: value}))
-
-
-# ---------------------------------------------------------------------------
-# Weak contexts
-
-def plug_term(w: Term, t: Term) -> Term:
-    if isinstance(w, Hole):
-        return t
-    if isinstance(w, (Var, Cons)):
-        return w
-    if isinstance(w, App):
-        return App(plug_term(w.fn, t), plug_term(w.arg, t))
-    if isinstance(w, Guard):
-        return Guard(plug_term(w.left, t), plug_term(w.right, t))
-    if isinstance(w, Unif):
-        return Unif(plug_term(w.left, t), plug_term(w.right, t))
-    # weak contexts never place the hole under a binder
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +368,6 @@ def term_key(x):
                 del bound[t.var]
             else:
                 bound[t.var] = outer
-        elif cls is Hole:
-            out.append("_")
         else:
             raise TypeError(f"unexpected term {t!r}")
 
@@ -411,7 +387,7 @@ def alpha_eq(a, b) -> bool:
 # Coherence
 
 def _abslocs_with_bound(t: Term, bound: frozenset, out: list):
-    if isinstance(t, (Var, Cons, Hole)):
+    if isinstance(t, (Var, Cons)):
         return
     if isinstance(t, Abs):
         for th in t.body:

@@ -7,7 +7,7 @@ occurrence.  ``canonical_program`` sorts the canonical threads by their
 test oracles.
 """
 
-from lamu.syntax import Abs, AbsLoc, App, Cons, Fresh, Guard, Hole, Program, Unif, Var
+from lamu.syntax import Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Unif, Var
 
 # Prefix reserved for machine-generated names.  The concrete syntax and
 # the generator never produce identifiers starting with '%', so canonical
@@ -24,7 +24,7 @@ def _canon_term(t, bound, free_map, loc_map, counters, rename_free, rename_locs)
                 free_map[t.name] = f"{_CANON_PREFIX}v{len(free_map)}"
             return Var(free_map[t.name])
         return t
-    if isinstance(t, (Cons, Hole)):
+    if isinstance(t, Cons):
         return t
     if isinstance(t, (Abs, AbsLoc, Fresh)):
         new = f"{_CANON_PREFIX}b{counters[0]}"

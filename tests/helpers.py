@@ -1,15 +1,19 @@
 """Helpers that only the tests use: term predicates, coherence as a
-predicate, plugging a program into a weak context, location renaming,
-substitution equality, composition, support and range, trace replay,
-the whole-program step and the product-space explorer, the brute-force unification oracle, the
-criterion-4 critical pairs, the recursive normal/stuck classifier and
-the whole-program simultaneous evaluator, and the full simultaneous
-reduction relation for the diamond spot checks."""
+predicate, weak contexts as terms with a hole and plugging into them,
+the closure-based redex search that the paths are checked against,
+location renaming, substitution equality, composition, support and
+range, trace replay, the whole-program step and the product-space
+explorer, the unitary check of denotations, the brute-force unification
+oracle, the criterion-4 critical pairs, the recursive normal/stuck
+classifier and the whole-program simultaneous evaluator, and the full
+simultaneous reduction relation for the diamond spot checks."""
 
 import functools
-from typing import List, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Iterator, List, NamedTuple, Optional
 
 from lamu import unify
+from lamu.denot import Atom, SemValue, Table
 from lamu.equiv import (
     STUCK_CONS, STUCK_GUARD, STUCK_LAM, STUCK_UNIF, STUCK_VAR, StuckKind,
     canonical_program,
@@ -20,11 +24,99 @@ from lamu.reduction import (
     enumerate_redexes,
 )
 from lamu.syntax import (
-    OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Hole, Program, Session,
+    OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Session,
     Substitution, Term, Unif, Var, alpha_eq, check_coherent,
-    coherence_witness, is_value, make_spine, plug_term, singleton, spine,
+    coherence_witness, is_value, make_spine, singleton, spine,
     subst_apply, subst_single, _children,
 )
+from lamu.typecheck import Base, Type
+
+
+# ---------------------------------------------------------------------------
+# Weak contexts as the paper defines them: a term with one hole, never
+# under a binder
+
+@dataclass(frozen=True)
+class Hole(Term):
+    """The hole of a weak context.  A weak context is a Term containing
+    exactly one Hole, never under Abs, AbsLoc, or Fresh."""
+
+
+HOLE = Hole()
+
+
+def plug_term(w: Term, t: Term) -> Term:
+    if isinstance(w, Hole):
+        return t
+    if isinstance(w, (Var, Cons)):
+        return w
+    if isinstance(w, App):
+        return App(plug_term(w.fn, t), plug_term(w.arg, t))
+    if isinstance(w, Guard):
+        return Guard(plug_term(w.left, t), plug_term(w.right, t))
+    if isinstance(w, Unif):
+        return Unif(plug_term(w.left, t), plug_term(w.right, t))
+    # weak contexts never place the hole under a binder
+    return w
+
+
+def weak_context(redex: Redex) -> Term:
+    """The redex's path as a term with a hole: each link, outermost
+    last, is a one-node frame around the context built so far."""
+    w, path = HOLE, redex.path
+    while path is not None:
+        parent, side, path = path
+        left, right = _children(parent)
+        frame = type(parent)(HOLE, right) if side == 0 else type(parent)(left, HOLE)
+        w = plug_term(frame, w)
+    return w
+
+
+class ContextRedex(NamedTuple):
+    """A redex found by redexes_with_contexts: its weak context as a term
+    with a hole instead of a path."""
+    thread: int
+    context: Term
+    focus: Term
+    rule: str
+    unify_outcome: object = None
+
+
+def _term_redexes_with_contexts(t: Term, context_of, thread: int) -> Iterator[ContextRedex]:
+    """Redexes of one thread in leftmost-innermost order (post-order,
+    children left to right).  context_of(sub) rebuilds the weak context
+    around the given replacement for t."""
+    if isinstance(t, App):
+        yield from _term_redexes_with_contexts(t.fn, lambda h: context_of(App(h, t.arg)), thread)
+        yield from _term_redexes_with_contexts(t.arg, lambda h: context_of(App(t.fn, h)), thread)
+        if isinstance(t.fn, AbsLoc) and is_value(t.arg):
+            yield ContextRedex(thread, context_of(HOLE), t, BETA)
+    elif isinstance(t, Guard):
+        yield from _term_redexes_with_contexts(t.left, lambda h: context_of(Guard(h, t.right)), thread)
+        yield from _term_redexes_with_contexts(t.right, lambda h: context_of(Guard(t.left, h)), thread)
+        if is_value(t.left):
+            yield ContextRedex(thread, context_of(HOLE), t, GUARD)
+    elif isinstance(t, Unif):
+        yield from _term_redexes_with_contexts(t.left, lambda h: context_of(Unif(h, t.right)), thread)
+        yield from _term_redexes_with_contexts(t.right, lambda h: context_of(Unif(t.left, h)), thread)
+        if is_value(t.left) and is_value(t.right):
+            outcome = unify.mgu_goal(t.left, t.right)
+            rule = UNIF if isinstance(outcome, unify.Solved) else FAILRULE
+            yield ContextRedex(thread, context_of(HOLE), t, rule, outcome)
+    elif isinstance(t, Abs):
+        yield ContextRedex(thread, context_of(HOLE), t, ALLOC)
+    elif isinstance(t, Fresh):
+        yield ContextRedex(thread, context_of(HOLE), t, FRESH)
+    # Var, Cons, AbsLoc: no redex at or below this weak position
+
+
+def redexes_with_contexts(p) -> List[ContextRedex]:
+    """Every redex of a program, in order, each with its weak context:
+    the search that enumerate_redexes's paths are checked against."""
+    out = []
+    for i, t in enumerate(p):
+        out.extend(_term_redexes_with_contexts(t, lambda h: h, i))
+    return out
 
 
 def is_structure(t: Term) -> bool:
@@ -61,7 +153,7 @@ def subst_loc(x, old: int, new: int):
     if isinstance(x, Program):
         return Program(tuple(subst_loc(t, old, new) for t in x))
     t = x
-    if isinstance(t, (Var, Cons, Hole)):
+    if isinstance(t, (Var, Cons)):
         return t
     if isinstance(t, Abs):
         return Abs(t.var, subst_loc(t.body, old, new), t.ann)
@@ -135,7 +227,7 @@ def program_step_at(p: Program, redex: Redex, session: Session) -> ProgramStep:
     whole-program step that the thread-level step_at is checked
     against."""
     i = redex.thread
-    w = redex.context
+    w = weak_context(redex)
     focus = redex.focus
     rule = redex.rule
     sigma = fresh_var = fresh_loc = None
@@ -159,6 +251,21 @@ def program_step_at(p: Program, redex: Redex, session: Session) -> ProgramStep:
         raise ValueError(f"unknown rule {rule!r}")
     after = Program(p.threads[:i] + middle + p.threads[i + 1:])
     return ProgramStep(rule, i, p, after, sigma, fresh_var, fresh_loc, focus)
+
+
+def is_unitary(value: SemValue, ty: Type) -> bool:
+    """Every (iterated) application image is a singleton."""
+    if isinstance(ty, Base):
+        return isinstance(value, Atom)
+    if not isinstance(value, Table):
+        return False
+    for _, image in value.entries:
+        if len(image) != 1:
+            return False
+        (b,) = image
+        if not is_unitary(b, ty.right):
+            return False
+    return True
 
 
 def product_bfs(p: Program, key=canonical_program, fuel=200,

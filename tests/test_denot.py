@@ -4,9 +4,9 @@ unitary constructors, denotation clauses, and soundness along steps."""
 import pytest
 
 from lamu.concrete import parse_program
+from helpers import is_unitary
 from lamu.denot import (
-    DenotError, Model, TooLarge, denote, denote_toplevel,
-    is_unitary, soundness_check,
+    DenotError, Model, TooLarge, denote, denote_toplevel, soundness_check,
 )
 from lamu.generator import Generator, GeneratorConfig
 from lamu.syntax import (
@@ -74,7 +74,7 @@ def test_arrow_enumeration_count():
 def test_constructors_are_unitary_and_injective():
     m = Model({}, STRATIFIED, cap=4096)
     p = m.cons_interp("P")
-    assert is_unitary(p, Arrow(I, Arrow(I, PAIR)), m)
+    assert is_unitary(p, Arrow(I, Arrow(I, PAIR)))
     c, d = m.cons_interp("C"), m.cons_interp("D")
     (pc,) = p(c)
     (pd,) = p(d)

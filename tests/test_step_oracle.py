@@ -4,18 +4,26 @@ program), the issued variable and location recovered by diffing
 ``free_vars`` and ``locations`` over the before and after programs, and
 the unif substitution recomputed by ``mgu_goal``.  ``evaluate``'s
 thread-level deltas are replayed into whole programs and compared with
-the oracle's step by step."""
+the oracle's step by step.  The redexes' paths are checked against the
+weak contexts of the closure-based search on every thread the streams
+visit."""
 
 import itertools
 import os
 import signal
 
-from helpers import ProgramStep, program_step_at
+from helpers import (
+    ProgramStep, program_step_at, redexes_with_contexts, weak_context,
+)
 from lamu import unify
 from lamu.concrete import parse_file, parse_program
 from lamu.generator import Generator, GeneratorConfig
-from lamu.reduction import ALLOC, FRESH, UNIF, evaluate, find_redex, replay
-from lamu.syntax import Session, Term, check_coherent, free_vars, locations
+from lamu.reduction import (
+    ALLOC, FRESH, UNIF, enumerate_redexes, evaluate, find_redex, replay,
+)
+from lamu.syntax import (
+    App, Session, Term, check_coherent, free_vars, locations,
+)
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -78,30 +86,64 @@ def assert_same_trace(p, fuel):
     return result
 
 
-def test_fork_ladder_matches_oracle():
+def fork_ladder():
+    """(k, fuel, the k-fork program) for k = 2..8."""
     for k in range(2, 9):
         calls = "f (" * k + "C" + ")" * k
-        p = parse_program(rf"(\f. {calls}) (\x. x | S x)")
-        result = assert_same_trace(p, 10 * 2 ** k)
+        yield k, 10 * 2 ** k, parse_program(rf"(\f. {calls}) (\x. x | S x)")
+
+
+def corpus_programs():
+    for name in sorted(os.listdir(CORPUS)):
+        with open(os.path.join(CORPUS, name), encoding="utf-8") as handle:
+            yield parse_file(handle.read()).program
+
+
+def generated_programs():
+    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
+    return itertools.islice(gen.programs(), 200)
+
+
+ISSUED = r"fresh y. C | fresh y. (y =:= C) | \x. x"
+DIVERGENT = r"(\x. x x | C) (\x. x x | C)"
+# builds the value S (S (... C)), one level every three steps
+GROWING = r"(\x. \y. x x (S y)) (\x. \y. x x (S y)) C"
+
+
+def within(seconds, what, run):
+    """run(), failing with TimeoutError if it takes longer than seconds."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{what} took {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_fork_ladder_matches_oracle():
+    for k, fuel, p in fork_ladder():
+        result = assert_same_trace(p, fuel)
         assert result.normal and len(result.program) == 2 ** k
 
 
 def test_corpus_matches_oracle():
-    for name in sorted(os.listdir(CORPUS)):
-        with open(os.path.join(CORPUS, name), encoding="utf-8") as handle:
-            assert_same_trace(parse_file(handle.read()).program, 1000)
+    for p in corpus_programs():
+        assert_same_trace(p, 1000)
 
 
 def test_generated_programs_match_oracle():
-    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
-    for p in itertools.islice(gen.programs(), 200):
+    for p in generated_programs():
         assert_same_trace(p, 200)
 
 
 def test_oracle_sees_issued_names():
     # the diff finds the fresh variable only where it occurs, and
     # step_at records it either way
-    p = parse_program(r"fresh y. C | fresh y. (y =:= C) | \x. x")
+    p = parse_program(ISSUED)
     result = assert_same_trace(p, 10)
     _, trace, _ = oracle_evaluate(p, 10)
     assert [ts.rule for ts in result.trace] == [FRESH, FRESH, UNIF, ALLOC]
@@ -111,12 +153,10 @@ def test_oracle_sees_issued_names():
     assert result.trace[3].fresh_loc == trace[3].fresh_loc == 1
 
 
-DIVERGENT = r"(\x. x x | C) (\x. x x | C)"
-
-
 def test_divergent_matches_oracle():
     result = assert_same_trace(parse_program(DIVERGENT), 2000)
     assert not result.normal and len(result.program) == 1999
+    assert not assert_same_trace(parse_program(GROWING), 900).normal
 
 
 def test_divergent_evaluates_in_linear_time():
@@ -125,18 +165,58 @@ def test_divergent_evaluates_in_linear_time():
     # quadratic (several seconds), so a timer turns that regression into
     # a failure
     p = parse_program(DIVERGENT)
-
-    def too_slow(signum, frame):
-        raise TimeoutError("20 000 steps of the divergent program took 3 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 3.0)
-    try:
-        result = evaluate(p, fuel=20_000)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    result = within(3.0, "20 000 steps of the divergent program",
+                    lambda: evaluate(p, fuel=20_000))
     assert not result.normal and result.steps == 20_000
     assert all(isinstance(ts.before, Term) for ts in result.trace)
     assert sum(len(ts.after) - 1 for ts in result.trace) == \
         len(result.program) - len(p)
+
+
+def test_growing_value_evaluates_on_the_main_thread():
+    # at fuel 1 500 the value is 500 levels deep: a recursive is_value
+    # raises RecursionError, and a search that re-walks the value at
+    # every application is slow
+    p = parse_program(GROWING)
+    result = within(3.0, "1 500 steps of the growing-value program",
+                    lambda: evaluate(p, fuel=1500))
+    assert not result.normal and result.steps == 1500
+
+
+def test_step_shares_the_value_beside_the_hole():
+    # F F v steps F F, then allocates what it became, and keeps v, the
+    # S tower built so far, as the same object
+    result = evaluate(parse_program(GROWING), fuel=300)
+    steps = [ts for ts in result.trace
+             if isinstance(ts.before, App) and ts.focus is ts.before.fn]
+    depth, v = 0, steps[-1].before.arg
+    while isinstance(v, App):
+        depth, v = depth + 1, v.arg
+    assert len(steps) >= 100 and depth >= 90
+    for ts in steps:
+        (after,) = ts.after
+        assert after.arg is ts.before.arg
+
+
+def visited_threads(p, fuel):
+    """Every thread state evaluate passes through on p."""
+    threads = list(p)
+    for ts in evaluate(p, fuel).trace:
+        threads.extend(ts.after)
+    return threads
+
+
+def test_paths_match_weak_contexts():
+    streams = [(p, fuel) for _, fuel, p in fork_ladder()]
+    streams += [(p, 1000) for p in corpus_programs()]
+    streams += [(p, 200) for p in generated_programs()]
+    streams += [(parse_program(ISSUED), 10), (parse_program(DIVERGENT), 2000),
+                (parse_program(GROWING), 900)]
+    for p, fuel in streams:
+        threads = visited_threads(p, fuel)
+        redexes = enumerate_redexes(threads)
+        old = redexes_with_contexts(threads)
+        assert len(redexes) == len(old)
+        for r, o in zip(redexes, old):
+            assert (r.thread, weak_context(r), r.focus, r.rule) == \
+                (o.thread, o.context, o.focus, o.rule)

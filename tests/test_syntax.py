@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
-    coherent, compose, is_structure, is_weak_context, plug, subst_equal,
-    subst_loc, support,
+    HOLE, coherent, compose, is_structure, is_weak_context, plug, plug_term,
+    subst_equal, subst_loc, support,
 )
 from lamu.syntax import (
-    FAIL, HOLE, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard,
+    FAIL, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard,
     NotAValueError, Program, Session, Substitution, Unif, Var, all_names,
     alpha_eq, check_coherent, coherence_witness,
-    free_vars, is_value, locations, make_spine, plug_term, singleton,
+    free_vars, is_value, locations, make_spine, singleton,
     spine, subst_apply, subst_single,
 )
 
