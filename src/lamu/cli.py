@@ -13,13 +13,13 @@ import sys
 from typing import Dict, List, Optional
 
 from . import denot, reduction
-from .concrete import SourceFile, parse_file, pretty_program
+from .concrete import SourceFile, parse_file, parse_program, pretty_program
 from .generator import STRATIFIED_SIGNATURE, Generator, GeneratorConfig
 from .reduction import evaluate, reachable_normal_forms, replay
 from .syntax import LamuError, Program, free_vars
 from .typecheck import (
-    Type, ambient_context, base_names_used,
-    default_signature, infer, subject_reduction_check,
+    ambient_context, base_names_used, default_signature, infer,
+    subject_reduction_check,
 )
 
 EXIT_OK = 0
@@ -55,14 +55,10 @@ def _print_trace(p: Program, trace, out):
         print(pretty_program(after), file=out)
 
 
-def _type_text(ty: Type) -> str:
-    return repr(ty)
-
-
 def _source_text(src: SourceFile, program: Program) -> str:
     lines = []
     for name, ty in src.signature.items():
-        lines.append(f"cons {name} : {_type_text(ty)}.")
+        lines.append(f"cons {name} : {ty!r}.")
     for name, size in src.base_sizes.items():
         lines.append(f"base {name} = {size}.")
     lines.append(pretty_program(program))
@@ -106,10 +102,10 @@ def cmd_check(args, out) -> int:
     src = _load(args.file)
     sig = default_signature(src.signature)
     typing = infer(ambient_context(src.program), sig, src.program)
-    print(_type_text(typing.type), file=out)
+    print(repr(typing.type), file=out)
     for name in sorted(typing.gamma):
         if name in free_vars(src.program):
-            print(f"  {name} : {_type_text(typing.gamma[name])}", file=out)
+            print(f"  {name} : {typing.gamma[name]!r}", file=out)
     return EXIT_OK
 
 
@@ -128,7 +124,7 @@ def cmd_denote(args, out) -> int:
     typing = infer(ambient_context(src.program), sig, src.program)
     model = _model_for(src, args.cap, typing)
     sem = denot.denote_toplevel(typing.node, model, typing.gamma)
-    print(f"type: {_type_text(typing.type)}", file=out)
+    print(f"type: {typing.type!r}", file=out)
     print(f"denotation ({len(sem)} element(s)):", file=out)
     for item in sorted(map(repr, sem)):
         print(f"  {item}", file=out)
@@ -167,22 +163,21 @@ def cmd_test_soundness(args, out) -> int:
     stream = gen.programs()
     src = _generator_source(config)
     sig = default_signature(config.signature)
-    checked = 0
-    i = 0
-    while checked < args.samples:
+    skipped = 0
+    for i in range(args.samples):
         p = next(stream)
-        i += 1
         try:
             typing = infer(ambient_context(p), sig, p)
             model = _model_for(src, args.cap, typing)
             verdict = denot.soundness_check(p, model, fuel=args.fuel)
         except (denot.TooLarge, denot.DenotError):
+            skipped += 1
             continue
-        checked += 1
         if not verdict.ok:
             _write_counterexample("soundness", i, src, p, out)
             return EXIT_COUNTEREXAMPLE
-    print(f"soundness: {checked} samples, 0 counterexamples", file=out)
+    print(f"soundness: {args.samples} samples, {skipped} skipped "
+          f"(no finite model), 0 counterexamples", file=out)
     return EXIT_OK
 
 
@@ -209,8 +204,6 @@ def cmd_test_subject_reduction(args, out) -> int:
 # REPL
 
 def cmd_repl(args, out) -> int:
-    from .concrete import _Parser, tokenize
-
     state = SourceFile()
     definitions: Dict[str, object] = {}
     print("type a program, a declaration, or :trace/:type/:denote/:quit",
@@ -228,20 +221,17 @@ def cmd_repl(args, out) -> int:
             if line in (":q", ":quit"):
                 return EXIT_OK
             if line.startswith(":"):
-                _repl_meta(line, state, definitions, args, out)
+                _repl_meta(line, state, definitions, out)
                 continue
             if line.split()[0] in ("cons", "base", "def"):
-                parsed = _Parser(tokenize(line), definitions).parse_file()
+                parsed = parse_file(line, definitions)
                 state.signature.update(parsed.signature)
                 state.base_sizes.update(parsed.base_sizes)
                 definitions.update(parsed.definitions)
                 if not parsed.program.is_fail:
                     _repl_run(parsed.program, out)
                 continue
-            parser = _Parser(tokenize(line), definitions)
-            program = parser.parse_program()
-            parser.expect("eof")
-            _repl_run(program, out)
+            _repl_run(parse_program(line, definitions), out)
         except (LamuError, RecursionError) as exc:
             print(f"error: {exc}", file=out)
 
@@ -252,16 +242,12 @@ def _repl_run(program: Program, out) -> None:
     print(prefix + pretty_program(result.program), file=out)
 
 
-def _repl_meta(line: str, state: SourceFile, definitions, args, out) -> None:
-    from .concrete import _Parser, tokenize
-
+def _repl_meta(line: str, state: SourceFile, definitions, out) -> None:
     command, _, rest = line.partition(" ")
     if command not in (":trace", ":type", ":denote"):
         print(f"unknown command {command}", file=out)
         return
-    parser = _Parser(tokenize(rest), definitions)
-    program = parser.parse_program()
-    parser.expect("eof")
+    program = parse_program(rest, definitions)
     if command == ":trace":
         result = evaluate(program, fuel=1000)
         _print_trace(program, result.trace, out)
@@ -270,7 +256,7 @@ def _repl_meta(line: str, state: SourceFile, definitions, args, out) -> None:
     sig = default_signature(state.signature)
     typing = infer(ambient_context(program), sig, program)
     if command == ":type":
-        print(_type_text(typing.type), file=out)
+        print(repr(typing.type), file=out)
         return
     model = _model_for(state, 4096, typing)
     sem = denot.denote_toplevel(typing.node, model, typing.gamma)

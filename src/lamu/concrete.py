@@ -4,7 +4,7 @@ untyped lambda terms.
 
 Grammar sketch (lowest precedence first):
 
-    file     ::= decl* program
+    file     ::= decl+ | decl* program       -- decl+ alone: program fail
     decl     ::= 'cons' UP ':' type '.' | 'base' LOW '=' INT '.'
                | 'def' LOW '=' term '.'
     program  ::= 'fail' | term ('|' term)*
@@ -20,9 +20,10 @@ reserved.  Lambda and fresh bodies extend as far right as possible.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 from .syntax import (
     Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Term,
@@ -145,7 +146,8 @@ class _Parser:
                 self.definitions[name] = term
                 src.definitions[name] = term
             self.expect_punct(".")
-        src.program = self.parse_program()
+        if self.pos == 0 or self.peek().kind != "eof":
+            src.program = self.parse_program()
         self.expect("eof")
         return src
 
@@ -256,8 +258,8 @@ class _Parser:
         self.error(f"expected a term, found {tok.text or tok.kind!r}")
 
 
-def parse_file(text: str) -> SourceFile:
-    return _Parser(tokenize(text)).parse_file()
+def parse_file(text: str, definitions=None) -> SourceFile:
+    return _Parser(tokenize(text), definitions).parse_file()
 
 
 def parse_program(text: str, definitions=None) -> Program:
@@ -343,23 +345,14 @@ def pretty(x) -> str:
 HM_ARROW = "F"
 
 
-class _HmNames:
-    def __init__(self):
-        self.n = 0
-
-    def app_var(self) -> str:
-        self.n += 1
-        return f"b{self.n}"
-
-
 def hm_translate(t: Term) -> Term:
     """Translate a pure untyped lambda term (Var, single-thread Abs,
     App) into a term that computes its principal type, encoding the
     arrow type A -> B as the structure F A B."""
-    return _hm(t, _HmNames())
+    return _hm(t, itertools.count(1))
 
 
-def _hm(t: Term, names: _HmNames) -> Term:
+def _hm(t: Term, names: Iterator[int]) -> Term:
     if isinstance(t, Var):
         return Var(f"a_{t.name}")
     if isinstance(t, Abs):
@@ -369,7 +362,7 @@ def _hm(t: Term, names: _HmNames) -> Term:
         body = _hm(t.body.threads[0], names)
         return Fresh(a_x, App(App(Cons(HM_ARROW), Var(a_x)), body))
     if isinstance(t, App):
-        a = names.app_var()
+        a = f"b{next(names)}"
         fn = _hm(t.fn, names)
         arg = _hm(t.arg, names)
         goal = Unif(fn, App(App(Cons(HM_ARROW), arg), Var(a)))

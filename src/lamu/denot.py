@@ -19,7 +19,9 @@ from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Term,
     Unif, Var, check_coherent, free_vars,
 )
-from .typecheck import Arrow, Base, Meta, Type, infer
+from .typecheck import (
+    Arrow, Base, Meta, Type, ambient_context, arg_types, base_names, infer,
+)
 
 
 class TooLarge(LamuError):
@@ -77,14 +79,6 @@ def _result_base(ty: Type) -> str:
     return ty.name
 
 
-def _arg_types(ty: Type) -> List[Type]:
-    out = []
-    while isinstance(ty, Arrow):
-        out.append(ty.left)
-        ty = ty.right
-    return out
-
-
 class Model:
     """A finite interpretation: base-type atom counts, a constructor
     signature, and an enumeration cap."""
@@ -109,21 +103,34 @@ class Model:
     # -- base-type closure under constructor images
 
     def _close_bases(self):
+        feeds: Dict[str, set] = {}   # base -> the bases its arguments use
         for c in self.sig:
             base = _result_base(self.sig[c])
             self._bases.setdefault(base, [])
-            for a in _arg_types(self.sig[c]):
-                for sub in _base_names_of(a):
-                    self._bases.setdefault(sub, [])
+            for sub in base_names(*arg_types(self.sig[c])):
+                self._bases.setdefault(sub, [])
+                feeds.setdefault(base, set()).add(sub)
+        # a base that feeds its own constructors' arguments gains new
+        # atoms every round, so no finite model exists
+        for base in sorted(feeds):
+            seen, stack = set(), list(feeds[base])
+            while stack:
+                sub = stack.pop()
+                if sub == base:
+                    raise TooLarge(f"base type {base}", "infinitely many",
+                                   self.cap)
+                if sub not in seen:
+                    seen.add(sub)
+                    stack.extend(feeds.get(sub, ()))
         changed = True
         while changed:
             changed = False
             self._enum_cache.clear()
             for c in sorted(self.sig):
-                args = _arg_types(self.sig[c])
+                args = arg_types(self.sig[c])
                 base = _result_base(self.sig[c])
                 known = set(self._bases[base])
-                domains = [self._enum(a) for a in args]
+                domains = [self.enum_type(a) for a in args]
                 for combo in itertools.product(*domains):
                     atom = Atom(base, ("cons", c, tuple(combo)))
                     if atom not in known:
@@ -137,7 +144,9 @@ class Model:
 
     # -- enumeration
 
-    def _enum(self, ty: Type) -> List[SemValue]:
+    def enum_type(self, ty: Type) -> List[SemValue]:
+        """Full enumeration of a type's interpretation, in a canonical
+        deterministic order.  Raises TooLarge beyond the cap."""
         if ty in self._enum_cache:
             return self._enum_cache[ty]
         if isinstance(ty, Meta):
@@ -147,8 +156,8 @@ class Model:
                 raise DenotError(f"base type {ty.name} has no interpretation")
             result = list(self._bases[ty.name])
         else:
-            domain = self._enum(ty.left)
-            codomain = self._enum(ty.right)
+            domain = self.enum_type(ty.left)
+            codomain = self.enum_type(ty.right)
             n, m = len(domain), len(codomain)
             count = (2 ** m) ** n
             if count > self.cap:
@@ -162,16 +171,11 @@ class Model:
         self._enum_cache[ty] = result
         return result
 
-    def enum_type(self, ty: Type) -> List[SemValue]:
-        """Full enumeration of a type's interpretation, in a canonical
-        deterministic order.  Raises TooLarge beyond the cap."""
-        return self._enum(ty)
-
     # -- constructors
 
     def _cons_at(self, name: str, args: tuple, ty: Type) -> SemValue:
         if isinstance(ty, Arrow):
-            domain = self._enum(ty.left)
+            domain = self.enum_type(ty.left)
             entries = tuple(
                 (a, frozenset((self._cons_at(name, args + (a,), ty.right),)))
                 for a in domain)
@@ -189,14 +193,6 @@ class Model:
     @property
     def ok(self) -> SemValue:
         return self.cons_interp(OK)
-
-
-def _base_names_of(ty: Type):
-    if isinstance(ty, Base):
-        yield ty.name
-    elif isinstance(ty, Arrow):
-        yield from _base_names_of(ty.left)
-        yield from _base_names_of(ty.right)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +291,9 @@ def soundness_check(p: Program, model: Model, fuel=200,
                     gamma: Optional[Dict[str, Optional[Type]]] = None
                     ) -> SoundnessVerdict:
     """Evaluate the program; at each step of the trace check that the
-    denotation shrinks or stays equal, with strict equality required for
-    every rule other than fail."""
+    denotation shrinks or stays equal, with equality required for every
+    rule other than fail."""
     check_coherent(p)
-    from .typecheck import ambient_context
     typing = infer(gamma if gamma is not None else ambient_context(p),
                    model.sig, p)
     context = dict(typing.gamma)

@@ -17,8 +17,8 @@ from .syntax import (
     make_spine, singleton,
 )
 from .typecheck import (
-    Arrow, Base, Type, TypeCheckError, ambient_context, default_signature,
-    infer,
+    Arrow, Base, Type, TypeCheckError, ambient_context, arg_types,
+    default_signature, infer,
 )
 
 IOTA = Base("i")
@@ -60,20 +60,12 @@ class GeneratorConfig:
     well_typed: bool = False
 
 
-def _arity(ty: Type) -> int:
-    n = 0
-    while isinstance(ty, Arrow):
-        n += 1
-        ty = ty.right
-    return n
-
-
 class Generator:
     def __init__(self, config: Optional[GeneratorConfig] = None):
         self.config = config or GeneratorConfig()
         self.rng = random.Random(self.config.seed)
-        self._arities = {c: _arity(ty)
-                         for c, ty in self.config.signature.items()}
+        self._arg_counts = {c: len(arg_types(ty))
+                            for c, ty in self.config.signature.items()}
 
     # -- values
 
@@ -92,8 +84,8 @@ class Generator:
         if kind == "absloc":
             loc, var, body = self.rng.choice(_CLOSED_BODIES)
             return AbsLoc(loc, var, body)
-        name = self.rng.choice(sorted(self._arities))
-        args = [self.value(depth - 1) for _ in range(self._arities[name])]
+        name = self.rng.choice(sorted(self._arg_counts))
+        args = [self.value(depth - 1) for _ in range(self._arg_counts[name])]
         return make_spine(Cons(name), args)
 
     def goal(self) -> Tuple[Term, Term]:

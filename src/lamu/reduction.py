@@ -245,13 +245,6 @@ def replay(p: Program, trace) -> Iterator[Tuple[TraceStep, Program]]:
         yield ts, Program(threads)
 
 
-class BoundsExceeded(Exception):
-    def __init__(self, states, normal_forms):
-        super().__init__(f"exploration bound exceeded after {states} states")
-        self.states = states
-        self.normal_forms = normal_forms
-
-
 @dataclass
 class Exploration:
     """normal_forms holds the canonical_program keys of the reachable
@@ -263,8 +256,8 @@ class Exploration:
     complete: bool
 
 
-def reachable_normal_forms(p: Program, fuel=200, max_states=10000,
-                           strict=False) -> Exploration:
+def reachable_normal_forms(p: Program, fuel=200,
+                           max_states=10000) -> Exploration:
     """Every normal form reachable by any choice of redexes, up to
     structural equivalence.
 
@@ -278,7 +271,7 @@ def reachable_normal_forms(p: Program, fuel=200, max_states=10000,
     the exploration incomplete, as does split nesting deeper than fuel.
     states counts the distinct thread states of every exploration; past
     max_states the search stops.  An incomplete exploration reports a
-    subset of the normal forms, or raises BoundsExceeded under strict.
+    subset of the normal forms.
     """
     check_coherent(p)
     session = Session.for_program(p)
@@ -358,6 +351,4 @@ def reachable_normal_forms(p: Program, fuel=200, max_states=10000,
             active.add(k)
             stack.append((k, thread_nfs(t, k)))
             reply = None
-    if not complete and strict:
-        raise BoundsExceeded(states, normal_forms)
     return Exploration(normal_forms, states, complete)

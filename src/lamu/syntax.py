@@ -266,7 +266,7 @@ def _subst_term(t: Term, mapping: dict) -> Term:
     if isinstance(t, Unif):
         return Unif(_subst_term(t.left, mapping), _subst_term(t.right, mapping))
     if isinstance(t, (Abs, AbsLoc, Fresh)):
-        body_fv = free_vars(t.body if isinstance(t, (Abs, AbsLoc)) else t.body)
+        body_fv = free_vars(t.body)
         inner = {k: v for k, v in mapping.items()
                  if k != t.var and k in body_fv}
         if not inner:
@@ -453,9 +453,9 @@ class Session:
         first = (max(locs) + 1) if locs else 1
         return cls(avoid=all_names(p), first_loc=first)
 
-    def fresh_var(self, stem="v") -> str:
+    def fresh_var(self) -> str:
         while True:
-            name = f"{stem}{self._var_n}"
+            name = f"v{self._var_n}"
             self._var_n += 1
             if name not in self._used:
                 self._used.add(name)

@@ -9,12 +9,12 @@ fresh base types so they never escape a successful result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from .reduction import FRESH, evaluate, replay
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Term,
-    Unif, Var, check_coherent, free_vars,
+    Unif, Var, check_coherent, free_vars, subterms,
 )
 
 
@@ -47,6 +47,28 @@ class Meta:
 Type = Union[Base, Arrow, Meta]
 
 UNIT = Base("unit")
+
+
+def base_names(*types: Type) -> set:
+    """The names of the base types that occur in the given types."""
+    out = set()
+    stack = list(types)
+    while stack:
+        ty = stack.pop()
+        if isinstance(ty, Base):
+            out.add(ty.name)
+        elif isinstance(ty, Arrow):
+            stack.extend((ty.left, ty.right))
+    return out
+
+
+def arg_types(ty: Type) -> List[Type]:
+    """The argument types of A1 -> ... -> An -> B, in order."""
+    out = []
+    while isinstance(ty, Arrow):
+        out.append(ty.left)
+        ty = ty.right
+    return out
 
 
 class TypeCheckError(LamuError):
@@ -128,14 +150,12 @@ class _Inferencer:
             if t.name not in self.sig:
                 raise TypeCheckError(f"constructor {t.name} has no declared type")
             return t, self.sig[t.name]
-        if isinstance(t, Abs):
+        if isinstance(t, (Abs, AbsLoc)):
             a = self.lift(t.ann)
             body, b = self.program({**gamma, t.var: a}, t.body)
-            return Abs(t.var, body, a), Arrow(a, b)
-        if isinstance(t, AbsLoc):
-            a = self.lift(t.ann)
-            body, b = self.program({**gamma, t.var: a}, t.body)
-            return AbsLoc(t.loc, t.var, body, a), Arrow(a, b)
+            node = (AbsLoc(t.loc, t.var, body, a) if isinstance(t, AbsLoc)
+                    else Abs(t.var, body, a))
+            return node, Arrow(a, b)
         if isinstance(t, App):
             fn, fty = self.term(gamma, t.fn)
             arg, aty = self.term(gamma, t.arg)
@@ -199,12 +219,13 @@ class _Defaulter:
         t = x
         if isinstance(t, (Var, Cons)):
             return t
-        if isinstance(t, Abs):
-            return Abs(t.var, self.node(t.body), self.default(t.ann))
-        if isinstance(t, AbsLoc):
-            return AbsLoc(t.loc, t.var, self.node(t.body), self.default(t.ann))
-        if isinstance(t, Fresh):
-            return Fresh(t.var, self.node(t.body), self.default(t.ann))
+        if isinstance(t, (Abs, AbsLoc, Fresh)):
+            # the body first: that order numbers the defaulted names
+            body = self.node(t.body)
+            ann = self.default(t.ann)
+            if isinstance(t, AbsLoc):
+                return AbsLoc(t.loc, t.var, body, ann)
+            return type(t)(t.var, body, ann)    # Abs and Fresh alike
         if isinstance(t, App):
             return App(self.node(t.fn), self.node(t.arg))
         if isinstance(t, Guard):
@@ -221,18 +242,6 @@ class Typing:
     gamma: Dict[str, Type]       # solved ambient context
 
 
-def _base_names(sig):
-    out = set()
-    stack = list(sig.values())
-    while stack:
-        ty = stack.pop()
-        if isinstance(ty, Base):
-            out.add(ty.name)
-        elif isinstance(ty, Arrow):
-            stack.extend((ty.left, ty.right))
-    return out
-
-
 def _run(gamma, sig, x, expected=None) -> Typing:
     inf = _Inferencer(sig)
     solved_gamma = {}
@@ -244,7 +253,7 @@ def _run(gamma, sig, x, expected=None) -> Typing:
         node, ty = inf.term(solved_gamma, x)
     if expected is not None:
         inf.solver.unify(ty, expected, "expected type")
-    defaulter = _Defaulter(inf.solver, _base_names(sig))
+    defaulter = _Defaulter(inf.solver, base_names(*sig.values()))
     return Typing(
         defaulter.default(ty),
         defaulter.node(node),
@@ -276,33 +285,9 @@ def ambient_context(x, declared=None) -> Dict[str, Optional[Type]]:
 def base_names_used(typing: "Typing") -> set:
     """Every base-type name mentioned in a typing result: the result
     type, the context, and the binder annotations."""
-    names = set()
-
-    def of_type(ty):
-        if isinstance(ty, Base):
-            names.add(ty.name)
-        elif isinstance(ty, Arrow):
-            of_type(ty.left)
-            of_type(ty.right)
-
-    def of_node(x):
-        if isinstance(x, Program):
-            for t in x:
-                of_node(t)
-            return
-        ann = getattr(x, "ann", None)
-        if ann is not None:
-            of_type(ann)
-        for attr in ("body", "fn", "arg", "left", "right"):
-            child = getattr(x, attr, None)
-            if child is not None:
-                of_node(child)
-
-    of_type(typing.type)
-    for ty in typing.gamma.values():
-        of_type(ty)
-    of_node(typing.node)
-    return names
+    anns = [t.ann for t in subterms(typing.node)
+            if getattr(t, "ann", None) is not None]
+    return base_names(typing.type, *typing.gamma.values(), *anns)
 
 
 # ---------------------------------------------------------------------------

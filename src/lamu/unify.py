@@ -13,8 +13,7 @@ from typing import Optional
 
 from .syntax import (
     AbsLoc, CoherenceError, Cons, LamuError, Substitution, Term, Var,
-    alpha_eq, coherence_witness, free_vars, is_value, spine, subst_apply,
-    term_key,
+    alpha_eq, free_vars, is_value, spine, subst_apply, term_key,
 )
 
 
@@ -137,65 +136,44 @@ class _NormalForm:
 NORMAL_FORM = _NormalForm()
 
 
-def _rule_for(goal: Goal, rest_fv: frozenset) -> Optional[str]:
-    """Highest-priority applicable rule for one goal.  Priority:
-    delete > clash > occurs-check > orient > match-lam > match-cons
-    > eliminate."""
-    v, w = goal.lhs, goal.rhs
-    if isinstance(v, Var) and isinstance(w, Var) and v.name == w.name:
-        return "u-delete"
-    if clash(v, w) is not None:
-        return "u-clash"
-    if isinstance(v, Var) and not (isinstance(w, Var) and w.name == v.name) \
-            and v.name in free_vars(w):
-        return "u-occurs-check"
-    if isinstance(w, Var) and not isinstance(v, Var):
-        return "u-orient"
-    if isinstance(v, AbsLoc) and isinstance(w, AbsLoc) and v.loc == w.loc:
-        return "u-match-lam"
-    if not isinstance(v, Var) and not isinstance(w, Var):
-        # no clash, both structures with same head and arity
-        return "u-match-cons"
-    if isinstance(v, Var) and v.name in rest_fv:
-        return "u-eliminate"
-    return None
-
-
 def unify_step(problem: Problem):
-    """Apply exactly one rewrite rule to the first eligible goal, in
-    insertion order.  Returns Stepped, Bottom, or NORMAL_FORM."""
+    """Apply exactly one rewrite rule to the first goal that some rule
+    fits, in insertion order.  For that goal the rule is the first that
+    fits in the priority delete > clash > occurs-check > orient >
+    match-lam > match-cons > eliminate.  Returns Stepped, Bottom, or
+    NORMAL_FORM."""
     goals = problem.goals
     for i, goal in enumerate(goals):
-        rest = goals[:i] + goals[i + 1:]
-        rest_fv = frozenset()
-        for g in rest:
-            rest_fv |= g.free_vars()
-        rule = _rule_for(goal, rest_fv)
-        if rule is None:
-            continue
         v, w = goal.lhs, goal.rhs
-        if rule == "u-delete":
-            return Stepped(Problem(rest), rule)
-        if rule == "u-clash":
-            return Bottom(clash(v, w), goal)
-        if rule == "u-occurs-check":
-            return Bottom(OCCURS_CHECK, goal)
-        if rule == "u-orient":
-            return Stepped(Problem(rest[:i] + (Goal(w, v),) + rest[i:]), rule)
-        if rule == "u-match-lam":
+        rest = goals[:i] + goals[i + 1:]
+        if isinstance(v, Var):
+            if isinstance(w, Var) and w.name == v.name:
+                return Stepped(Problem(rest), "u-delete")
+            if v.name in free_vars(w):
+                return Bottom(OCCURS_CHECK, goal)
+            if any(v.name in g.free_vars() for g in rest):
+                sigma = Substitution({v.name: w})
+                new_rest = tuple(g.subst(sigma) for g in rest)
+                return Stepped(Problem(new_rest[:i] + (goal,) + new_rest[i:]),
+                               "u-eliminate")
+            continue
+        reason = clash(v, w)
+        if reason is not None:
+            return Bottom(reason, goal)
+        if isinstance(w, Var):
+            return Stepped(Problem(rest[:i] + (Goal(w, v),) + rest[i:]),
+                           "u-orient")
+        if isinstance(v, AbsLoc):
+            # without a clash, w is an AbsLoc at the same location
             if not alpha_eq(v, w):
                 raise CoherenceError(
                     "equal locations with distinct bodies in unification goal")
-            return Stepped(Problem(rest), rule)
-        if rule == "u-match-cons":
-            _, v_args = spine(v)
-            _, w_args = spine(w)
-            decomposed = tuple(Goal(a, b) for a, b in zip(v_args, w_args))
-            return Stepped(Problem(rest[:i] + decomposed + rest[i:]), rule)
-        if rule == "u-eliminate":
-            sigma = Substitution({v.name: w})
-            new_rest = tuple(g.subst(sigma) for g in rest)
-            return Stepped(Problem(new_rest[:i] + (goal,) + new_rest[i:]), rule)
+            return Stepped(Problem(rest), "u-match-lam")
+        # without a clash, both are structures with one head and arity
+        _, v_args = spine(v)
+        _, w_args = spine(w)
+        decomposed = tuple(Goal(a, b) for a, b in zip(v_args, w_args))
+        return Stepped(Problem(rest[:i] + decomposed + rest[i:]), "u-match-cons")
     return NORMAL_FORM
 
 
@@ -213,13 +191,9 @@ class Failed:
     goal: Goal
 
 
-def mgu(problem: Problem, check_coherence=False):
+def mgu(problem: Problem):
     """Iterate the rewrite system to a normal form and read off the
     idempotent most general unifier, or the failure witness."""
-    if check_coherence:
-        w = coherence_witness(problem.terms())
-        if w is not None:
-            raise CoherenceError(f"incoherent unification problem: {w[0]}", w)
     current = problem
     while True:
         result = unify_step(current)

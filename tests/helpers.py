@@ -1,14 +1,16 @@
-"""Helpers that only the tests use: term predicates, coherence as a
-predicate, weak contexts as terms with a hole and plugging into them,
-the closure-based redex search that the paths are checked against,
+"""Helpers that only the tests use: a timer, term predicates, coherence
+as a predicate, weak contexts as terms with a hole and plugging into
+them, the closure-based redex search that the paths are checked against,
 location renaming, substitution equality, composition, support and
 range, trace replay, the whole-program step and the product-space
 explorer, the unitary check of denotations, the brute-force unification
 oracle, the criterion-4 critical pairs, the recursive normal/stuck
-classifier and the whole-program simultaneous evaluator, and the full
-simultaneous reduction relation for the diamond spot checks."""
+classifier and the whole-program simultaneous evaluator, the two-phase
+unification step, and the full simultaneous reduction relation for the
+diamond spot checks."""
 
 import functools
+import signal
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional
 
@@ -24,12 +26,26 @@ from lamu.reduction import (
     enumerate_redexes,
 )
 from lamu.syntax import (
-    OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Session,
-    Substitution, Term, Unif, Var, alpha_eq, check_coherent,
-    coherence_witness, is_value, make_spine, singleton, spine,
+    OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, Program,
+    Session, Substitution, Term, Unif, Var, alpha_eq, check_coherent,
+    coherence_witness, free_vars, is_value, make_spine, singleton, spine,
     subst_apply, subst_single, _children,
 )
 from lamu.typecheck import Base, Type
+
+
+def within(seconds, what, run):
+    """run(), failing with TimeoutError if it takes longer than seconds."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{what} took {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +415,72 @@ def par_normalize_oracle(p: Program, fuel=200) -> ParNormalResult:
             break
         current = par_step_oracle(current, session)
     return ParNormalResult(current, fuel, False)
+
+
+# ---------------------------------------------------------------------------
+# The two-phase unification step that unify.unify_step is checked
+# against: pick a rule name per goal, then dispatch on it
+
+def _rule_for(goal, rest_fv: frozenset) -> Optional[str]:
+    """Highest-priority applicable rule for one goal.  Priority:
+    delete > clash > occurs-check > orient > match-lam > match-cons
+    > eliminate."""
+    v, w = goal.lhs, goal.rhs
+    if isinstance(v, Var) and isinstance(w, Var) and v.name == w.name:
+        return "u-delete"
+    if unify.clash(v, w) is not None:
+        return "u-clash"
+    if isinstance(v, Var) and not (isinstance(w, Var) and w.name == v.name) \
+            and v.name in free_vars(w):
+        return "u-occurs-check"
+    if isinstance(w, Var) and not isinstance(v, Var):
+        return "u-orient"
+    if isinstance(v, AbsLoc) and isinstance(w, AbsLoc) and v.loc == w.loc:
+        return "u-match-lam"
+    if not isinstance(v, Var) and not isinstance(w, Var):
+        return "u-match-cons"
+    if isinstance(v, Var) and v.name in rest_fv:
+        return "u-eliminate"
+    return None
+
+
+def unify_step_oracle(problem):
+    """Apply exactly one rewrite rule to the first eligible goal, in
+    insertion order.  Returns Stepped, Bottom, or NORMAL_FORM."""
+    Goal, Problem, Stepped = unify.Goal, unify.Problem, unify.Stepped
+    goals = problem.goals
+    for i, goal in enumerate(goals):
+        rest = goals[:i] + goals[i + 1:]
+        rest_fv = frozenset()
+        for g in rest:
+            rest_fv |= g.free_vars()
+        rule = _rule_for(goal, rest_fv)
+        if rule is None:
+            continue
+        v, w = goal.lhs, goal.rhs
+        if rule == "u-delete":
+            return Stepped(Problem(rest), rule)
+        if rule == "u-clash":
+            return unify.Bottom(unify.clash(v, w), goal)
+        if rule == "u-occurs-check":
+            return unify.Bottom(unify.OCCURS_CHECK, goal)
+        if rule == "u-orient":
+            return Stepped(Problem(rest[:i] + (Goal(w, v),) + rest[i:]), rule)
+        if rule == "u-match-lam":
+            if not alpha_eq(v, w):
+                raise CoherenceError(
+                    "equal locations with distinct bodies in unification goal")
+            return Stepped(Problem(rest), rule)
+        if rule == "u-match-cons":
+            _, v_args = spine(v)
+            _, w_args = spine(w)
+            decomposed = tuple(Goal(a, b) for a, b in zip(v_args, w_args))
+            return Stepped(Problem(rest[:i] + decomposed + rest[i:]), rule)
+        if rule == "u-eliminate":
+            sigma = Substitution({v.name: w})
+            new_rest = tuple(g.subst(sigma) for g in rest)
+            return Stepped(Problem(new_rest[:i] + (goal,) + new_rest[i:]), rule)
+    return unify.NORMAL_FORM
 
 
 # ---------------------------------------------------------------------------

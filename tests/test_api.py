@@ -1,6 +1,8 @@
 """Every module-level name in ``src/lamu`` is either used in ``src/``
 outside its own definition or exported in ``lamu.__all__``: a helper that
-only the tests use belongs in ``tests/``."""
+only the tests use belongs in ``tests/``.  Every name a module imports is
+read in that module, and a module imports its siblings at module level
+and only through their public names."""
 
 import ast
 import os
@@ -65,3 +67,68 @@ def test_src_holds_only_used_or_public_names():
 def test_the_check_sees_a_dead_helper():
     tree = ast.parse("def dead():\n    return dead()\n\nX = 1\nY = X\n")
     assert unused_names([("m", tree)]) == ["m.dead", "m.Y"]
+
+
+def _imports(tree):
+    """(import node, alias, name it binds) for every imported name in
+    tree, at any depth, except ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node, alias, alias.asname or alias.name.split(".")[0]
+
+
+def _exported(tree):
+    """The strings listed in the module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def import_faults(modules):
+    """One line per import that binds a name the module never reads
+    (nor exports), or that reaches a sibling module from inside a
+    function or for a ``_``-prefixed name."""
+    faults = []
+    for module, tree in modules:
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= _exported(tree)
+        for node, alias, name in _imports(tree):
+            if name not in read:
+                faults.append(f"{module}: {name} is imported but not read")
+            if isinstance(node, ast.ImportFrom) and node.level:
+                sibling = "." * node.level + (node.module or "")
+                if node not in tree.body:
+                    faults.append(f"{module}: {alias.name} from {sibling} "
+                                  f"is imported inside a function")
+                if alias.name.startswith("_"):
+                    faults.append(f"{module}: {alias.name} is private to "
+                                  f"{sibling}")
+    return faults
+
+
+def test_src_imports_are_read_public_and_at_module_level():
+    assert import_faults(list(_modules())) == []
+
+
+def test_the_check_sees_bad_imports():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from .a import b, _c\n"
+        "from . import d\n"
+        "__all__ = ['b']\n"
+        "def f():\n"
+        "    from .e import g\n"
+        "    return _c, d, g\n")
+    assert import_faults([("m", tree)]) == [
+        "m: os is imported but not read",
+        "m: _c is private to .a",
+        "m: g from .e is imported inside a function",
+    ]

@@ -3,6 +3,7 @@ report determinism."""
 
 import os
 
+from helpers import within
 from lamu.cli import (
     EXIT_FAILED_PROGRAM, EXIT_OK, EXIT_USER_ERROR, main,
 )
@@ -42,11 +43,13 @@ def test_run_without_trace(capsys):
 
 
 def test_run_failing_program_exits_one(tmp_path, capsys):
-    path = tmp_path / "clash.luni"
-    path.write_text("C =:= D\n")
-    code, out, _ = run_main(["run", str(path)], capsys)
-    assert code == EXIT_FAILED_PROGRAM
-    assert out.strip() == "fail"
+    # declarations alone are the program fail
+    for text in ("C =:= D\n", "cons S : i -> i.\nbase i = 2.\n"):
+        path = tmp_path / "fails.luni"
+        path.write_text(text)
+        code, out, _ = run_main(["run", str(path)], capsys)
+        assert code == EXIT_FAILED_PROGRAM
+        assert out.strip() == "fail"
 
 
 def test_check_ok(capsys):
@@ -111,9 +114,10 @@ def test_deep_inputs_exit_two(tmp_path, capsys):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_repl_reports_deep_input_and_continues(tmp_path, monkeypatch, capsys):
-    parens, _ = _deep_inputs(tmp_path)
-    lines = iter([parens.read_text().strip(), "C"])
+def run_repl(lines, monkeypatch, capsys):
+    """The REPL's exit code and its output lines after the banner, for
+    the given input lines."""
+    lines = iter(lines)
 
     def fake_input(prompt):
         try:
@@ -123,9 +127,46 @@ def test_repl_reports_deep_input_and_continues(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr("builtins.input", fake_input)
     code, out, _ = run_main(["repl"], capsys)
+    return code, out.splitlines()[1:]
+
+
+def test_repl_reports_deep_input_and_continues(tmp_path, monkeypatch, capsys):
+    parens, _ = _deep_inputs(tmp_path)
+    code, out = run_repl([parens.read_text().strip(), "C"], monkeypatch, capsys)
     assert code == EXIT_OK
-    error, result = out.splitlines()[1:3]
+    error, result = out[:2]
     assert error.startswith("error: ") and result == "C"
+
+
+def test_repl_transcript(monkeypatch, capsys):
+    code, out = run_repl([
+        "cons S : i -> j.",
+        "cons C : i.",
+        "base i = 1.",
+        "def two = \\x. S x.",
+        "two C",
+        ":type two",
+        ":trace two C",
+        ":denote two C",
+        ":frob C",
+        ")",
+        "C",
+    ], monkeypatch, capsys)
+    assert code == EXIT_OK
+    assert out == [
+        "S C",
+        "i -> j",
+        "#0 [alloc] thread=0",
+        "(\\x@L1. S x) C",
+        "#1 [beta] thread=0",
+        "S C",
+        "S C",
+        "  S(C)",
+        "unknown command :frob",
+        "error: expected a term, found ')' at line 1, column 1",
+        "C",
+        "",
+    ]
 
 
 def test_usage_error_exits_two(capsys):
@@ -138,6 +179,16 @@ def test_denote(capsys):
     assert code == EXIT_OK
     assert "C" in out
     assert "1 element(s)" in out
+
+
+def test_denote_rejects_a_recursive_signature_at_once(capsys):
+    # cons C : i -> i has no finite model
+    code, out, err = within(1.0, "denote on a recursive signature",
+                            lambda: run_main(["denote", corpus("unify_pair.luni")],
+                                             capsys))
+    assert code == EXIT_USER_ERROR
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "base type i" in err
 
 
 def test_confluence_suite_small(capsys):
@@ -166,6 +217,16 @@ def test_soundness_suite_small(capsys):
     code, out, _ = run_main(
         ["test-soundness", "--samples", "15", "--seed", "7"], capsys)
     assert code == EXIT_OK
+
+
+def test_soundness_suite_counts_skipped_draws(capsys):
+    # at cap 1 no draw has a finite model: every one is skipped, and the
+    # suite still ends after --samples draws
+    code, out, _ = within(5.0, "test-soundness at cap 1", lambda: run_main(
+        ["test-soundness", "--cap", "1", "--samples", "3"], capsys))
+    assert code == EXIT_OK
+    assert out.strip() == ("soundness: 3 samples, 3 skipped (no finite model), "
+                           "0 counterexamples")
 
 
 def test_reports_are_deterministic(capsys):

@@ -116,6 +116,13 @@ def test_declarations():
     assert isinstance(src.program.threads[0], Abs)
 
 
+def test_declarations_alone_are_fail_but_nothing_is_an_error():
+    assert parse_file("cons S : i -> i.\nbase i = 2.").program.is_fail
+    for text in ("", "# only a comment\n"):
+        with pytest.raises(ParseError):
+            parse_file(text)
+
+
 def test_definition_inlining_in_program():
     src = parse_file("def id = \\x. x.\nid C")
     t = src.program.threads[0]

@@ -1,14 +1,12 @@
 """The thread-modular explorer against the product-space BFS it
 replaced, and its edge cases: self-spawning threads, deep split nesting
-and the strict bound."""
-
-import pytest
+and the partial normal forms of an incomplete exploration."""
 
 from helpers import product_bfs
 from lamu.concrete import parse_program
 from lamu.equiv import canonical_program
 from lamu.generator import Generator, GeneratorConfig
-from lamu.reduction import BoundsExceeded, evaluate, reachable_normal_forms
+from lamu.reduction import evaluate, reachable_normal_forms
 
 # spawns a copy of itself next to C on every beta step
 DIVERGENT = r"(\x. x x | C) (\x. x x | C)"
@@ -71,11 +69,10 @@ def test_deep_split_nesting_is_incomplete_without_recursion_error():
     assert not ex.complete and ex.states < 900
 
 
-def test_strict_raises_with_partial_normal_forms():
-    with pytest.raises(BoundsExceeded) as info:
-        reachable_normal_forms(parse_program(DIVERGENT), strict=True)
-    assert info.value.normal_forms == set()
+def test_incomplete_exploration_has_partial_normal_forms():
+    ex = reachable_normal_forms(parse_program(DIVERGENT))
+    assert not ex.complete and ex.normal_forms == set()
     wide = parse_program("(C =:= C) ; D | (\\x. x) C")
-    with pytest.raises(BoundsExceeded) as info:
-        reachable_normal_forms(wide, fuel=1, strict=True)
-    assert info.value.normal_forms <= reachable_normal_forms(wide).normal_forms
+    ex = reachable_normal_forms(wide, fuel=1)
+    assert not ex.complete
+    assert ex.normal_forms <= reachable_normal_forms(wide).normal_forms

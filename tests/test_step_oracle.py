@@ -10,10 +10,9 @@ visit."""
 
 import itertools
 import os
-import signal
 
 from helpers import (
-    ProgramStep, program_step_at, redexes_with_contexts, weak_context,
+    ProgramStep, program_step_at, redexes_with_contexts, weak_context, within,
 )
 from lamu import unify
 from lamu.concrete import parse_file, parse_program
@@ -108,20 +107,6 @@ ISSUED = r"fresh y. C | fresh y. (y =:= C) | \x. x"
 DIVERGENT = r"(\x. x x | C) (\x. x x | C)"
 # builds the value S (S (... C)), one level every three steps
 GROWING = r"(\x. \y. x x (S y)) (\x. \y. x x (S y)) C"
-
-
-def within(seconds, what, run):
-    """run(), failing with TimeoutError if it takes longer than seconds."""
-    def too_slow(signum, frame):
-        raise TimeoutError(f"{what} took {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return run()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_fork_ladder_matches_oracle():

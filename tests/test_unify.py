@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     brute_force_unifiable, compose, ground_universe, range_values, subst_equal,
+    unify_step_oracle,
 )
 from lamu.generator import Generator, GeneratorConfig
 from lamu.syntax import (
@@ -69,8 +70,10 @@ def test_step_match_lam():
 
 
 def test_step_match_lam_incoherent_raises():
-    with pytest.raises(CoherenceError):
-        unify_step(Problem([Goal(ID1, AbsLoc(1, "y", singleton(C)))]))
+    incoherent = Problem([Goal(ID1, AbsLoc(1, "y", singleton(C)))])
+    for step in (unify_step, unify_step_oracle):
+        with pytest.raises(CoherenceError):
+            step(incoherent)
 
 
 def test_step_match_cons_decomposes():
@@ -141,10 +144,9 @@ def test_mgu_variable_to_closure():
     assert out.substitution("x") == ID1
 
 
-def test_mgu_coherence_precheck():
+def test_incoherent_problem_has_a_location_witness():
     bad = Problem([Goal(ID1, X), Goal(AbsLoc(1, "y", singleton(C)), Y)])
-    with pytest.raises(CoherenceError):
-        mgu(bad, check_coherence=True)
+    assert coherence_witness(bad.terms())[0] == "location-mismatch"
 
 
 def test_is_unifier():
@@ -218,3 +220,50 @@ def test_mgu_deterministic(seed):
             assert subst_equal(a.substitution, b.substitution)
         else:
             assert a == b
+
+
+# -- the one-pass step against the two-phase oracle (rule name, then dispatch)
+
+def _step_to_end(step, problem):
+    """Every result of step from problem until a Bottom or NORMAL_FORM,
+    and the mgu outcome read off the last problem."""
+    results = []
+    while True:
+        result = step(problem)
+        results.append(result)
+        if isinstance(result, Bottom):
+            return results, Failed(result.reason, result.goal)
+        if result is NORMAL_FORM:
+            return results, {g.lhs.name: g.rhs for g in problem}
+        problem = result.problem
+
+
+def test_one_pass_step_matches_two_phase_oracle():
+    rules = set()
+    for seed, depth in ((1, 3), (2, 4), (3, 2)):
+        gen = Generator(GeneratorConfig(seed=seed, max_depth=depth))
+        for _ in range(3000):
+            problem = Problem([Goal(*gen.goal())
+                               for _ in range(gen.rng.randint(1, 4))])
+            got, outcome = _step_to_end(unify_step, problem)
+            want, expected = _step_to_end(unify_step_oracle, problem)
+            assert len(got) == len(want), problem
+            for a, b in zip(got, want):
+                assert type(a) is type(b), problem
+                if isinstance(a, Stepped):
+                    assert (a.rule, a.problem.goals) == (b.rule, b.problem.goals)
+                    rules.add(a.rule)
+                elif isinstance(a, Bottom):
+                    assert (a.reason, a.goal) == (b.reason, b.goal)
+                    rules.add(a.reason)
+            assert outcome == expected, problem
+            solved = mgu(problem)
+            if isinstance(solved, Solved):
+                assert dict(solved.substitution.items()) == expected, problem
+            else:
+                assert solved == expected, problem
+    # every rule fires; an arity clash needs a constructor used at two
+    # arities, which the generator never builds
+    assert rules == {"u-delete", "u-orient", "u-match-lam", "u-match-cons",
+                     "u-eliminate", OCCURS_CHECK, CONSTRUCTOR_CLASH,
+                     TYPE_CLASH, LOCATION_CLASH}
