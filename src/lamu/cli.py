@@ -10,15 +10,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import denot, reduction
-from .concrete import SourceFile, parse_file, parse_program, pretty_program
+from .concrete import (
+    SourceFile, parse_file, parse_program, pretty_program, tokenize,
+)
 from .generator import STRATIFIED_SIGNATURE, Generator, GeneratorConfig
 from .reduction import evaluate, reachable_normal_forms, replay
-from .syntax import LamuError, Program, free_vars
+from .syntax import LamuError, Program
 from .typecheck import (
-    ambient_context, base_names_used, default_signature, infer,
+    Typing, ambient_context, base_names_used, default_signature, infer,
     subject_reduction_check,
 )
 
@@ -55,19 +57,19 @@ def _print_trace(p: Program, trace, out):
         print(pretty_program(after), file=out)
 
 
-def _source_text(src: SourceFile, program: Program) -> str:
+def _source_text(src: SourceFile) -> str:
     lines = []
     for name, ty in src.signature.items():
         lines.append(f"cons {name} : {ty!r}.")
     for name, size in src.base_sizes.items():
         lines.append(f"base {name} = {size}.")
-    lines.append(pretty_program(program))
+    lines.append(pretty_program(src.program))
     return "\n".join(lines) + "\n"
 
 
 def _write_counterexample(suite: str, index: int, src: SourceFile,
-                          program: Program, out) -> None:
-    text = _source_text(src, program)
+                          out) -> None:
+    text = _source_text(src)
     path = f"counterexample-{suite}-{index}.luni"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -75,17 +77,17 @@ def _write_counterexample(suite: str, index: int, src: SourceFile,
     print(text, file=out, end="")
 
 
-def _generator_source(config: GeneratorConfig) -> SourceFile:
-    src = SourceFile()
-    src.signature = dict(config.signature)
-    return src
+def _typing(src: SourceFile) -> Typing:
+    """The principal typing of the program, its free variables ambient."""
+    return infer(ambient_context(src.program),
+                 default_signature(src.signature), src.program)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def cmd_run(args, out) -> int:
-    src = _load(args.file)
+    src = args.file
     result = evaluate(src.program, fuel=args.fuel, strategy=args.strategy,
                       seed=args.seed)
     if args.trace:
@@ -99,13 +101,10 @@ def cmd_run(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
-    src = _load(args.file)
-    sig = default_signature(src.signature)
-    typing = infer(ambient_context(src.program), sig, src.program)
+    typing = _typing(args.file)
     print(repr(typing.type), file=out)
     for name in sorted(typing.gamma):
-        if name in free_vars(src.program):
-            print(f"  {name} : {typing.gamma[name]!r}", file=out)
+        print(f"  {name} : {typing.gamma[name]!r}", file=out)
     return EXIT_OK
 
 
@@ -119,9 +118,8 @@ def _model_for(src: SourceFile, cap: int, typing) -> denot.Model:
 
 
 def cmd_denote(args, out) -> int:
-    src = _load(args.file)
-    sig = default_signature(src.signature)
-    typing = infer(ambient_context(src.program), sig, src.program)
+    src = args.file
+    typing = _typing(src)
     model = _model_for(src, args.cap, typing)
     sem = denot.denote_toplevel(typing.node, model, typing.gamma)
     print(f"type: {typing.type!r}", file=out)
@@ -135,19 +133,19 @@ def cmd_test_confluence(args, out) -> int:
     config = GeneratorConfig(seed=args.seed, max_depth=args.depth)
     gen = Generator(config)
     stream = gen.programs()
-    src = _generator_source(config)
+    src = SourceFile(signature=dict(config.signature))
     bound_limited = states = 0
     most = (0, 0)       # (states, index) of the first sample with the most
     for i in range(args.samples):
-        p = next(stream)
-        exploration = reachable_normal_forms(p, fuel=args.fuel,
+        src.program = next(stream)
+        exploration = reachable_normal_forms(src.program, fuel=args.fuel,
                                              max_states=args.max_states)
         bound_limited += not exploration.complete
         states += exploration.states
         if exploration.states > most[0]:
             most = (exploration.states, i)
         if len(exploration.normal_forms) > 1:
-            _write_counterexample("confluence", i, src, p, out)
+            _write_counterexample("confluence", i, src, out)
             return EXIT_COUNTEREXAMPLE
     print(f"confluence: {args.samples} samples, {bound_limited} bound-limited, "
           f"0 counterexamples; {states} states, most in sample {most[1]} "
@@ -161,20 +159,18 @@ def cmd_test_soundness(args, out) -> int:
                              signature=dict(STRATIFIED_SIGNATURE))
     gen = Generator(config)
     stream = gen.programs()
-    src = _generator_source(config)
-    sig = default_signature(config.signature)
+    src = SourceFile(signature=dict(config.signature))
     skipped = 0
     for i in range(args.samples):
-        p = next(stream)
+        src.program = next(stream)
         try:
-            typing = infer(ambient_context(p), sig, p)
-            model = _model_for(src, args.cap, typing)
-            verdict = denot.soundness_check(p, model, fuel=args.fuel)
+            model = _model_for(src, args.cap, _typing(src))
+            verdict = denot.soundness_check(src.program, model, fuel=args.fuel)
         except (denot.TooLarge, denot.DenotError):
             skipped += 1
             continue
         if not verdict.ok:
-            _write_counterexample("soundness", i, src, p, out)
+            _write_counterexample("soundness", i, src, out)
             return EXIT_COUNTEREXAMPLE
     print(f"soundness: {args.samples} samples, {skipped} skipped "
           f"(no finite model), 0 counterexamples", file=out)
@@ -186,14 +182,14 @@ def cmd_test_subject_reduction(args, out) -> int:
                              allow_absloc=False, well_typed=True)
     gen = Generator(config)
     stream = gen.programs()
-    src = _generator_source(config)
-    sig = default_signature(config.signature)
+    src = SourceFile(signature=dict(config.signature))
+    sig = default_signature(src.signature)
     for i in range(args.samples):
-        p = next(stream)
-        verdict = subject_reduction_check(ambient_context(p), sig, p,
-                                          fuel=args.fuel)
+        src.program = next(stream)
+        verdict = subject_reduction_check(ambient_context(src.program), sig,
+                                          src.program, fuel=args.fuel)
         if not verdict.ok:
-            _write_counterexample("subject-reduction", i, src, p, out)
+            _write_counterexample("subject-reduction", i, src, out)
             return EXIT_COUNTEREXAMPLE
     print(f"subject reduction: {args.samples} samples, 0 counterexamples",
           file=out)
@@ -204,8 +200,10 @@ def cmd_test_subject_reduction(args, out) -> int:
 # REPL
 
 def cmd_repl(args, out) -> int:
-    state = SourceFile()
-    definitions: Dict[str, object] = {}
+    """Each line is run, checked or denoted by cmd_run, cmd_check or
+    cmd_denote, on the session's declarations plus the line."""
+    session = SourceFile()
+    views = {":trace": cmd_run, ":type": cmd_check, ":denote": cmd_denote}
     print("type a program, a declaration, or :trace/:type/:denote/:quit",
           file=out)
     while True:
@@ -217,51 +215,30 @@ def cmd_repl(args, out) -> int:
         line = line.strip()
         if not line:
             continue
+        command, _, rest = line.partition(" ")
         try:
             if line in (":q", ":quit"):
                 return EXIT_OK
             if line.startswith(":"):
-                _repl_meta(line, state, definitions, out)
-                continue
-            if line.split()[0] in ("cons", "base", "def"):
-                parsed = parse_file(line, definitions)
-                state.signature.update(parsed.signature)
-                state.base_sizes.update(parsed.base_sizes)
-                definitions.update(parsed.definitions)
-                if not parsed.program.is_fail:
-                    _repl_run(parsed.program, out)
-                continue
-            _repl_run(parse_program(line, definitions), out)
+                if command not in views:
+                    print(f"unknown command {command}", file=out)
+                    continue
+                session.program = parse_program(rest, session.definitions)
+                view = views[command]
+            else:
+                parsed = parse_file(line, session.definitions)
+                session.signature.update(parsed.signature)
+                session.base_sizes.update(parsed.base_sizes)
+                session.definitions.update(parsed.definitions)
+                if tokenize(line)[-2].text == ".":  # declarations only
+                    continue
+                session.program = parsed.program
+                view = cmd_run
+            view(argparse.Namespace(file=session, fuel=1000,
+                                    strategy="leftmost", seed=0,
+                                    trace=command == ":trace", cap=4096), out)
         except (LamuError, RecursionError) as exc:
             print(f"error: {exc}", file=out)
-
-
-def _repl_run(program: Program, out) -> None:
-    result = evaluate(program, fuel=1000)
-    prefix = "" if result.normal else "out of fuel: "
-    print(prefix + pretty_program(result.program), file=out)
-
-
-def _repl_meta(line: str, state: SourceFile, definitions, out) -> None:
-    command, _, rest = line.partition(" ")
-    if command not in (":trace", ":type", ":denote"):
-        print(f"unknown command {command}", file=out)
-        return
-    program = parse_program(rest, definitions)
-    if command == ":trace":
-        result = evaluate(program, fuel=1000)
-        _print_trace(program, result.trace, out)
-        print(pretty_program(result.program), file=out)
-        return
-    sig = default_signature(state.signature)
-    typing = infer(ambient_context(program), sig, program)
-    if command == ":type":
-        print(repr(typing.type), file=out)
-        return
-    model = _model_for(state, 4096, typing)
-    sem = denot.denote_toplevel(typing.node, model, typing.gamma)
-    for item in sorted(map(repr, sem)) or ["(empty)"]:
-        print(f"  {item}", file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed = _default_seed()
 
     run = sub.add_parser("run", help="evaluate a program file")
-    run.add_argument("file")
+    run.add_argument("file", type=_load)
     run.add_argument("--fuel", type=int, default=1000)
     run.add_argument("--strategy", choices=reduction.STRATEGIES,
                      default="leftmost")
@@ -284,11 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     check = sub.add_parser("check", help="infer the program's type")
-    check.add_argument("file")
+    check.add_argument("file", type=_load)
     check.set_defaults(func=cmd_check)
 
     den = sub.add_parser("denote", help="compute the finite denotation")
-    den.add_argument("file")
+    den.add_argument("file", type=_load)
     den.add_argument("--cap", type=int, default=4096)
     den.set_defaults(func=cmd_denote)
 

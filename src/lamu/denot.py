@@ -287,15 +287,12 @@ class SoundnessVerdict:
     final_denotation: Optional[FrozenSet[SemValue]] = None
 
 
-def soundness_check(p: Program, model: Model, fuel=200,
-                    gamma: Optional[Dict[str, Optional[Type]]] = None
-                    ) -> SoundnessVerdict:
+def soundness_check(p: Program, model: Model, fuel=200) -> SoundnessVerdict:
     """Evaluate the program; at each step of the trace check that the
     denotation shrinks or stays equal, with equality required for every
     rule other than fail."""
     check_coherent(p)
-    typing = infer(gamma if gamma is not None else ambient_context(p),
-                   model.sig, p)
+    typing = infer(ambient_context(p), model.sig, p)
     context = dict(typing.gamma)
     before_sem = denote_toplevel(typing.node, model, context)
     verdict = SoundnessVerdict(True, [])

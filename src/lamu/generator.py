@@ -40,6 +40,9 @@ STRATIFIED_SIGNATURE: Dict[str, Type] = {
     "P": Arrow(IOTA, Arrow(IOTA, Base("pair"))),
 }
 
+#: the most threads in a generated program
+MAX_THREADS = 3
+
 #: closed bodies for allocated abstractions, one per pinned location
 _CLOSED_BODIES: Tuple[Tuple[int, str, Program], ...] = (
     (901, "x", singleton(Var("x"))),
@@ -52,7 +55,6 @@ _CLOSED_BODIES: Tuple[Tuple[int, str, Program], ...] = (
 class GeneratorConfig:
     seed: int = 0
     max_depth: int = 4
-    max_threads: int = 3
     variables: Tuple[str, ...] = ("x", "y", "z")
     signature: Dict[str, Type] = field(
         default_factory=lambda: dict(DEFAULT_SIGNATURE))
@@ -91,9 +93,6 @@ class Generator:
     def goal(self) -> Tuple[Term, Term]:
         return self.value(), self.value()
 
-    def goals(self, n: int) -> List[Tuple[Term, Term]]:
-        return [self.goal() for _ in range(n)]
-
     # -- terms and programs
 
     def term(self, depth: Optional[int] = None) -> Term:
@@ -123,7 +122,7 @@ class Generator:
     def program(self, depth: Optional[int] = None) -> Program:
         if depth is None:
             depth = self.config.max_depth
-        n = self.rng.randint(1, self.config.max_threads)
+        n = self.rng.randint(1, MAX_THREADS)
         return Program(tuple(self.term(depth) for _ in range(n)))
 
     # -- streams

@@ -273,13 +273,11 @@ def check(gamma, sig, x, expected: Type) -> Typing:
     return _run(gamma, sig, x, expected)
 
 
-def ambient_context(x, declared=None) -> Dict[str, Optional[Type]]:
+def ambient_context(x) -> Dict[str, Optional[Type]]:
     """Context accepting the free variables of a toplevel program as
-    global symbolic variables."""
-    gamma: Dict[str, Optional[Type]] = {name: None for name in free_vars(x)}
-    if declared:
-        gamma.update(declared)
-    return gamma
+    global symbolic variables, in name order: defaulting numbers their
+    leftover type variables in that order."""
+    return {name: None for name in sorted(free_vars(x))}
 
 
 def base_names_used(typing: "Typing") -> set:

@@ -67,19 +67,8 @@ class Problem:
     def __repr__(self):
         return f"Problem({list(self.goals)!r})"
 
-    def free_vars(self):
-        out = frozenset()
-        for g in self.goals:
-            out |= g.free_vars()
-        return out
-
     def subst(self, sigma: Substitution) -> "Problem":
         return Problem(g.subst(sigma) for g in self.goals)
-
-    def terms(self):
-        for g in self.goals:
-            yield g.lhs
-            yield g.rhs
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ as a predicate, weak contexts as terms with a hole and plugging into
 them, the closure-based redex search that the paths are checked against,
 location renaming, substitution equality, composition, support and
 range, trace replay, the whole-program step and the product-space
-explorer, the unitary check of denotations, the brute-force unification
-oracle, the criterion-4 critical pairs, the recursive normal/stuck
+explorer, the unitary check of denotations, the free variables and terms
+of a unification problem, a batch of generated goals, the brute-force
+unification oracle, the criterion-4 critical pairs, the recursive normal/stuck
 classifier and the whole-program simultaneous evaluator, the two-phase
 unification step, and the full simultaneous reduction relation for the
 diamond spot checks."""
@@ -484,6 +485,27 @@ def unify_step_oracle(problem):
 
 
 # ---------------------------------------------------------------------------
+# Unification problems and goals, read by the tests only
+
+def problem_free_vars(problem) -> frozenset:
+    out = frozenset()
+    for g in problem:
+        out |= g.free_vars()
+    return out
+
+
+def problem_terms(problem) -> Iterator[Term]:
+    for g in problem:
+        yield g.lhs
+        yield g.rhs
+
+
+def goals(gen, n: int) -> list:
+    """n goals drawn from the generator gen."""
+    return [gen.goal() for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
 # Ground unification oracle
 
 @functools.lru_cache(maxsize=None)
@@ -523,7 +545,7 @@ def brute_force_unifiable(problem, universe):
     The search is depth-first and checks each goal as soon as all of its
     variables are assigned, which prunes but visits candidates in the
     same order."""
-    names = sorted(problem.free_vars())
+    names = sorted(problem_free_vars(problem))
     position = {name: k for k, name in enumerate(names)}
     # due[k]: the goals whose variables are all among names[:k]
     due = [[] for _ in range(len(names) + 1)]

@@ -1,8 +1,9 @@
 """Every module-level name in ``src/lamu`` is either used in ``src/``
-outside its own definition or exported in ``lamu.__all__``: a helper that
-only the tests use belongs in ``tests/``.  Every name a module imports is
-read in that module, and a module imports its siblings at module level
-and only through their public names."""
+outside its own definition or exported in ``lamu.__all__``, and every
+method is read as an attribute in ``src/`` or ``bench/`` outside its own
+body: a helper that only the tests use belongs in ``tests/``.  Every name
+a module imports is read in that module, and a module imports its
+siblings at module level and only through their public names."""
 
 import ast
 import os
@@ -10,14 +11,16 @@ from collections import Counter
 
 import lamu
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "lamu")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "lamu")
+BENCH = os.path.join(ROOT, "bench")
 
 
-def _modules():
-    for name in sorted(os.listdir(SRC)):
+def _modules(directory=SRC):
+    for name in sorted(os.listdir(directory)):
         if name.endswith(".py"):
-            with open(os.path.join(SRC, name), encoding="utf-8") as handle:
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8") as handle:
                 yield name[:-3], ast.parse(handle.read())
 
 
@@ -67,6 +70,62 @@ def test_src_holds_only_used_or_public_names():
 def test_the_check_sees_a_dead_helper():
     tree = ast.parse("def dead():\n    return dead()\n\nX = 1\nY = X\n")
     assert unused_names([("m", tree)]) == ["m.dead", "m.Y"]
+
+
+def _methods(tree):
+    """(Class.name, node) for each function defined in a class body,
+    dunders excepted."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("__")):
+                    yield f"{cls.name}.{node.name}", node
+
+
+def _attribute_reads(tree):
+    """How often each name is read as an attribute (``x.name``) in tree."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load))
+
+
+def unused_methods(modules, readers):
+    """module.Class.name for each method of modules that no attribute
+    read in modules or readers names outside the method's own body.
+    Names are matched by spelling, so any attribute of the same name
+    counts as a use."""
+    everywhere = sum((_attribute_reads(tree) for _, tree in modules + readers),
+                     Counter())
+    return [f"{module}.{qualname}"
+            for module, tree in modules
+            for qualname, node in _methods(tree)
+            if everywhere[node.name] == _attribute_reads(node)[node.name]]
+
+
+def test_src_holds_only_read_methods():
+    assert unused_methods(list(_modules()), list(_modules(BENCH))) == []
+
+
+def test_the_check_sees_a_dead_method():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __eq__(self, other):\n"
+        "        return self.used()\n"
+        "    def used(self):\n"
+        "        return True\n"
+        "    def dead(self):\n"
+        "        return self.dead()\n"
+        "    def benched(self):\n"
+        "        return 1\n"
+        "    def stored(self):\n"
+        "        return 2\n"
+        "A.stored = None\n")
+    bench = ast.parse("A().benched()\n")
+    assert unused_methods([("m", tree)], []) == [
+        "m.A.dead", "m.A.benched", "m.A.stored"]
+    assert unused_methods([("m", tree)], [("b", bench)]) == [
+        "m.A.dead", "m.A.stored"]
 
 
 def _imports(tree):

@@ -2,11 +2,21 @@
 report determinism."""
 
 import os
+import subprocess
+import sys
+
+import pytest
 
 from helpers import within
 from lamu.cli import (
-    EXIT_FAILED_PROGRAM, EXIT_OK, EXIT_USER_ERROR, main,
+    EXIT_COUNTEREXAMPLE, EXIT_FAILED_PROGRAM, EXIT_OK, EXIT_USER_ERROR, main,
 )
+from lamu.concrete import parse_file
+from lamu.denot import SoundnessVerdict
+from lamu.generator import DEFAULT_SIGNATURE, STRATIFIED_SIGNATURE
+from lamu.reduction import Exploration
+from lamu.syntax import Program, alpha_eq
+from lamu.typecheck import Verdict
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -56,6 +66,22 @@ def test_check_ok(capsys):
     code, out, _ = run_main(["check", corpus("fresh_solve.luni")], capsys)
     assert code == EXIT_OK
     assert out.splitlines()[0] == "i"
+
+
+def test_check_names_free_variables_independently_of_the_hash_seed(tmp_path):
+    path = tmp_path / "open.luni"
+    path.write_text("x =:= x ; y =:= y ; Ok\n")
+    # the subprocess does not see pytest's pythonpath setting
+    src_dir = os.path.join(os.path.dirname(CORPUS), os.pardir, "src")
+    pythonpath = os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=pythonpath)
+        done = subprocess.run(
+            [sys.executable, "-m", "lamu.cli", "check", str(path)],
+            capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout) == (
+            EXIT_OK, "unit\n  x : t0\n  y : t1\n"), seed
 
 
 def test_check_ill_typed_exits_two(capsys):
@@ -139,6 +165,7 @@ def test_repl_reports_deep_input_and_continues(tmp_path, monkeypatch, capsys):
 
 
 def test_repl_transcript(monkeypatch, capsys):
+    omega = "(\\x. x x) (\\x. x x)"
     code, out = run_repl([
         "cons S : i -> j.",
         "cons C : i.",
@@ -146,25 +173,49 @@ def test_repl_transcript(monkeypatch, capsys):
         "def two = \\x. S x.",
         "two C",
         ":type two",
+        ":type z",
         ":trace two C",
         ":denote two C",
+        "cons E : i. fail",
+        omega,
         ":frob C",
         ")",
         "C",
+        ":trace " + omega,
     ], monkeypatch, capsys)
     assert code == EXIT_OK
-    assert out == [
+    assert out[:25] == [
         "S C",
         "i -> j",
+        "t0",
+        "  z : t0",
         "#0 [alloc] thread=0",
         "(\\x@L1. S x) C",
         "#1 [beta] thread=0",
         "S C",
         "S C",
+        "type: j",
+        "denotation (1 element(s)):",
         "  S(C)",
+        "fail",
+        "out of fuel after 1000 steps:",
+        "(\\x@L2. x x) (\\x@L2. x x)",
         "unknown command :frob",
         "error: expected a term, found ')' at line 1, column 1",
         "C",
+        "#0 [alloc] thread=0",
+        "(\\x@L1. x x) (\\x. x x)",
+        "#1 [alloc] thread=0",
+        "(\\x@L1. x x) (\\x@L2. x x)",
+        "#2 [beta] thread=0",
+        "(\\x@L2. x x) (\\x@L2. x x)",
+        "#3 [beta] thread=0",
+    ]
+    assert len(out) == 18 + 2 * 1000 + 3
+    assert out[-4:] == [
+        "(\\x@L2. x x) (\\x@L2. x x)",
+        "out of fuel after 1000 steps:",
+        "(\\x@L2. x x) (\\x@L2. x x)",
         "",
     ]
 
@@ -227,6 +278,35 @@ def test_soundness_suite_counts_skipped_draws(capsys):
     assert code == EXIT_OK
     assert out.strip() == ("soundness: 3 samples, 3 skipped (no finite model), "
                            "0 counterexamples")
+
+
+@pytest.mark.parametrize("suite, check, violation, signature", [
+    ("confluence", "lamu.cli.reachable_normal_forms",
+     Exploration({"one", "two"}, 2, True), DEFAULT_SIGNATURE),
+    ("soundness", "lamu.denot.soundness_check",
+     SoundnessVerdict(False, []), STRATIFIED_SIGNATURE),
+    ("subject-reduction", "lamu.cli.subject_reduction_check",
+     Verdict(False), DEFAULT_SIGNATURE),
+])
+def test_suite_writes_a_loadable_counterexample(
+        suite, check, violation, signature, tmp_path, monkeypatch, capsys):
+    samples = []
+
+    def violated(*args, **kwargs):
+        samples.append(next(a for a in args if isinstance(a, Program)))
+        return violation
+
+    monkeypatch.setattr(check, violated)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_main([f"test-{suite}", "--samples", "1"], capsys)
+    assert code == EXIT_COUNTEREXAMPLE
+    path = tmp_path / f"counterexample-{suite}-0.luni"
+    assert out.startswith(
+        f"counterexample (sample 0), written to {path.name}:")
+    src = parse_file(path.read_text())
+    [sample] = samples
+    assert src.signature == signature
+    assert alpha_eq(src.program, sample)
 
 
 def test_reports_are_deterministic(capsys):

@@ -1,7 +1,7 @@
 """Tests for the random program generator: determinism, coherence,
 depth bounds, and the shape of the sampled distribution."""
 
-from helpers import coherent
+from helpers import coherent, goals
 from lamu.generator import (
     DEFAULT_SIGNATURE, Generator, GeneratorConfig, sample_programs,
 )
@@ -42,7 +42,7 @@ def test_values_are_values():
 
 def test_goal_sides_are_values():
     gen = Generator(GeneratorConfig(seed=4))
-    for lhs, rhs in gen.goals(100):
+    for lhs, rhs in goals(gen, 100):
         assert is_value(lhs) and is_value(rhs)
 
 

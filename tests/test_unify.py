@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    brute_force_unifiable, compose, ground_universe, range_values, subst_equal,
-    unify_step_oracle,
+    brute_force_unifiable, compose, ground_universe, problem_terms,
+    range_values, subst_equal, unify_step_oracle,
 )
 from lamu.generator import Generator, GeneratorConfig
 from lamu.syntax import (
@@ -146,7 +146,7 @@ def test_mgu_variable_to_closure():
 
 def test_incoherent_problem_has_a_location_witness():
     bad = Problem([Goal(ID1, X), Goal(AbsLoc(1, "y", singleton(C)), Y)])
-    assert coherence_witness(bad.terms())[0] == "location-mismatch"
+    assert coherence_witness(problem_terms(bad))[0] == "location-mismatch"
 
 
 def test_is_unifier():
@@ -199,7 +199,7 @@ def test_mgu_laws_on_random_goal_sets():
             # idempotence
             assert subst_equal(sigma, compose(sigma, sigma))
             # instantiated problem plus the range stays coherent
-            leftover = list(problem.subst(sigma).terms()) + \
+            leftover = list(problem_terms(problem.subst(sigma))) + \
                 range_values(sigma)
             assert coherence_witness(leftover) is None
         else:
