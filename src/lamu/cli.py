@@ -42,6 +42,13 @@ def _default_seed() -> int:
         raise UsageError(f"LUNI_SEED must be an integer, not {text!r}") from None
 
 
+def _count(text: str) -> int:
+    """argparse type of every count option: a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text}")
+    return int(text)
+
+
 def _load(path: str) -> SourceFile:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -61,8 +68,6 @@ def _source_text(src: SourceFile) -> str:
     lines = []
     for name, ty in src.signature.items():
         lines.append(f"cons {name} : {ty!r}.")
-    for name, size in src.base_sizes.items():
-        lines.append(f"base {name} = {size}.")
     lines.append(pretty_program(src.program))
     return "\n".join(lines) + "\n"
 
@@ -253,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="evaluate a program file")
     run.add_argument("file", type=_load)
-    run.add_argument("--fuel", type=int, default=1000)
+    run.add_argument("--fuel", type=_count, default=1000)
     run.add_argument("--strategy", choices=reduction.STRATEGIES,
                      default="leftmost")
     run.add_argument("--trace", action="store_true")
@@ -266,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     den = sub.add_parser("denote", help="compute the finite denotation")
     den.add_argument("file", type=_load)
-    den.add_argument("--cap", type=int, default=4096)
+    den.add_argument("--cap", type=_count, default=4096)
     den.set_defaults(func=cmd_denote)
 
     for name, func, extra in (
@@ -276,14 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
             ("test-subject-reduction", cmd_test_subject_reduction,
              {"samples": 300, "fuel": 200})):
         suite = sub.add_parser(name, help=f"property suite: {name[5:]}")
-        suite.add_argument("--samples", type=int, default=extra["samples"])
+        suite.add_argument("--samples", type=_count, default=extra["samples"])
         suite.add_argument("--seed", type=int, default=seed)
-        suite.add_argument("--fuel", type=int, default=extra["fuel"])
-        suite.add_argument("--depth", type=int, default=3)
+        suite.add_argument("--fuel", type=_count, default=extra["fuel"])
+        suite.add_argument("--depth", type=_count, default=3)
         if name == "test-confluence":
-            suite.add_argument("--max-states", type=int, default=10000)
+            suite.add_argument("--max-states", type=_count, default=10000)
         if name == "test-soundness":
-            suite.add_argument("--cap", type=int, default=4096)
+            suite.add_argument("--cap", type=_count, default=4096)
         suite.set_defaults(func=func)
 
     repl = sub.add_parser("repl", help="interactive loop")

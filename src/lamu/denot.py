@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 from .reduction import FAILRULE, FRESH, evaluate, replay
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Term,
-    Unif, Var, check_coherent, free_vars,
+    Unif, Var, free_vars,
 )
 from .typecheck import (
     Arrow, Base, Meta, Type, ambient_context, arg_types, base_names, infer,
@@ -291,7 +291,6 @@ def soundness_check(p: Program, model: Model, fuel=200) -> SoundnessVerdict:
     """Evaluate the program; at each step of the trace check that the
     denotation shrinks or stays equal, with equality required for every
     rule other than fail."""
-    check_coherent(p)
     typing = infer(ambient_context(p), model.sig, p)
     context = dict(typing.gamma)
     before_sem = denote_toplevel(typing.node, model, context)

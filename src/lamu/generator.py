@@ -95,10 +95,8 @@ class Generator:
 
     # -- terms and programs
 
-    def term(self, depth: Optional[int] = None) -> Term:
+    def term(self, depth: int) -> Term:
         cfg = self.config
-        if depth is None:
-            depth = cfg.max_depth
         if depth <= 0:
             return self.value(0)
         kind = self.rng.choice(

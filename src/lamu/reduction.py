@@ -47,12 +47,6 @@ FAILRULE = "fail"
 STRATEGIES = ("leftmost", "rightmost", "random")
 
 
-# What _term_redexes tells about the subterm it searched: not a value, a
-# value that heads no spine (a variable or a located abstraction), or a
-# constructor applied to values.
-NOT_VALUE, LEAF, SPINE = 0, 1, 2
-
-
 @dataclass(frozen=True)
 class Redex:
     """The redex focus of thread ``thread``, contracted by ``rule``.
@@ -83,23 +77,23 @@ class TraceStep(NamedTuple):
 
 def _term_redexes(t: Term, path, thread: int):
     """Yield the redexes of t, reached along path in the given thread, in
-    leftmost-innermost order (post-order, children left to right), and
-    return NOT_VALUE, LEAF or SPINE for t, decided in the same walk."""
+    leftmost-innermost order (post-order, children left to right)."""
+    if t.value:
+        return          # a value holds no redex
     if isinstance(t, App):
-        fn = yield from _term_redexes(t.fn, (t, 0, path), thread)
-        arg = yield from _term_redexes(t.arg, (t, 1, path), thread)
-        if isinstance(t.fn, AbsLoc) and arg:
+        yield from _term_redexes(t.fn, (t, 0, path), thread)
+        yield from _term_redexes(t.arg, (t, 1, path), thread)
+        if isinstance(t.fn, AbsLoc) and t.arg.value:
             yield Redex(thread, path, t, BETA)
-        return SPINE if fn == SPINE and arg else NOT_VALUE
-    if isinstance(t, Guard):
-        left = yield from _term_redexes(t.left, (t, 0, path), thread)
+    elif isinstance(t, Guard):
+        yield from _term_redexes(t.left, (t, 0, path), thread)
         yield from _term_redexes(t.right, (t, 1, path), thread)
-        if left:
+        if t.left.value:
             yield Redex(thread, path, t, GUARD)
     elif isinstance(t, Unif):
-        left = yield from _term_redexes(t.left, (t, 0, path), thread)
-        right = yield from _term_redexes(t.right, (t, 1, path), thread)
-        if left and right:
+        yield from _term_redexes(t.left, (t, 0, path), thread)
+        yield from _term_redexes(t.right, (t, 1, path), thread)
+        if t.left.value and t.right.value:
             outcome = unify.mgu_goal(t.left, t.right)
             rule = UNIF if isinstance(outcome, unify.Solved) else FAILRULE
             yield Redex(thread, path, t, rule, outcome)
@@ -107,11 +101,6 @@ def _term_redexes(t: Term, path, thread: int):
         yield Redex(thread, path, t, ALLOC)
     elif isinstance(t, Fresh):
         yield Redex(thread, path, t, FRESH)
-    elif isinstance(t, Cons):
-        return SPINE
-    else:
-        return LEAF     # Var, AbsLoc: no redex at or below them
-    return NOT_VALUE
 
 
 def _plug(path, t: Term) -> Term:

@@ -31,17 +31,22 @@ class CoherenceError(LamuError):
 
 @dataclass(frozen=True)
 class Term:
-    pass
+    """``value`` says whether the term is a value.  It is a class
+    attribute, not a field, so ``==``, ``hash`` and ``repr`` ignore it;
+    ``App`` decides it once, when it is built."""
+    value = False
 
 
 @dataclass(frozen=True)
 class Var(Term):
     name: str
+    value = True
 
 
 @dataclass(frozen=True)
 class Cons(Term):
     name: str
+    value = True
 
 
 @dataclass(frozen=True)
@@ -59,12 +64,18 @@ class AbsLoc(Term):
     var: str
     body: "Program"
     ann: Optional[object] = field(default=None, compare=False)
+    value = True
 
 
 @dataclass(frozen=True)
 class App(Term):
     fn: Term
     arg: Term
+
+    def __post_init__(self):
+        fn = self.fn
+        object.__setattr__(self, "value", self.arg.value and (
+            type(fn) is Cons or (type(fn) is App and fn.value)))
 
 
 @dataclass(frozen=True)
@@ -202,17 +213,8 @@ def make_spine(head: Term, args: Iterable[Term]) -> Term:
 
 def is_value(t: Term) -> bool:
     """A variable, a located abstraction, or a constructor applied to
-    values; an explicit stack, so any depth is fine."""
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, (Var, AbsLoc)):
-            continue
-        head, args = spine(t)
-        if not isinstance(head, Cons):
-            return False
-        stack.extend(args)
-    return True
+    values: read from the term, which decided it when it was built."""
+    return t.value
 
 
 # ---------------------------------------------------------------------------

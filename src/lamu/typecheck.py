@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Union
 from .reduction import FRESH, evaluate, replay
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Term,
-    Unif, Var, check_coherent, free_vars, subterms,
+    Unif, Var, free_vars, subterms,
 )
 
 
@@ -302,19 +302,16 @@ class StepReport:
 class Verdict:
     ok: bool
     steps: list = field(default_factory=list)
-    final: Optional[Program] = None
 
 
 def subject_reduction_check(gamma, sig, p: Program, fuel=200) -> Verdict:
     """Evaluate the program and re-check it at its inferred type after
     each step of the trace, extending the context with the variable each
     fresh step issues."""
-    check_coherent(p)
     typing = infer(gamma, sig, p)
     context = dict(typing.gamma)
-    result = evaluate(typing.node, fuel)
-    verdict = Verdict(True, final=result.program)
-    for ts, after in replay(typing.node, result.trace):
+    verdict = Verdict(True)
+    for ts, after in replay(typing.node, evaluate(typing.node, fuel).trace):
         if ts.rule == FRESH:
             # the freshly introduced variable takes the binder's type
             context[ts.fresh_var] = ts.focus.ann

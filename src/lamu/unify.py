@@ -67,9 +67,6 @@ class Problem:
     def __repr__(self):
         return f"Problem({list(self.goals)!r})"
 
-    def subst(self, sigma: Substitution) -> "Problem":
-        return Problem(g.subst(sigma) for g in self.goals)
-
 
 # ---------------------------------------------------------------------------
 # Clash detection

@@ -1,14 +1,15 @@
-"""Helpers that only the tests use: a timer, term predicates, coherence
-as a predicate, weak contexts as terms with a hole and plugging into
-them, the closure-based redex search that the paths are checked against,
-location renaming, substitution equality, composition, support and
-range, trace replay, the whole-program step and the product-space
-explorer, the unitary check of denotations, the free variables and terms
-of a unification problem, a batch of generated goals, the brute-force
-unification oracle, the criterion-4 critical pairs, the recursive normal/stuck
-classifier and the whole-program simultaneous evaluator, the two-phase
-unification step, and the full simultaneous reduction relation for the
-diamond spot checks."""
+"""Helpers that only the tests use: a timer, value-ness by walking the
+term, term predicates, coherence as a predicate, weak contexts as terms
+with a hole and plugging into them, the closure-based redex search that
+the paths are checked against, location renaming, substitution
+equality, composition, support and range, trace replay, the
+whole-program step and the product-space explorer, the unitary check of
+denotations, the free variables, terms and substitution instance of a
+unification problem, a batch of generated goals, the brute-force
+unification oracle, the criterion-4 critical pairs, the recursive
+normal/stuck classifier and the whole-program simultaneous evaluator,
+the two-phase unification step, and the full simultaneous reduction
+relation for the diamond spot checks."""
 
 import functools
 import signal
@@ -29,7 +30,7 @@ from lamu.reduction import (
 from lamu.syntax import (
     OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, Program,
     Session, Substitution, Term, Unif, Var, alpha_eq, check_coherent,
-    coherence_witness, free_vars, is_value, make_spine, singleton, spine,
+    coherence_witness, free_vars, make_spine, singleton, spine,
     subst_apply, subst_single, _children,
 )
 from lamu.typecheck import Base, Type
@@ -47,6 +48,23 @@ def within(seconds, what, run):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def is_value_oracle(t: Term) -> bool:
+    """A variable, a located abstraction, or a constructor applied to
+    values, decided by walking t with an explicit stack: the definition
+    that the flag Term.value, set when a term is built, is checked
+    against."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, (Var, AbsLoc)):
+            continue
+        head, args = spine(t)
+        if not isinstance(head, Cons):
+            return False
+        stack.extend(args)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +124,17 @@ def _term_redexes_with_contexts(t: Term, context_of, thread: int) -> Iterator[Co
     if isinstance(t, App):
         yield from _term_redexes_with_contexts(t.fn, lambda h: context_of(App(h, t.arg)), thread)
         yield from _term_redexes_with_contexts(t.arg, lambda h: context_of(App(t.fn, h)), thread)
-        if isinstance(t.fn, AbsLoc) and is_value(t.arg):
+        if isinstance(t.fn, AbsLoc) and is_value_oracle(t.arg):
             yield ContextRedex(thread, context_of(HOLE), t, BETA)
     elif isinstance(t, Guard):
         yield from _term_redexes_with_contexts(t.left, lambda h: context_of(Guard(h, t.right)), thread)
         yield from _term_redexes_with_contexts(t.right, lambda h: context_of(Guard(t.left, h)), thread)
-        if is_value(t.left):
+        if is_value_oracle(t.left):
             yield ContextRedex(thread, context_of(HOLE), t, GUARD)
     elif isinstance(t, Unif):
         yield from _term_redexes_with_contexts(t.left, lambda h: context_of(Unif(h, t.right)), thread)
         yield from _term_redexes_with_contexts(t.right, lambda h: context_of(Unif(t.left, h)), thread)
-        if is_value(t.left) and is_value(t.right):
+        if is_value_oracle(t.left) and is_value_oracle(t.right):
             outcome = unify.mgu_goal(t.left, t.right)
             rule = UNIF if isinstance(outcome, unify.Solved) else FAILRULE
             yield ContextRedex(thread, context_of(HOLE), t, rule, outcome)
@@ -138,7 +156,7 @@ def redexes_with_contexts(p) -> List[ContextRedex]:
 
 def is_structure(t: Term) -> bool:
     head, _ = spine(t)
-    return isinstance(head, Cons) and is_value(t)
+    return isinstance(head, Cons) and is_value_oracle(t)
 
 
 def is_weak_context(w: Term) -> bool:
@@ -386,7 +404,7 @@ def is_stuck_oracle(t: Term):
 
 
 def is_normal_term_oracle(t: Term) -> bool:
-    return is_value(t) or is_stuck_oracle(t) is not None
+    return is_value_oracle(t) or is_stuck_oracle(t) is not None
 
 
 def par_step_oracle(p: Program, session: Session) -> Program:
@@ -500,6 +518,11 @@ def problem_terms(problem) -> Iterator[Term]:
         yield g.rhs
 
 
+def problem_subst(problem, sigma: Substitution):
+    """The problem with sigma applied to both sides of every goal."""
+    return unify.Problem(g.subst(sigma) for g in problem)
+
+
 def goals(gen, n: int) -> list:
     """n goals drawn from the generator gen."""
     return [gen.goal() for _ in range(n)]
@@ -597,17 +620,17 @@ def par_term_all(t: Term, session: Session) -> List[ParResult]:
         return results
     if isinstance(t, App):
         binary(App, t.fn, t.arg)
-        if isinstance(t.fn, AbsLoc) and is_value(t.arg):
+        if isinstance(t.fn, AbsLoc) and is_value_oracle(t.arg):
             out.append(ParResult(subst_single(t.fn.body, t.fn.var, t.arg), ()))
         return out
     if isinstance(t, Guard):
         binary(Guard, t.left, t.right)
-        if is_value(t.left):
+        if is_value_oracle(t.left):
             out.extend(par_term_all(t.right, session))
         return out
     if isinstance(t, Unif):
         binary(Unif, t.left, t.right)
-        if is_value(t.left) and is_value(t.right):
+        if is_value_oracle(t.left) and is_value_oracle(t.right):
             out.append(ParResult(singleton(Cons(OK)),
                                  (unify.Goal(t.left, t.right),)))
         return out

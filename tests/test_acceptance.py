@@ -12,7 +12,7 @@ import time
 
 from helpers import (
     brute_force_unifiable, compose, critical_pair_instances, ground_universe,
-    problem_terms, range_values, splice, subst_equal, subst_loc,
+    problem_subst, problem_terms, range_values, splice, subst_equal, subst_loc,
 )
 from lamu.concrete import parse_program, pretty_program
 from lamu.denot import DenotError, Model, TooLarge, denote, soundness_check
@@ -269,7 +269,7 @@ def test_criterion_6_unification_metatheory():
             sigma = outcome.substitution
             idempotent = subst_equal(sigma, compose(sigma, sigma))
             coherent_after = coherence_witness(
-                list(problem_terms(problem.subst(sigma)))
+                list(problem_terms(problem_subst(problem, sigma)))
                 + range_values(sigma)) is None
             if not (is_unifier(sigma, problem) and idempotent
                     and coherent_after):

@@ -7,6 +7,7 @@ siblings at module level and only through their public names."""
 
 import ast
 import os
+import re
 from collections import Counter
 
 import lamu
@@ -191,3 +192,15 @@ def test_the_check_sees_bad_imports():
         "m: _c is private to .a",
         "m: g from .e is imported inside a function",
     ]
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    # README's python block runs as written, and each print prints the
+    # text of the comment that ends its line
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    expected = [line.split("# ", 1)[1].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert expected and capsys.readouterr().out.splitlines() == expected

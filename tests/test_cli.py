@@ -225,6 +225,21 @@ def test_usage_error_exits_two(capsys):
     assert code == EXIT_USER_ERROR
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", corpus("trace.luni"), "--fuel", "-1"],
+    ["denote", corpus("fresh_solve.luni"), "--cap", "-1"],
+    ["test-confluence", "--samples", "-2"],
+    ["test-confluence", "--fuel", "-1"],
+    ["test-confluence", "--max-states", "-1"],
+    ["test-soundness", "--cap", "-1"],
+    ["test-subject-reduction", "--depth", "-1"],
+])
+def test_negative_counts_exit_two(argv, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert code == EXIT_USER_ERROR and out == ""
+    assert f"error: argument {argv[-2]}: not a non-negative integer: -" in err
+
+
 def test_denote(capsys):
     code, out, _ = run_main(["denote", corpus("fresh_solve.luni")], capsys)
     assert code == EXIT_OK

@@ -160,6 +160,32 @@ def test_soundness_along_five_rule_trace():
     assert verdict.final_denotation == frozenset((m.cons_interp("D"),))
 
 
+def test_soundness_reports_the_violating_step(monkeypatch):
+    # denotations that go empty from step #2 (fresh) on break equality
+    # at that step alone, and the report names both sides
+    sig = default_signature({"C": I, "D": I,
+                             "P": Arrow(I, Arrow(I, PAIR))})
+    p = parse_program(r"(\x. fresh y. ((x =:= P C y); y)) (P C D)")
+    m = Model({}, sig, cap=4096)
+    calls = []
+
+    def empty_from_step_2(x, model, gamma=None):
+        calls.append(x)     # call 1 denotes p, call k + 2 step #k
+        return denote_toplevel(x, model, gamma) if len(calls) < 4 \
+            else frozenset()
+
+    monkeypatch.setattr("lamu.denot.denote_toplevel", empty_from_step_2)
+    verdict = soundness_check(p, m)
+    assert not verdict.ok
+    assert [(s.rule, s.ok, s.equal) for s in verdict.steps] == [
+        ("alloc", True, True), ("beta", True, True), ("fresh", False, False),
+        ("unif", True, True), ("guard", True, True)]
+    d = repr(m.cons_interp("D"))
+    assert verdict.steps[2].detail == f"before={[d]} after=[]"
+    assert all(s.detail == "" for s in verdict.steps if s.ok)
+    assert verdict.final_denotation == frozenset()
+
+
 def test_soundness_fail_step_may_shrink():
     p = parse_program("C =:= D | C =:= C")
     m = model()

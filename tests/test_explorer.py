@@ -12,6 +12,9 @@ from lamu.reduction import evaluate, reachable_normal_forms
 DIVERGENT = r"(\x. x x | C) (\x. x x | C)"
 # every split spawns a thread one S deeper, so no key ever repeats
 GROWING = r"(\x. \y. x x (S y) | y) (\x. \y. x x (S y) | y) C"
+# with F = \x. (Ok ; x x) | C, the thread Ok ; F F spawns Ok ; Ok ; F F,
+# whose guard step leads back to Ok ; F F
+RESPAWNING = r"(\x. (Ok ; x x) | C) (\x. (Ok ; x x) | C)"
 
 
 def test_parity_with_product_bfs():
@@ -55,6 +58,14 @@ def test_self_spawning_thread_is_incomplete():
     ex = reachable_normal_forms(parse_program(DIVERGENT))
     assert not ex.complete
     assert ex.normal_forms == set()
+
+
+def test_successor_under_exploration_is_incomplete():
+    # a single-thread step that reaches a thread still being explored
+    # further out is not followed and makes the exploration incomplete;
+    # following it instead would visit 103 states
+    ex = reachable_normal_forms(parse_program(RESPAWNING), fuel=10)
+    assert (ex.complete, ex.normal_forms, ex.states) == (False, set(), 59)
 
 
 def test_deep_split_nesting_is_incomplete_without_recursion_error():

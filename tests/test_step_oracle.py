@@ -6,13 +6,15 @@ the unif substitution recomputed by ``mgu_goal``.  ``evaluate``'s
 thread-level deltas are replayed into whole programs and compared with
 the oracle's step by step.  The redexes' paths are checked against the
 weak contexts of the closure-based search on every thread the streams
-visit."""
+visit, and the value flag each term sets when it is built against the
+walk that decides value-ness from scratch."""
 
 import itertools
 import os
 
 from helpers import (
-    ProgramStep, program_step_at, redexes_with_contexts, weak_context, within,
+    ProgramStep, is_value_oracle, program_step_at, redexes_with_contexts,
+    weak_context, within,
 )
 from lamu import unify
 from lamu.concrete import parse_file, parse_program
@@ -21,7 +23,8 @@ from lamu.reduction import (
     ALLOC, FRESH, UNIF, enumerate_redexes, evaluate, find_redex, replay,
 )
 from lamu.syntax import (
-    App, Session, Term, check_coherent, free_vars, locations,
+    App, Program, Session, Term, check_coherent, free_vars, locations,
+    subterms,
 )
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -159,13 +162,13 @@ def test_divergent_evaluates_in_linear_time():
 
 
 def test_growing_value_evaluates_on_the_main_thread():
-    # at fuel 1 500 the value is 500 levels deep: a recursive is_value
-    # raises RecursionError, and a search that re-walks the value at
-    # every application is slow
+    # at fuel 6 000 the value is 2 000 levels deep: a redex search that
+    # enters values raises RecursionError, and one that re-walks the
+    # value at every step is quadratic in the fuel
     p = parse_program(GROWING)
-    result = within(3.0, "1 500 steps of the growing-value program",
-                    lambda: evaluate(p, fuel=1500))
-    assert not result.normal and result.steps == 1500
+    result = within(3.0, "6 000 steps of the growing-value program",
+                    lambda: evaluate(p, fuel=6000))
+    assert not result.normal and result.steps == 6000
 
 
 def test_step_shares_the_value_beside_the_hole():
@@ -191,13 +194,32 @@ def visited_threads(p, fuel):
     return threads
 
 
+def streams():
+    """(program, fuel) for every stream the oracles above run."""
+    out = [(p, fuel) for _, fuel, p in fork_ladder()]
+    out += [(p, 1000) for p in corpus_programs()]
+    out += [(p, 200) for p in generated_programs()]
+    out += [(parse_program(ISSUED), 10), (parse_program(DIVERGENT), 2000),
+            (parse_program(GROWING), 900)]
+    return out
+
+
+def test_value_flag_matches_the_walk():
+    # every subterm of every thread the streams reach and of the growing
+    # value 1 000 levels deep; steps share subterms, so each distinct
+    # object is checked once
+    threads = [t for p, fuel in streams() for t in visited_threads(p, fuel)]
+    (grown,) = evaluate(parse_program(GROWING), fuel=3000).program
+    terms = {id(t): t for t in subterms(Program(threads + [grown]))}
+    assert len(terms) > 15_000
+    for t in terms.values():
+        assert t.value == is_value_oracle(t), t
+    tower = list(subterms(grown.arg))
+    assert len(tower) > 1000 and all(t.value for t in tower)
+
+
 def test_paths_match_weak_contexts():
-    streams = [(p, fuel) for _, fuel, p in fork_ladder()]
-    streams += [(p, 1000) for p in corpus_programs()]
-    streams += [(p, 200) for p in generated_programs()]
-    streams += [(parse_program(ISSUED), 10), (parse_program(DIVERGENT), 2000),
-                (parse_program(GROWING), 900)]
-    for p, fuel in streams:
+    for p, fuel in streams():
         threads = visited_threads(p, fuel)
         redexes = enumerate_redexes(threads)
         old = redexes_with_contexts(threads)

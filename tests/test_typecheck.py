@@ -7,7 +7,7 @@ from lamu.concrete import parse_program
 from lamu.generator import DEFAULT_SIGNATURE, Generator, GeneratorConfig
 from lamu.syntax import Program, Var, singleton
 from lamu.typecheck import (
-    UNIT, Arrow, Base, TypeCheckError, ambient_context, check,
+    UNIT, Arrow, Base, StepReport, TypeCheckError, ambient_context, check,
     default_signature, infer, subject_reduction_check,
 )
 
@@ -115,6 +115,28 @@ def test_subject_reduction_golden():
     verdict = subject_reduction_check(ambient_context(p), sig, p)
     assert verdict.ok
     assert len(verdict.steps) == 5
+
+
+def test_subject_reduction_reports_the_ill_typed_step(monkeypatch):
+    # a check that fails at step #2 (fresh) alone is reported there, with
+    # its error
+    p = parse_program(r"(\x. x | fresh y. ((x =:= C y); y)) (C D)")
+    sig = default_signature({"C": Arrow(I, I), "D": I})
+    calls = []
+
+    def fails_at_step_2(gamma, sig, x, expected):
+        calls.append(x)
+        if len(calls) == 3:
+            raise TypeCheckError("planted at step #2")
+        return check(gamma, sig, x, expected)
+
+    monkeypatch.setattr("lamu.typecheck.check", fails_at_step_2)
+    verdict = subject_reduction_check(ambient_context(p), sig, p)
+    assert not verdict.ok
+    assert verdict.steps == [
+        StepReport("alloc", True), StepReport("beta", True),
+        StepReport("fresh", False, "planted at step #2"),
+        StepReport("unif", True), StepReport("guard", True)]
 
 
 def test_subject_reduction_extends_context_on_fresh():

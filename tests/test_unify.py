@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    brute_force_unifiable, compose, ground_universe, problem_terms,
-    range_values, subst_equal, unify_step_oracle,
+    brute_force_unifiable, compose, ground_universe, problem_subst,
+    problem_terms, range_values, subst_equal, unify_step_oracle,
 )
 from lamu.generator import Generator, GeneratorConfig
 from lamu.syntax import (
@@ -199,7 +199,7 @@ def test_mgu_laws_on_random_goal_sets():
             # idempotence
             assert subst_equal(sigma, compose(sigma, sigma))
             # instantiated problem plus the range stays coherent
-            leftover = list(problem_terms(problem.subst(sigma))) + \
+            leftover = list(problem_terms(problem_subst(problem, sigma))) + \
                 range_values(sigma)
             assert coherence_witness(leftover) is None
         else:
