@@ -97,9 +97,11 @@ def cmd_run(args, out) -> int:
                       seed=args.seed)
     if args.trace:
         _print_trace(src.program, result.trace, out)
+    # the whole text first: a program too deep to print leaves no header
+    text = pretty_program(result.program)
     if not result.normal:
-        print(f"out of fuel after {result.steps} steps:", file=out)
-    print(pretty_program(result.program), file=out)
+        text = f"out of fuel after {result.steps} steps:\n{text}"
+    print(text, file=out)
     if result.normal and result.program.is_fail:
         return EXIT_FAILED_PROGRAM
     return EXIT_OK

@@ -26,7 +26,7 @@ reduction, Godefroid 1996).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from . import unify
@@ -47,17 +47,18 @@ FAILRULE = "fail"
 STRATEGIES = ("leftmost", "rightmost", "random")
 
 
-@dataclass(frozen=True)
-class Redex:
+class Redex(NamedTuple):
     """The redex focus of thread ``thread``, contracted by ``rule``.
     ``path`` leads from focus back to the thread root: a linked list of
     ``(parent, side, outer_path)`` with side 0 for the ``fn``/``left``
-    child of parent and 1 for ``arg``/``right``, None at the root."""
+    child of parent and 1 for ``arg``/``right``, None at the root.  A
+    NamedTuple because the search builds one per redex; ``==`` compares
+    ``unify_outcome`` too."""
     thread: int
     path: Optional[tuple]
     focus: Term
     rule: str
-    unify_outcome: object = field(default=None, compare=False)
+    unify_outcome: object = None
 
 
 class TraceStep(NamedTuple):
@@ -77,29 +78,33 @@ class TraceStep(NamedTuple):
 
 def _term_redexes(t: Term, path, thread: int):
     """Yield the redexes of t, reached along path in the given thread, in
-    leftmost-innermost order (post-order, children left to right)."""
-    if t.value:
-        return          # a value holds no redex
-    if isinstance(t, App):
-        yield from _term_redexes(t.fn, (t, 0, path), thread)
-        yield from _term_redexes(t.arg, (t, 1, path), thread)
-        if isinstance(t.fn, AbsLoc) and t.arg.value:
+    leftmost-innermost order (post-order, children left to right).  The
+    search enters no child that is a value: a value holds no redex."""
+    cls = type(t)
+    if cls is App:
+        fn, arg = t.fn, t.arg
+        if not fn.value:
+            yield from _term_redexes(fn, (t, 0, path), thread)
+        if not arg.value:
+            yield from _term_redexes(arg, (t, 1, path), thread)
+        elif type(fn) is AbsLoc:
             yield Redex(thread, path, t, BETA)
-    elif isinstance(t, Guard):
-        yield from _term_redexes(t.left, (t, 0, path), thread)
-        yield from _term_redexes(t.right, (t, 1, path), thread)
-        if t.left.value:
-            yield Redex(thread, path, t, GUARD)
-    elif isinstance(t, Unif):
-        yield from _term_redexes(t.left, (t, 0, path), thread)
-        yield from _term_redexes(t.right, (t, 1, path), thread)
-        if t.left.value and t.right.value:
-            outcome = unify.mgu_goal(t.left, t.right)
+    elif cls is Guard or cls is Unif:
+        left, right = t.left, t.right
+        if not left.value:
+            yield from _term_redexes(left, (t, 0, path), thread)
+        if not right.value:
+            yield from _term_redexes(right, (t, 1, path), thread)
+        if cls is Guard:
+            if left.value:
+                yield Redex(thread, path, t, GUARD)
+        elif left.value and right.value:
+            outcome = unify.mgu_goal(left, right)
             rule = UNIF if isinstance(outcome, unify.Solved) else FAILRULE
             yield Redex(thread, path, t, rule, outcome)
-    elif isinstance(t, Abs):
+    elif cls is Abs:
         yield Redex(thread, path, t, ALLOC)
-    elif isinstance(t, Fresh):
+    elif cls is Fresh:
         yield Redex(thread, path, t, FRESH)
 
 
@@ -108,7 +113,7 @@ def _plug(path, t: Term) -> Term:
     are new, every subterm beside it is shared."""
     while path is not None:
         parent, side, path = path
-        if isinstance(parent, App):
+        if type(parent) is App:
             t = App(t, parent.arg) if side == 0 else App(parent.fn, t)
         else:
             t = (type(parent)(t, parent.right) if side == 0

@@ -29,27 +29,27 @@ class CoherenceError(LamuError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
-    """``value`` says whether the term is a value.  It is a class
-    attribute, not a field, so ``==``, ``hash`` and ``repr`` ignore it;
-    ``App`` decides it once, when it is built."""
+    """Slotted and immutable.  ``value`` says whether the term is a value:
+    a class attribute, but on ``App`` a field that ``==``, ``hash`` and
+    ``repr`` ignore, decided once when the node is built."""
     value = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
     value = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cons(Term):
     name: str
     value = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Abs(Term):
     """Unallocated abstraction; not a value until allocated."""
     var: str
@@ -57,7 +57,7 @@ class Abs(Term):
     ann: Optional[object] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbsLoc(Term):
     """Allocated abstraction (runtime closure at a location)."""
     loc: int
@@ -67,10 +67,11 @@ class AbsLoc(Term):
     value = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     fn: Term
     arg: Term
+    value: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fn = self.fn
@@ -78,26 +79,26 @@ class App(Term):
             type(fn) is Cons or (type(fn) is App and fn.value)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fresh(Term):
     var: str
     body: Term
     ann: Optional[object] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Guard(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unif(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Program:
     """Ordered sequence of threads; the empty program is fail."""
     threads: tuple = ()
@@ -257,17 +258,16 @@ def _pick_fresh(base: str, forbidden) -> str:
 
 
 def _subst_term(t: Term, mapping: dict) -> Term:
-    if isinstance(t, Var):
+    cls = type(t)
+    if cls is Var:
         return mapping.get(t.name, t)
-    if isinstance(t, Cons):
-        return t
-    if isinstance(t, App):
+    if cls is App:
         return App(_subst_term(t.fn, mapping), _subst_term(t.arg, mapping))
-    if isinstance(t, Guard):
-        return Guard(_subst_term(t.left, mapping), _subst_term(t.right, mapping))
-    if isinstance(t, Unif):
-        return Unif(_subst_term(t.left, mapping), _subst_term(t.right, mapping))
-    if isinstance(t, (Abs, AbsLoc, Fresh)):
+    if cls is Cons:
+        return t
+    if cls is Guard or cls is Unif:
+        return cls(_subst_term(t.left, mapping), _subst_term(t.right, mapping))
+    if cls is Abs or cls is AbsLoc or cls is Fresh:
         body_fv = free_vars(t.body)
         inner = {k: v for k, v in mapping.items()
                  if k != t.var and k in body_fv}
@@ -281,15 +281,11 @@ def _subst_term(t: Term, mapping: dict) -> Term:
         if var in captured:
             forbidden = captured | body_fv | set(inner)
             new = _pick_fresh(var, forbidden)
-            rename = {var: Var(new)}
-            if isinstance(t, Fresh):
-                body = _subst_term(body, rename)
-            else:
-                body = _subst_program(body, rename)
+            body = _subst(body, {var: Var(new)})
             var = new
-        if isinstance(t, Abs):
+        if cls is Abs:
             return Abs(var, _subst_program(body, inner), t.ann)
-        if isinstance(t, AbsLoc):
+        if cls is AbsLoc:
             return AbsLoc(t.loc, var, _subst_program(body, inner), t.ann)
         return Fresh(var, _subst_term(body, inner), t.ann)
     raise TypeError(f"unexpected term {t!r}")
@@ -299,17 +295,22 @@ def _subst_program(p: Program, mapping: dict) -> Program:
     return Program(tuple(_subst_term(t, mapping) for t in p))
 
 
-def subst_apply(x, sigma: Substitution):
-    """Simultaneous capture-avoiding substitution."""
-    mapping = dict(sigma.items())
+def _subst(x, mapping: dict):
     if isinstance(x, Program):
         return _subst_program(x, mapping)
     return _subst_term(x, mapping)
 
 
+def subst_apply(x, sigma: Substitution):
+    """Simultaneous capture-avoiding substitution."""
+    return _subst(x, dict(sigma.items()))
+
+
 def subst_single(x, name: str, value: Term):
-    """x with value for name; Substitution rejects a non-value."""
-    return subst_apply(x, Substitution({name: value}))
+    """x with value for name, which must be a value."""
+    if not value.value:
+        raise NotAValueError(f"substitution binds {name} to a non-value")
+    return _subst(x, {name: value})
 
 
 # ---------------------------------------------------------------------------

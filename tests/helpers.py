@@ -2,8 +2,9 @@
 term, term predicates, coherence as a predicate, weak contexts as terms
 with a hole and plugging into them, the closure-based redex search that
 the paths are checked against, location renaming, substitution
-equality, composition, support and range, trace replay, the
-whole-program step and the product-space explorer, the unitary check of
+equality, composition, support and range, one-variable substitution
+through a Substitution, trace replay, the whole-program step and the
+product-space explorer, the unitary check of
 denotations, the free variables, terms and substitution instance of a
 unification problem, a batch of generated goals, the brute-force
 unification oracle, the criterion-4 critical pairs, the recursive
@@ -31,7 +32,7 @@ from lamu.syntax import (
     OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, Program,
     Session, Substitution, Term, Unif, Var, alpha_eq, check_coherent,
     coherence_witness, free_vars, make_spine, singleton, spine,
-    subst_apply, subst_single, _children,
+    subst_apply, _children,
 )
 from lamu.typecheck import Base, Type
 
@@ -227,6 +228,13 @@ def subst_equal(a: Substitution, b: Substitution) -> bool:
     return all(alpha_eq(a(x), b(x)) for x in support(a))
 
 
+def subst_single_oracle(x, name: str, value: Term):
+    """x with value for name, through a one-binding Substitution (which
+    rejects a non-value) and subst_apply: the definition that the
+    one-entry walk of syntax.subst_single is checked against."""
+    return subst_apply(x, Substitution({name: value}))
+
+
 def splice(p: Program, ts) -> Program:
     """The whole program after the thread-level step ts of p."""
     return Program(p.threads[:ts.thread] + ts.after + p.threads[ts.thread + 1:])
@@ -270,13 +278,14 @@ def program_step_at(p: Program, redex: Redex, session: Session) -> ProgramStep:
         fresh_loc = session.fresh_loc()
         middle = (plug_term(w, AbsLoc(fresh_loc, focus.var, focus.body, focus.ann)),)
     elif rule == BETA:
-        body = subst_single(focus.fn.body, focus.fn.var, focus.arg)
+        body = subst_single_oracle(focus.fn.body, focus.fn.var, focus.arg)
         middle = plug(w, body).threads
     elif rule == GUARD:
         middle = (plug_term(w, focus.right),)
     elif rule == FRESH:
         fresh_var = session.fresh_var()
-        middle = (plug_term(w, subst_single(focus.body, focus.var, Var(fresh_var))),)
+        body = subst_single_oracle(focus.body, focus.var, Var(fresh_var))
+        middle = (plug_term(w, body),)
     elif rule == UNIF:
         sigma = redex.unify_outcome.substitution
         middle = (subst_apply(plug_term(w, Cons(OK)), sigma),)
@@ -616,12 +625,14 @@ def par_term_all(t: Term, session: Session) -> List[ParResult]:
     if isinstance(t, Fresh):
         results = [ParResult(singleton(t), ())]
         y = session.fresh_var()
-        results.extend(par_term_all(subst_single(t.body, t.var, Var(y)), session))
+        body = subst_single_oracle(t.body, t.var, Var(y))
+        results.extend(par_term_all(body, session))
         return results
     if isinstance(t, App):
         binary(App, t.fn, t.arg)
         if isinstance(t.fn, AbsLoc) and is_value_oracle(t.arg):
-            out.append(ParResult(subst_single(t.fn.body, t.fn.var, t.arg), ()))
+            body = subst_single_oracle(t.fn.body, t.fn.var, t.arg)
+            out.append(ParResult(body, ()))
         return out
     if isinstance(t, Guard):
         binary(Guard, t.left, t.right)

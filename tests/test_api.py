@@ -3,14 +3,24 @@ outside its own definition or exported in ``lamu.__all__``, and every
 method is read as an attribute in ``src/`` or ``bench/`` outside its own
 body: a helper that only the tests use belongs in ``tests/``.  Every name
 a module imports is read in that module, and a module imports its
-siblings at module level and only through their public names."""
+siblings at module level and only through their public names.  Terms,
+programs and redexes are slotted and immutable, and their reprs are
+pinned."""
 
 import ast
+import dataclasses
 import os
 import re
 from collections import Counter
 
+import pytest
+
 import lamu
+from lamu.reduction import BETA, Redex
+from lamu.syntax import (
+    Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Term, Unif, Var,
+    singleton,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "lamu")
@@ -204,3 +214,58 @@ def test_readme_library_example_prints_its_comments(capsys):
                 if line.startswith("print(")]
     exec(compile(block, "README.md", "exec"), {})
     assert expected and capsys.readouterr().out.splitlines() == expected
+
+
+X, C = Var("x"), Cons("C")
+ID = AbsLoc(1, "x", singleton(X))
+# one node of every kind with its repr; App's value flag is not shown
+GOLDEN = [
+    (X, "Var(name='x')"),
+    (C, "Cons(name='C')"),
+    (Abs("x", singleton(X)),
+     "Abs(var='x', body=Program(threads=(Var(name='x'),)), ann=None)"),
+    (ID, "AbsLoc(loc=1, var='x', body=Program(threads=(Var(name='x'),)), "
+         "ann=None)"),
+    (App(C, X), "App(fn=Cons(name='C'), arg=Var(name='x'))"),
+    (Fresh("x", X), "Fresh(var='x', body=Var(name='x'), ann=None)"),
+    (Guard(C, X), "Guard(left=Cons(name='C'), right=Var(name='x'))"),
+    (Unif(X, C), "Unif(left=Var(name='x'), right=Cons(name='C'))"),
+    (Program((X, C)), "Program(threads=(Var(name='x'), Cons(name='C')))"),
+]
+
+
+def test_every_term_kind_is_covered():
+    kinds = {type(node) for node, _ in GOLDEN}
+    assert {cls for cls in vars(lamu.syntax).values()
+            if isinstance(cls, type) and issubclass(cls, Term)
+            and cls is not Term} <= kinds
+
+
+@pytest.mark.parametrize("node, text", GOLDEN)
+def test_terms_are_slotted_frozen_and_print_as_pinned(node, text):
+    assert repr(node) == text
+    assert not hasattr(node, "__dict__")
+    field = dataclasses.fields(node)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(node, field, X)
+
+
+def test_app_value_is_a_field_that_eq_hash_and_repr_ignore():
+    value, other = App(C, ID), App(X, C)
+    assert value.value and not other.value
+    assert "value" not in repr(value)
+    assert [(f.name, f.init, f.compare) for f in dataclasses.fields(App)] == [
+        ("fn", True, True), ("arg", True, True), ("value", False, False)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.value = False
+
+
+def test_redex_is_a_slotted_tuple():
+    redex = Redex(0, None, App(ID, C), BETA)
+    assert isinstance(redex, tuple) and not hasattr(redex, "__dict__")
+    assert repr(redex) == (
+        "Redex(thread=0, path=None, focus=App(fn=AbsLoc(loc=1, var='x', "
+        "body=Program(threads=(Var(name='x'),)), ann=None), "
+        "arg=Cons(name='C')), rule='beta', unify_outcome=None)")
+    with pytest.raises(AttributeError):
+        redex.rule = "alloc"

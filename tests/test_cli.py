@@ -140,6 +140,16 @@ def test_deep_inputs_exit_two(tmp_path, capsys):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_unprintable_result_leaves_no_header(tmp_path, capsys):
+    # the value grows one S every three steps, too deep to pretty-print
+    # at fuel 3 000: stdout gets neither the program nor its header
+    growing = tmp_path / "growing.luni"
+    growing.write_text("(\\x. \\y. x x (S y)) (\\x. \\y. x x (S y)) C\n")
+    code, out, err = run_main(["run", str(growing), "--fuel", "3000"], capsys)
+    assert code == EXIT_USER_ERROR
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def run_repl(lines, monkeypatch, capsys):
     """The REPL's exit code and its output lines after the banner, for
     the given input lines."""
@@ -338,3 +348,18 @@ def test_seed_env_variable(monkeypatch, capsys):
     parser = cli.build_parser()
     args = parser.parse_args(["test-confluence"])
     assert args.seed == 3
+
+
+def test_seed_env_variable_is_read_on_every_call(monkeypatch, capsys):
+    # a second main call in one process under another LUNI_SEED runs
+    # with that seed
+    argv = ["test-confluence", "--samples", "20"]
+    expected = [run_main(argv + ["--seed", seed], capsys)[1]
+                for seed in ("3", "5")]
+    assert expected[0] != expected[1]
+    outputs = []
+    for seed in ("3", "5"):
+        monkeypatch.setenv("LUNI_SEED", seed)
+        outputs.append(run_main(argv, capsys)[1])
+    assert outputs == expected
+

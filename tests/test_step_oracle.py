@@ -6,25 +6,27 @@ the unif substitution recomputed by ``mgu_goal``.  ``evaluate``'s
 thread-level deltas are replayed into whole programs and compared with
 the oracle's step by step.  The redexes' paths are checked against the
 weak contexts of the closure-based search on every thread the streams
-visit, and the value flag each term sets when it is built against the
-walk that decides value-ness from scratch."""
+visit, the value flag each term sets when it is built against the
+walk that decides value-ness from scratch, and the one-entry walk of
+``subst_single`` against a ``Substitution`` through ``subst_apply``."""
 
 import itertools
 import os
 
 from helpers import (
     ProgramStep, is_value_oracle, program_step_at, redexes_with_contexts,
-    weak_context, within,
+    subst_single_oracle, weak_context, within,
 )
 from lamu import unify
 from lamu.concrete import parse_file, parse_program
 from lamu.generator import Generator, GeneratorConfig
 from lamu.reduction import (
-    ALLOC, FRESH, UNIF, enumerate_redexes, evaluate, find_redex, replay,
+    ALLOC, BETA, FRESH, UNIF, enumerate_redexes, evaluate, find_redex,
+    replay,
 )
 from lamu.syntax import (
-    App, Program, Session, Term, check_coherent, free_vars, locations,
-    subterms,
+    App, Program, Session, Term, Var, check_coherent, free_vars, locations,
+    subst_single, subterms,
 )
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -227,3 +229,21 @@ def test_paths_match_weak_contexts():
         for r, o in zip(redexes, old):
             assert (r.thread, weak_context(r), r.focus, r.rule) == \
                 (o.thread, o.context, o.focus, o.rule)
+
+
+def test_subst_single_matches_the_substitution():
+    # the body, variable and value of every beta and fresh step the
+    # streams take, the growing value at fuel 900 among them
+    calls = []
+    for p, fuel in streams():
+        for ts in evaluate(p, fuel).trace:
+            if ts.rule == BETA:
+                fn = ts.focus.fn
+                calls.append((fn.body, fn.var, ts.focus.arg))
+            elif ts.rule == FRESH:
+                calls.append((ts.focus.body, ts.focus.var, Var(ts.fresh_var)))
+    assert sum(isinstance(x, Program) for x, _, _ in calls) > 1000
+    assert sum(isinstance(x, Term) for x, _, _ in calls) > 100
+    for x, name, value in calls:
+        assert subst_single(x, name, value) == \
+            subst_single_oracle(x, name, value)

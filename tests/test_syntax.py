@@ -75,6 +75,9 @@ def test_substitution_rejects_non_values():
         Substitution({"x": Unif(C, C)})
     with pytest.raises(NotAValueError):
         subst_single(X, "x", Abs("y", singleton(Y)))
+    # a constructor applied to a non-value, in a term without x
+    with pytest.raises(NotAValueError):
+        subst_single(C, "x", App(C, Abs("y", singleton(Y))))
 
 
 def test_substitution_drops_identity():
