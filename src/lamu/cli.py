@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from typing import List, Optional
 
 from . import denot, reduction
@@ -18,7 +19,7 @@ from .concrete import (
 )
 from .generator import STRATIFIED_SIGNATURE, Generator, GeneratorConfig
 from .reduction import evaluate, reachable_normal_forms, replay
-from .syntax import LamuError, Program
+from .syntax import LamuError
 from .typecheck import (
     Typing, ambient_context, base_names_used, default_signature, infer,
     subject_reduction_check,
@@ -58,30 +59,6 @@ def _load(path: str) -> SourceFile:
     return parse_file(text)
 
 
-def _print_trace(p: Program, trace, out):
-    for n, (ts, after) in enumerate(replay(p, trace)):
-        print(f"#{n} [{ts.rule}] thread={ts.thread}", file=out)
-        print(pretty_program(after), file=out)
-
-
-def _source_text(src: SourceFile) -> str:
-    lines = []
-    for name, ty in src.signature.items():
-        lines.append(f"cons {name} : {ty!r}.")
-    lines.append(pretty_program(src.program))
-    return "\n".join(lines) + "\n"
-
-
-def _write_counterexample(suite: str, index: int, src: SourceFile,
-                          out) -> None:
-    text = _source_text(src)
-    path = f"counterexample-{suite}-{index}.luni"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    print(f"counterexample (sample {index}), written to {path}:", file=out)
-    print(text, file=out, end="")
-
-
 def _typing(src: SourceFile) -> Typing:
     """The principal typing of the program, its free variables ambient."""
     return infer(ambient_context(src.program),
@@ -96,7 +73,9 @@ def cmd_run(args, out) -> int:
     result = evaluate(src.program, fuel=args.fuel, strategy=args.strategy,
                       seed=args.seed)
     if args.trace:
-        _print_trace(src.program, result.trace, out)
+        for n, (ts, after) in enumerate(replay(src.program, result.trace)):
+            print(f"#{n} [{ts.rule}] thread={ts.thread}", file=out)
+            print(pretty_program(after), file=out)
     # the whole text first: a program too deep to print leaves no header
     text = pretty_program(result.program)
     if not result.normal:
@@ -120,8 +99,7 @@ def _model_for(src: SourceFile, cap: int, typing) -> denot.Model:
     for name in base_names_used(typing):
         sizes.setdefault(name, 2)
     sizes.pop("unit", None)
-    sig = default_signature(src.signature)
-    return denot.Model(sizes, sig, cap=cap)
+    return denot.Model(sizes, default_signature(src.signature), cap=cap)
 
 
 def cmd_denote(args, out) -> int:
@@ -136,71 +114,75 @@ def cmd_denote(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_test_confluence(args, out) -> int:
-    config = GeneratorConfig(seed=args.seed, max_depth=args.depth)
-    gen = Generator(config)
-    stream = gen.programs()
+def _suite(name: str, config: GeneratorConfig, args, holds, summary: str,
+           out) -> int:
+    """Draw args.samples programs from config's stream and write the first
+    that fails holds(src, index, tally) to a counterexample file; else
+    print summary, filled in from the Counter tally (samples included)."""
+    tally = Counter(samples=args.samples)
+    stream = Generator(config).programs()
     src = SourceFile(signature=dict(config.signature))
-    bound_limited = states = 0
-    most = (0, 0)       # (states, index) of the first sample with the most
     for i in range(args.samples):
         src.program = next(stream)
+        if not holds(src, i, tally):
+            text = "".join(f"cons {c} : {ty!r}.\n"
+                           for c, ty in src.signature.items())
+            text += pretty_program(src.program) + "\n"
+            path = f"counterexample-{name}-{i}.luni"
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            print(f"counterexample (sample {i}), written to {path}:\n{text}",
+                  file=out, end="")
+            return EXIT_COUNTEREXAMPLE
+    print(summary.format_map(tally), file=out)
+    return EXIT_OK
+
+
+def cmd_test_confluence(args, out) -> int:
+    def confluent(src, i, tally):
         exploration = reachable_normal_forms(src.program, fuel=args.fuel,
                                              max_states=args.max_states)
-        bound_limited += not exploration.complete
-        states += exploration.states
-        if exploration.states > most[0]:
-            most = (exploration.states, i)
-        if len(exploration.normal_forms) > 1:
-            _write_counterexample("confluence", i, src, out)
-            return EXIT_COUNTEREXAMPLE
-    print(f"confluence: {args.samples} samples, {bound_limited} bound-limited, "
-          f"0 counterexamples; {states} states, most in sample {most[1]} "
-          f"({most[0]})", file=out)
-    return EXIT_OK
+        tally["bound_limited"] += not exploration.complete
+        tally["states"] += exploration.states
+        if exploration.states > tally["most"]:  # the first sample with most
+            tally["most"], tally["most_at"] = exploration.states, i
+        return len(exploration.normal_forms) <= 1
+
+    return _suite(
+        "confluence", GeneratorConfig(seed=args.seed, max_depth=args.depth),
+        args, confluent, "confluence: {samples} samples, {bound_limited} "
+        "bound-limited, 0 counterexamples; {states} states, most in sample "
+        "{most_at} ({most})", out)
 
 
 def cmd_test_soundness(args, out) -> int:
+    def sound(src, i, tally):
+        try:
+            model = _model_for(src, args.cap, _typing(src))
+            return denot.soundness_check(src.program, model,
+                                         fuel=args.fuel).ok
+        except (denot.TooLarge, denot.DenotError):
+            tally["skipped"] += 1
+            return True
+
     config = GeneratorConfig(seed=args.seed, max_depth=args.depth,
                              allow_absloc=False, well_typed=True,
                              signature=dict(STRATIFIED_SIGNATURE))
-    gen = Generator(config)
-    stream = gen.programs()
-    src = SourceFile(signature=dict(config.signature))
-    skipped = 0
-    for i in range(args.samples):
-        src.program = next(stream)
-        try:
-            model = _model_for(src, args.cap, _typing(src))
-            verdict = denot.soundness_check(src.program, model, fuel=args.fuel)
-        except (denot.TooLarge, denot.DenotError):
-            skipped += 1
-            continue
-        if not verdict.ok:
-            _write_counterexample("soundness", i, src, out)
-            return EXIT_COUNTEREXAMPLE
-    print(f"soundness: {args.samples} samples, {skipped} skipped "
-          f"(no finite model), 0 counterexamples", file=out)
-    return EXIT_OK
+    return _suite("soundness", config, args, sound, "soundness: {samples} "
+                  "samples, {skipped} skipped (no finite model), 0 "
+                  "counterexamples", out)
 
 
 def cmd_test_subject_reduction(args, out) -> int:
     config = GeneratorConfig(seed=args.seed, max_depth=args.depth,
                              allow_absloc=False, well_typed=True)
-    gen = Generator(config)
-    stream = gen.programs()
-    src = SourceFile(signature=dict(config.signature))
-    sig = default_signature(src.signature)
-    for i in range(args.samples):
-        src.program = next(stream)
-        verdict = subject_reduction_check(ambient_context(src.program), sig,
-                                          src.program, fuel=args.fuel)
-        if not verdict.ok:
-            _write_counterexample("subject-reduction", i, src, out)
-            return EXIT_COUNTEREXAMPLE
-    print(f"subject reduction: {args.samples} samples, 0 counterexamples",
-          file=out)
-    return EXIT_OK
+    sig = default_signature(config.signature)
+    return _suite(
+        "subject-reduction", config, args,
+        lambda src, i, tally: subject_reduction_check(
+            ambient_context(src.program), sig, src.program,
+            fuel=args.fuel).ok,
+        "subject reduction: {samples} samples, 0 counterexamples", out)
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
     den.add_argument("--cap", type=_count, default=4096)
     den.set_defaults(func=cmd_denote)
 
-    for name, func, extra in (
-            ("test-confluence", cmd_test_confluence,
-             {"samples": 500, "fuel": 200}),
-            ("test-soundness", cmd_test_soundness, {"samples": 200, "fuel": 50}),
-            ("test-subject-reduction", cmd_test_subject_reduction,
-             {"samples": 300, "fuel": 200})):
+    for name, func, samples, fuel, more in (
+            ("test-confluence", cmd_test_confluence, 500, 200,
+             {"--max-states": 10000}),
+            ("test-soundness", cmd_test_soundness, 200, 50, {"--cap": 4096}),
+            ("test-subject-reduction", cmd_test_subject_reduction, 300, 200,
+             {})):
         suite = sub.add_parser(name, help=f"property suite: {name[5:]}")
-        suite.add_argument("--samples", type=_count, default=extra["samples"])
+        suite.add_argument("--samples", type=_count, default=samples)
         suite.add_argument("--seed", type=int, default=seed)
-        suite.add_argument("--fuel", type=_count, default=extra["fuel"])
+        suite.add_argument("--fuel", type=_count, default=fuel)
         suite.add_argument("--depth", type=_count, default=3)
-        if name == "test-confluence":
-            suite.add_argument("--max-states", type=_count, default=10000)
-        if name == "test-soundness":
-            suite.add_argument("--cap", type=_count, default=4096)
+        for option, default in more.items():
+            suite.add_argument(option, type=_count, default=default)
         suite.set_defaults(func=func)
 
     repl = sub.add_parser("repl", help="interactive loop")

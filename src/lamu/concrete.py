@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List
 
 from .syntax import (
     Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Term,
-    Unif, Var,
+    Unif, Var, free_vars,
 )
 from .typecheck import Arrow, Base, Type
 
@@ -103,6 +103,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.definitions: Dict[str, Term] = dict(definitions or {})
+        self.bound: List[str] = []     # what the enclosing binders bind
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -142,9 +143,8 @@ class _Parser:
             else:
                 name = self.expect("lower").text
                 self.expect_punct("=")
-                term = self.parse_term()
-                self.definitions[name] = term
-                src.definitions[name] = term
+                self.definitions[name] = src.definitions[name] = \
+                    self.parse_term()
             self.expect_punct(".")
         if self.pos == 0 or self.peek().kind != "eof":
             src.program = self.parse_program()
@@ -224,7 +224,9 @@ class _Parser:
         if self.peek().kind == "atloc":
             loc = int(self.next().text)
         self.expect_punct(".")
+        self.bound.append(var)
         body = self.parse_program()
+        self.bound.pop()
         if loc is None:
             return Abs(var, body)
         return AbsLoc(loc, var, body)
@@ -233,7 +235,10 @@ class _Parser:
         self.expect("fresh")
         var = self.expect("lower").text
         self.expect_punct(".")
-        return Fresh(var, self.parse_term())
+        self.bound.append(var)
+        body = self.parse_term()
+        self.bound.pop()
+        return Fresh(var, body)
 
     def starts_atom(self) -> bool:
         tok = self.peek()
@@ -244,8 +249,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "lower":
             self.next()
-            if tok.text in self.definitions:
-                return self.definitions[tok.text]
+            if tok.text in self.definitions and tok.text not in self.bound:
+                term = self.definitions[tok.text]
+                captured = sorted(free_vars(term).intersection(self.bound))
+                if captured:
+                    raise ParseError(f"a binder captures {', '.join(captured)} "
+                                     f"in definition {tok.text}", tok.line, tok.col)
+                return term
             return Var(tok.text)
         if tok.kind == "upper":
             self.next()

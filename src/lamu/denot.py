@@ -1,6 +1,7 @@
 """Finite denotational semantics: type enumeration over user-supplied
 base interpretations, unitary constructor interpretations, term and
-program denotation, toplevel denotation, and the soundness checker.
+program denotation, toplevel denotation (thread by thread, each thread
+over its own free variables), and the soundness checker.
 
 Types denote finite sets; arrow types denote all functions into the
 power set of the codomain, so sizes are doubly exponential and every
@@ -14,13 +15,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from .reduction import FAILRULE, FRESH, evaluate, replay
+from .reduction import FAILRULE
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Term,
     Unif, Var, free_vars,
 )
 from .typecheck import (
     Arrow, Base, Meta, Type, ambient_context, arg_types, base_names, infer,
+    typed_steps,
 )
 
 
@@ -233,14 +235,11 @@ def denote(x: Union[Term, Program], env: Dict[str, SemValue],
                 out |= f(a)
         return frozenset(out)
     if isinstance(t, Unif):
-        left = denote(t.left, env, model)
-        right = denote(t.right, env, model)
-        if left & right:
+        if denote(t.left, env, model) & denote(t.right, env, model):
             return frozenset((model.ok,))
         return frozenset()
     if isinstance(t, Guard):
-        left = denote(t.left, env, model)
-        if not left:
+        if not denote(t.left, env, model):
             return frozenset()
         return denote(t.right, env, model)
     if isinstance(t, Fresh):
@@ -255,17 +254,23 @@ def denote(x: Union[Term, Program], env: Dict[str, SemValue],
 
 def denote_toplevel(x: Union[Term, Program], model: Model,
                     gamma: Optional[Dict[str, Type]] = None) -> FrozenSet[SemValue]:
-    """Union of denotations over every environment on the free
-    variables (sufficient by irrelevance).  gamma gives their types."""
-    names = sorted(free_vars(x))
+    """Union of the threads' denotations, each over every environment on
+    its own free variables, whose types gamma gives.  Exact: every type
+    denotes a non-empty set (Model rejects empty bases, a function space
+    is never empty), so each thread's environments extend to the whole
+    program's, and a program denotes the union of its threads."""
+    threads = list(x) if isinstance(x, Program) else [x]
+    own = [sorted(free_vars(t)) for t in threads]
+    names = sorted(set().union(*own))
     gamma = gamma or {}
     missing = [n for n in names if n not in gamma]
     if missing:
         raise DenotError(f"no types for free variables {missing}")
-    domains = [model.enum_type(gamma[n]) for n in names]
+    domains = {n: model.enum_type(gamma[n]) for n in names}
     out = frozenset()
-    for combo in itertools.product(*domains):
-        out |= denote(x, dict(zip(names, combo)), model)
+    for t, vs in zip(threads, own):
+        for combo in itertools.product(*(domains[n] for n in vs)):
+            out |= denote(t, dict(zip(vs, combo)), model)
     return out
 
 
@@ -292,19 +297,13 @@ def soundness_check(p: Program, model: Model, fuel=200) -> SoundnessVerdict:
     denotation shrinks or stays equal, with equality required for every
     rule other than fail."""
     typing = infer(ambient_context(p), model.sig, p)
-    context = dict(typing.gamma)
-    before_sem = denote_toplevel(typing.node, model, context)
+    before_sem = denote_toplevel(typing.node, model, typing.gamma)
     verdict = SoundnessVerdict(True, [])
-    for ts, after in replay(typing.node, evaluate(typing.node, fuel).trace):
-        if ts.rule == FRESH:
-            context[ts.fresh_var] = ts.focus.ann
+    for ts, context, after in typed_steps(typing, fuel):
         after_sem = denote_toplevel(after, model, context)
-        if ts.rule == FAILRULE:
-            ok = after_sem <= before_sem
-            report = InclusionReport(ts.rule, ok, after_sem == before_sem)
-        else:
-            ok = after_sem == before_sem
-            report = InclusionReport(ts.rule, ok, ok)
+        equal = after_sem == before_sem
+        ok = equal or (ts.rule == FAILRULE and after_sem <= before_sem)
+        report = InclusionReport(ts.rule, ok, equal)
         if not ok:
             report.detail = (f"before={sorted(map(repr, before_sem))} "
                              f"after={sorted(map(repr, after_sem))}")

@@ -1,5 +1,8 @@
 """Simple types: checking and monomorphic inference for terms and
-programs, constructor signatures, and the subject-reduction harness.
+programs, constructor signatures, ``typed_steps`` (the one step loop of
+the subject-reduction and soundness harnesses), and the
+subject-reduction harness, which re-checks only the threads each step
+made: a program has a type exactly when each of its threads has it.
 
 Inference introduces metavariables for unannotated binders, solves the
 first-order equality constraints by syntactic unification, and returns
@@ -9,7 +12,7 @@ fresh base types so they never escape a successful result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from .reduction import FRESH, evaluate, replay
 from .syntax import (
@@ -289,7 +292,18 @@ def base_names_used(typing: "Typing") -> set:
 
 
 # ---------------------------------------------------------------------------
-# Subject reduction harness
+# The harnesses' step loop and the subject reduction harness
+
+def typed_steps(typing: Typing, fuel) -> Iterator[tuple]:
+    """Evaluate typing.node and yield each step of the trace with the
+    typing context after it (one dict, extended in place: the variable a
+    fresh step issues takes its binder's type) and the program after it."""
+    context = dict(typing.gamma)
+    for ts, after in replay(typing.node, evaluate(typing.node, fuel).trace):
+        if ts.rule == FRESH:
+            context[ts.fresh_var] = ts.focus.ann
+        yield ts, context, after
+
 
 @dataclass
 class StepReport:
@@ -305,18 +319,13 @@ class Verdict:
 
 
 def subject_reduction_check(gamma, sig, p: Program, fuel=200) -> Verdict:
-    """Evaluate the program and re-check it at its inferred type after
-    each step of the trace, extending the context with the variable each
-    fresh step issues."""
+    """Evaluate the program and re-check the threads each step of the
+    trace made, at the program's inferred type."""
     typing = infer(gamma, sig, p)
-    context = dict(typing.gamma)
     verdict = Verdict(True)
-    for ts, after in replay(typing.node, evaluate(typing.node, fuel).trace):
-        if ts.rule == FRESH:
-            # the freshly introduced variable takes the binder's type
-            context[ts.fresh_var] = ts.focus.ann
+    for ts, context, _ in typed_steps(typing, fuel):
         try:
-            check(context, sig, after, typing.type)
+            check(context, sig, Program(ts.after), typing.type)
             verdict.steps.append(StepReport(ts.rule, True))
         except TypeCheckError as exc:
             verdict.steps.append(StepReport(ts.rule, False, str(exc)))

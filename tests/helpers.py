@@ -4,21 +4,22 @@ with a hole and plugging into them, the closure-based redex search that
 the paths are checked against, location renaming, substitution
 equality, composition, support and range, one-variable substitution
 through a Substitution, trace replay, the whole-program step and the
-product-space explorer, the unitary check of
-denotations, the free variables, terms and substitution instance of a
-unification problem, a batch of generated goals, the brute-force
-unification oracle, the criterion-4 critical pairs, the recursive
-normal/stuck classifier and the whole-program simultaneous evaluator,
-the two-phase unification step, and the full simultaneous reduction
-relation for the diamond spot checks."""
+product-space explorer, the unitary check of denotations, the
+whole-program toplevel denotation, the free variables, terms and
+substitution instance of a unification problem, a batch of generated
+goals, the brute-force unification oracle, the criterion-4 critical
+pairs, the recursive normal/stuck classifier and the whole-program
+simultaneous evaluator, the two-phase unification step, and the full
+simultaneous reduction relation for the diamond spot checks."""
 
 import functools
+import itertools
 import signal
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional
 
 from lamu import unify
-from lamu.denot import Atom, SemValue, Table
+from lamu.denot import Atom, DenotError, SemValue, Table, denote
 from lamu.equiv import (
     STUCK_CONS, STUCK_GUARD, STUCK_LAM, STUCK_UNIF, STUCK_VAR, StuckKind,
     canonical_program,
@@ -310,6 +311,22 @@ def is_unitary(value: SemValue, ty: Type) -> bool:
         if not is_unitary(b, ty.right):
             return False
     return True
+
+
+def denote_toplevel_oracle(x, model, gamma=None):
+    """The toplevel denotation as the union over every environment on all
+    the free variables of x, each denoting the whole of x: the definition
+    that the thread-by-thread denot.denote_toplevel is checked against."""
+    names = sorted(free_vars(x))
+    gamma = gamma or {}
+    missing = [n for n in names if n not in gamma]
+    if missing:
+        raise DenotError(f"no types for free variables {missing}")
+    domains = [model.enum_type(gamma[n]) for n in names]
+    out = frozenset()
+    for combo in itertools.product(*domains):
+        out |= denote(x, dict(zip(names, combo)), model)
+    return out
 
 
 def product_bfs(p: Program, key=canonical_program, fuel=200,

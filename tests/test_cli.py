@@ -1,7 +1,9 @@
 """Tests for the command-line interface: exit codes, trace output, and
 report determinism."""
 
+import argparse
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +11,8 @@ import pytest
 
 from helpers import within
 from lamu.cli import (
-    EXIT_COUNTEREXAMPLE, EXIT_FAILED_PROGRAM, EXIT_OK, EXIT_USER_ERROR, main,
+    EXIT_COUNTEREXAMPLE, EXIT_FAILED_PROGRAM, EXIT_OK, EXIT_USER_ERROR,
+    build_parser, main,
 )
 from lamu.concrete import parse_file
 from lamu.denot import SoundnessVerdict
@@ -19,6 +22,7 @@ from lamu.syntax import Program, alpha_eq
 from lamu.typecheck import Verdict
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def corpus(name):
@@ -98,6 +102,15 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "line" in err
 
 
+def test_captured_definition_exits_two(tmp_path, capsys):
+    path = tmp_path / "capture.luni"
+    path.write_text("def k = x.\n(\\x. k) C\n")
+    code, out, err = run_main(["run", str(path)], capsys)
+    assert code == EXIT_USER_ERROR and out == ""
+    assert err == ("error: a binder captures x in definition k at line 2, "
+                   "column 6\n")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, _ = run_main(["run", "no_such_file.luni"], capsys)
     assert code == EXIT_USER_ERROR
@@ -164,6 +177,22 @@ def run_repl(lines, monkeypatch, capsys):
     monkeypatch.setattr("builtins.input", fake_input)
     code, out, _ = run_main(["repl"], capsys)
     return code, out.splitlines()[1:]
+
+
+def test_repl_definitions_respect_binders(monkeypatch, capsys):
+    code, out = run_repl([
+        "def f = C.",
+        r"(\f. f) D",
+        "def k = x.",
+        r":type \x. k",
+        r"(\y. k) D",
+    ], monkeypatch, capsys)
+    assert code == EXIT_OK
+    assert out[:3] == [
+        "D",
+        "error: a binder captures x in definition k at line 1, column 5",
+        "x",
+    ]
 
 
 def test_repl_reports_deep_input_and_continues(tmp_path, monkeypatch, capsys):
@@ -363,3 +392,22 @@ def test_seed_env_variable_is_read_on_every_call(monkeypatch, capsys):
         outputs.append(run_main(argv, capsys)[1])
     assert outputs == expected
 
+
+def test_readme_lists_every_option_of_every_subcommand():
+    # the README's CLI block has one `lamu NAME ...` line per subcommand,
+    # and that line shows every --option the subcommand accepts
+    with open(README, encoding="utf-8") as handle:
+        block = handle.read().split("## CLI", 1)[1].split("```")[1]
+    lines = {line.split()[1]: line for line in block.splitlines()
+             if line.startswith("lamu ")}
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)).choices
+    assert sorted(lines) == sorted(subcommands)
+    missing = [
+        (name, option)
+        for name, parser in subcommands.items()
+        for action in parser._actions for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+        and not re.search(rf"\[{re.escape(option)}\b", lines[name])]
+    assert missing == []

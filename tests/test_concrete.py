@@ -129,6 +129,28 @@ def test_definition_inlining_in_program():
     assert t == App(Abs("x", singleton(X)), C)
 
 
+def test_a_binder_shadows_a_definition_of_its_name():
+    # under \f or fresh f, f is that variable, not the definition
+    F = Var("f")
+    assert parse_file(r"def f = \y. y. \f. f C").program == singleton(
+        Abs("f", singleton(App(F, C))))
+    assert parse_file("def f = C. fresh f. f =:= D ; f").program == \
+        singleton(Fresh("f", Guard(Unif(F, D), F)))
+    assert parse_file(r"def f = C. (\x. f) | f").program == Program(
+        (Abs("x", singleton(C)), C))
+
+
+def test_a_definition_under_a_binder_of_its_free_variable_is_rejected():
+    # inlining k under \x would capture k's free x
+    with pytest.raises(ParseError, match="captures x in definition k at "
+                                         "line 1, column 17"):
+        parse_file(r"def k = x. (\x. k) C")
+    with pytest.raises(ParseError, match="captures x in definition k"):
+        parse_program("fresh x. k", {"k": App(C, X)})
+    assert parse_file(r"def k = x. (\y. k) C").program == singleton(
+        App(Abs("y", singleton(X)), C))
+
+
 def test_pretty_formats():
     assert pretty_program(Program(())) == "fail"
     assert pretty_term(AbsLoc(3, "x", singleton(X))) == r"\x@L3. x"

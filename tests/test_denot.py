@@ -4,17 +4,18 @@ unitary constructors, denotation clauses, and soundness along steps."""
 import pytest
 
 from lamu.concrete import parse_program
-from helpers import is_unitary
+from helpers import denote_toplevel_oracle, is_unitary, within
 from lamu.denot import (
     DenotError, Model, TooLarge, denote, denote_toplevel, soundness_check,
 )
-from lamu.generator import Generator, GeneratorConfig
+from lamu.generator import STRATIFIED_SIGNATURE, Generator, GeneratorConfig
+from lamu.reduction import FRESH, evaluate
 from lamu.syntax import (
-    AbsLoc, Cons, Fresh, Guard, Program, Unif, Var, singleton,
+    AbsLoc, Cons, Fresh, Guard, LamuError, Program, Unif, Var, singleton,
 )
 from lamu.typecheck import (
     Arrow, Base, ambient_context, base_names_used, default_signature,
-    infer,
+    infer, typed_steps,
 )
 
 I = Base("i")
@@ -167,12 +168,13 @@ def test_soundness_reports_the_violating_step(monkeypatch):
                              "P": Arrow(I, Arrow(I, PAIR))})
     p = parse_program(r"(\x. fresh y. ((x =:= P C y); y)) (P C D)")
     m = Model({}, sig, cap=4096)
-    calls = []
+    # the context types the variable that step #2 issues from that step on
+    issued = [ts.fresh_var for ts in evaluate(p).trace if ts.rule == FRESH]
 
     def empty_from_step_2(x, model, gamma=None):
-        calls.append(x)     # call 1 denotes p, call k + 2 step #k
-        return denote_toplevel(x, model, gamma) if len(calls) < 4 \
-            else frozenset()
+        if issued[0] in (gamma or {}):
+            return frozenset()
+        return denote_toplevel(x, model, gamma)
 
     monkeypatch.setattr("lamu.denot.denote_toplevel", empty_from_step_2)
     verdict = soundness_check(p, m)
@@ -218,3 +220,66 @@ def test_soundness_on_samples():
             continue
         checked += 1
         assert verdict.ok, (p, [s for s in verdict.steps if not s.ok])
+
+
+# ---------------------------------------------------------------------------
+# the thread-by-thread toplevel denotation against the product form
+
+def _assert_parity(x, model, gamma):
+    """Equal denotations, or the same exception type."""
+    def outcome(denotation):
+        try:
+            return denotation(x, model, gamma)
+        except LamuError as exc:
+            return type(exc)
+    assert outcome(denote_toplevel) == outcome(denote_toplevel_oracle), x
+
+
+def _assert_parity_along_trace(p, model, fuel):
+    typing = infer(ambient_context(p), model.sig, p)
+    _assert_parity(typing.node, model, typing.gamma)
+    for _, context, after in typed_steps(typing, fuel):
+        _assert_parity(after, model, context)
+
+
+def test_toplevel_denotation_matches_the_product_form_on_criterion_8():
+    # the worked example, and the seed-29 stream whose first 215 draws
+    # criterion 8 checks; along the traces of the 15 draws it skips, 61
+    # programs raise TooLarge, and must do so in both forms
+    nat, tup = Base("nat"), Base("tuple")
+    sig = default_signature({
+        "N1": nat, "N2": nat, "T": Arrow(nat, Arrow(nat, tup))})
+    worked = parse_program(
+        r"fresh x. ((\z. fresh y. ((z =:= T N1 y); (T y x))) (T x N2))")
+    _assert_parity_along_trace(worked, Model({"nat": 4}, sig), 200)
+    config = GeneratorConfig(seed=29, max_depth=3, allow_absloc=False,
+                             well_typed=True,
+                             signature=dict(STRATIFIED_SIGNATURE))
+    gsig = default_signature(config.signature)
+    stream = Generator(config).programs()
+    for _ in range(215):
+        p = next(stream)
+        typing = infer(ambient_context(p), gsig, p)
+        sizes = {n: 2 for n in base_names_used(typing) if n != "unit"}
+        _assert_parity_along_trace(p, Model(sizes, gsig, cap=4096), 100)
+
+
+def test_toplevel_denotation_sums_the_threads_environments():
+    # three threads with disjoint free variables of a 16-element type:
+    # 3 * 16 environments thread by thread, 16 ** 3 in the product form
+    sig = default_signature({"C": I})
+    p = parse_program("fresh u. (x =:= u ; u) | fresh v. (y =:= v ; v)"
+                      " | fresh w. (z =:= w ; w)")
+    typing = infer({"x": I, "y": I, "z": I}, sig, p)
+    m = Model({"i": 15}, sig)
+    assert len(m.enum_type(I)) == 16
+    sem = within(0.25, "a three-thread toplevel denotation",
+                 lambda: denote_toplevel(typing.node, m, typing.gamma))
+    assert sem == frozenset(m.enum_type(I))
+    assert sem == denote_toplevel_oracle(typing.node, m, typing.gamma)
+
+
+def test_toplevel_denotation_names_every_missing_variable():
+    typing = annotate("x =:= C | y =:= C")
+    with pytest.raises(DenotError, match=r"\['x', 'y'\]"):
+        denote_toplevel(typing.node, model(), {})

@@ -5,7 +5,8 @@ import pytest
 
 from lamu.concrete import parse_program
 from lamu.generator import DEFAULT_SIGNATURE, Generator, GeneratorConfig
-from lamu.syntax import Program, Var, singleton
+from lamu.reduction import FRESH, evaluate
+from lamu.syntax import Program, Var, free_vars, singleton
 from lamu.typecheck import (
     UNIT, Arrow, Base, StepReport, TypeCheckError, ambient_context, check,
     default_signature, infer, subject_reduction_check,
@@ -119,14 +120,13 @@ def test_subject_reduction_golden():
 
 def test_subject_reduction_reports_the_ill_typed_step(monkeypatch):
     # a check that fails at step #2 (fresh) alone is reported there, with
-    # its error
+    # its error: only the term that step made holds the variable it issued
     p = parse_program(r"(\x. x | fresh y. ((x =:= C y); y)) (C D)")
     sig = default_signature({"C": Arrow(I, I), "D": I})
-    calls = []
+    issued = [ts.fresh_var for ts in evaluate(p).trace if ts.rule == FRESH]
 
     def fails_at_step_2(gamma, sig, x, expected):
-        calls.append(x)
-        if len(calls) == 3:
+        if issued[0] in free_vars(x):
             raise TypeCheckError("planted at step #2")
         return check(gamma, sig, x, expected)
 
