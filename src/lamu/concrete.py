@@ -17,6 +17,9 @@ Grammar sketch (lowest precedence first):
 
 Variables are lowercase identifiers, constructors uppercase; ``Ok`` is
 reserved.  Lambda and fresh bodies extend as far right as possible.
+The printer follows the same levels: ``pretty_term`` dispatches on the
+node's type, and each kind parenthesizes itself where the grammar
+expects a higher level.
 """
 from __future__ import annotations
 
@@ -295,42 +298,37 @@ _LVL_APP = 3
 _LVL_ATOM = 4
 
 
-def _intrinsic(t: Term) -> int:
-    if isinstance(t, (Abs, AbsLoc, Fresh, Guard)):
-        return _LVL_OPEN
-    if isinstance(t, Unif):
-        return _LVL_UNIF
-    if isinstance(t, App):
-        return _LVL_APP
-    return _LVL_ATOM
-
-
 def pretty_term(t: Term, ctx: int = _LVL_OPEN, rightmost: bool = True) -> str:
-    parens = _intrinsic(t) < ctx or (
-        isinstance(t, (Abs, AbsLoc, Fresh)) and not rightmost)
-    rm = True if parens else rightmost
-    if isinstance(t, Var):
-        s = t.name
-    elif isinstance(t, Cons):
-        s = t.name
-    elif isinstance(t, Abs):
-        s = f"\\{t.var}. {pretty_program(t.body, rm)}"
-    elif isinstance(t, AbsLoc):
-        s = f"\\{t.var}@L{t.loc}. {pretty_program(t.body, rm)}"
-    elif isinstance(t, Fresh):
-        s = f"fresh {t.var}. {pretty_term(t.body, _LVL_OPEN, rm)}"
-    elif isinstance(t, Guard):
-        s = (f"{pretty_term(t.left, _LVL_UNIF, False)} ; "
-             f"{pretty_term(t.right, _LVL_OPEN, rm)}")
-    elif isinstance(t, Unif):
-        s = (f"{pretty_term(t.left, _LVL_APP, False)} =:= "
-             f"{pretty_term(t.right, _LVL_APP, rm)}")
-    elif isinstance(t, App):
+    """t printed where the grammar expects level ctx; rightmost says that
+    nothing follows it there.  Each kind decides its own parentheses:
+    below its level, and a binder also where something follows it, since
+    its body extends as far right as possible.  Only a term at level
+    _LVL_OPEN reads rightmost, so every other position passes False."""
+    cls = type(t)
+    if cls is Var or cls is Cons:
+        return t.name
+    if cls is App:
         s = (f"{pretty_term(t.fn, _LVL_APP, False)} "
              f"{pretty_term(t.arg, _LVL_ATOM, False)}")
+        return f"({s})" if ctx > _LVL_APP else s
+    if cls is Unif:
+        s = (f"{pretty_term(t.left, _LVL_APP, False)} =:= "
+             f"{pretty_term(t.right, _LVL_APP, False)}")
+        return f"({s})" if ctx > _LVL_UNIF else s
+    if cls is Guard:
+        parens = ctx > _LVL_OPEN
+        s = (f"{pretty_term(t.left, _LVL_UNIF, False)} ; "
+             f"{pretty_term(t.right, _LVL_OPEN, parens or rightmost)}")
+        return f"({s})" if parens else s
+    if cls is Abs:
+        s = f"\\{t.var}. {pretty_program(t.body)}"
+    elif cls is AbsLoc:
+        s = f"\\{t.var}@L{t.loc}. {pretty_program(t.body)}"
+    elif cls is Fresh:
+        s = f"fresh {t.var}. {pretty_term(t.body)}"
     else:
         raise LamuError(f"cannot print {t!r}")
-    return f"({s})" if parens else s
+    return f"({s})" if ctx > _LVL_OPEN or not rightmost else s
 
 
 def pretty_program(p: Program, rightmost: bool = True) -> str:

@@ -4,7 +4,10 @@ the six reduction rules, and fuel-bounded normalization with traces.
 A weak context never goes under a binder, so it is a path of ``App``,
 ``Guard`` and ``Unif`` nodes from the thread root down to the redex.  A
 ``Redex`` carries that path as a zipper (Huet 1997): each link names the
-parent node and the side the path takes through it.
+parent node and the side the path takes through it.  The search appends
+redexes to a list and stops once it holds as many as the caller asks
+for: one under ``leftmost``, every redex of the last thread that has
+one under ``rightmost``, every redex of the program under ``random``.
 
 Reduction rules rewrite a single thread of the toplevel program; beta
 steps may split one thread into several, and failed unifications delete
@@ -27,6 +30,7 @@ reduction, Godefroid 1996).
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
@@ -46,6 +50,7 @@ UNIF = "unif"
 FAILRULE = "fail"
 
 STRATEGIES = ("leftmost", "rightmost", "random")
+_ALL = sys.maxsize      # the limit that collects every redex
 
 
 class Redex(NamedTuple):
@@ -77,36 +82,43 @@ class TraceStep(NamedTuple):
     focus: Optional[Term] = None
 
 
-def _term_redexes(t: Term, path, thread: int):
-    """Yield the redexes of t, reached along path in the given thread, in
-    leftmost-innermost order (post-order, children left to right).  The
-    search enters no child that is a value: a value holds no redex."""
+def _collect(t: Term, path, thread: int, out: list, limit: int):
+    """Append the redexes of t, reached along path in the given thread,
+    to out in leftmost-innermost order (post-order, children left to
+    right), stopping once out holds limit of them.  The search enters no
+    child that is a value: a value holds no redex."""
     cls = type(t)
     if cls is App:
         fn, arg = t.fn, t.arg
         if not fn.value:
-            yield from _term_redexes(fn, (t, 0, path), thread)
+            _collect(fn, (t, 0, path), thread, out, limit)
+            if len(out) >= limit:
+                return
         if not arg.value:
-            yield from _term_redexes(arg, (t, 1, path), thread)
+            _collect(arg, (t, 1, path), thread, out, limit)
         elif type(fn) is AbsLoc:
-            yield Redex(thread, path, t, BETA)
+            out.append(Redex(thread, path, t, BETA))
     elif cls is Guard or cls is Unif:
         left, right = t.left, t.right
         if not left.value:
-            yield from _term_redexes(left, (t, 0, path), thread)
+            _collect(left, (t, 0, path), thread, out, limit)
+            if len(out) >= limit:
+                return
         if not right.value:
-            yield from _term_redexes(right, (t, 1, path), thread)
+            _collect(right, (t, 1, path), thread, out, limit)
+            if len(out) >= limit:
+                return
         if cls is Guard:
             if left.value:
-                yield Redex(thread, path, t, GUARD)
+                out.append(Redex(thread, path, t, GUARD))
         elif left.value and right.value:
             outcome = unify.mgu_goal(left, right)
             rule = UNIF if isinstance(outcome, unify.Solved) else FAILRULE
-            yield Redex(thread, path, t, rule, outcome)
+            out.append(Redex(thread, path, t, rule, outcome))
     elif cls is Abs:
-        yield Redex(thread, path, t, ALLOC)
+        out.append(Redex(thread, path, t, ALLOC))
     elif cls is Fresh:
-        yield Redex(thread, path, t, FRESH)
+        out.append(Redex(thread, path, t, FRESH))
 
 
 def _plug(path, t: Term) -> Term:
@@ -126,7 +138,8 @@ def enumerate_redexes(p) -> List[Redex]:
     """Every redex of a program or a sequence of threads, in order."""
     out = []
     for i, t in enumerate(p):
-        out.extend(_term_redexes(t, None, i))
+        if not t.value:
+            _collect(t, None, i, out, _ALL)
     return out
 
 
@@ -135,17 +148,31 @@ def find_redex(p, strategy="leftmost", rng=None,
     """Select a redex of a program or a sequence of threads.  Default:
     leftmost thread, leftmost-innermost position, searching from thread
     start on.  Returns None iff the program is normal (from thread start
-    on, under leftmost)."""
+    on, under leftmost).  Leftmost searches forward from thread start and
+    rightmost backward from the last thread; both skip the threads that
+    are values and stop in the first thread that has a redex.  Random
+    draws from every redex of the program."""
     if strategy == "leftmost":
+        out = []
         for i in range(start, len(p)):
-            for r in _term_redexes(p[i], None, i):
-                return r
+            t = p[i]
+            if not t.value:
+                _collect(t, None, i, out, 1)
+                if out:
+                    return out[0]
+        return None
+    if strategy == "rightmost":
+        out = []
+        for i in range(len(p) - 1, -1, -1):
+            t = p[i]
+            if not t.value:
+                _collect(t, None, i, out, _ALL)
+                if out:
+                    return out[-1]
         return None
     redexes = enumerate_redexes(p)
     if not redexes:
         return None
-    if strategy == "rightmost":
-        return redexes[-1]
     if strategy == "random":
         if rng is None:
             raise ValueError("random strategy needs an rng")
@@ -168,8 +195,8 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
         fresh_loc = session.fresh_loc()
         after = (_plug(path, AbsLoc(fresh_loc, focus.var, focus.body, focus.ann)),)
     elif rule == BETA:
-        body = subst_single(focus.fn.body, focus.fn.var, focus.arg)
-        after = tuple(_plug(path, s) for s in body)
+        body = subst_single(focus.fn.body, focus.fn.var, focus.arg).threads
+        after = body if path is None else tuple([_plug(path, s) for s in body])
     elif rule == GUARD:
         after = (_plug(path, focus.right),)
     elif rule == FRESH:

@@ -6,7 +6,8 @@ Binder type annotations (``ann``) are metadata filled in by the type
 checker and excluded from equality, hashing and ``term_key``.
 ``term_key`` is the one canonical form: alpha-equivalence compares whole
 keys, and structural equivalence (module ``equiv``) compares their
-shapes.
+shapes.  It walks the term with an explicit stack, so a term of any
+depth has a key.
 """
 from __future__ import annotations
 
@@ -33,7 +34,14 @@ class CoherenceError(LamuError):
 class Term:
     """Slotted and immutable.  ``value`` says whether the term is a value:
     a class attribute, but on ``App`` a field that ``==``, ``hash`` and
-    ``repr`` ignore, decided once when the node is built."""
+    ``repr`` ignore, decided once when the node is built.
+
+    The dataclass decorator generates ``==``, ``hash``, ``repr`` and the
+    frozen ``__setattr__``.  The nodes that every step rebuilds (``Var``,
+    ``AbsLoc``, ``App``, ``Guard``, ``Unif`` and ``Program``) have a
+    hand-written ``__init__`` that stores each field through its slot's
+    setter, bound once below the classes, instead of through
+    ``object.__setattr__``."""
     value = False
 
 
@@ -41,6 +49,9 @@ class Term:
 class Var(Term):
     name: str
     value = True
+
+    def __init__(self, name):
+        _set_var_name(self, name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,6 +77,12 @@ class AbsLoc(Term):
     ann: Optional[object] = field(default=None, compare=False)
     value = True
 
+    def __init__(self, loc, var, body, ann=None):
+        _set_absloc_loc(self, loc)
+        _set_absloc_var(self, var)
+        _set_absloc_body(self, body)
+        _set_absloc_ann(self, ann)
+
 
 @dataclass(frozen=True, slots=True)
 class App(Term):
@@ -73,9 +90,10 @@ class App(Term):
     arg: Term
     value: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        fn = self.fn
-        object.__setattr__(self, "value", self.arg.value and (
+    def __init__(self, fn, arg):
+        _set_app_fn(self, fn)
+        _set_app_arg(self, arg)
+        _set_app_value(self, arg.value and (
             type(fn) is Cons or (type(fn) is App and fn.value)))
 
 
@@ -91,20 +109,30 @@ class Guard(Term):
     left: Term
     right: Term
 
+    def __init__(self, left, right):
+        _set_guard_left(self, left)
+        _set_guard_right(self, right)
+
 
 @dataclass(frozen=True, slots=True)
 class Unif(Term):
     left: Term
     right: Term
 
+    def __init__(self, left, right):
+        _set_unif_left(self, left)
+        _set_unif_right(self, right)
+
 
 @dataclass(frozen=True, slots=True)
 class Program:
-    """Ordered sequence of threads; the empty program is fail."""
+    """Ordered sequence of threads; the empty program is fail.  Any
+    iterable of threads is stored as a tuple."""
     threads: tuple = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "threads", tuple(self.threads))
+    def __init__(self, threads=()):
+        _set_program_threads(
+            self, threads if type(threads) is tuple else tuple(threads))
 
     @property
     def is_fail(self):
@@ -122,6 +150,20 @@ class Program:
     def __getitem__(self, i):
         return self.threads[i]
 
+
+_set_var_name = Var.name.__set__
+_set_absloc_loc = AbsLoc.loc.__set__
+_set_absloc_var = AbsLoc.var.__set__
+_set_absloc_body = AbsLoc.body.__set__
+_set_absloc_ann = AbsLoc.ann.__set__
+_set_app_fn = App.fn.__set__
+_set_app_arg = App.arg.__set__
+_set_app_value = App.value.__set__
+_set_guard_left = Guard.left.__set__
+_set_guard_right = Guard.right.__set__
+_set_unif_left = Unif.left.__set__
+_set_unif_right = Unif.right.__set__
+_set_program_threads = Program.threads.__set__
 
 FAIL = Program(())
 
@@ -292,7 +334,7 @@ def _subst_term(t: Term, mapping: dict) -> Term:
 
 
 def _subst_program(p: Program, mapping: dict) -> Program:
-    return Program(tuple(_subst_term(t, mapping) for t in p))
+    return Program(tuple([_subst_term(t, mapping) for t in p.threads]))
 
 
 def _subst(x, mapping: dict):
@@ -332,52 +374,57 @@ def term_key(x):
     bound = {}          # binder name -> depth of its innermost binding
     free = {}
     locs = {}
-
-    def program(p, depth):
-        out.append(f"P{len(p.threads)}")
-        for t in p.threads:
-            term(t, depth)
-
-    def term(t, depth):
-        cls = type(t)
-        if cls is Var:
-            level = bound.get(t.name)
-            if level is None:
-                out.append(f"v{free.setdefault(t.name, len(free))}")
+    # Explicit stack, so nesting depth is not bounded by Python's
+    # recursion limit.  The walk descends into the left child at once and
+    # pushes the right one; a binder pushes (variable, outer binding),
+    # popped when its body is done to restore the binding and the depth.
+    stack = [x]
+    depth = 0
+    while stack:
+        t = stack.pop()
+        while True:
+            cls = type(t)
+            if cls is App:
+                out.append("@")
+                stack.append(t.arg)
+                t = t.fn
+            elif cls is Var:
+                level = bound.get(t.name)
+                if level is None:
+                    out.append(f"v{free.setdefault(t.name, len(free))}")
+                else:
+                    out.append(f"b{depth - level}")
+                break
+            elif cls is Cons:
+                out.append(f"c{len(t.name)}:{t.name}")
+                break
+            elif cls is Guard or cls is Unif:
+                out.append(";" if cls is Guard else "=")
+                stack.append(t.right)
+                t = t.left
+            elif cls is Program:
+                out.append(f"P{len(t.threads)}")
+                stack.extend(reversed(t.threads))
+                break
+            elif cls is tuple:
+                var, outer = t
+                depth -= 1
+                if outer is None:
+                    del bound[var]
+                else:
+                    bound[var] = outer
+                break
+            elif cls is Abs or cls is AbsLoc or cls is Fresh:
+                if cls is AbsLoc:
+                    out.append(f"L{locs.setdefault(t.loc, len(locs))}")
+                else:
+                    out.append("\\" if cls is Abs else "F")
+                stack.append((t.var, bound.get(t.var)))
+                bound[t.var] = depth
+                depth += 1
+                t = t.body
             else:
-                out.append(f"b{depth - level}")
-        elif cls is Cons:
-            out.append(f"c{len(t.name)}:{t.name}")
-        elif cls is App:
-            out.append("@")
-            term(t.fn, depth)
-            term(t.arg, depth)
-        elif cls is Guard or cls is Unif:
-            out.append(";" if cls is Guard else "=")
-            term(t.left, depth)
-            term(t.right, depth)
-        elif cls is Abs or cls is AbsLoc or cls is Fresh:
-            if cls is AbsLoc:
-                out.append(f"L{locs.setdefault(t.loc, len(locs))}")
-            else:
-                out.append("\\" if cls is Abs else "F")
-            outer = bound.get(t.var)
-            bound[t.var] = depth
-            if cls is Fresh:
-                term(t.body, depth + 1)
-            else:
-                program(t.body, depth + 1)
-            if outer is None:
-                del bound[t.var]
-            else:
-                bound[t.var] = outer
-        else:
-            raise TypeError(f"unexpected term {t!r}")
-
-    if isinstance(x, Program):
-        program(x, 0)
-    else:
-        term(x, 0)
+                raise TypeError(f"unexpected term {t!r}")
     return "".join(out), tuple(free), tuple(locs)
 
 

@@ -1,9 +1,11 @@
 """Helpers that only the tests use: a timer, value-ness by walking the
-term, term predicates, coherence as a predicate, weak contexts as terms
-with a hole and plugging into them, the closure-based redex search that
-the paths are checked against, location renaming, substitution
-equality, composition, support and range, one-variable substitution
-through a Substitution, trace replay, the whole-program step and the
+term, term predicates, coherence as a predicate, weak contexts as
+terms with a hole and plugging into them, the closure-based redex
+search that the paths are checked against, the redex selection by
+strategy over every redex, the printer that decides parentheses by
+intrinsic level, location renaming, substitution equality,
+composition, support and range, one-variable substitution through a
+Substitution, trace replay, the whole-program step and the
 product-space explorer, the unitary check of denotations, the
 whole-program toplevel denotation, the free variables, terms and
 substitution instance of a unification problem, a batch of generated
@@ -30,8 +32,8 @@ from lamu.reduction import (
     enumerate_redexes,
 )
 from lamu.syntax import (
-    OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, Program,
-    Session, Substitution, Term, Unif, Var, alpha_eq, check_coherent,
+    OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, LamuError,
+    Program, Session, Substitution, Term, Unif, Var, alpha_eq, check_coherent,
     coherence_witness, free_vars, make_spine, singleton, spine,
     subst_apply, _children,
 )
@@ -156,6 +158,20 @@ def redexes_with_contexts(p) -> List[ContextRedex]:
     return out
 
 
+def find_redex_oracle(p, strategy="leftmost", rng=None):
+    """The redex the strategy picks among every redex of the program, in
+    order: the selection that reduction.find_redex, which stops early
+    under leftmost and rightmost, is checked against."""
+    redexes = enumerate_redexes(p)
+    if not redexes:
+        return None
+    if strategy == "leftmost":
+        return redexes[0]
+    if strategy == "rightmost":
+        return redexes[-1]
+    return redexes[rng.randrange(len(redexes))]
+
+
 def is_structure(t: Term) -> bool:
     head, _ = spine(t)
     return isinstance(head, Cons) and is_value_oracle(t)
@@ -183,6 +199,62 @@ def plug(w: Term, x):
     if isinstance(x, Program):
         return Program(tuple(plug_term(w, t) for t in x))
     return plug_term(w, x)
+
+
+# ---------------------------------------------------------------------------
+# The printer that concrete.pretty_term, which dispatches on the node's
+# type, is checked against
+
+_LVL_OPEN, _LVL_UNIF, _LVL_APP, _LVL_ATOM = 1, 2, 3, 4
+
+
+def _intrinsic(t: Term) -> int:
+    if isinstance(t, (Abs, AbsLoc, Fresh, Guard)):
+        return _LVL_OPEN
+    if isinstance(t, Unif):
+        return _LVL_UNIF
+    if isinstance(t, App):
+        return _LVL_APP
+    return _LVL_ATOM
+
+
+def pretty_term_oracle(t: Term, ctx: int = _LVL_OPEN,
+                       rightmost: bool = True) -> str:
+    """t printed at level ctx: parentheses when its intrinsic level is
+    below ctx, or when it is a binder that something follows."""
+    parens = _intrinsic(t) < ctx or (
+        isinstance(t, (Abs, AbsLoc, Fresh)) and not rightmost)
+    rm = True if parens else rightmost
+    if isinstance(t, Var):
+        s = t.name
+    elif isinstance(t, Cons):
+        s = t.name
+    elif isinstance(t, Abs):
+        s = f"\\{t.var}. {pretty_program_oracle(t.body, rm)}"
+    elif isinstance(t, AbsLoc):
+        s = f"\\{t.var}@L{t.loc}. {pretty_program_oracle(t.body, rm)}"
+    elif isinstance(t, Fresh):
+        s = f"fresh {t.var}. {pretty_term_oracle(t.body, _LVL_OPEN, rm)}"
+    elif isinstance(t, Guard):
+        s = (f"{pretty_term_oracle(t.left, _LVL_UNIF, False)} ; "
+             f"{pretty_term_oracle(t.right, _LVL_OPEN, rm)}")
+    elif isinstance(t, Unif):
+        s = (f"{pretty_term_oracle(t.left, _LVL_APP, False)} =:= "
+             f"{pretty_term_oracle(t.right, _LVL_APP, rm)}")
+    elif isinstance(t, App):
+        s = (f"{pretty_term_oracle(t.fn, _LVL_APP, False)} "
+             f"{pretty_term_oracle(t.arg, _LVL_ATOM, False)}")
+    else:
+        raise LamuError(f"cannot print {t!r}")
+    return f"({s})" if parens else s
+
+
+def pretty_program_oracle(p: Program, rightmost: bool = True) -> str:
+    if p.is_fail:
+        return "fail"
+    last = len(p) - 1
+    return " | ".join(pretty_term_oracle(t, _LVL_OPEN, rightmost and i == last)
+                      for i, t in enumerate(p))
 
 
 def subst_loc(x, old: int, new: int):

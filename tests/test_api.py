@@ -231,6 +231,10 @@ GOLDEN = [
     (Guard(C, X), "Guard(left=Cons(name='C'), right=Var(name='x'))"),
     (Unif(X, C), "Unif(left=Var(name='x'), right=Cons(name='C'))"),
     (Program((X, C)), "Program(threads=(Var(name='x'), Cons(name='C')))"),
+    # a program stores any iterable of threads as a tuple
+    (Program([X, C]), "Program(threads=(Var(name='x'), Cons(name='C')))"),
+    (Program(t for t in (X, C)),
+     "Program(threads=(Var(name='x'), Cons(name='C')))"),
 ]
 
 

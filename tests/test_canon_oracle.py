@@ -70,6 +70,22 @@ def test_alpha_view_keeps_order_names_and_locations():
     assert term_key(App(Y, ID2)) == ("@v0L0P1b1", ("y",), (2,))
 
 
+def test_key_of_a_deep_term_returns():
+    # the S (S (... C)) value that a thread growing one level per split
+    # builds, and a binder tower over it: a key that recursed once per
+    # level raised RecursionError at about 1 000 levels
+    tower = C
+    for _ in range(10_000):
+        tower = App(Cons("S"), tower)
+    assert alpha_eq(tower, tower) and not alpha_eq(tower, tower.arg)
+    assert canonical_thread(tower) == "@c1:S" * 10_000 + "c1:C"
+    binders = App(X, tower)
+    for name in ("x", "y") * 5_000:
+        binders = Fresh(name, binders)
+    assert alpha_eq(binders, Fresh("z", binders.body))
+    assert canonical_thread(binders).startswith("F" * 10_000 + "@b1@c1:S")
+
+
 def test_equiv_view_renames_per_thread():
     assert canonical_thread(App(X, ID1)) == canonical_thread(App(Y, ID2))
     assert canonical_thread(App(X, X)) != canonical_thread(App(X, Y))

@@ -1,9 +1,13 @@
 """Tests for the concrete syntax: parsing, pretty-printing, round
 trips, declarations, and the type-inference translation."""
 
+import itertools
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import pretty_program_oracle, pretty_term_oracle
 from lamu.concrete import (
     ParseError, hm_translate, parse_file, parse_program, parse_term,
     pretty_program, pretty_term,
@@ -13,12 +17,13 @@ from lamu.generator import Generator, GeneratorConfig
 from lamu.reduction import evaluate
 from lamu.syntax import (
     Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Unif, Var, alpha_eq,
-    singleton,
+    singleton, subterms,
 )
 from lamu.typecheck import Arrow, Base
 
 X, Y = Var("x"), Var("y")
 C, D = Cons("C"), Cons("D")
+CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
 
 def test_parse_atoms():
@@ -157,6 +162,28 @@ def test_pretty_formats():
     assert pretty_term(Guard(Unif(X, C), Y)) == "x =:= C ; y"
     assert pretty_term(App(App(C, X), Y)) == "C x y"
     assert pretty_term(App(C, App(D, X))) == "C (D x)"
+
+
+def test_printer_matches_the_oracle():
+    # the corpus files and 8 000 generated programs print as the printer
+    # that decides parentheses by intrinsic level prints them, and so do
+    # the subterms of the corpus and of the first 50 programs at every
+    # level and position
+    corpus = []
+    for name in sorted(os.listdir(CORPUS)):
+        with open(os.path.join(CORPUS, name), encoding="utf-8") as handle:
+            src = parse_file(handle.read())
+        corpus += [src.program, *map(singleton, src.definitions.values())]
+    generated = [p for seed in range(40) for p in itertools.islice(
+        Generator(GeneratorConfig(seed=seed, max_depth=5)).programs(), 200)]
+    for p in corpus + generated:
+        assert pretty_program(p) == pretty_program_oracle(p)
+    terms = [t for p in corpus + generated[:50] for t in subterms(p)]
+    assert len(terms) > 2000
+    for t in terms:
+        for ctx, rightmost in itertools.product((1, 2, 3, 4), (True, False)):
+            assert pretty_term(t, ctx, rightmost) == \
+                pretty_term_oracle(t, ctx, rightmost)
 
 
 def test_pretty_parenthesizes_lambda_in_app():

@@ -1,28 +1,32 @@
-"""``evaluate`` against the loop it replaced: ``find_redex`` from thread 0
-on every step, the whole-program step (plug, then splice into a new
-program), the issued variable and location recovered by diffing
-``free_vars`` and ``locations`` over the before and after programs, and
-the unif substitution recomputed by ``mgu_goal``.  ``evaluate``'s
-thread-level deltas are replayed into whole programs and compared with
-the oracle's step by step.  The redexes' paths are checked against the
-weak contexts of the closure-based search on every thread the streams
-visit, the value flag each term sets when it is built against the
-walk that decides value-ness from scratch, and the one-entry walk of
-``subst_single`` against a ``Substitution`` through ``subst_apply``."""
+"""``evaluate`` against the loop it replaced: the leftmost redex among
+every redex of the whole program on every step, the whole-program step
+(plug, then splice into a new program), the issued variable and
+location recovered by diffing ``free_vars`` and ``locations`` over the
+before and after programs, and the unif substitution recomputed by
+``mgu_goal``.  ``evaluate``'s thread-level deltas are replayed into
+whole programs and compared with the oracle's step by step.  Under
+every strategy, each step of ``evaluate`` is checked against the step
+of the redex that the strategy picks among every redex.  The redexes'
+paths are checked against the weak contexts of the closure-based search
+on every thread the streams visit, the value flag each term sets when
+it is built against the walk that decides value-ness from scratch, and
+the one-entry walk of ``subst_single`` against a ``Substitution``
+through ``subst_apply``."""
 
 import itertools
 import os
+import random
 
 from helpers import (
-    ProgramStep, is_value_oracle, program_step_at, redexes_with_contexts,
-    subst_single_oracle, weak_context, within,
+    ProgramStep, find_redex_oracle, is_value_oracle, program_step_at,
+    redexes_with_contexts, subst_single_oracle, weak_context, within,
 )
 from lamu import unify
 from lamu.concrete import parse_file, parse_program
 from lamu.generator import Generator, GeneratorConfig
 from lamu.reduction import (
-    ALLOC, BETA, FRESH, UNIF, enumerate_redexes, evaluate, find_redex,
-    replay,
+    ALLOC, BETA, FRESH, STRATEGIES, UNIF, enumerate_redexes, evaluate,
+    replay, step_at,
 )
 from lamu.syntax import (
     App, Program, Session, Term, Var, check_coherent, free_vars, locations,
@@ -47,7 +51,7 @@ def oracle_evaluate(p, fuel):
     trace = []
     current = p
     for _ in range(fuel):
-        redex = find_redex(current)
+        redex = find_redex_oracle(current)
         if redex is None:
             return current, trace, True
         after = program_step_at(current, redex, session).after
@@ -64,7 +68,7 @@ def oracle_evaluate(p, fuel):
         trace.append(ProgramStep(redex.rule, redex.thread, current, after,
                                  sigma, fresh_var, fresh_loc, redex.focus))
         current = after
-    return current, trace, find_redex(current) is None
+    return current, trace, find_redex_oracle(current) is None
 
 
 def assert_same_trace(p, fuel):
@@ -149,6 +153,17 @@ def test_divergent_matches_oracle():
     assert not assert_same_trace(parse_program(GROWING), 900).normal
 
 
+def test_rightmost_stops_at_the_last_thread_with_a_redex():
+    # every step splits a C off the diverging thread, to its right; a
+    # search that collected the redexes of every thread on every step
+    # took several seconds
+    p = parse_program(DIVERGENT)
+    result = within(3.0, "4 000 rightmost steps of the divergent program",
+                    lambda: evaluate(p, fuel=4000, strategy="rightmost"))
+    assert not result.normal and result.steps == 4000
+    assert len(result.program) == 3999
+
+
 def test_divergent_evaluates_in_linear_time():
     # after two allocs every step splits a C off the diverging thread; a
     # step that copied the whole program would make 20 000 steps
@@ -218,6 +233,39 @@ def test_value_flag_matches_the_walk():
         assert t.value == is_value_oracle(t), t
     tower = list(subterms(grown.arg))
     assert len(tower) > 1000 and all(t.value for t in tower)
+
+
+def by_value(ts):
+    """ts with its substitution as a dict, which compares by value."""
+    sigma = ts.substitution
+    return ts._replace(
+        substitution=None if sigma is None else dict(sigma.items()))
+
+
+def assert_strategy_picks(p, fuel, strategy, seed):
+    """Replay evaluate's trace and check each step against the step_at
+    of the redex that the strategy picks among every redex of the
+    threads.  Both steps share every subterm beside the redex's path, so
+    comparing them costs the path, not the thread."""
+    result = evaluate(p, fuel, strategy, seed)
+    session = Session.for_program(p)
+    rng = random.Random(seed)
+    threads = list(p)
+    for ts in result.trace:
+        redex = find_redex_oracle(threads, strategy, rng)
+        old = step_at(threads[redex.thread], redex, session)
+        assert by_value(old) == by_value(ts)
+        threads[ts.thread:ts.thread + 1] = ts.after
+    assert (find_redex_oracle(threads) is None) == result.normal
+    assert Program(threads) == result.program
+
+
+def test_every_strategy_matches_the_oracle():
+    # two seeds a strategy: leftmost and rightmost stop early and ignore
+    # the seed, random draws from the same list
+    for p, fuel in streams():
+        for strategy, seed in itertools.product(STRATEGIES, (0, 1)):
+            assert_strategy_picks(p, fuel, strategy, seed)
 
 
 def test_paths_match_weak_contexts():
