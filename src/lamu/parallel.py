@@ -2,7 +2,9 @@
 collects pending unification goals per thread and discharges them at the
 thread boundary.  Used as an independent oracle against the small-step
 evaluator.  Threads never interact, so a thread is the unit of work:
-``par_normalize`` steps only the threads that are not yet normal.
+``par_normalize`` steps only the threads that are not yet normal, and
+its loop holds only those, so its cost is linear in the thread-steps
+it takes.
 """
 from __future__ import annotations
 
@@ -93,19 +95,47 @@ class ParNormalResult:
     normal: bool
 
 
+def _place(threads, slot: list, pending: list):
+    """Append each thread to slot: a normal one as itself, any other as
+    a new slot, queued with its thread on pending."""
+    for u in threads:
+        if is_normal_term(u):
+            slot.append(u)
+        else:
+            sub = []
+            slot.append(sub)
+            pending.append((u, sub))
+
+
 def par_normalize(p: Program, fuel=200) -> ParNormalResult:
     """Iterate par_step until the program is normal; normal=False means
     out of fuel, with the program after exactly fuel steps.  A thread is
-    classified once, when it appears, and a normal one is carried over:
-    it is a fixpoint of par_term that emits no goal and draws nothing
-    from the session, so this equals par_step on the whole program."""
+    classified once, when it appears, and a normal one is never looked
+    at again: it is a fixpoint of par_term that emits no goal and draws
+    nothing from the session, so this equals par_step on the whole
+    program.  The loop holds only the pending threads, in program order,
+    each with the slot (a list) that receives what it steps to; a slot
+    holds normal threads and the slots of pending ones, and the slot
+    tree is flattened once at the end.  A step costs the pending
+    threads, not the finished ones."""
     check_coherent(p)
     session = Session.for_program(p)
-    threads = [(t, is_normal_term(t)) for t in p]
+    root, pending = [], []
+    _place(p.threads, root, pending)
     steps = 0
-    while steps < fuel and not all(normal for _, normal in threads):
-        threads = [(u, normal or is_normal_term(u)) for t, normal in threads
-                   for u in ((t,) if normal else _par_thread(t, session))]
+    while pending and steps < fuel:
+        nxt = []
+        for t, slot in pending:
+            _place(_par_thread(t, session), slot, nxt)
+        pending = nxt
         steps += 1
-    return ParNormalResult(Program(tuple(t for t, _ in threads)), steps,
-                           all(normal for _, normal in threads))
+    for t, slot in pending:
+        slot.append(t)
+    threads, stack = [], [root]
+    while stack:
+        x = stack.pop()
+        if type(x) is list:
+            stack.extend(reversed(x))
+        else:
+            threads.append(x)
+    return ParNormalResult(Program(tuple(threads)), steps, not pending)

@@ -13,14 +13,17 @@ Reduction rules rewrite a single thread of the toplevel program; beta
 steps may split one thread into several, and failed unifications delete
 the thread.  ``step_at`` is the one place that contracts a redex: it
 rebuilds only the nodes on the redex's path, shares every subterm beside
-it, and returns a ``TraceStep``, a delta naming the
-thread, what it became and the location, variable or substitution the
-rule issued.  ``evaluate`` is the one loop that steps a program: it
-splices each delta into a list of threads, so a step costs the size of
-the thread it rewrites, not the size of the program.  ``replay``
-rebuilds the whole programs from the deltas for ``--trace`` and for
-``typecheck.typed_steps``, whose whole programs the soundness harness
-denotes.
+it, and returns a ``TraceStep``, a delta naming the thread, what it
+became and the location, variable or substitution the rule issued.  Beta
+substitutes straight into the body's threads, and the substitution
+shares every subterm it does not change.  ``Redex`` and ``TraceStep``
+are built through ``tuple.__new__``, which skips the NamedTuple's
+generated Python-level ``__new__``.  ``evaluate`` is the one loop that
+steps a program: it splices each delta into a list of threads, so a step
+costs the size of the thread it rewrites, not the size of the program.
+``replay`` rebuilds the whole programs from the deltas for ``--trace``
+and for ``typecheck.typed_steps``, whose whole programs the soundness
+harness denotes.
 
 Because threads never interact, ``reachable_normal_forms`` explores each
 thread on its own and sums the threads' normal forms: its cost is the
@@ -39,7 +42,7 @@ from .equiv import canonical_thread
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Session,
     Substitution, Term, Unif, Var, check_coherent, subst_apply,
-    subst_single,
+    subst_single, subst_threads,
 )
 
 ALLOC = "alloc"
@@ -51,6 +54,7 @@ FAILRULE = "fail"
 
 STRATEGIES = ("leftmost", "rightmost", "random")
 _ALL = sys.maxsize      # the limit that collects every redex
+_new = tuple.__new__    # builds a NamedTuple without its Python-level __new__
 
 
 class Redex(NamedTuple):
@@ -58,7 +62,8 @@ class Redex(NamedTuple):
     ``path`` leads from focus back to the thread root: a linked list of
     ``(parent, side, outer_path)`` with side 0 for the ``fn``/``left``
     child of parent and 1 for ``arg``/``right``, None at the root.  A
-    NamedTuple because the search builds one per redex; ``==`` compares
+    NamedTuple because the search builds one per redex, through
+    ``tuple.__new__`` with every field given; ``==`` compares
     ``unify_outcome`` too."""
     thread: int
     path: Optional[tuple]
@@ -71,7 +76,8 @@ class TraceStep(NamedTuple):
     """One contracted redex, as a delta: thread ``thread`` of the program
     was the term ``before`` and became the threads ``after`` (none for
     fail, several for a splitting beta).  A NamedTuple because the
-    explorer builds one per edge."""
+    explorer builds one per edge, through ``tuple.__new__`` with every
+    field given."""
     rule: str
     thread: int
     before: Term
@@ -97,7 +103,7 @@ def _collect(t: Term, path, thread: int, out: list, limit: int):
         if not arg.value:
             _collect(arg, (t, 1, path), thread, out, limit)
         elif type(fn) is AbsLoc:
-            out.append(Redex(thread, path, t, BETA))
+            out.append(_new(Redex, (thread, path, t, BETA, None)))
     elif cls is Guard or cls is Unif:
         left, right = t.left, t.right
         if not left.value:
@@ -110,15 +116,15 @@ def _collect(t: Term, path, thread: int, out: list, limit: int):
                 return
         if cls is Guard:
             if left.value:
-                out.append(Redex(thread, path, t, GUARD))
+                out.append(_new(Redex, (thread, path, t, GUARD, None)))
         elif left.value and right.value:
             outcome = unify.mgu_goal(left, right)
             rule = UNIF if isinstance(outcome, unify.Solved) else FAILRULE
-            out.append(Redex(thread, path, t, rule, outcome))
+            out.append(_new(Redex, (thread, path, t, rule, outcome)))
     elif cls is Abs:
-        out.append(Redex(thread, path, t, ALLOC))
+        out.append(_new(Redex, (thread, path, t, ALLOC, None)))
     elif cls is Fresh:
-        out.append(Redex(thread, path, t, FRESH))
+        out.append(_new(Redex, (thread, path, t, FRESH, None)))
 
 
 def _plug(path, t: Term) -> Term:
@@ -195,7 +201,8 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
         fresh_loc = session.fresh_loc()
         after = (_plug(path, AbsLoc(fresh_loc, focus.var, focus.body, focus.ann)),)
     elif rule == BETA:
-        body = subst_single(focus.fn.body, focus.fn.var, focus.arg).threads
+        fn = focus.fn
+        body = subst_threads(fn.body.threads, fn.var, focus.arg)
         after = body if path is None else tuple([_plug(path, s) for s in body])
     elif rule == GUARD:
         after = (_plug(path, focus.right),)
@@ -209,8 +216,8 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
         after = ()
     else:
         raise ValueError(f"unknown rule {rule!r}")
-    return TraceStep(rule, redex.thread, t, after, sigma, fresh_var,
-                     fresh_loc, focus)
+    return _new(TraceStep, (rule, redex.thread, t, after, sigma, fresh_var,
+                            fresh_loc, focus))
 
 
 def step(p: Program, strategy="leftmost", session: Optional[Session] = None,

@@ -4,10 +4,13 @@ coherence.
 Terms and programs are immutable; all operations are pure functions.
 Binder type annotations (``ann``) are metadata filled in by the type
 checker and excluded from equality, hashing and ``term_key``.
-``term_key`` is the one canonical form: alpha-equivalence compares whole
-keys, and structural equivalence (module ``equiv``) compares their
-shapes.  It walks the term with an explicit stack, so a term of any
-depth has a key.
+Substitution shares: a subterm without a free occurrence of a mapped
+name comes back as the same object, so a substitution builds only the
+nodes above the occurrences it replaces.  ``term_key`` is the one
+canonical form: alpha-equivalence compares whole keys, and structural
+equivalence (module ``equiv``) compares their shapes.  It and
+``free_vars`` walk the term with an explicit stack, so a term of any
+depth has a key and free variables.
 """
 from __future__ import annotations
 
@@ -200,23 +203,38 @@ def subterms(x: Union[Term, Program]) -> Iterator[Term]:
 
 
 def free_vars(x: Union[Term, Program]) -> frozenset:
-    if isinstance(x, Program):
-        out = frozenset()
-        for t in x:
-            out |= free_vars(t)
-        return out
-    if isinstance(x, Var):
-        return frozenset((x.name,))
-    if isinstance(x, Cons):
-        return frozenset()
-    if isinstance(x, (Abs, AbsLoc)):
-        return free_vars(x.body) - {x.var}
-    if isinstance(x, Fresh):
-        return free_vars(x.body) - {x.var}
-    out = frozenset()
-    for c in _children(x):
-        out |= free_vars(c)
-    return out
+    """The free variables of x, found with an explicit stack, so x may
+    be nested to any depth.  A binder pushes its variable as a marker
+    below its body: popped once the body is done, it ends that
+    binding."""
+    out = set()
+    bound = {}          # name -> how many enclosing binders bind it
+    stack = [x]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is Var:
+            if t.name not in bound:
+                out.add(t.name)
+        elif cls is App:
+            stack.append(t.arg)
+            stack.append(t.fn)
+        elif cls is Guard or cls is Unif:
+            stack.append(t.right)
+            stack.append(t.left)
+        elif cls is Program:
+            stack.extend(t.threads)
+        elif cls is str:
+            n = bound[t] - 1
+            if n:
+                bound[t] = n
+            else:
+                del bound[t]
+        elif cls is Abs or cls is AbsLoc or cls is Fresh:
+            bound[t.var] = bound.get(t.var, 0) + 1
+            stack.append(t.var)
+            stack.append(t.body)
+    return frozenset(out)
 
 
 def locations(x: Union[Term, Program]) -> frozenset:
@@ -300,52 +318,85 @@ def _pick_fresh(base: str, forbidden) -> str:
 
 
 def _subst_term(t: Term, mapping: dict) -> Term:
+    """t with mapping applied, sharing every subterm that holds no free
+    occurrence of a mapped name: such a subterm comes back as the same
+    object."""
     cls = type(t)
     if cls is Var:
         return mapping.get(t.name, t)
     if cls is App:
-        return App(_subst_term(t.fn, mapping), _subst_term(t.arg, mapping))
+        fn = _subst_term(t.fn, mapping)
+        arg = _subst_term(t.arg, mapping)
+        if fn is t.fn and arg is t.arg:
+            return t
+        return App(fn, arg)
     if cls is Cons:
         return t
     if cls is Guard or cls is Unif:
-        return cls(_subst_term(t.left, mapping), _subst_term(t.right, mapping))
+        left = _subst_term(t.left, mapping)
+        right = _subst_term(t.right, mapping)
+        if left is t.left and right is t.right:
+            return t
+        return cls(left, right)
     if cls is Abs or cls is AbsLoc or cls is Fresh:
-        body_fv = free_vars(t.body)
-        inner = {k: v for k, v in mapping.items()
-                 if k != t.var and k in body_fv}
+        return _subst_binder(t, mapping)
+    raise TypeError(f"unexpected term {t!r}")
+
+
+def _subst_binder(t: Term, mapping: dict) -> Term:
+    """An abstraction or fresh binder with mapping applied to its body.
+    The body is substituted first; only when it changed, and a value
+    holds the binder's variable free, does the capture check walk the
+    body.  Then the values that the body uses decide it, as in the
+    textbook rule: the binder is renamed to a name free in none of
+    them, in the body, nor among the mapped names."""
+    var = t.var
+    inner = mapping
+    if var in mapping:
+        inner = {k: v for k, v in mapping.items() if k != var}
         if not inner:
             return t
-        var = t.var
-        body = t.body
+    body = _subst(t.body, inner)
+    if body is t.body:
+        return t
+    if any(var in free_vars(v) for v in inner.values()):
+        body_fv = free_vars(t.body)
+        inner = {k: v for k, v in inner.items() if k in body_fv}
         captured = set()
         for v in inner.values():
             captured |= free_vars(v)
         if var in captured:
-            forbidden = captured | body_fv | set(inner)
-            new = _pick_fresh(var, forbidden)
-            body = _subst(body, {var: Var(new)})
+            new = _pick_fresh(var, captured | body_fv | set(inner))
+            body = _subst(_subst(t.body, {var: Var(new)}), inner)
             var = new
-        if cls is Abs:
-            return Abs(var, _subst_program(body, inner), t.ann)
-        if cls is AbsLoc:
-            return AbsLoc(t.loc, var, _subst_program(body, inner), t.ann)
-        return Fresh(var, _subst_term(body, inner), t.ann)
-    raise TypeError(f"unexpected term {t!r}")
+    cls = type(t)
+    if cls is Abs:
+        return Abs(var, body, t.ann)
+    if cls is AbsLoc:
+        return AbsLoc(t.loc, var, body, t.ann)
+    return Fresh(var, body, t.ann)
 
 
-def _subst_program(p: Program, mapping: dict) -> Program:
-    return Program(tuple([_subst_term(t, mapping) for t in p.threads]))
+def _subst_threads(threads: tuple, mapping: dict) -> tuple:
+    """The threads with mapping applied: the same tuple when no thread
+    changed."""
+    out = [_subst_term(t, mapping) for t in threads]
+    for s, t in zip(out, threads):
+        if s is not t:
+            return tuple(out)
+    return threads
 
 
 def _subst(x, mapping: dict):
-    if isinstance(x, Program):
-        return _subst_program(x, mapping)
+    if type(x) is Program:
+        threads = _subst_threads(x.threads, mapping)
+        return x if threads is x.threads else Program(threads)
     return _subst_term(x, mapping)
 
 
 def subst_apply(x, sigma: Substitution):
     """Simultaneous capture-avoiding substitution."""
-    return _subst(x, dict(sigma.items()))
+    return _subst(x, sigma._map)
 
 
 def subst_single(x, name: str, value: Term):
@@ -355,8 +406,26 @@ def subst_single(x, name: str, value: Term):
     return _subst(x, {name: value})
 
 
+def subst_threads(threads: tuple, name: str, value: Term) -> tuple:
+    """A program's threads with value for name, which must be a value:
+    subst_single on the program, without building the program."""
+    if not value.value:
+        raise NotAValueError(f"substitution binds {name} to a non-value")
+    return _subst_threads(threads, {name: value})
+
+
 # ---------------------------------------------------------------------------
 # Canonical key: alpha equivalence and structural equivalence
+
+# term_key's tokens for the first de Bruijn indices, free-name and
+# location numbers and thread counts; it formats larger ones as it meets
+# them.
+_TOKENS = 64
+_BOUND_TOKENS = tuple(f"b{i}" for i in range(_TOKENS))
+_FREE_TOKENS = tuple(f"v{i}" for i in range(_TOKENS))
+_LOC_TOKENS = tuple(f"L{i}" for i in range(_TOKENS))
+_THREADS_TOKENS = tuple(f"P{i}" for i in range(_TOKENS))
+
 
 def term_key(x):
     """Canonical key of a term or program, built in one traversal.
@@ -371,39 +440,48 @@ def term_key(x):
     locations as well.
     """
     out = []
+    append = out.append
     bound = {}          # binder name -> depth of its innermost binding
-    free = {}
-    locs = {}
+    free = {}           # free name -> its token, in first-occurrence order
+    locs = {}           # location -> its token, in first-occurrence order
     # Explicit stack, so nesting depth is not bounded by Python's
     # recursion limit.  The walk descends into the left child at once and
     # pushes the right one; a binder pushes (variable, outer binding),
     # popped when its body is done to restore the binding and the depth.
     stack = [x]
+    push = stack.append
     depth = 0
     while stack:
         t = stack.pop()
         while True:
             cls = type(t)
             if cls is App:
-                out.append("@")
-                stack.append(t.arg)
+                append("@")
+                push(t.arg)
                 t = t.fn
             elif cls is Var:
                 level = bound.get(t.name)
                 if level is None:
-                    out.append(f"v{free.setdefault(t.name, len(free))}")
+                    token = free.get(t.name)
+                    if token is None:
+                        n = len(free)
+                        token = free[t.name] = (
+                            _FREE_TOKENS[n] if n < _TOKENS else f"v{n}")
+                    append(token)
                 else:
-                    out.append(f"b{depth - level}")
+                    n = depth - level
+                    append(_BOUND_TOKENS[n] if n < _TOKENS else f"b{n}")
                 break
             elif cls is Cons:
-                out.append(f"c{len(t.name)}:{t.name}")
+                append(f"c{len(t.name)}:{t.name}")
                 break
             elif cls is Guard or cls is Unif:
-                out.append(";" if cls is Guard else "=")
-                stack.append(t.right)
+                append(";" if cls is Guard else "=")
+                push(t.right)
                 t = t.left
             elif cls is Program:
-                out.append(f"P{len(t.threads)}")
+                n = len(t.threads)
+                append(_THREADS_TOKENS[n] if n < _TOKENS else f"P{n}")
                 stack.extend(reversed(t.threads))
                 break
             elif cls is tuple:
@@ -416,10 +494,15 @@ def term_key(x):
                 break
             elif cls is Abs or cls is AbsLoc or cls is Fresh:
                 if cls is AbsLoc:
-                    out.append(f"L{locs.setdefault(t.loc, len(locs))}")
+                    token = locs.get(t.loc)
+                    if token is None:
+                        n = len(locs)
+                        token = locs[t.loc] = (
+                            _LOC_TOKENS[n] if n < _TOKENS else f"L{n}")
+                    append(token)
                 else:
-                    out.append("\\" if cls is Abs else "F")
-                stack.append((t.var, bound.get(t.var)))
+                    append("\\" if cls is Abs else "F")
+                push((t.var, bound.get(t.var)))
                 bound[t.var] = depth
                 depth += 1
                 t = t.body

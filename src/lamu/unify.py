@@ -44,19 +44,23 @@ def _goal_key(g: Goal):
 class Problem:
     """A unification problem: a set of goals with insertion order kept
     for the deterministic rewrite policy.  Duplicates (up to alpha)
-    collapse."""
+    collapse; a problem of one goal holds no duplicate, so only a
+    problem of two or more goals keys them."""
 
     __slots__ = ("goals",)
 
     def __init__(self, goals=()):
-        seen = set()
-        out = []
-        for g in goals:
-            key = _goal_key(g)
-            if key not in seen:
-                seen.add(key)
-                out.append(g)
-        self.goals = tuple(out)
+        goals = tuple(goals)
+        if len(goals) > 1:
+            seen = set()
+            out = []
+            for g in goals:
+                key = _goal_key(g)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(g)
+            goals = tuple(out)
+        self.goals = goals
 
     def __iter__(self):
         return iter(self.goals)

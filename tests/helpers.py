@@ -4,14 +4,16 @@ terms with a hole and plugging into them, the closure-based redex
 search that the paths are checked against, the redex selection by
 strategy over every redex, the printer that decides parentheses by
 intrinsic level, location renaming, substitution equality,
-composition, support and range, one-variable substitution through a
+composition, support and range, the recursive free variables, the
+rebuilding substitution and one-variable substitution through a
 Substitution, trace replay, the whole-program step and the
 product-space explorer, the unitary check of denotations, the
 whole-program toplevel denotation, the free variables, terms and
 substitution instance of a unification problem, a batch of generated
 goals, the brute-force unification oracle, the criterion-4 critical
-pairs, the recursive normal/stuck classifier and the whole-program
-simultaneous evaluator, the two-phase unification step, and the full
+pairs, the recursive normal/stuck classifier, the whole-program
+simultaneous evaluator and the carry-over loop that lists every thread
+on every step, the two-phase unification step, and the full
 simultaneous reduction relation for the diamond spot checks."""
 
 import functools
@@ -24,9 +26,11 @@ from lamu import unify
 from lamu.denot import Atom, DenotError, SemValue, Table, denote
 from lamu.equiv import (
     STUCK_CONS, STUCK_GUARD, STUCK_LAM, STUCK_UNIF, STUCK_VAR, StuckKind,
-    canonical_program,
+    canonical_program, is_normal_term,
 )
-from lamu.parallel import ParNormalResult, ParResult, _lift, par_term
+from lamu.parallel import (
+    ParNormalResult, ParResult, _lift, _par_thread, par_term,
+)
 from lamu.reduction import (
     ALLOC, BETA, FAILRULE, FRESH, GUARD, UNIF, Exploration, Redex,
     enumerate_redexes,
@@ -301,11 +305,84 @@ def subst_equal(a: Substitution, b: Substitution) -> bool:
     return all(alpha_eq(a(x), b(x)) for x in support(a))
 
 
+# ---------------------------------------------------------------------------
+# The rebuilding substitution that syntax's sharing substitution is
+# checked against: it builds every node anew and, at each binder, walks
+# the body's free variables before it decides capture
+
+def free_vars_oracle(x) -> frozenset:
+    """The free variables of a term or program by recursion on its
+    structure: the definition that syntax.free_vars, which walks an
+    explicit stack, is checked against."""
+    if isinstance(x, Program):
+        return frozenset().union(*map(free_vars_oracle, x))
+    if isinstance(x, Var):
+        return frozenset((x.name,))
+    if isinstance(x, (Abs, AbsLoc, Fresh)):
+        return free_vars_oracle(x.body) - {x.var}
+    return frozenset().union(*map(free_vars_oracle, _children(x)))
+
+
+def _pick_fresh_oracle(base: str, forbidden) -> str:
+    candidate = base + "'"
+    while candidate in forbidden:
+        candidate += "'"
+    return candidate
+
+
+def _subst_term_oracle(t: Term, mapping: dict) -> Term:
+    if isinstance(t, Var):
+        return mapping.get(t.name, t)
+    if isinstance(t, App):
+        return App(_subst_term_oracle(t.fn, mapping),
+                   _subst_term_oracle(t.arg, mapping))
+    if isinstance(t, Cons):
+        return t
+    if isinstance(t, (Guard, Unif)):
+        return type(t)(_subst_term_oracle(t.left, mapping),
+                       _subst_term_oracle(t.right, mapping))
+    if isinstance(t, (Abs, AbsLoc, Fresh)):
+        body_fv = free_vars_oracle(t.body)
+        inner = {k: v for k, v in mapping.items()
+                 if k != t.var and k in body_fv}
+        if not inner:
+            return t
+        var = t.var
+        body = t.body
+        captured = set()
+        for v in inner.values():
+            captured |= free_vars_oracle(v)
+        if var in captured:
+            forbidden = captured | body_fv | set(inner)
+            new = _pick_fresh_oracle(var, forbidden)
+            body = subst_oracle(body, {var: Var(new)})
+            var = new
+        if isinstance(t, Abs):
+            return Abs(var, subst_oracle(body, inner), t.ann)
+        if isinstance(t, AbsLoc):
+            return AbsLoc(t.loc, var, subst_oracle(body, inner), t.ann)
+        return Fresh(var, subst_oracle(body, inner), t.ann)
+    raise TypeError(f"unexpected term {t!r}")
+
+
+def subst_oracle(x, mapping: dict):
+    """x, a term or a program, with mapping applied, every node rebuilt."""
+    if isinstance(x, Program):
+        return Program(tuple(_subst_term_oracle(t, mapping) for t in x))
+    return _subst_term_oracle(x, mapping)
+
+
+def subst_apply_oracle(x, sigma: Substitution):
+    """subst_apply by the rebuilding substitution."""
+    return subst_oracle(x, dict(sigma.items()))
+
+
 def subst_single_oracle(x, name: str, value: Term):
     """x with value for name, through a one-binding Substitution (which
-    rejects a non-value) and subst_apply: the definition that the
-    one-entry walk of syntax.subst_single is checked against."""
-    return subst_apply(x, Substitution({name: value}))
+    rejects a non-value) and the rebuilding substitution: the definition
+    that syntax.subst_single and syntax.subst_threads are checked
+    against."""
+    return subst_apply_oracle(x, Substitution({name: value}))
 
 
 def splice(p: Program, ts) -> Program:
@@ -361,7 +438,7 @@ def program_step_at(p: Program, redex: Redex, session: Session) -> ProgramStep:
         middle = (plug_term(w, body),)
     elif rule == UNIF:
         sigma = redex.unify_outcome.substitution
-        middle = (subst_apply(plug_term(w, Cons(OK)), sigma),)
+        middle = (subst_apply_oracle(plug_term(w, Cons(OK)), sigma),)
     elif rule == FAILRULE:
         middle = ()
     else:
@@ -514,8 +591,8 @@ def par_step_oracle(p: Program, session: Session) -> Program:
         outcome = unify.mgu(unify.Problem(result.goals))
         if isinstance(outcome, unify.Failed):
             continue
-        threads.extend(
-            subst_apply(result.program, outcome.substitution).threads)
+        threads.extend(subst_apply_oracle(
+            result.program, outcome.substitution).threads)
     return Program(tuple(threads))
 
 
@@ -532,6 +609,22 @@ def par_normalize_oracle(p: Program, fuel=200) -> ParNormalResult:
             break
         current = par_step_oracle(current, session)
     return ParNormalResult(current, fuel, False)
+
+
+def par_normalize_carry_oracle(p: Program, fuel=200) -> ParNormalResult:
+    """par_normalize as a loop that lists every thread on every step and
+    carries the normal ones over unstepped: the loop that the pending-only
+    par_normalize replaced, quadratic when one thread keeps splitting."""
+    check_coherent(p)
+    session = Session.for_program(p)
+    threads = [(t, is_normal_term(t)) for t in p]
+    steps = 0
+    while steps < fuel and not all(normal for _, normal in threads):
+        threads = [(u, normal or is_normal_term(u)) for t, normal in threads
+                   for u in ((t,) if normal else _par_thread(t, session))]
+        steps += 1
+    return ParNormalResult(Program(tuple(t for t, _ in threads)), steps,
+                           all(normal for _, normal in threads))
 
 
 # ---------------------------------------------------------------------------

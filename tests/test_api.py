@@ -1,4 +1,6 @@
-"""Every module-level name in ``src/lamu`` is either used in ``src/``
+"""Every callable the benchmark's tracer wraps is bound in its module,
+and the evaluation traces it reads still carry their deltas.  Every
+module-level name in ``src/lamu`` is either used in ``src/``
 outside its own definition or exported in ``lamu.__all__``, and every
 method is read as an attribute in ``src/`` or ``bench/`` outside its own
 body: a helper that only the tests use belongs in ``tests/``.  Every name
@@ -9,6 +11,8 @@ pinned."""
 
 import ast
 import dataclasses
+import importlib
+import importlib.util
 import os
 import re
 from collections import Counter
@@ -16,7 +20,8 @@ from collections import Counter
 import pytest
 
 import lamu
-from lamu.reduction import BETA, Redex
+from lamu.concrete import parse_program
+from lamu.reduction import BETA, Redex, evaluate
 from lamu.syntax import (
     Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Term, Unif, Var,
     singleton,
@@ -25,6 +30,36 @@ from lamu.syntax import (
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "lamu")
 BENCH = os.path.join(ROOT, "bench")
+
+
+def _bench_tracing():
+    """bench/tracing.py, loaded by its path."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", os.path.join(BENCH, "tracing.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_callable_is_bound():
+    # the tracer replaces each (module, attribute) in every lamu module
+    # that binds it; a renamed or moved function would go untraced
+    traced = _bench_tracing().TRACED
+    assert len(traced) == 20
+    for module, attribute in traced.values():
+        owner = importlib.import_module(f"lamu.{module}")
+        assert callable(getattr(owner, attribute, None)), \
+            f"lamu.{module}.{attribute}"
+
+
+def test_evaluation_traces_carry_their_deltas():
+    # the tracer reads len(ts.after) of every step of an EvalResult
+    p = parse_program(r"(\x. x | S x) C ; D")
+    result = evaluate(p, fuel=10)
+    assert result.normal
+    assert [(ts.rule, len(ts.after)) for ts in result.trace] == [
+        ("alloc", 1), ("beta", 2), ("guard", 1), ("guard", 1)]
+    assert all(type(ts.after) is tuple for ts in result.trace)
 
 
 def _modules(directory=SRC):

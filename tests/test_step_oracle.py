@@ -10,27 +10,33 @@ of the redex that the strategy picks among every redex.  The redexes'
 paths are checked against the weak contexts of the closure-based search
 on every thread the streams visit, the value flag each term sets when
 it is built against the walk that decides value-ness from scratch, and
-the one-entry walk of ``subst_single`` against a ``Substitution``
-through ``subst_apply``."""
+``subst_single`` against a ``Substitution`` through the rebuilding
+substitution.  Every step the explorer takes on the criterion 4/9
+stream is checked against the step rebuilt from its weak context by
+the rebuilding substitution."""
 
 import itertools
 import os
 import random
+from collections import Counter
 
 from helpers import (
-    ProgramStep, find_redex_oracle, is_value_oracle, program_step_at,
-    redexes_with_contexts, subst_single_oracle, weak_context, within,
+    ProgramStep, critical_pair_instances, find_redex_oracle,
+    is_value_oracle, program_step_at, redexes_with_contexts,
+    subst_single_oracle, weak_context, within,
 )
+from lamu import reduction
 from lamu import unify
 from lamu.concrete import parse_file, parse_program
 from lamu.generator import Generator, GeneratorConfig
 from lamu.reduction import (
-    ALLOC, BETA, FRESH, STRATEGIES, UNIF, enumerate_redexes, evaluate,
-    replay, step_at,
+    ALLOC, BETA, FAILRULE, FRESH, GUARD, STRATEGIES, UNIF, enumerate_redexes, evaluate,
+    reachable_normal_forms, replay, step_at,
 )
 from lamu.syntax import (
-    App, Program, Session, Term, Var, check_coherent, free_vars, locations,
-    subst_single, subterms,
+    AbsLoc, App, Cons, Program, Session, Term, Unif, Var, check_coherent,
+    free_vars, locations, singleton, subst_single, subst_threads,
+    subterms,
 )
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -281,7 +287,8 @@ def test_paths_match_weak_contexts():
 
 def test_subst_single_matches_the_substitution():
     # the body, variable and value of every beta and fresh step the
-    # streams take, the growing value at fuel 900 among them
+    # streams take, the growing value at fuel 900 among them; a beta
+    # body goes through subst_threads too
     calls = []
     for p, fuel in streams():
         for ts in evaluate(p, fuel).trace:
@@ -293,5 +300,66 @@ def test_subst_single_matches_the_substitution():
     assert sum(isinstance(x, Program) for x, _, _ in calls) > 1000
     assert sum(isinstance(x, Term) for x, _, _ in calls) > 100
     for x, name, value in calls:
-        assert subst_single(x, name, value) == \
-            subst_single_oracle(x, name, value)
+        out = subst_single_oracle(x, name, value)
+        assert subst_single(x, name, value) == out
+        if isinstance(x, Program):
+            assert subst_threads(x.threads, name, value) == out.threads
+
+
+class Issued:
+    """A session that hands out the variable and location a step
+    recorded, so the oracle's step issues the same ones."""
+
+    def __init__(self, ts):
+        self.ts = ts
+
+    def fresh_var(self):
+        return self.ts.fresh_var
+
+    def fresh_loc(self):
+        return self.ts.fresh_loc
+
+
+def confluence_stream():
+    """The criterion 4/9 stream's first 40 programs, the critical pairs
+    and the divergent program: the programs that the benchmark's
+    confluence workload explores."""
+    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
+    programs = [gen.program() for _ in range(40)]
+    programs.extend(singleton(App(App(Unif(v1, v2), Unif(w1, w2)), t))
+                    for v1, v2, w1, w2, t in critical_pair_instances())
+    programs.append(parse_program(DIVERGENT))
+    return programs
+
+
+def test_every_explorer_step_matches_the_rebuilding_step(monkeypatch):
+    # each step the explorer takes, against the whole-program step that
+    # plugs into the weak context and substitutes by rebuilding; ==
+    # compares binder names, so a renamed binder gets the same name
+    checked = Counter()
+
+    def checked_step_at(t, redex, session):
+        ts = step_at(t, redex, session)
+        old = program_step_at(singleton(t), redex._replace(thread=0),
+                              Issued(ts))
+        assert ts.after == old.after.threads
+        checked[ts.rule] += 1
+        return ts
+
+    monkeypatch.setattr(reduction, "step_at", checked_step_at)
+    for p in confluence_stream():
+        reachable_normal_forms(p, fuel=200, max_states=10_000)
+    assert sum(checked.values()) > 3_000
+    assert set(checked) == {ALLOC, BETA, FRESH, UNIF, GUARD, FAILRULE}
+
+
+def test_beta_shares_the_body_beside_the_occurrences():
+    # (\x. P x (S C) | \y. y | D) D: only the nodes above x are new
+    body = Program((App(App(Cons("P"), Var("x")), App(Cons("S"), Cons("C"))),
+                    AbsLoc(1, "y", singleton(Var("y"))), Cons("D")))
+    p = singleton(App(AbsLoc(2, "x", body), Cons("D")))
+    (ts,) = evaluate(p, fuel=1).trace
+    assert ts.rule == BETA and len(ts.after) == 3
+    assert ts.after[0].arg is body[0].arg
+    assert ts.after[0].fn.fn is body[0].fn.fn
+    assert ts.after[1] is body[1] and ts.after[2] is body[2]

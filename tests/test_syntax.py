@@ -1,19 +1,25 @@
 """Tests for the core AST: values, substitution, alpha equivalence,
-weak contexts, coherence, and name supplies."""
+weak contexts, coherence, and name supplies.  The sharing substitution
+is checked against the rebuilding one, and free_vars against the
+recursive definition."""
+
+import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
-    HOLE, coherent, compose, is_structure, is_weak_context, plug, plug_term,
-    subst_equal, subst_loc, support,
+    HOLE, coherent, compose, free_vars_oracle, is_structure,
+    is_weak_context, plug, plug_term, subst_apply_oracle, subst_equal,
+    subst_loc, subst_single_oracle, support,
 )
+from lamu.generator import Generator, GeneratorConfig
 from lamu.syntax import (
     FAIL, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard,
     NotAValueError, Program, Session, Substitution, Unif, Var, all_names,
     alpha_eq, check_coherent, coherence_witness,
-    free_vars, is_value, locations, make_spine, singleton,
-    spine, subst_apply, subst_single,
+    free_vars, is_value, locations, make_spine,
+    singleton, spine, subst_apply, subst_single, subst_threads, subterms,
 )
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -62,6 +68,26 @@ def test_free_vars():
     assert free_vars(Fresh("x", Unif(X, Y))) == {"y"}
     assert free_vars(Program((X, Y))) == {"x", "y"}
     assert free_vars(ID1) == frozenset()
+    # a binder binds its variable in its body only, and a shadowing
+    # binder ends no outer binding
+    assert free_vars(App(Abs("x", singleton(X)), X)) == {"x"}
+    assert free_vars(Abs("x", Program((Abs("x", singleton(X)), X, Y)))) == {"y"}
+
+
+def test_free_vars_of_a_deep_value_returns():
+    # S (S (... x)) 10 000 levels deep: a recursive walk raises
+    # RecursionError
+    t = X
+    for _ in range(10_000):
+        t = App(Cons("S"), t)
+    assert free_vars(t) == {"x"}
+    assert free_vars(Abs("y", singleton(App(t, Y)))) == {"x"}
+
+
+def test_free_vars_matches_the_recursive_walk():
+    for p in generated_programs():
+        for t in itertools.chain((p,), subterms(p)):
+            assert free_vars(t) == free_vars_oracle(t)
 
 
 def test_locations_and_names():
@@ -215,3 +241,50 @@ def test_subst_composition_law(t, v, w):
     sigma = Substitution({"y": w})
     assert subst_apply(subst_apply(t, rho), sigma) == \
         subst_apply(t, compose(rho, sigma))
+
+
+# -- the sharing substitution against the rebuilding one
+
+def generated_programs():
+    """300 depth-4 generator programs for each seed 0..5."""
+    for seed in range(6):
+        gen = Generator(GeneratorConfig(seed=seed, max_depth=4))
+        yield from itertools.islice(gen.programs(), 300)
+
+
+def test_substitution_matches_the_rebuilding_oracle():
+    # generated values hold the generator's binder names free, so some
+    # substitutions rename a binder; == compares binder names, so a
+    # renamed binder must get the very name the oracle picks
+    gen = Generator(GeneratorConfig(seed=99, max_depth=2))
+    renamed = 0
+    for p in generated_programs():
+        v, w = gen.value(), gen.value()
+        for name in ("x", "y", "z"):
+            out = subst_single(p, name, v)
+            assert out == subst_single_oracle(p, name, v)
+            assert subst_threads(p.threads, name, v) == out.threads
+            if any(n.endswith("'") for n in all_names(out)):
+                renamed += 1
+        for t in p:
+            assert subst_single(t, "x", w) == subst_single_oracle(t, "x", w)
+        sigma = Substitution({"x": w, "y": v, "z": Y})
+        assert subst_apply(p, sigma) == subst_apply_oracle(p, sigma)
+    assert renamed > 500
+
+
+def test_substitution_shares_what_it_does_not_change():
+    t = Program((App(App(Cons("P"), X), App(Cons("S"), C)),
+                 Abs("x", singleton(App(X, Y))), Fresh("y", Unif(Y, D))))
+    # a name that occurs nowhere free leaves the input as it was
+    assert subst_single(t, "w", C) is t
+    assert subst_threads(t.threads, "w", C) is t.threads
+    assert subst_apply(t, Substitution({"w": C, "v": D})) is t
+    # only the nodes above an occurrence are new
+    out = subst_single(t, "x", D)
+    assert out.threads[0].arg is t.threads[0].arg
+    assert out.threads[0].fn.fn is t.threads[0].fn.fn
+    assert out.threads[1] is t.threads[1] and out.threads[2] is t.threads[2]
+    out = subst_single(t, "y", D)
+    assert out.threads[0] is t.threads[0] and out.threads[2] is t.threads[2]
+    assert out.threads[1].body.threads[0].fn is t.threads[1].body.threads[0].fn

@@ -8,10 +8,11 @@ from helpers import (
     brute_force_unifiable, compose, ground_universe, problem_subst,
     problem_terms, range_values, subst_equal, unify_step_oracle,
 )
+from lamu import unify
 from lamu.generator import Generator, GeneratorConfig
 from lamu.syntax import (
     AbsLoc, App, CoherenceError, Cons, Substitution, Var,
-    coherence_witness, free_vars, make_spine, singleton,
+    coherence_witness, free_vars, make_spine, singleton, term_key,
 )
 from lamu.unify import (
     ARITY_CLASH, CONSTRUCTOR_CLASH, LOCATION_CLASH, NORMAL_FORM,
@@ -38,6 +39,20 @@ def test_goal_requires_values():
 def test_problem_dedups_up_to_alpha():
     p = Problem([Goal(ID1, X), Goal(AbsLoc(1, "y", singleton(Y)), X)])
     assert len(p) == 1
+
+
+def test_only_a_problem_of_two_or_more_goals_is_keyed(monkeypatch):
+    # one goal cannot be a duplicate, so it costs no term_key walk
+    keyed = []
+    monkeypatch.setattr(unify, "term_key",
+                        lambda x: keyed.append(x) or term_key(x))
+    goal = Goal(cons("S", X), ID1)
+    assert Problem([goal]).goals == (goal,)
+    assert Problem(iter([goal])).goals == (goal,)
+    assert Problem().goals == ()
+    assert keyed == []
+    assert Problem([goal, goal]).goals == (goal,)
+    assert len(keyed) == 4
 
 
 def test_clash_cases():
