@@ -3,7 +3,8 @@ subcommands, and a small REPL.
 
 Exit codes: 0 success, 1 the program normalized to fail, 2 any rejected
 input (a LamuError, or nesting too deep to recurse over), 3
-property-suite counterexample.
+property-suite counterexample, 141 (128 + SIGPIPE) the reader closed
+standard output.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_FAILED_PROGRAM = 1
 EXIT_USER_ERROR = 2
 EXIT_COUNTEREXAMPLE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(LamuError):
@@ -287,6 +289,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (LamuError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
+    except BrokenPipeError:
+        # the rest of the buffer goes to devnull: the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -282,8 +282,8 @@ def parse_program(text: str, definitions=None) -> Program:
     return program
 
 
-def parse_term(text: str, definitions=None) -> Term:
-    parser = _Parser(tokenize(text), definitions)
+def parse_term(text: str) -> Term:
+    parser = _Parser(tokenize(text))
     term = parser.parse_term()
     parser.expect("eof")
     return term
@@ -331,13 +331,13 @@ def pretty_term(t: Term, ctx: int = _LVL_OPEN, rightmost: bool = True) -> str:
     return f"({s})" if ctx > _LVL_OPEN or not rightmost else s
 
 
-def pretty_program(p: Program, rightmost: bool = True) -> str:
+def pretty_program(p: Program) -> str:
     if p.is_fail:
         return "fail"
     parts = []
     last = len(p) - 1
     for i, t in enumerate(p):
-        parts.append(pretty_term(t, _LVL_OPEN, rightmost and i == last))
+        parts.append(pretty_term(t, _LVL_OPEN, i == last))
     return " | ".join(parts)
 
 

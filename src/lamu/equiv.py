@@ -5,7 +5,8 @@ Structural equivalence quotients programs by thread reordering plus
 injective renaming of thread-local free variables and locations.  It is
 decided by the shape part of ``syntax.term_key``: a thread's shape is
 its canonical key, and a program's key is the sorted tuple of its
-threads' shapes.
+threads' shapes.  The classifier reads value-ness from the term's flag,
+so it answers a value at once.
 """
 from __future__ import annotations
 
@@ -53,7 +54,10 @@ _VALUE = object()
 
 def _classify(t: Term):
     """One walk deciding each sub-judgment once: the stuck derivation,
-    _VALUE for a value, or None for a term that is not normal."""
+    _VALUE for a value, or None for a term that is not normal.  A value
+    is known from its flag, so the walk never enters one."""
+    if t.value:
+        return _VALUE
     head, args = spine(t)
     kinds = []
     for a in args:
@@ -61,14 +65,15 @@ def _classify(t: Term):
         if k is None:
             return None
         kinds.append(k)
+    # t is no value, so a variable or a constructor has arguments, and a
+    # constructor has one that is no value
     if isinstance(head, Var):
-        return StuckKind(STUCK_VAR) if args else _VALUE
+        return StuckKind(STUCK_VAR)
     if isinstance(head, Cons):
-        stuck_args = tuple(k for k in kinds if k is not _VALUE)
-        return StuckKind(STUCK_CONS, stuck_args) if stuck_args else _VALUE
+        return StuckKind(STUCK_CONS, tuple(k for k in kinds if k is not _VALUE))
     if isinstance(head, AbsLoc):
-        if not args or kinds[0] is _VALUE:
-            return None if args else _VALUE
+        if kinds[0] is _VALUE:
+            return None
         return StuckKind(STUCK_LAM, (kinds[0],))
     if isinstance(head, Guard):
         left = _classify(head.left)

@@ -220,10 +220,9 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
                             fresh_loc, focus))
 
 
-def step(p: Program, strategy="leftmost", session: Optional[Session] = None,
-         rng=None) -> Optional[TraceStep]:
-    """One reduction step under the chosen strategy, or None if normal."""
-    redex = find_redex(p, strategy, rng)
+def step(p: Program, session: Optional[Session] = None) -> Optional[TraceStep]:
+    """One leftmost reduction step, or None if normal."""
+    redex = find_redex(p)
     if redex is None:
         return None
     return step_at(p[redex.thread], redex, session or Session.for_program(p))

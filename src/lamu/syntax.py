@@ -1,16 +1,18 @@
 """Core AST: terms, programs, substitutions, the canonical key,
-coherence.
+coherence and the fresh-name supply.
 
 Terms and programs are immutable; all operations are pure functions.
-Binder type annotations (``ann``) are metadata filled in by the type
-checker and excluded from equality, hashing and ``term_key``.
-Substitution shares: a subterm without a free occurrence of a mapped
-name comes back as the same object, so a substitution builds only the
-nodes above the occurrences it replaces.  ``term_key`` is the one
-canonical form: alpha-equivalence compares whole keys, and structural
-equivalence (module ``equiv``) compares their shapes.  It and
-``free_vars`` walk the term with an explicit stack, so a term of any
-depth has a key and free variables.
+A term decides whether it is a value once, when it is built.  Binder
+type annotations (``ann``) are metadata filled in by the type checker
+and excluded from equality, hashing and ``term_key``.  Substitution
+shares: a subterm without a free occurrence of a mapped name comes back
+as the same object, so a substitution builds only the nodes above the
+occurrences it replaces.  ``term_key`` is the one canonical form:
+alpha-equivalence compares whole keys, and structural equivalence
+(module ``equiv``) compares their shapes.  ``term_key``, ``free_vars``,
+``coherence_witness`` and ``Session.for_program`` walk the term with an
+explicit stack, so a term of any depth has a key, free variables, a
+coherence verdict and a session.
 """
 from __future__ import annotations
 
@@ -178,16 +180,6 @@ def singleton(t: Term) -> Program:
 # ---------------------------------------------------------------------------
 # Structural queries
 
-def _children(t: Term):
-    if isinstance(t, App):
-        return (t.fn, t.arg)
-    if isinstance(t, Guard):
-        return (t.left, t.right)
-    if isinstance(t, Unif):
-        return (t.left, t.right)
-    return ()
-
-
 def subterms(x: Union[Term, Program]) -> Iterator[Term]:
     """All subterms, entering binders."""
     stack = list(x.threads) if isinstance(x, Program) else [x]
@@ -198,8 +190,10 @@ def subterms(x: Union[Term, Program]) -> Iterator[Term]:
             stack.extend(t.body.threads)
         elif isinstance(t, Fresh):
             stack.append(t.body)
-        else:
-            stack.extend(_children(t))
+        elif isinstance(t, App):
+            stack.extend((t.fn, t.arg))
+        elif isinstance(t, (Guard, Unif)):
+            stack.extend((t.left, t.right))
 
 
 def free_vars(x: Union[Term, Program]) -> frozenset:
@@ -234,25 +228,6 @@ def free_vars(x: Union[Term, Program]) -> frozenset:
             bound[t.var] = bound.get(t.var, 0) + 1
             stack.append(t.var)
             stack.append(t.body)
-    return frozenset(out)
-
-
-def locations(x: Union[Term, Program]) -> frozenset:
-    out = set()
-    for t in subterms(x):
-        if isinstance(t, AbsLoc):
-            out.add(t.loc)
-    return frozenset(out)
-
-
-def all_names(x: Union[Term, Program]) -> frozenset:
-    """Every variable name occurring in x, free or bound."""
-    out = set()
-    for t in subterms(x):
-        if isinstance(t, Var):
-            out.add(t.name)
-        elif isinstance(t, (Abs, AbsLoc, Fresh)):
-            out.add(t.var)
     return frozenset(out)
 
 
@@ -519,37 +494,30 @@ def alpha_eq(a, b) -> bool:
 # ---------------------------------------------------------------------------
 # Coherence
 
-def _abslocs_with_bound(t: Term, bound: frozenset, out: list):
-    if isinstance(t, (Var, Cons)):
-        return
-    if isinstance(t, Abs):
-        for th in t.body:
-            _abslocs_with_bound(th, bound | {t.var}, out)
-        return
-    if isinstance(t, AbsLoc):
-        out.append((t, bound))
-        for th in t.body:
-            _abslocs_with_bound(th, bound | {t.var}, out)
-        return
-    if isinstance(t, Fresh):
-        _abslocs_with_bound(t.body, bound | {t.var}, out)
-        return
-    for c in _children(t):
-        _abslocs_with_bound(c, bound, out)
-
-
 def coherence_witness(terms: Iterable[Term]):
     """None if the set of terms is coherent, else a description of the
-    violated condition."""
-    occurrences = []
-    for t in terms:
-        _abslocs_with_bound(t, frozenset(), occurrences)
+    violated condition.  The closures are visited in pre-order, each with
+    the names bound above it, by a walk with an explicit stack; the
+    first that captures a name is the witness, else the first location
+    whose closures differ."""
     by_loc = {}
-    for node, bound in occurrences:
-        captured = free_vars(node) & bound
-        if captured:
-            return ("captured-variable", node, sorted(captured))
-        by_loc.setdefault(node.loc, []).append(node)
+    stack = [(t, frozenset()) for t in reversed(tuple(terms))]
+    while stack:
+        t, bound = stack.pop()
+        cls = type(t)
+        if cls is App:
+            stack.extend(((t.arg, bound), (t.fn, bound)))
+        elif cls is Guard or cls is Unif:
+            stack.extend(((t.right, bound), (t.left, bound)))
+        elif cls is Abs or cls is AbsLoc or cls is Fresh:
+            if cls is AbsLoc:
+                captured = free_vars(t) & bound
+                if captured:
+                    return ("captured-variable", t, sorted(captured))
+                by_loc.setdefault(t.loc, []).append(t)
+            inner = bound | {t.var}
+            body = (t.body,) if cls is Fresh else t.body.threads
+            stack.extend((th, inner) for th in reversed(body))
     for loc, nodes in by_loc.items():
         first = nodes[0]
         for other in nodes[1:]:
@@ -582,9 +550,17 @@ class Session:
 
     @classmethod
     def for_program(cls, p: Program) -> "Session":
-        locs = locations(p)
-        first = (max(locs) + 1) if locs else 1
-        return cls(avoid=all_names(p), first_loc=first)
+        """A session that avoids every name in p, free or bound, and
+        issues locations from just above p's largest one, else from 1."""
+        names, locs = set(), []
+        for t in subterms(p):
+            if type(t) is Var:
+                names.add(t.name)
+            elif isinstance(t, (Abs, AbsLoc, Fresh)):
+                names.add(t.var)
+                if type(t) is AbsLoc:
+                    locs.append(t.loc)
+        return cls(avoid=names, first_loc=max(locs) + 1 if locs else 1)
 
     def fresh_var(self) -> str:
         while True:

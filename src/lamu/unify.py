@@ -1,9 +1,10 @@
 """First-order unification over values, with location-aware clash.
 
 The rewrite system operates on finite sets of goals between values and
-produces either an idempotent most general unifier or a failure witness
-(clash or occurs check).  Allocated abstractions unify only when their
-locations coincide; under the coherence invariant equal locations imply
+produces either an idempotent most general unifier or a ``Failed``
+witness (clash or occurs check), the one record of failure for a step
+and for ``mgu``.  Allocated abstractions unify only when their locations
+coincide; under the coherence invariant equal locations imply
 alpha-equal bodies.
 """
 from __future__ import annotations
@@ -113,25 +114,18 @@ class Stepped:
 
 
 @dataclass(frozen=True)
-class Bottom:
+class Failed:
+    """A clash or the occurs check, at the goal where it was found."""
     reason: str
     goal: Goal
-
-
-class _NormalForm:
-    def __repr__(self):
-        return "NormalForm"
-
-
-NORMAL_FORM = _NormalForm()
 
 
 def unify_step(problem: Problem):
     """Apply exactly one rewrite rule to the first goal that some rule
     fits, in insertion order.  For that goal the rule is the first that
     fits in the priority delete > clash > occurs-check > orient >
-    match-lam > match-cons > eliminate.  Returns Stepped, Bottom, or
-    NORMAL_FORM."""
+    match-lam > match-cons > eliminate.  Returns Stepped, Failed, or
+    None when the problem is in solved form."""
     goals = problem.goals
     for i, goal in enumerate(goals):
         v, w = goal.lhs, goal.rhs
@@ -140,7 +134,7 @@ def unify_step(problem: Problem):
             if isinstance(w, Var) and w.name == v.name:
                 return Stepped(Problem(rest), "u-delete")
             if v.name in free_vars(w):
-                return Bottom(OCCURS_CHECK, goal)
+                return Failed(OCCURS_CHECK, goal)
             if any(v.name in g.free_vars() for g in rest):
                 sigma = Substitution({v.name: w})
                 new_rest = tuple(g.subst(sigma) for g in rest)
@@ -149,7 +143,7 @@ def unify_step(problem: Problem):
             continue
         reason = clash(v, w)
         if reason is not None:
-            return Bottom(reason, goal)
+            return Failed(reason, goal)
         if isinstance(w, Var):
             return Stepped(Problem(rest[:i] + (Goal(w, v),) + rest[i:]),
                            "u-orient")
@@ -164,7 +158,7 @@ def unify_step(problem: Problem):
         _, w_args = spine(w)
         decomposed = tuple(Goal(a, b) for a, b in zip(v_args, w_args))
         return Stepped(Problem(rest[:i] + decomposed + rest[i:]), "u-match-cons")
-    return NORMAL_FORM
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -175,26 +169,20 @@ class Solved:
     substitution: Substitution
 
 
-@dataclass(frozen=True)
-class Failed:
-    reason: str
-    goal: Goal
-
-
 def mgu(problem: Problem):
     """Iterate the rewrite system to a normal form and read off the
     idempotent most general unifier, or the failure witness."""
     current = problem
     while True:
         result = unify_step(current)
-        if result is NORMAL_FORM:
+        if result is None:
             bindings = {}
             for g in current:
                 assert isinstance(g.lhs, Var), "normal form is not solved"
                 bindings[g.lhs.name] = g.rhs
             return Solved(Substitution(bindings))
-        if isinstance(result, Bottom):
-            return Failed(result.reason, result.goal)
+        if isinstance(result, Failed):
+            return result
         current = result.problem
 
 

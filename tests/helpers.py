@@ -1,5 +1,6 @@
-"""Helpers that only the tests use: a timer, value-ness by walking the
-term, term predicates, coherence as a predicate, weak contexts as
+"""Helpers that only the tests use: a timer, the locations and names a
+term holds, value-ness by walking the term, term predicates, the
+recursive coherence walk and coherence as a predicate, weak contexts as
 terms with a hole and plugging into them, the closure-based redex
 search that the paths are checked against, the redex selection by
 strategy over every redex, the printer that decides parentheses by
@@ -39,7 +40,7 @@ from lamu.syntax import (
     OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, LamuError,
     Program, Session, Substitution, Term, Unif, Var, alpha_eq, check_coherent,
     coherence_witness, free_vars, make_spine, singleton, spine,
-    subst_apply, _children,
+    subst_apply, subterms,
 )
 from lamu.typecheck import Base, Type
 
@@ -56,6 +57,30 @@ def within(seconds, what, run):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _children(t: Term):
+    if isinstance(t, App):
+        return (t.fn, t.arg)
+    if isinstance(t, (Guard, Unif)):
+        return (t.left, t.right)
+    return ()
+
+
+def locations(x) -> frozenset:
+    """Every location of a term or program."""
+    return frozenset(t.loc for t in subterms(x) if isinstance(t, AbsLoc))
+
+
+def all_names(x) -> frozenset:
+    """Every variable name occurring in a term or program, free or bound."""
+    out = set()
+    for t in subterms(x):
+        if isinstance(t, Var):
+            out.add(t.name)
+        elif isinstance(t, (Abs, AbsLoc, Fresh)):
+            out.add(t.var)
+    return frozenset(out)
 
 
 def is_value_oracle(t: Term) -> bool:
@@ -189,6 +214,46 @@ def is_weak_context(w: Term) -> bool:
             return sum(count(c) for c in _children(t))
         return 0
     return count(w) == 1
+
+
+def _abslocs_with_bound(t: Term, bound: frozenset, out: list):
+    if isinstance(t, (Var, Cons)):
+        return
+    if isinstance(t, Abs):
+        for th in t.body:
+            _abslocs_with_bound(th, bound | {t.var}, out)
+        return
+    if isinstance(t, AbsLoc):
+        out.append((t, bound))
+        for th in t.body:
+            _abslocs_with_bound(th, bound | {t.var}, out)
+        return
+    if isinstance(t, Fresh):
+        _abslocs_with_bound(t.body, bound | {t.var}, out)
+        return
+    for c in _children(t):
+        _abslocs_with_bound(c, bound, out)
+
+
+def coherence_witness_oracle(terms):
+    """The witness of syntax.coherence_witness, with the closures and the
+    names bound above them found by recursion on the terms: the
+    definition that the explicit-stack walk is checked against."""
+    occurrences = []
+    for t in terms:
+        _abslocs_with_bound(t, frozenset(), occurrences)
+    by_loc = {}
+    for node, bound in occurrences:
+        captured = free_vars(node) & bound
+        if captured:
+            return ("captured-variable", node, sorted(captured))
+        by_loc.setdefault(node.loc, []).append(node)
+    for loc, nodes in by_loc.items():
+        first = nodes[0]
+        for other in nodes[1:]:
+            if not alpha_eq(first, other):
+                return ("location-mismatch", loc, first, other)
+    return None
 
 
 def coherent(x) -> bool:
@@ -656,7 +721,7 @@ def _rule_for(goal, rest_fv: frozenset) -> Optional[str]:
 
 def unify_step_oracle(problem):
     """Apply exactly one rewrite rule to the first eligible goal, in
-    insertion order.  Returns Stepped, Bottom, or NORMAL_FORM."""
+    insertion order.  Returns Stepped, Failed, or None in solved form."""
     Goal, Problem, Stepped = unify.Goal, unify.Problem, unify.Stepped
     goals = problem.goals
     for i, goal in enumerate(goals):
@@ -671,9 +736,9 @@ def unify_step_oracle(problem):
         if rule == "u-delete":
             return Stepped(Problem(rest), rule)
         if rule == "u-clash":
-            return unify.Bottom(unify.clash(v, w), goal)
+            return unify.Failed(unify.clash(v, w), goal)
         if rule == "u-occurs-check":
-            return unify.Bottom(unify.OCCURS_CHECK, goal)
+            return unify.Failed(unify.OCCURS_CHECK, goal)
         if rule == "u-orient":
             return Stepped(Problem(rest[:i] + (Goal(w, v),) + rest[i:]), rule)
         if rule == "u-match-lam":
@@ -690,7 +755,7 @@ def unify_step_oracle(problem):
             sigma = Substitution({v.name: w})
             new_rest = tuple(g.subst(sigma) for g in rest)
             return Stepped(Problem(new_rest[:i] + (goal,) + new_rest[i:]), rule)
-    return unify.NORMAL_FORM
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import time
 
 from helpers import (
     brute_force_unifiable, compose, critical_pair_instances, ground_universe,
-    problem_subst, problem_terms, range_values, splice, subst_equal, subst_loc,
+    locations, problem_subst, problem_terms, range_values, splice,
+    subst_equal, subst_loc,
 )
 from lamu.concrete import parse_program, pretty_program
 from lamu.denot import DenotError, Model, TooLarge, denote, soundness_check
@@ -200,7 +201,7 @@ def test_criterion_4_confluence():
 def _equivalent_variant(p, rng):
     """A program related to p by thread reordering plus injective
     renaming of per-thread free variables and of locations."""
-    from lamu.syntax import free_vars, locations
+    from lamu.syntax import free_vars
     threads = []
     for k, t in enumerate(p):
         sigma = Substitution(

@@ -3,11 +3,13 @@ and the evaluation traces it reads still carry their deltas.  Every
 module-level name in ``src/lamu`` is either used in ``src/``
 outside its own definition or exported in ``lamu.__all__``, and every
 method is read as an attribute in ``src/`` or ``bench/`` outside its own
-body: a helper that only the tests use belongs in ``tests/``.  Every name
-a module imports is read in that module, and a module imports its
-siblings at module level and only through their public names.  Terms,
-programs and redexes are slotted and immutable, and their reprs are
-pinned."""
+body: a helper that only the tests use belongs in ``tests/``.  Every
+defaulted parameter is passed by some call in ``src/``, ``bench/`` or
+``tests/``: a parameter that no caller passes is a knob to remove.
+Every name a module imports is read in that module, and a module
+imports its siblings at module level and only through their public
+names.  Terms, programs and redexes are slotted and immutable, and
+their reprs are pinned."""
 
 import ast
 import dataclasses
@@ -116,6 +118,113 @@ def test_src_holds_only_used_or_public_names():
 def test_the_check_sees_a_dead_helper():
     tree = ast.parse("def dead():\n    return dead()\n\nX = 1\nY = X\n")
     assert unused_names([("m", tree)]) == ["m.dead", "m.Y"]
+
+
+def _signatures(tree):
+    """(what the function is, the name a call uses, the parameters a
+    call fills by position, the defaulted ones) for each function and
+    method in tree.  A call to a method fills no self or cls, and a call
+    to ``__init__`` names its class."""
+    owners = {node: cls for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) for node in cls.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a.arg for a, default in
+                      zip(args.kwonlyargs, args.kw_defaults) if default]
+        cls = owners.get(node)
+        if cls is None:
+            yield node.name, node.name, positional, defaulted
+            continue
+        if "staticmethod" not in _decorators(node):
+            positional = positional[1:]
+        called = cls.name if node.name == "__init__" else node.name
+        yield f"{cls.name}.{node.name}", called, positional, defaulted
+
+
+def _decorators(node):
+    return {d.id for d in node.decorator_list if isinstance(d, ast.Name)}
+
+
+def _calls(tree):
+    """(the name a call uses, the call) for each call in tree, by plain
+    name or as an attribute; ``cls(...)`` in a classmethod names its
+    class."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and "classmethod" in _decorators(node)):
+                    for call in ast.walk(node):
+                        if (isinstance(call, ast.Call)
+                                and isinstance(call.func, ast.Name)
+                                and call.func.id == "cls"):
+                            yield cls.name, call
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            if isinstance(call.func, ast.Name):
+                yield call.func.id, call
+            elif isinstance(call.func, ast.Attribute):
+                yield call.func.attr, call
+
+
+def unpassed_parameters(modules, readers):
+    """module.function(parameter=) for each defaulted parameter of a
+    function or method in modules that no call in modules or readers
+    passes, by position or by keyword.  Calls are matched by name, and
+    one with ``*args`` or ``**kwargs`` passes every parameter."""
+    positions, keywords = Counter(), {}
+    for _, tree in modules + readers:
+        for name, call in _calls(tree):
+            passes_all = (any(isinstance(a, ast.Starred) for a in call.args)
+                          or any(k.arg is None for k in call.keywords))
+            positions[name] = max(positions[name], float("inf") if passes_all
+                                  else len(call.args))
+            keywords.setdefault(name, set()).update(
+                k.arg for k in call.keywords)
+    return [f"{module}.{what}({parameter}=)"
+            for module, tree in modules
+            for what, called, positional, defaulted in _signatures(tree)
+            for parameter in defaulted
+            if parameter not in keywords.get(called, ())
+            and not (parameter in positional
+                     and positional.index(parameter) < positions[called])]
+
+
+def test_src_passes_every_defaulted_parameter():
+    readers = list(_modules(BENCH)) + list(_modules(os.path.join(ROOT, "tests")))
+    assert unpassed_parameters(list(_modules()), readers) == []
+
+
+def test_the_check_sees_a_parameter_no_call_passes():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3):\n"
+        "    return f(0, 1, d=4)\n"
+        "def g(x=0, y=1):\n"
+        "    return x\n"
+        "g(*())\n"
+        "def h(x=0):\n"
+        "    return h(**{})\n"
+        "class S:\n"
+        "    def __init__(self, avoid=(), first=1, last=2):\n"
+        "        self.m()\n"
+        "    @classmethod\n"
+        "    def make(cls, p=None):\n"
+        "        return cls(avoid=p)\n"
+        "    @staticmethod\n"
+        "    def s(k=0, j=0):\n"
+        "        return S.s(1)\n"
+        "    def m(self, k=0, j=0):\n"
+        "        return self.m(1)\n")
+    bench = ast.parse("S.make(p=1)\nS(first=0)\n")
+    assert unpassed_parameters([("m", tree)], []) == [
+        "m.f(c=)", "m.S.__init__(first=)", "m.S.__init__(last=)",
+        "m.S.make(p=)", "m.S.s(j=)", "m.S.m(j=)"]
+    assert unpassed_parameters([("m", tree)], [("b", bench)]) == [
+        "m.f(c=)", "m.S.__init__(last=)", "m.S.s(j=)", "m.S.m(j=)"]
 
 
 def _methods(tree):

@@ -7,13 +7,12 @@ import random
 from hypothesis import given, strategies as st
 
 from canon_oracle import canonical_program as oracle_program, canonicalize
-from helpers import product_bfs, subst_loc
+from helpers import locations, product_bfs, subst_loc
 from lamu.equiv import canonical_program, canonical_thread, struct_equiv
 from lamu.generator import Generator, GeneratorConfig
 from lamu.syntax import (
     Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Substitution, Unif, Var,
-    alpha_eq, free_vars, locations, singleton, subst_apply, subterms,
-    term_key,
+    alpha_eq, free_vars, singleton, subst_apply, subterms, term_key,
 )
 from lamu.typecheck import Base
 

@@ -11,7 +11,8 @@ import pytest
 
 from helpers import within
 from lamu.cli import (
-    EXIT_COUNTEREXAMPLE, EXIT_FAILED_PROGRAM, EXIT_OK, EXIT_USER_ERROR,
+    EXIT_BROKEN_PIPE, EXIT_COUNTEREXAMPLE, EXIT_FAILED_PROGRAM, EXIT_OK,
+    EXIT_USER_ERROR,
     build_parser, main,
 )
 from lamu.concrete import parse_file
@@ -27,6 +28,18 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 def corpus(name):
     return os.path.join(CORPUS, name)
+
+
+def cli(*argv, **popen):
+    """lamu.cli started in a subprocess, which does not see pytest's
+    pythonpath setting."""
+    src_dir = os.path.join(os.path.dirname(CORPUS), os.pardir, "src")
+    pythonpath = os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, **popen.pop("env", {}))
+    return subprocess.Popen([sys.executable, "-m", "lamu.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env, **popen)
 
 
 def run_main(argv, capsys):
@@ -75,17 +88,23 @@ def test_check_ok(capsys):
 def test_check_names_free_variables_independently_of_the_hash_seed(tmp_path):
     path = tmp_path / "open.luni"
     path.write_text("x =:= x ; y =:= y ; Ok\n")
-    # the subprocess does not see pytest's pythonpath setting
-    src_dir = os.path.join(os.path.dirname(CORPUS), os.pardir, "src")
-    pythonpath = os.pathsep.join(
-        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     for seed in range(6):
-        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=pythonpath)
-        done = subprocess.run(
-            [sys.executable, "-m", "lamu.cli", "check", str(path)],
-            capture_output=True, text=True, env=env)
-        assert (done.returncode, done.stdout) == (
+        done = cli("check", str(path), env={"PYTHONHASHSEED": str(seed)},
+                   text=True)
+        out, _ = done.communicate(timeout=60)
+        assert (done.returncode, out) == (
             EXIT_OK, "unit\n  x : t0\n  y : t1\n"), seed
+
+
+def test_a_reader_that_closes_stdout_gets_no_traceback(tmp_path):
+    # the 10-call fork ladder traces far more than a pipe holds
+    path = tmp_path / "ladder.luni"
+    path.write_text(rf"(\f. {'f (' * 10}C{')' * 10}) (\x. x | S x)")
+    done = cli("run", "--trace", str(path))
+    assert done.stdout.readline() == b"#0 [alloc] thread=0\n"
+    done.stdout.close()
+    _, err = done.communicate(timeout=60)
+    assert (done.returncode, err) == (EXIT_BROKEN_PIPE, b"")
 
 
 def test_check_ill_typed_exits_two(capsys):

@@ -7,14 +7,15 @@ import pytest
 
 from helpers import replay, splice
 from lamu.concrete import parse_program
-from lamu.equiv import struct_equiv
+from lamu.equiv import is_normal_term, struct_equiv
+from lamu.parallel import par_normalize
 from lamu.reduction import (
     ALLOC, BETA, FAILRULE, FRESH, GUARD, UNIF, enumerate_redexes,
     evaluate, find_redex, reachable_normal_forms, step, step_at,
 )
 from lamu.syntax import (
     Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, Program, Session,
-    Unif, Var, alpha_eq, singleton,
+    Unif, Var, alpha_eq, check_coherent, singleton,
 )
 
 X, Y = Var("x"), Var("y")
@@ -148,6 +149,23 @@ def test_evaluate_rejects_incoherent_input():
     bad = singleton(App(ID1, AbsLoc(1, "x", singleton(C))))
     with pytest.raises(CoherenceError):
         evaluate(bad)
+
+
+def test_a_deep_value_passes_every_entry_check():
+    # Ok ; S (S (... C)) 3 000 levels deep: only the value is deep, and
+    # no check around evaluation may recurse into it
+    value = C
+    for _ in range(3000):
+        value = App(Cons("S"), value)
+    p = singleton(Guard(Cons("Ok"), value))
+    check_coherent(p)
+    assert is_normal_term(value)
+    result = evaluate(p)
+    assert result.normal and result.program == singleton(value)
+    exploration = reachable_normal_forms(p)
+    assert exploration.complete and len(exploration.normal_forms) == 1
+    parallel = par_normalize(p)
+    assert parallel.normal and parallel.program == singleton(value)
 
 
 def test_enumerate_redexes_positions():

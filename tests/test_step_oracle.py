@@ -22,7 +22,7 @@ from collections import Counter
 
 from helpers import (
     ProgramStep, critical_pair_instances, find_redex_oracle,
-    is_value_oracle, program_step_at, redexes_with_contexts,
+    is_value_oracle, locations, program_step_at, redexes_with_contexts,
     subst_single_oracle, weak_context, within,
 )
 from lamu import reduction
@@ -35,8 +35,7 @@ from lamu.reduction import (
 )
 from lamu.syntax import (
     AbsLoc, App, Cons, Program, Session, Term, Unif, Var, check_coherent,
-    free_vars, locations, singleton, subst_single, subst_threads,
-    subterms,
+    free_vars, singleton, subst_single, subst_threads, subterms,
 )
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")

@@ -9,16 +9,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
-    HOLE, coherent, compose, free_vars_oracle, is_structure,
-    is_weak_context, plug, plug_term, subst_apply_oracle, subst_equal,
-    subst_loc, subst_single_oracle, support,
+    HOLE, all_names, coherence_witness_oracle, coherent, compose,
+    free_vars_oracle, is_structure, is_weak_context, locations, plug,
+    plug_term, subst_apply_oracle, subst_equal, subst_loc,
+    subst_single_oracle, support,
 )
 from lamu.generator import Generator, GeneratorConfig
 from lamu.syntax import (
     FAIL, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard,
-    NotAValueError, Program, Session, Substitution, Unif, Var, all_names,
+    NotAValueError, Program, Session, Substitution, Unif, Var,
     alpha_eq, check_coherent, coherence_witness,
-    free_vars, is_value, locations, make_spine,
+    free_vars, is_value, make_spine,
     singleton, spine, subst_apply, subst_single, subst_threads, subterms,
 )
 
@@ -206,6 +207,55 @@ def test_coherence_good_cases():
     check_coherent(Program((ID1, AbsLoc(1, "x", singleton(C)))))
 
 
+def _replace_closure(t, k, change):
+    """t with its k-th closure in pre-order replaced by change(closure)."""
+    seen = itertools.count()
+
+    def walk(t):
+        if isinstance(t, AbsLoc) and next(seen) == k:
+            return change(t)
+        if isinstance(t, (Abs, AbsLoc)):
+            body = Program(tuple(map(walk, t.body)))
+            return (Abs(t.var, body) if isinstance(t, Abs)
+                    else AbsLoc(t.loc, t.var, body))
+        if isinstance(t, Fresh):
+            return Fresh(t.var, walk(t.body))
+        if isinstance(t, App):
+            return App(walk(t.fn), walk(t.arg))
+        if isinstance(t, (Guard, Unif)):
+            return type(t)(walk(t.left), walk(t.right))
+        return t
+    return walk(t)
+
+
+def test_coherence_witness_matches_the_recursive_walk():
+    # generated programs are coherent; each mutant breaks one closure:
+    # it gains the free variable y, which a binder above it may capture,
+    # or a second closure at a used location gets another body
+    kinds = []
+    for seed in range(6):
+        gen = Generator(GeneratorConfig(seed=seed, allow_absloc=True))
+        for p in itertools.islice(gen.programs(), 300):
+            cases = [p.threads, *((t,) for t in p)]
+            for t in p:
+                closures = sum(isinstance(s, AbsLoc) for s in subterms(t))
+                for k in range(closures):
+                    free_y = _replace_closure(t, k, lambda c: AbsLoc(
+                        c.loc, c.var, c.body + singleton(Y)))
+                    cases += [(free_y,), (Fresh("y", free_y),)]
+                for loc in locations(t):
+                    other = AbsLoc(loc, "x", singleton(D))
+                    cases += [(App(t, other),), (Guard(other, t),)]
+            for terms in cases:
+                witness = coherence_witness(terms)
+                assert witness == coherence_witness_oracle(terms), terms
+                kinds.append(witness and witness[0])
+    count = {kind: kinds.count(kind) for kind in set(kinds)}
+    assert count[None] > 3000
+    assert count["captured-variable"] > 500
+    assert count["location-mismatch"] > 1000
+
+
 def test_subst_equal():
     a = Substitution({"x": ID1})
     b = Substitution({"x": AbsLoc(1, "y", singleton(Y))})
@@ -219,6 +269,28 @@ def test_session_avoids_existing_names():
     assert s.fresh_var() == "v1"
     assert s.fresh_loc() == 2
     assert s.fresh_loc() == 3
+
+
+def _supply(session):
+    """The first six names and locations the session issues."""
+    return ([session.fresh_var() for _ in range(6)],
+            [session.fresh_loc() for _ in range(6)])
+
+
+def test_session_for_program_issues_what_its_names_and_locations_say():
+    # one walk collects both; a program whose only location is negative
+    # issues locations from just above it
+    only_negative = singleton(App(AbsLoc(-3, "v1", singleton(Var("v1"))),
+                                  Var("v0")))
+    programs = [FAIL, Program((Var("v0"), ID1)), only_negative]
+    programs += itertools.islice(generated_programs(), 200)
+    for p in programs:
+        locs = locations(p)
+        first = max(locs) + 1 if locs else 1
+        assert _supply(Session.for_program(p)) == _supply(
+            Session(avoid=all_names(p), first_loc=first)), p
+    assert _supply(Session.for_program(only_negative)) == (
+        ["v2", "v3", "v4", "v5", "v6", "v7"], [-2, -1, 0, 1, 2, 3])
 
 
 # -- property tests

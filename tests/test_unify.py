@@ -15,8 +15,8 @@ from lamu.syntax import (
     coherence_witness, free_vars, make_spine, singleton, term_key,
 )
 from lamu.unify import (
-    ARITY_CLASH, CONSTRUCTOR_CLASH, LOCATION_CLASH, NORMAL_FORM,
-    OCCURS_CHECK, TYPE_CLASH, Bottom, Failed, Goal, NotAGoalError, Problem,
+    ARITY_CLASH, CONSTRUCTOR_CLASH, LOCATION_CLASH,
+    OCCURS_CHECK, TYPE_CLASH, Failed, Goal, NotAGoalError, Problem,
     Solved, Stepped, clash, is_unifier, mgu, mgu_goal,
     unify_step,
 )
@@ -105,16 +105,16 @@ def test_step_eliminate_substitutes_rest():
 
 def test_step_occurs_check():
     out = unify_step(Problem([Goal(X, cons("S", X))]))
-    assert isinstance(out, Bottom) and out.reason == OCCURS_CHECK
+    assert isinstance(out, Failed) and out.reason == OCCURS_CHECK
 
 
 def test_step_clash():
     out = unify_step(Problem([Goal(cons("C", X), cons("D", X))]))
-    assert isinstance(out, Bottom) and out.reason == CONSTRUCTOR_CLASH
+    assert isinstance(out, Failed) and out.reason == CONSTRUCTOR_CLASH
 
 
 def test_solved_form_is_normal():
-    assert unify_step(Problem([Goal(X, C)])) is NORMAL_FORM
+    assert unify_step(Problem([Goal(X, C)])) is None
 
 
 def test_mgu_simple():
@@ -240,15 +240,15 @@ def test_mgu_deterministic(seed):
 # -- the one-pass step against the two-phase oracle (rule name, then dispatch)
 
 def _step_to_end(step, problem):
-    """Every result of step from problem until a Bottom or NORMAL_FORM,
-    and the mgu outcome read off the last problem."""
+    """Every result of step from problem until a Failed or the solved
+    form (None), and the mgu outcome read off the last problem."""
     results = []
     while True:
         result = step(problem)
         results.append(result)
-        if isinstance(result, Bottom):
-            return results, Failed(result.reason, result.goal)
-        if result is NORMAL_FORM:
+        if isinstance(result, Failed):
+            return results, result
+        if result is None:
             return results, {g.lhs.name: g.rhs for g in problem}
         problem = result.problem
 
@@ -268,7 +268,7 @@ def test_one_pass_step_matches_two_phase_oracle():
                 if isinstance(a, Stepped):
                     assert (a.rule, a.problem.goals) == (b.rule, b.problem.goals)
                     rules.add(a.rule)
-                elif isinstance(a, Bottom):
+                elif isinstance(a, Failed):
                     assert (a.reason, a.goal) == (b.reason, b.goal)
                     rules.add(a.reason)
             assert outcome == expected, problem
