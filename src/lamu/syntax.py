@@ -1,23 +1,22 @@
 """Core AST: terms, programs, substitutions, the canonical key,
 coherence and the fresh-name supply.
 
-Terms and programs are immutable; all operations are pure functions.
-A term decides whether it is a value once, when it is built.  Binder
-type annotations (``ann``) are metadata filled in by the type checker
-and excluded from equality, hashing and ``term_key``.  Substitution
-shares: a subterm without a free occurrence of a mapped name comes back
-as the same object, so a substitution builds only the nodes above the
-occurrences it replaces.  ``term_key`` is the one canonical form:
-alpha-equivalence compares whole keys, and structural equivalence
-(module ``equiv``) compares their shapes.  ``term_key``, ``free_vars``,
-``coherence_witness`` and ``Session.for_program`` walk the term with an
-explicit stack, so a term of any depth has a key, free variables, a
-coherence verdict and a session.
+Terms and programs are immutable by contract, checked by ``test_api``;
+all operations are pure functions.  A term decides whether it is a value
+once, when it is built.  Binder type annotations (``ann``) are metadata
+filled in by the type checker and excluded from equality, hashing and
+``term_key``.  Substitution shares: a subterm without a free occurrence
+of a mapped name comes back as the same object, so a substitution builds
+only the nodes above the occurrences it replaces.  ``term_key`` is the
+one canonical form: alpha-equivalence compares whole keys, and
+structural equivalence (module ``equiv``) compares their shapes.
+``==``, ``term_key``, ``free_vars``, ``coherence_witness`` and
+``Session.for_program`` walk the term with an explicit stack, so each
+takes a term of any depth.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 OK = "Ok"
 
@@ -35,109 +34,124 @@ class CoherenceError(LamuError):
         self.witness = witness
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    """Slotted and immutable.  ``value`` says whether the term is a value:
-    a class attribute, but on ``App`` a field that ``==``, ``hash`` and
-    ``repr`` ignore, decided once when the node is built.
+class _Node:
+    """The one ``==``, ``hash`` and ``repr`` of terms and programs, over
+    the fields in ``__slots__``: ``repr`` hides ``value``, and ``==`` and
+    the hash, that of ``term_key``, ignore ``value`` and ``ann``."""
+    __slots__ = ()
 
-    The dataclass decorator generates ``==``, ``hash``, ``repr`` and the
-    frozen ``__setattr__``.  The nodes that every step rebuilds (``Var``,
-    ``AbsLoc``, ``App``, ``Guard``, ``Unif`` and ``Program``) have a
-    hand-written ``__init__`` that stores each field through its slot's
-    setter, bound once below the classes, instead of through
-    ``object.__setattr__``."""
+    def __init_subclass__(cls):
+        cls._compared = tuple(f for f in cls.__slots__
+                              if f != "ann" and f != "value")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]     # pairs of fields still to compare
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            cls = type(a)
+            if cls is not type(b) or (cls is tuple and len(a) != len(b)):
+                return False
+            if cls is tuple:
+                stack.extend(zip(a, b))
+            elif isinstance(a, _Node):
+                stack.extend([(getattr(a, f), getattr(b, f))
+                              for f in cls._compared])
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(term_key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                           for f in self.__slots__ if f != "value")
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Term(_Node):
+    """``value``: whether the term is a value; on ``App``, set when built."""
+    __slots__ = ()
     value = False
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
     value = True
 
     def __init__(self, name):
-        _set_var_name(self, name)
+        self.name = name
 
 
-@dataclass(frozen=True, slots=True)
 class Cons(Term):
-    name: str
+    __slots__ = ("name",)
     value = True
+    __init__ = Var.__init__
 
 
-@dataclass(frozen=True, slots=True)
 class Abs(Term):
     """Unallocated abstraction; not a value until allocated."""
-    var: str
-    body: "Program"
-    ann: Optional[object] = field(default=None, compare=False)
+    __slots__ = ("var", "body", "ann")
+
+    def __init__(self, var, body, ann=None):
+        self.var = var
+        self.body = body
+        self.ann = ann
 
 
-@dataclass(frozen=True, slots=True)
 class AbsLoc(Term):
     """Allocated abstraction (runtime closure at a location)."""
-    loc: int
-    var: str
-    body: "Program"
-    ann: Optional[object] = field(default=None, compare=False)
+    __slots__ = ("loc", "var", "body", "ann")
     value = True
 
     def __init__(self, loc, var, body, ann=None):
-        _set_absloc_loc(self, loc)
-        _set_absloc_var(self, var)
-        _set_absloc_body(self, body)
-        _set_absloc_ann(self, ann)
+        self.loc = loc
+        self.var = var
+        self.body = body
+        self.ann = ann
 
 
-@dataclass(frozen=True, slots=True)
 class App(Term):
-    fn: Term
-    arg: Term
-    value: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ("fn", "arg", "value")
 
     def __init__(self, fn, arg):
-        _set_app_fn(self, fn)
-        _set_app_arg(self, arg)
-        _set_app_value(self, arg.value and (
-            type(fn) is Cons or (type(fn) is App and fn.value)))
+        self.fn = fn
+        self.arg = arg
+        self.value = arg.value and (
+            type(fn) is Cons or (type(fn) is App and fn.value))
 
 
-@dataclass(frozen=True, slots=True)
 class Fresh(Term):
-    var: str
-    body: Term
-    ann: Optional[object] = field(default=None, compare=False)
+    __slots__ = ("var", "body", "ann")
+    __init__ = Abs.__init__
 
 
-@dataclass(frozen=True, slots=True)
 class Guard(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        _set_guard_left(self, left)
-        _set_guard_right(self, right)
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True, slots=True)
 class Unif(Term):
-    left: Term
-    right: Term
-
-    def __init__(self, left, right):
-        _set_unif_left(self, left)
-        _set_unif_right(self, right)
+    __slots__ = ("left", "right")
+    __init__ = Guard.__init__
 
 
-@dataclass(frozen=True, slots=True)
-class Program:
+class Program(_Node):
     """Ordered sequence of threads; the empty program is fail.  Any
     iterable of threads is stored as a tuple."""
-    threads: tuple = ()
+    __slots__ = ("threads",)
 
     def __init__(self, threads=()):
-        _set_program_threads(
-            self, threads if type(threads) is tuple else tuple(threads))
+        self.threads = threads if type(threads) is tuple else tuple(threads)
 
     @property
     def is_fail(self):
@@ -155,20 +169,6 @@ class Program:
     def __getitem__(self, i):
         return self.threads[i]
 
-
-_set_var_name = Var.name.__set__
-_set_absloc_loc = AbsLoc.loc.__set__
-_set_absloc_var = AbsLoc.var.__set__
-_set_absloc_body = AbsLoc.body.__set__
-_set_absloc_ann = AbsLoc.ann.__set__
-_set_app_fn = App.fn.__set__
-_set_app_arg = App.arg.__set__
-_set_app_value = App.value.__set__
-_set_guard_left = Guard.left.__set__
-_set_guard_right = Guard.right.__set__
-_set_unif_left = Unif.left.__set__
-_set_unif_right = Unif.right.__set__
-_set_program_threads = Program.threads.__set__
 
 FAIL = Program(())
 

@@ -1,5 +1,7 @@
 """Helpers that only the tests use: a timer, the locations and names a
-term holds, value-ness by walking the term, term predicates, the
+term holds, value-ness by walking the term, terms and programs as the
+frozen dataclasses that their equality, hash and repr are checked
+against, rebuilding a term node by node, term predicates, the
 recursive coherence walk and coherence as a predicate, weak contexts as
 terms with a hole and plugging into them, the closure-based redex
 search that the paths are checked against, the redex selection by
@@ -20,7 +22,7 @@ simultaneous reduction relation for the diamond spot checks."""
 import functools
 import itertools
 import signal
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, List, NamedTuple, Optional
 
 from lamu import unify
@@ -101,13 +103,101 @@ def is_value_oracle(t: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Terms and programs as the frozen dataclasses they were before they
+# became plain slotted classes: the equality, hash and repr that
+# syntax's hand-written ones are checked against
+
+@dataclass(frozen=True, slots=True)
+class MirrorTerm:
+    value = False
+
+
+@dataclass(frozen=True, slots=True)
+class MirrorVar(MirrorTerm):
+    name: str
+    value = True
+
+
+@dataclass(frozen=True, slots=True)
+class MirrorCons(MirrorTerm):
+    name: str
+    value = True
+
+
+@dataclass(frozen=True, slots=True)
+class MirrorAbs(MirrorTerm):
+    var: str
+    body: "MirrorProgram"
+    ann: Optional[object] = field(default=None, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
+class MirrorAbsLoc(MirrorTerm):
+    loc: int
+    var: str
+    body: "MirrorProgram"
+    ann: Optional[object] = field(default=None, compare=False)
+    value = True
+
+
+@dataclass(frozen=True, slots=True)
+class MirrorApp(MirrorTerm):
+    # value stays unset: the mirror checks only what ignores it
+    fn: MirrorTerm
+    arg: MirrorTerm
+    value: bool = field(init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
+class MirrorFresh(MirrorTerm):
+    var: str
+    body: MirrorTerm
+    ann: Optional[object] = field(default=None, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
+class MirrorGuard(MirrorTerm):
+    left: MirrorTerm
+    right: MirrorTerm
+
+
+@dataclass(frozen=True, slots=True)
+class MirrorUnif(MirrorTerm):
+    left: MirrorTerm
+    right: MirrorTerm
+
+
+@dataclass(frozen=True, slots=True)
+class MirrorProgram:
+    threads: tuple = ()
+
+
+MIRRORS = {Var: MirrorVar, Cons: MirrorCons, Abs: MirrorAbs,
+           AbsLoc: MirrorAbsLoc, App: MirrorApp, Fresh: MirrorFresh,
+           Guard: MirrorGuard, Unif: MirrorUnif, Program: MirrorProgram}
+SAME = {cls: cls for cls in MIRRORS}
+
+
+def rebuild(x, classes):
+    """x built again node by node, recursively, each node of class c by
+    classes[c] from its fields other than value: with MIRRORS its
+    mirror, with SAME a copy that shares no node with x."""
+    if type(x) is tuple:
+        return tuple(rebuild(t, classes) for t in x)
+    if type(x) not in classes:
+        return x
+    return classes[type(x)](*[rebuild(getattr(x, f), classes)
+                              for f in type(x).__slots__ if f != "value"])
+
+
+# ---------------------------------------------------------------------------
 # Weak contexts as the paper defines them: a term with one hole, never
 # under a binder
 
-@dataclass(frozen=True)
 class Hole(Term):
     """The hole of a weak context.  A weak context is a Term containing
     exactly one Hole, never under Abs, AbsLoc, or Fresh."""
+    __slots__ = ()
 
 
 HOLE = Hole()

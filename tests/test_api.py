@@ -8,11 +8,13 @@ defaulted parameter is passed by some call in ``src/``, ``bench/`` or
 ``tests/``: a parameter that no caller passes is a knob to remove.
 Every name a module imports is read in that module, and a module
 imports its siblings at module level and only through their public
-names.  Terms, programs and redexes are slotted and immutable, and
-their reprs are pinned."""
+names.  Terms and programs are slotted and immutable by contract, checked
+by an AST scan of ``src/``, ``bench/`` and ``tests/``: nothing assigns
+or deletes a node's field outside its class's ``__init__``, nor sets one
+through ``setattr`` or a descriptor.  Redexes are slotted tuples, and
+the reprs of all three are pinned."""
 
 import ast
-import dataclasses
 import importlib
 import importlib.util
 import os
@@ -26,8 +28,9 @@ from lamu.concrete import parse_program
 from lamu.reduction import BETA, Redex, evaluate
 from lamu.syntax import (
     Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Term, Unif, Var,
-    singleton,
+    singleton, term_key,
 )
+from lamu.typecheck import Base
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "lamu")
@@ -360,6 +363,75 @@ def test_readme_library_example_prints_its_comments(capsys):
     assert expected and capsys.readouterr().out.splitlines() == expected
 
 
+# Every node class with its fields, and each field's name: the names the
+# immutability guard watches.
+NODES = {cls.__name__: cls.__slots__ for cls in
+         (Var, Cons, Abs, AbsLoc, App, Fresh, Guard, Unif, Program)}
+NODE_FIELDS = {f for fields in NODES.values() for f in fields}
+# setattr calls whose attribute name is computed, and whose object (by
+# module and source text) is known not to be a node: the tracer rebinds
+# module attributes
+NOT_NODES = {("tracing", "mod")}
+
+
+def _constructor_stores(tree):
+    """The attribute nodes of ``self.<field> = ...`` in a node class's
+    ``__init__``, for each field of that class."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name in NODES:
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                    for store in ast.walk(node):
+                        if (isinstance(store, ast.Attribute)
+                                and isinstance(store.value, ast.Name)
+                                and store.value.id == "self"
+                                and store.attr in NODES[cls.name]):
+                            yield store
+
+
+# the fields that a node constructor in src/ writes
+CONSTRUCTED = {store.attr for _, tree in _modules()
+               for store in _constructor_stores(tree)}
+
+
+def mutation_faults(modules):
+    """module:line and source text of each write to a node's field
+    outside its constructor: a store or a del of an attribute named like
+    a node field, other than ``self.<field>`` in a node class's
+    ``__init__``; a ``setattr`` or ``delattr`` of a field by its name,
+    or of a computed name on anything not in NOT_NODES; any
+    ``__setattr__``, ``__delattr__``, ``__set__`` or ``__delete__``
+    call."""
+    faults = []
+    for module, tree in modules:
+        allowed = set(map(id, _constructor_stores(tree)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                fault = (isinstance(node.ctx, (ast.Store, ast.Del))
+                         and node.attr in NODE_FIELDS
+                         and id(node) not in allowed)
+            elif isinstance(node, ast.Call):
+                fault = _mutating_call(module, node)
+            else:
+                fault = False
+            if fault:
+                faults.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+    return faults
+
+
+def _mutating_call(module, call):
+    func, args = call.func, call.args
+    if isinstance(func, ast.Attribute):
+        return func.attr in ("__setattr__", "__delattr__", "__set__",
+                             "__delete__")
+    if not (isinstance(func, ast.Name) and func.id in ("setattr", "delattr")
+            and len(args) > 1):
+        return False
+    if isinstance(args[1], ast.Constant):
+        return args[1].value in NODE_FIELDS
+    return (module, ast.unparse(args[0])) not in NOT_NODES
+
+
 X, C = Var("x"), Cons("C")
 ID = AbsLoc(1, "x", singleton(X))
 # one node of every kind with its repr; App's value flag is not shown
@@ -391,21 +463,69 @@ def test_every_term_kind_is_covered():
 
 @pytest.mark.parametrize("node, text", GOLDEN)
 def test_terms_are_slotted_frozen_and_print_as_pinned(node, text):
+    # frozen by contract: each field is written by a node constructor,
+    # the one place where the immutability guard allows a write
     assert repr(node) == text
     assert not hasattr(node, "__dict__")
-    field = dataclasses.fields(node)[0].name
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(node, field, X)
+    assert set(type(node).__slots__) <= CONSTRUCTED
 
 
 def test_app_value_is_a_field_that_eq_hash_and_repr_ignore():
     value, other = App(C, ID), App(X, C)
     assert value.value and not other.value
     assert "value" not in repr(value)
-    assert [(f.name, f.init, f.compare) for f in dataclasses.fields(App)] == [
-        ("fn", True, True), ("arg", True, True), ("value", False, False)]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        value.value = False
+    # == compares every field but value and ann; the hash is the hash of
+    # the key, which reads neither
+    assert [(f, f in App._compared) for f in App.__slots__] == [
+        ("fn", True), ("arg", True), ("value", False)]
+    assert hash(value) == hash(term_key(value))
+    typed, untyped = Abs("x", singleton(X), Base("i")), Abs("x", singleton(X))
+    assert typed == untyped and hash(typed) == hash(untyped)
+    assert repr(typed) != repr(untyped)
+    # nothing stops an assignment at run time; the guard finds it
+    assert mutation_faults([("m", ast.parse("value.value = False\n"))]) == [
+        "m:1: value.value"]
+
+
+def test_nothing_writes_a_node_field_outside_its_constructor():
+    modules = [module for directory in (SRC, BENCH, os.path.join(ROOT, "tests"))
+               for module in _modules(directory)]
+    assert mutation_faults(modules) == []
+
+
+def test_the_guard_sees_every_kind_of_write():
+    tree = ast.parse(
+        "class App:\n"
+        "    def __init__(self, fn, arg):\n"
+        "        self.fn = fn\n"
+        "        self.arg = arg\n"
+        "    def swap(self):\n"
+        "        self.fn = self.arg\n"
+        "class Box:\n"
+        "    def __init__(self, left):\n"
+        "        self.left = left\n"
+        "def f(t, k, mod):\n"
+        "    t.arg = t.fn\n"
+        "    t.value += 1\n"
+        "    del t.body\n"
+        "    t.name, t.other = t.threads, 1\n"
+        "    setattr(t, 'threads', ())\n"
+        "    setattr(t, 'other', ())\n"
+        "    setattr(t, k, 1)\n"
+        "    setattr(mod, k, 1)\n"
+        "    delattr(t, 'ann')\n"
+        "    object.__setattr__(t, 'fn', 1)\n"
+        "    App.fn.__set__(t, 1)\n")
+    planted = [
+        "6: self.fn", "9: self.left", "11: t.arg", "12: t.value",
+        "13: t.body", "14: t.name", "15: setattr(t, 'threads', ())",
+        "17: setattr(t, k, 1)", "19: delattr(t, 'ann')",
+        "20: object.__setattr__(t, 'fn', 1)", "21: App.fn.__set__(t, 1)"]
+    # the tracer's setattr on a module is known not to touch a node
+    assert sorted(mutation_faults([("tracing", tree)])) == sorted(
+        f"tracing:{fault}" for fault in planted)
+    assert sorted(mutation_faults([("m", tree)])) == sorted(
+        f"m:{fault}" for fault in planted + ["18: setattr(mod, k, 1)"])
 
 
 def test_redex_is_a_slotted_tuple():

@@ -1,7 +1,9 @@
 """Tests for the core AST: values, substitution, alpha equivalence,
-weak contexts, coherence, and name supplies.  The sharing substitution
-is checked against the rebuilding one, and free_vars against the
-recursive definition."""
+weak contexts, coherence, name supplies, and node equality.  The sharing
+substitution is checked against the rebuilding one, free_vars against
+the recursive definition, and ==, !=, hash and repr against the frozen
+dataclasses that terms and programs were, also on terms too deep to
+recurse over."""
 
 import itertools
 
@@ -9,19 +11,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
-    HOLE, all_names, coherence_witness_oracle, coherent, compose,
-    free_vars_oracle, is_structure, is_weak_context, locations, plug,
-    plug_term, subst_apply_oracle, subst_equal, subst_loc,
+    HOLE, MIRRORS, SAME, all_names, coherence_witness_oracle, coherent,
+    compose, free_vars_oracle, is_structure, is_weak_context, locations,
+    plug, plug_term, rebuild, subst_apply_oracle, subst_equal, subst_loc,
     subst_single_oracle, support,
 )
-from lamu.generator import Generator, GeneratorConfig
+from lamu.generator import Generator, GeneratorConfig, STRATIFIED_SIGNATURE
 from lamu.syntax import (
-    FAIL, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard,
+    FAIL, OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard,
     NotAValueError, Program, Session, Substitution, Unif, Var,
     alpha_eq, check_coherent, coherence_witness,
     free_vars, is_value, make_spine,
     singleton, spine, subst_apply, subst_single, subst_threads, subterms,
 )
+from lamu.typecheck import ambient_context, default_signature, infer
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 C, D = Cons("C"), Cons("D")
@@ -360,3 +363,81 @@ def test_substitution_shares_what_it_does_not_change():
     out = subst_single(t, "y", D)
     assert out.threads[0] is t.threads[0] and out.threads[2] is t.threads[2]
     assert out.threads[1].body.threads[0].fn is t.threads[1].body.threads[0].fn
+
+
+def _assert_equality_matches_the_mirror(nodes, pairs):
+    """repr of every node, and ==, != and the hash of an equal pair for
+    each (i, j) in pairs, as the nodes' dataclass mirrors have them.
+    Returns how many of the pairs are unequal."""
+    mirrors = [rebuild(x, MIRRORS) for x in nodes]
+    hashes = [hash(x) for x in nodes]
+    for x, m in zip(nodes, mirrors):
+        assert repr(x) == repr(m).replace("Mirror", "")
+    unequal = 0
+    for i, j in pairs:
+        equal = mirrors[i] == mirrors[j]
+        assert (nodes[i] == nodes[j]) is equal, (nodes[i], nodes[j])
+        assert (nodes[i] != nodes[j]) is (mirrors[i] != mirrors[j])
+        assert not equal or hashes[i] == hashes[j]
+        unequal += not equal
+    return unequal
+
+
+def test_equality_matches_the_dataclass_mirror_on_criterion_4():
+    # every pair of one program's subterms, and each subterm against
+    # its copy built separately
+    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
+    unequal = 0
+    for _ in range(500):
+        p = gen.program()
+        nodes = [p, *subterms(p)]
+        copies = [q := rebuild(p, SAME), *subterms(q)]
+        n = len(nodes)
+        unequal += _assert_equality_matches_the_mirror(
+            nodes + copies,
+            [*itertools.combinations_with_replacement(range(n), 2),
+             *((i, n + i) for i in range(n))])
+    assert unequal > 100_000
+
+
+def test_equality_matches_the_dataclass_mirror_on_criterion_8():
+    # every pair among one program's subterms and those of its
+    # infer-annotated copy, which equals it but for ann
+    config = GeneratorConfig(seed=29, max_depth=3, allow_absloc=False,
+                             well_typed=True,
+                             signature=dict(STRATIFIED_SIGNATURE))
+    sig = default_signature(config.signature)
+    annotated = 0
+    for p in itertools.islice(Generator(config).programs(), 215):
+        q = infer(ambient_context(p), sig, p).node
+        nodes = [p, *subterms(p), q, *subterms(q)]
+        _assert_equality_matches_the_mirror(
+            nodes, itertools.combinations_with_replacement(
+                range(len(nodes)), 2))
+        assert p == q and hash(p) == hash(q)
+        annotated += any(getattr(t, "ann", None) is not None
+                         for t in subterms(q))
+    assert annotated > 50
+
+
+def _tower(depth, bottom):
+    t = Cons(bottom)
+    for _ in range(depth):
+        t = App(Cons("S"), t)
+    return t
+
+
+def _chain(depth):
+    t = Cons(OK)
+    for _ in range(depth):
+        t = Guard(Cons(OK), t)
+    return t
+
+
+def test_towers_too_deep_to_recurse_over_compare_and_hash():
+    for a, b in ((_tower(3000, "C"), _tower(3000, "C")),
+                 (singleton(_chain(3000)), singleton(_chain(3000)))):
+        assert a is not b
+        assert a == b and not a != b and hash(a) == hash(b)
+    assert _tower(3000, "C") != _tower(3000, "D")
+    assert not _tower(3000, "C") == _tower(3000, "D")
