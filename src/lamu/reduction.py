@@ -16,14 +16,21 @@ rebuilds only the nodes on the redex's path, shares every subterm beside
 it, and returns a ``TraceStep``, a delta naming the thread, what it
 became and the location, variable or substitution the rule issued.  Beta
 substitutes straight into the body's threads, and the substitution
-shares every subterm it does not change.  ``Redex`` and ``TraceStep``
-are built through ``tuple.__new__``, which skips the NamedTuple's
-generated Python-level ``__new__``.  ``evaluate`` is the one loop that
-steps a program: it splices each delta into a list of threads, so a step
-costs the size of the thread it rewrites, not the size of the program.
-``replay`` rebuilds the whole programs from the deltas for ``--trace``
-and for ``typecheck.typed_steps``, whose whole programs the soundness
-harness denotes.
+shares every subterm it does not change.  A run contracts each
+(closure, argument) pair of objects once: terms are immutable and
+shared, so the pair gives the same threads every time, and ``step_at``
+reads them from the session's memo.  The memo is keyed by identity:
+``==`` would hash whole terms, and a location alone would rest on
+coherence and ignore ``ann``.  The redex search reads the outcome of a
+unification of two values from a second memo of the session, so the
+explorer does not unify again the sides a state shares with its parent.
+``Redex`` and ``TraceStep`` are built through ``tuple.__new__``, which
+skips the NamedTuple's generated Python-level ``__new__``.  ``evaluate``
+is the one loop that steps a program: it splices each delta into a list
+of threads, so a step costs the size of the thread it rewrites, not the
+size of the program.  ``replay`` rebuilds the whole programs from the
+deltas for ``--trace`` and for ``typecheck.typed_steps``, whose whole
+programs the soundness harness denotes.
 
 Because threads never interact, ``reachable_normal_forms`` explores each
 thread on its own and sums the threads' normal forms: its cost is the
@@ -88,37 +95,46 @@ class TraceStep(NamedTuple):
     focus: Optional[Term] = None
 
 
-def _collect(t: Term, path, thread: int, out: list, limit: int):
+def _collect(t: Term, path, thread: int, out: list, limit: int,
+             unifications: dict):
     """Append the redexes of t, reached along path in the given thread,
     to out in leftmost-innermost order (post-order, children left to
     right), stopping once out holds limit of them.  The search enters no
-    child that is a value: a value holds no redex."""
+    child that is a value: a value holds no redex.  The outcome of a
+    ``Unif`` of two values is read from unifications, the session's memo
+    (see ``Session``), or computed and stored there."""
     cls = type(t)
     if cls is App:
         fn, arg = t.fn, t.arg
         if not fn.value:
-            _collect(fn, (t, 0, path), thread, out, limit)
+            _collect(fn, (t, 0, path), thread, out, limit, unifications)
             if len(out) >= limit:
                 return
         if not arg.value:
-            _collect(arg, (t, 1, path), thread, out, limit)
+            _collect(arg, (t, 1, path), thread, out, limit, unifications)
         elif type(fn) is AbsLoc:
             out.append(_new(Redex, (thread, path, t, BETA, None)))
     elif cls is Guard or cls is Unif:
         left, right = t.left, t.right
         if not left.value:
-            _collect(left, (t, 0, path), thread, out, limit)
+            _collect(left, (t, 0, path), thread, out, limit, unifications)
             if len(out) >= limit:
                 return
         if not right.value:
-            _collect(right, (t, 1, path), thread, out, limit)
+            _collect(right, (t, 1, path), thread, out, limit, unifications)
             if len(out) >= limit:
                 return
         if cls is Guard:
             if left.value:
                 out.append(_new(Redex, (thread, path, t, GUARD, None)))
         elif left.value and right.value:
-            outcome = unify.mgu_goal(left, right)
+            key = (id(left), id(right))
+            entry = unifications.get(key)
+            if entry is not None and entry[0] is left and entry[1] is right:
+                outcome = entry[2]
+            else:
+                outcome = unify.mgu_goal(left, right)
+                unifications[key] = (left, right, outcome)
             rule = UNIF if isinstance(outcome, unify.Solved) else FAILRULE
             out.append(_new(Redex, (thread, path, t, rule, outcome)))
     elif cls is Abs:
@@ -140,30 +156,36 @@ def _plug(path, t: Term) -> Term:
     return t
 
 
-def enumerate_redexes(p) -> List[Redex]:
-    """Every redex of a program or a sequence of threads, in order."""
+def enumerate_redexes(p, unifications=None) -> List[Redex]:
+    """Every redex of a program or a sequence of threads, in order;
+    unifications is the memo of a session, if the caller runs one."""
+    if unifications is None:
+        unifications = {}
     out = []
     for i, t in enumerate(p):
         if not t.value:
-            _collect(t, None, i, out, _ALL)
+            _collect(t, None, i, out, _ALL, unifications)
     return out
 
 
-def find_redex(p, strategy="leftmost", rng=None,
-               start=0) -> Optional[Redex]:
+def find_redex(p, strategy="leftmost", rng=None, start=0,
+               unifications=None) -> Optional[Redex]:
     """Select a redex of a program or a sequence of threads.  Default:
     leftmost thread, leftmost-innermost position, searching from thread
     start on.  Returns None iff the program is normal (from thread start
     on, under leftmost).  Leftmost searches forward from thread start and
     rightmost backward from the last thread; both skip the threads that
     are values and stop in the first thread that has a redex.  Random
-    draws from every redex of the program."""
+    draws from every redex of the program.  unifications is the memo of
+    a session, if the caller runs one."""
+    if unifications is None:
+        unifications = {}
     if strategy == "leftmost":
         out = []
         for i in range(start, len(p)):
             t = p[i]
             if not t.value:
-                _collect(t, None, i, out, 1)
+                _collect(t, None, i, out, 1, unifications)
                 if out:
                     return out[0]
         return None
@@ -172,11 +194,11 @@ def find_redex(p, strategy="leftmost", rng=None,
         for i in range(len(p) - 1, -1, -1):
             t = p[i]
             if not t.value:
-                _collect(t, None, i, out, _ALL)
+                _collect(t, None, i, out, _ALL, unifications)
                 if out:
                     return out[-1]
         return None
-    redexes = enumerate_redexes(p)
+    redexes = enumerate_redexes(p, unifications)
     if not redexes:
         return None
     if strategy == "random":
@@ -192,7 +214,10 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
     contractum plugged back along redex.path, so it shares with t every
     subterm beside that path.  The step records what the rule issued:
     the location of alloc and the variable of fresh, taken from the
-    session, and the substitution of unif."""
+    session, and the substitution of unif.  Beta substitutes the
+    argument into the closure's body once per (closure, argument) pair
+    of objects in a session and reads the threads from the session's
+    memo after that, so a run that meets the pair again shares them."""
     path = redex.path
     focus = redex.focus
     rule = redex.rule
@@ -201,8 +226,14 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
         fresh_loc = session.fresh_loc()
         after = (_plug(path, AbsLoc(fresh_loc, focus.var, focus.body, focus.ann)),)
     elif rule == BETA:
-        fn = focus.fn
-        body = subst_threads(fn.body.threads, fn.var, focus.arg)
+        fn, arg = focus.fn, focus.arg
+        key = (id(fn), id(arg))
+        entry = session.betas.get(key)
+        if entry is not None and entry[0] is fn and entry[1] is arg:
+            body = entry[2]
+        else:
+            body = subst_threads(fn.body.threads, fn.var, arg)
+            session.betas[key] = (fn, arg, body)
         after = body if path is None else tuple([_plug(path, s) for s in body])
     elif rule == GUARD:
         after = (_plug(path, focus.right),)
@@ -222,10 +253,11 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
 
 def step(p: Program, session: Optional[Session] = None) -> Optional[TraceStep]:
     """One leftmost reduction step, or None if normal."""
-    redex = find_redex(p)
+    session = session or Session.for_program(p)
+    redex = find_redex(p, unifications=session.unifications)
     if redex is None:
         return None
-    return step_at(p[redex.thread], redex, session or Session.for_program(p))
+    return step_at(p[redex.thread], redex, session)
 
 
 @dataclass
@@ -252,7 +284,8 @@ def evaluate(p: Program, fuel=1000, strategy="leftmost", seed=0) -> EvalResult:
     trace: List[TraceStep] = []
     threads, start = list(p), 0
     for _ in range(fuel):
-        redex = find_redex(threads, strategy, rng, start)
+        redex = find_redex(threads, strategy, rng, start,
+                           session.unifications)
         if redex is None:
             return EvalResult(Program(threads), trace, True)
         i = redex.thread
@@ -262,7 +295,8 @@ def evaluate(p: Program, fuel=1000, strategy="leftmost", seed=0) -> EvalResult:
         if strategy == "leftmost":
             start = i
     return EvalResult(Program(threads), trace,
-                      find_redex(threads, start=start) is None)
+                      find_redex(threads, start=start,
+                                 unifications=session.unifications) is None)
 
 
 def replay(p: Program, trace) -> Iterator[Tuple[TraceStep, Program]]:
@@ -327,7 +361,7 @@ def reachable_normal_forms(p: Program, fuel=200,
         for _ in range(fuel):
             next_frontier = []
             for s, k in frontier:
-                redexes = enumerate_redexes((s,))
+                redexes = enumerate_redexes((s,), session.unifications)
                 if not redexes:
                     nfs.add((k,))
                 for r in redexes:

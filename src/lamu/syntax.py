@@ -10,7 +10,7 @@ of a mapped name comes back as the same object, so a substitution builds
 only the nodes above the occurrences it replaces.  ``term_key`` is the
 one canonical form: alpha-equivalence compares whole keys, and
 structural equivalence (module ``equiv``) compares their shapes.
-``==``, ``term_key``, ``free_vars``, ``coherence_witness`` and
+``==``, ``repr``, ``term_key``, ``free_vars``, ``coherence_witness`` and
 ``Session.for_program`` walk the term with an explicit stack, so each
 takes a term of any depth.
 """
@@ -43,6 +43,7 @@ class _Node:
     def __init_subclass__(cls):
         cls._compared = tuple(f for f in cls.__slots__
                               if f != "ann" and f != "value")
+        cls._shown = tuple(f for f in cls.__slots__ if f != "value")
 
     def __eq__(self, other):
         if self is other:
@@ -70,9 +71,31 @@ class _Node:
         return hash(term_key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}"
-                           for f in self.__slots__ if f != "value")
-        return f"{type(self).__qualname__}({fields})"
+        # Explicit stack of (is it text, what to print): nodes and thread
+        # tuples are taken apart on it, any other field prints its repr.
+        out = []
+        stack = [(False, self)]
+        while stack:
+            text, x = stack.pop()
+            if text:
+                out.append(x)
+            elif isinstance(x, _Node):
+                out.append(f"{type(x).__qualname__}(")
+                stack.append((True, ")"))
+                shown = x._shown
+                for i in range(len(shown) - 1, -1, -1):
+                    stack.append((False, getattr(x, shown[i])))
+                    stack.append((True, f"{', ' if i else ''}{shown[i]}="))
+            elif type(x) is tuple:
+                out.append("(")
+                stack.append((True, ",)" if len(x) == 1 else ")"))
+                for i in range(len(x) - 1, -1, -1):
+                    stack.append((False, x[i]))
+                    if i:
+                        stack.append((True, ", "))
+            else:
+                out.append(repr(x))
+        return "".join(out)
 
 
 class Term(_Node):
@@ -537,16 +560,30 @@ def check_coherent(p: Program):
 # Fresh-name and location supplies
 
 class Session:
-    """Per-evaluation supplies of fresh variable names and locations.
+    """Per-run supplies of fresh variable names and locations, and the
+    run's two memos.
 
     Names are never re-issued; the avoid set should contain every name
     occurring in the program under evaluation.
+
+    ``betas`` maps ``(id(fn), id(arg))`` to ``(fn, arg, threads)``: the
+    threads a beta step got by substituting the value ``arg`` into the
+    body of the closure ``fn``.  ``unifications`` maps ``(id(left),
+    id(right))`` to ``(left, right, outcome)``: the ``unify.mgu_goal``
+    outcome of a ``Unif`` with those two value sides.  Terms are
+    immutable, so the same two objects always give the same result.  The
+    memos are keyed by identity, since hashing a term walks all of it;
+    an entry holds both objects, so their ids are not reused while the
+    session lives, and a reader checks them with ``is``.  The tables are
+    separate because a ``Unif``'s sides may be an ``App``'s two halves.
     """
 
     def __init__(self, avoid=(), first_loc=1):
         self._used = set(avoid)
         self._var_n = 0
         self._loc_n = first_loc
+        self.betas = {}
+        self.unifications = {}
 
     @classmethod
     def for_program(cls, p: Program) -> "Session":

@@ -8,11 +8,14 @@ defaulted parameter is passed by some call in ``src/``, ``bench/`` or
 ``tests/``: a parameter that no caller passes is a knob to remove.
 Every name a module imports is read in that module, and a module
 imports its siblings at module level and only through their public
-names.  Terms and programs are slotted and immutable by contract, checked
-by an AST scan of ``src/``, ``bench/`` and ``tests/``: nothing assigns
-or deletes a node's field outside its class's ``__init__``, nor sets one
-through ``setattr`` or a descriptor.  Redexes are slotted tuples, and
-the reprs of all three are pinned."""
+names.  No function keeps state in a module between calls: nothing
+declares a ``global``, writes into a module-level name's attributes or
+items, or calls a mutating method on one.  Terms and programs are
+slotted and immutable by contract, checked by an AST scan of ``src/``,
+``bench/`` and ``tests/``: nothing assigns or deletes a node's field
+outside its class's ``__init__``, nor sets one through ``setattr`` or a
+descriptor.  Redexes are slotted tuples, and the reprs of all three
+are pinned."""
 
 import ast
 import importlib
@@ -121,6 +124,124 @@ def test_src_holds_only_used_or_public_names():
 def test_the_check_sees_a_dead_helper():
     tree = ast.parse("def dead():\n    return dead()\n\nX = 1\nY = X\n")
     assert unused_names([("m", tree)]) == ["m.dead", "m.Y"]
+
+
+# methods that change the object they are called on
+MUTATORS = frozenset({
+    "append", "extend", "insert", "remove", "pop", "popitem", "clear",
+    "sort", "reverse", "update", "setdefault", "add", "discard",
+    "difference_update", "intersection_update",
+    "symmetric_difference_update", "__setitem__", "__delitem__"})
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _root(node):
+    """The name at the bottom of a chain of attributes and subscripts
+    (``m`` in ``m.a[k].b``), else None."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _binds(function):
+    """The names a function binds itself: its parameters and every name
+    it stores, imports or defines, nested functions' own excepted."""
+    args = function.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+             + [args.vararg, args.kwarg] if a is not None}
+    body = function.body
+    stack = list(body) if isinstance(body, list) else [body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def state_faults(modules):
+    """module:line and source text of each place where a function could
+    keep state from one call to the next: a ``global`` statement; a
+    store into, or a del of, an attribute or a subscript of a
+    module-level name; a call of a mutating method on one.  A name the
+    function or an enclosing one binds itself is not module-level."""
+    faults = []
+    for module, tree in modules:
+        shared = {name for name, _ in _definitions(tree)}
+        shared |= {name for node, _, name in _imports(tree)
+                   if node in tree.body}
+
+        def visit(node, local):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, FUNCTIONS):
+                    visit(child, _binds(child) | (local or set()))
+                    continue
+                if isinstance(child, ast.Global):
+                    fault = True
+                elif local is None:
+                    fault = False
+                elif isinstance(child, (ast.Attribute, ast.Subscript)):
+                    fault = (isinstance(child.ctx, (ast.Store, ast.Del))
+                             and _root(child.value) in shared - local)
+                elif (isinstance(child, ast.Call)
+                      and isinstance(child.func, ast.Attribute)):
+                    fault = (child.func.attr in MUTATORS
+                             and _root(child.func.value) in shared - local)
+                else:
+                    fault = False
+                if fault:
+                    faults.append(f"{module}:{child.lineno}: "
+                                  f"{ast.unparse(child)}")
+                visit(child, local)
+
+        visit(tree, None)
+    return faults
+
+
+def test_src_keeps_no_state_between_calls():
+    # a memo lives on the per-run Session, never in a module, so no
+    # result carries over from one run to the next
+    assert state_faults(list(_modules())) == []
+
+
+def test_the_check_sees_module_state():
+    tree = ast.parse(
+        "import sys\n"
+        "CACHE = {}\n"
+        "SEEN = []\n"
+        "CACHE['boot'] = 1\n"
+        "class Box:\n"
+        "    size = 0\n"
+        "def f(key, SEEN=None):\n"
+        "    global COUNT\n"
+        "    CACHE[key] = 1\n"
+        "    del CACHE[key]\n"
+        "    Box.size = 2\n"
+        "    CACHE.setdefault(key, []).append(1)\n"
+        "    sys.path.insert(0, key)\n"
+        "    SEEN.append(key)\n"
+        "    local = {}\n"
+        "    local[key] = CACHE.get(key)\n"
+        "    def inner():\n"
+        "        CACHE.clear()\n"
+        "        local.update(CACHE)\n"
+        "    return lambda: CACHE.pop(key)\n"
+        "def g(CACHE):\n"
+        "    CACHE[0] = 1\n")
+    assert state_faults([("m", tree)]) == [
+        "m:8: global COUNT", "m:9: CACHE[key]", "m:10: CACHE[key]",
+        "m:11: Box.size", "m:12: CACHE.setdefault(key, [])",
+        "m:13: sys.path.insert(0, key)",
+        "m:18: CACHE.clear()", "m:20: CACHE.pop(key)"]
 
 
 def _signatures(tree):

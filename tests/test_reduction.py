@@ -1,11 +1,12 @@
 """Tests for the small-step evaluator: individual rules, strategies,
-traces, and bounded exploration."""
+traces, bounded exploration, and the session's memo of beta steps."""
 
 import random
 
 import pytest
 
-from helpers import replay, splice
+from helpers import replay, splice, subst_single_oracle
+from lamu import reduction
 from lamu.concrete import parse_program
 from lamu.equiv import is_normal_term, struct_equiv
 from lamu.parallel import par_normalize
@@ -15,7 +16,7 @@ from lamu.reduction import (
 )
 from lamu.syntax import (
     Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, Program, Session,
-    Unif, Var, alpha_eq, check_coherent, singleton,
+    Unif, Var, alpha_eq, check_coherent, singleton, subst_threads,
 )
 
 X, Y = Var("x"), Var("y")
@@ -137,6 +138,53 @@ def test_fuel_exhaustion():
     omega = run(r"(\x. x x) (\x. x x)", fuel=30)
     assert not omega.normal
     assert len(omega.trace) == 30
+
+
+def test_a_session_contracts_each_pair_once(monkeypatch):
+    # omega allocates both closures, contracts L1 L2 to L2 L2 and then
+    # L2 L2 to a new L2 L2 built from the same two objects, so from step
+    # 4 on every beta reads the memo
+    calls = []
+
+    def counting_subst_threads(threads, name, value):
+        calls.append(name)
+        return subst_threads(threads, name, value)
+
+    monkeypatch.setattr(reduction, "subst_threads", counting_subst_threads)
+    omega = run(r"(\x. x x) (\x. x x)", fuel=50)
+    assert not omega.normal and omega.steps == 50
+    assert [ts.rule for ts in omega.trace] == [ALLOC, ALLOC] + [BETA] * 48
+    assert len({id(ts.after) for ts in omega.trace[3:]}) == 1
+    assert len(calls) == 2
+
+
+def test_the_beta_memo_lives_as_long_as_its_session():
+    # omega on an allocated closure: every step contracts the same two
+    # objects, and a second run contracts them again
+    closure = AbsLoc(1, "x", singleton(App(X, X)))
+    p = singleton(App(closure, closure))
+    first, second = evaluate(p, fuel=50), evaluate(p, fuel=50)
+
+    def contracta(result):
+        return {id(x) for ts in result.trace if ts.rule == BETA
+                for x in (ts.after, *ts.after)}
+
+    assert len(contracta(first)) == len(contracta(second)) == 2
+    assert contracta(first).isdisjoint(contracta(second))
+
+
+def test_a_memoised_beta_avoids_capture_like_the_oracle():
+    # (\^1 x. \y. x y) y, the same thread object twice: the body's binder
+    # y would capture the argument, so both betas rename it
+    closure = AbsLoc(1, "x", singleton(Abs("y", singleton(App(X, Y)))))
+    thread = App(closure, Y)
+    result = evaluate(Program((thread, thread)))
+    betas = [ts for ts in result.trace if ts.rule == BETA]
+    assert len(betas) == 2
+    expected = subst_single_oracle(closure.body, "x", Y).threads
+    assert betas[0].after == betas[1].after == expected
+    assert betas[0].after[0].var != "y"
+    assert betas[1].after is betas[0].after
 
 
 def test_replay():

@@ -13,7 +13,8 @@ it is built against the walk that decides value-ness from scratch, and
 ``subst_single`` against a ``Substitution`` through the rebuilding
 substitution.  Every step the explorer takes on the criterion 4/9
 stream is checked against the step rebuilt from its weak context by
-the rebuilding substitution."""
+the rebuilding substitution, and every unification outcome it
+enumerates, memoised or not, against a fresh ``mgu_goal``."""
 
 import itertools
 import os
@@ -226,11 +227,30 @@ def streams():
     return out
 
 
-def test_value_flag_matches_the_walk():
-    # every subterm of every thread the streams reach and of the growing
+def explored_threads(monkeypatch):
+    """Every thread the explorer's steps make on the confluence stream."""
+    threads = []
+
+    def recording_step_at(t, redex, session):
+        ts = step_at(t, redex, session)
+        threads.extend(ts.after)
+        return ts
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reduction, "step_at", recording_step_at)
+        for p in confluence_stream():
+            reachable_normal_forms(p, fuel=200, max_states=10_000)
+    return threads
+
+
+def test_value_flag_matches_the_walk(monkeypatch):
+    # every subterm of every thread the streams reach, of every thread
+    # the explorer makes on the confluence stream and of the growing
     # value 1 000 levels deep; steps share subterms, so each distinct
-    # object is checked once
+    # object is checked once, and a run contracts each (closure,
+    # argument) pair once, so repeated betas add no new objects
     threads = [t for p, fuel in streams() for t in visited_threads(p, fuel)]
+    threads += explored_threads(monkeypatch)
     (grown,) = evaluate(parse_program(GROWING), fuel=3000).program
     terms = {id(t): t for t in subterms(Program(threads + [grown]))}
     assert len(terms) > 15_000
@@ -350,6 +370,38 @@ def test_every_explorer_step_matches_the_rebuilding_step(monkeypatch):
         reachable_normal_forms(p, fuel=200, max_states=10_000)
     assert sum(checked.values()) > 3_000
     assert set(checked) == {ALLOC, BETA, FRESH, UNIF, GUARD, FAILRULE}
+
+
+def test_every_enumerated_unification_matches_a_fresh_mgu(monkeypatch):
+    # the explorer re-enumerates, on each state, the unifications that
+    # state shares with its parent, and reads their outcomes from the
+    # session's memo; the test above reuses redex.unify_outcome, so only
+    # a fresh mgu_goal of the sides can catch a stale outcome
+    mgu_goal = unify.mgu_goal
+    counts = Counter()
+
+    def counting_mgu_goal(v, w):
+        counts["computed"] += 1
+        return mgu_goal(v, w)
+
+    def checked_enumerate_redexes(p, unifications):
+        redexes = enumerate_redexes(p, unifications)
+        for r in redexes:
+            if r.rule in (UNIF, FAILRULE):
+                fresh = mgu_goal(r.focus.left, r.focus.right)
+                assert type(fresh) is type(r.unify_outcome)
+                if isinstance(fresh, unify.Solved):
+                    assert dict(r.unify_outcome.substitution.items()) == \
+                        dict(fresh.substitution.items())
+                counts["enumerated"] += 1
+        return redexes
+
+    monkeypatch.setattr(unify, "mgu_goal", counting_mgu_goal)
+    monkeypatch.setattr(reduction, "enumerate_redexes",
+                        checked_enumerate_redexes)
+    for p in confluence_stream():
+        reachable_normal_forms(p, fuel=200, max_states=10_000)
+    assert 0 < counts["computed"] < counts["enumerated"]
 
 
 def test_beta_shares_the_body_beside_the_occurrences():

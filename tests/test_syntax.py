@@ -441,3 +441,9 @@ def test_towers_too_deep_to_recurse_over_compare_and_hash():
         assert a == b and not a != b and hash(a) == hash(b)
     assert _tower(3000, "C") != _tower(3000, "D")
     assert not _tower(3000, "C") == _tower(3000, "D")
+    assert repr(_tower(3000, "C")) == (
+        "App(fn=Cons(name='S'), arg=" * 3000 + "Cons(name='C')" + ")" * 3000)
+    assert repr(singleton(_chain(3000))) == (
+        "Program(threads=("
+        + "Guard(left=Cons(name='Ok'), right=" * 3000 + "Cons(name='Ok')"
+        + ")" * 3000 + ",))")
