@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List
 
 from .syntax import (
-    Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Term,
-    Unif, Var, free_vars,
+    FAIL, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Record,
+    Term, Unif, Var, free_vars,
 )
 from .typecheck import Arrow, Base, Type
 
@@ -57,12 +56,14 @@ _TOKEN_RE = re.compile(r"""
 _KEYWORDS = {"fresh", "fail", "cons", "base", "def"}
 
 
-@dataclass
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(text: str) -> List[Token]:
@@ -93,12 +94,17 @@ def tokenize(text: str) -> List[Token]:
     return tokens
 
 
-@dataclass
-class SourceFile:
-    signature: Dict[str, Type] = field(default_factory=dict)
-    base_sizes: Dict[str, int] = field(default_factory=dict)
-    definitions: Dict[str, Term] = field(default_factory=dict)
-    program: Program = field(default_factory=Program)
+class SourceFile(Record):
+    """A file's declarations and program, filled in as they are parsed
+    (the REPL's session is one too): signature, base_sizes and
+    definitions are dicts, and the program starts as fail."""
+    __slots__ = ("signature", "base_sizes", "definitions", "program")
+
+    def __init__(self, signature=None):
+        self.signature = {} if signature is None else signature
+        self.base_sizes = {}
+        self.definitions = {}
+        self.program = FAIL
 
 
 class _Parser:

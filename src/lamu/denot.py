@@ -12,13 +12,12 @@ atom in its result base type, computed as a least fixpoint.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Union
 
 from .reduction import FAILRULE
 from .syntax import (
-    OK, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Term,
-    Unif, Var, free_vars,
+    OK, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Record,
+    Term, Unif, Var, free_vars,
 )
 from .typecheck import (
     Arrow, Base, Meta, Type, ambient_context, arg_types, base_names, infer,
@@ -37,10 +36,23 @@ class DenotError(LamuError):
     pass
 
 
-@dataclass(frozen=True)
 class Atom:
-    base: str
-    tag: object  # ("atom", i) or ("cons", name, (child values...))
+    """An element of a base type; tag is ("atom", i) or ("cons", name,
+    (child values...)).  A value, immutable by contract: == and hash
+    compare the field tuple."""
+    __slots__ = ("base", "tag")
+
+    def __init__(self, base, tag):
+        self.base = base
+        self.tag = tag
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.tag) == (other.base, other.tag)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.tag))
 
     def __repr__(self):
         if self.tag[0] == "atom":
@@ -51,11 +63,22 @@ class Atom:
         return name
 
 
-@dataclass(frozen=True)
 class Table:
     """A function ⟦A⟧ -> P(⟦B⟧), materialized over the full enumeration
-    of the domain in canonical order."""
-    entries: Tuple[Tuple["SemValue", FrozenSet["SemValue"]], ...]
+    of the domain in canonical order: entries holds (argument, image)
+    pairs.  A value, immutable by contract, compared and hashed as Atom."""
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.entries,) == (other.entries,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     def __call__(self, arg: "SemValue") -> FrozenSet["SemValue"]:
         for a, image in self.entries:
@@ -277,19 +300,26 @@ def denote_toplevel(x: Union[Term, Program], model: Model,
 # ---------------------------------------------------------------------------
 # Soundness harness
 
-@dataclass
-class InclusionReport:
-    rule: str
-    ok: bool
-    equal: bool
-    detail: str = ""
+class InclusionReport(Record):
+    """One step's verdict; soundness_check fills in detail on a failure."""
+    __slots__ = ("rule", "ok", "equal", "detail")
+
+    def __init__(self, rule, ok, equal):
+        self.rule = rule
+        self.ok = ok
+        self.equal = equal
+        self.detail = ""
 
 
-@dataclass
-class SoundnessVerdict:
-    ok: bool
-    steps: List[InclusionReport]
-    final_denotation: Optional[FrozenSet[SemValue]] = None
+class SoundnessVerdict(Record):
+    """soundness_check clears ok on a failure and sets the final
+    denotation once the trace ends."""
+    __slots__ = ("ok", "steps", "final_denotation")
+
+    def __init__(self, ok, steps):
+        self.ok = ok
+        self.steps = steps
+        self.final_denotation = None
 
 
 def soundness_check(p: Program, model: Model, fuel=200) -> SoundnessVerdict:

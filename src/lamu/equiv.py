@@ -10,11 +10,11 @@ so it answers a value at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    AbsLoc, Cons, Guard, Program, Term, Unif, Var, spine, term_key,
+    AbsLoc, Cons, Guard, Program, Record, Term, Unif, Var, spine,
+    term_key,
 )
 
 STUCK_VAR = "stuck-var"
@@ -43,10 +43,17 @@ def struct_equiv(p: Program, q: Program) -> bool:
 # ---------------------------------------------------------------------------
 # Normal and stuck terms
 
-@dataclass(frozen=True)
-class StuckKind:
-    kind: str
-    sub: tuple = ()
+class StuckKind(Record):
+    """Which stuck rule applies, with the stuck kinds of the subterms it
+    rests on; immutable by contract."""
+    __slots__ = ("kind", "sub")
+
+    def __init__(self, kind, sub=()):
+        self.kind = kind
+        self.sub = sub
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 _VALUE = object()

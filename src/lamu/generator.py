@@ -9,11 +9,10 @@ context variables.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .syntax import (
-    Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Term, Unif, Var,
+    Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Record, Term, Unif, Var,
     make_spine, singleton,
 )
 from .typecheck import (
@@ -51,15 +50,20 @@ _CLOSED_BODIES: Tuple[Tuple[int, str, Program], ...] = (
 )
 
 
-@dataclass
-class GeneratorConfig:
-    seed: int = 0
-    max_depth: int = 4
-    variables: Tuple[str, ...] = ("x", "y", "z")
-    signature: Dict[str, Type] = field(
-        default_factory=lambda: dict(DEFAULT_SIGNATURE))
-    allow_absloc: bool = True
-    well_typed: bool = False
+class GeneratorConfig(Record):
+    """signature defaults to a copy of DEFAULT_SIGNATURE."""
+    __slots__ = ("seed", "max_depth", "variables", "signature",
+                 "allow_absloc", "well_typed")
+
+    def __init__(self, seed=0, max_depth=4, variables=("x", "y", "z"),
+                 signature=None, allow_absloc=True, well_typed=False):
+        self.seed = seed
+        self.max_depth = max_depth
+        self.variables = variables
+        self.signature = (dict(DEFAULT_SIGNATURE) if signature is None
+                          else signature)
+        self.allow_absloc = allow_absloc
+        self.well_typed = well_typed
 
 
 class Generator:

@@ -8,21 +8,27 @@ it takes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from . import unify
 from .equiv import is_normal_term
 from .syntax import (
-    OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Session, Term,
-    Unif, Var, check_coherent, is_value, singleton, subst_apply,
+    OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Record, Session,
+    Term, Unif, Var, check_coherent, is_value, singleton, subst_apply,
     subst_single,
 )
 
-@dataclass(frozen=True)
-class ParResult:
-    program: Program
-    goals: Tuple[unify.Goal, ...]
+class ParResult(Record):
+    """A reduct and the unification goals it leaves pending; immutable
+    by contract."""
+    __slots__ = ("program", "goals")
+
+    def __init__(self, program, goals):
+        self.program = program
+        self.goals = goals
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 def _lift(ctor, p: Program, q: Program) -> Program:
@@ -88,11 +94,13 @@ def par_step(p: Program, session=None) -> Program:
     return Program(tuple(u for t in p for u in _par_thread(t, session)))
 
 
-@dataclass
-class ParNormalResult:
-    program: Program
-    steps: int
-    normal: bool
+class ParNormalResult(Record):
+    __slots__ = ("program", "steps", "normal")
+
+    def __init__(self, program, steps, normal):
+        self.program = program
+        self.steps = steps
+        self.normal = normal
 
 
 def _place(threads, slot: list, pending: list):

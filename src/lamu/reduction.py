@@ -41,13 +41,12 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from . import unify
 from .equiv import canonical_thread
 from .syntax import (
-    OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Session,
+    OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Record, Session,
     Substitution, Term, Unif, Var, check_coherent, subst_apply,
     subst_single, subst_threads,
 )
@@ -260,13 +259,15 @@ def step(p: Program, session: Optional[Session] = None) -> Optional[TraceStep]:
     return step_at(p[redex.thread], redex, session)
 
 
-@dataclass
-class EvalResult:
+class EvalResult(Record):
     """The program reached and the deltas of the steps that reached it;
     ``replay`` turns the trace back into whole programs."""
-    program: Program
-    trace: List[TraceStep]
-    normal: bool
+    __slots__ = ("program", "trace", "normal")
+
+    def __init__(self, program, trace, normal):
+        self.program = program
+        self.trace = trace
+        self.normal = normal
 
     @property
     def steps(self):
@@ -307,15 +308,17 @@ def replay(p: Program, trace) -> Iterator[Tuple[TraceStep, Program]]:
         yield ts, Program(threads)
 
 
-@dataclass
-class Exploration:
+class Exploration(Record):
     """normal_forms holds the canonical_program keys of the reachable
     normal forms, one per structural-equivalence class; when complete is
     False it holds a subset of them.  states counts the distinct
     single-thread states visited, summed over every thread explored."""
-    normal_forms: set
-    states: int
-    complete: bool
+    __slots__ = ("normal_forms", "states", "complete")
+
+    def __init__(self, normal_forms, states, complete):
+        self.normal_forms = normal_forms
+        self.states = states
+        self.complete = complete
 
 
 def reachable_normal_forms(p: Program, fuel=200,

@@ -98,6 +98,27 @@ class _Node:
         return "".join(out)
 
 
+class Record:
+    """A plain record over the fields in ``__slots__``: ``==`` compares
+    two records of one class field by field, and ``repr`` prints
+    ``Class(field=value, ...)``.  Defining ``==`` leaves a record without
+    a hash; one immutable by contract (``test_api``) defines its own,
+    the hash of its field tuple."""
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self):
+        shown = [f"{f}={getattr(self, f)!r}" for f in self.__slots__]
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
 class Term(_Node):
     """``value``: whether the term is a value; on ``App``, set when built."""
     __slots__ = ()

@@ -11,37 +11,69 @@ fresh base types so they never escape a successful result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Union
 
 from .reduction import FRESH, evaluate, replay
 from .syntax import (
-    OK, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Term,
-    Unif, Var, free_vars, subterms,
+    OK, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Record,
+    Term, Unif, Var, free_vars, subterms,
 )
 
 
-@dataclass(frozen=True)
+# Types are values, immutable by contract: == and hash compare the
+# field tuple.
+
 class Base:
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class Arrow:
-    left: "Type"
-    right: "Type"
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
     def __repr__(self):
         l = f"({self.left!r})" if isinstance(self.left, Arrow) else f"{self.left!r}"
         return f"{l} -> {self.right!r}"
 
 
-@dataclass(frozen=True)
 class Meta:
-    id: int
+    __slots__ = ("id",)
+
+    def __init__(self, id):
+        self.id = id
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.id,) == (other.id,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.id,))
 
     def __repr__(self):
         return f"?{self.id}"
@@ -238,11 +270,15 @@ class _Defaulter:
         raise TypeCheckError(f"cannot default {t!r}")
 
 
-@dataclass
-class Typing:
-    type: Type
-    node: Union[Term, Program]   # annotated copy of the input
-    gamma: Dict[str, Type]       # solved ambient context
+class Typing(Record):
+    """The type, the annotated copy of the input, and the solved ambient
+    context."""
+    __slots__ = ("type", "node", "gamma")
+
+    def __init__(self, type, node, gamma):
+        self.type = type
+        self.node = node
+        self.gamma = gamma
 
 
 def _run(gamma, sig, x, expected=None) -> Typing:
@@ -305,17 +341,23 @@ def typed_steps(typing: Typing, fuel) -> Iterator[tuple]:
         yield ts, context, after
 
 
-@dataclass
-class StepReport:
-    rule: str
-    ok: bool
-    error: Optional[str] = None
+class StepReport(Record):
+    __slots__ = ("rule", "ok", "error")
+
+    def __init__(self, rule, ok, error=None):
+        self.rule = rule
+        self.ok = ok
+        self.error = error
 
 
-@dataclass
-class Verdict:
-    ok: bool
-    steps: list = field(default_factory=list)
+class Verdict(Record):
+    """subject_reduction_check appends each step's report and clears ok
+    on a failure."""
+    __slots__ = ("ok", "steps")
+
+    def __init__(self, ok):
+        self.ok = ok
+        self.steps = []
 
 
 def subject_reduction_check(gamma, sig, p: Program, fuel=200) -> Verdict:

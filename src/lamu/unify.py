@@ -9,12 +9,11 @@ alpha-equal bodies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    AbsLoc, CoherenceError, Cons, LamuError, Substitution, Term, Var,
-    alpha_eq, free_vars, is_value, spine, subst_apply, term_key,
+    AbsLoc, CoherenceError, Cons, LamuError, Record, Substitution, Term,
+    Var, alpha_eq, free_vars, is_value, spine, subst_apply, term_key,
 )
 
 
@@ -22,14 +21,24 @@ class NotAGoalError(LamuError):
     pass
 
 
-@dataclass(frozen=True)
-class Goal:
-    lhs: Term
-    rhs: Term
+class Goal(Record):
+    """A goal between two values, immutable by contract; == and hash
+    compare the field tuple."""
+    __slots__ = ("lhs", "rhs")
 
-    def __post_init__(self):
-        if not (is_value(self.lhs) and is_value(self.rhs)):
+    def __init__(self, lhs, rhs):
+        if not (is_value(lhs) and is_value(rhs)):
             raise NotAGoalError("both sides of a goal must be values")
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lhs, self.rhs) == (other.lhs, other.rhs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lhs, self.rhs))
 
     def subst(self, sigma: Substitution) -> "Goal":
         return Goal(subst_apply(self.lhs, sigma), subst_apply(self.rhs, sigma))
@@ -46,7 +55,7 @@ class Problem:
     """A unification problem: a set of goals with insertion order kept
     for the deterministic rewrite policy.  Duplicates (up to alpha)
     collapse; a problem of one goal holds no duplicate, so only a
-    problem of two or more goals keys them."""
+    problem of two or more goals keys them.  Immutable by contract."""
 
     __slots__ = ("goals",)
 
@@ -107,17 +116,29 @@ def clash(v: Term, w: Term) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # The rewrite system
 
-@dataclass(frozen=True)
-class Stepped:
-    problem: Problem
-    rule: str
+class Stepped(Record):
+    """The problem one rule rewrote the last one to, and the rule.  Like
+    Failed and Solved, immutable by contract."""
+    __slots__ = ("problem", "rule")
+
+    def __init__(self, problem, rule):
+        self.problem = problem
+        self.rule = rule
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
-@dataclass(frozen=True)
-class Failed:
+class Failed(Record):
     """A clash or the occurs check, at the goal where it was found."""
-    reason: str
-    goal: Goal
+    __slots__ = ("reason", "goal")
+
+    def __init__(self, reason, goal):
+        self.reason = reason
+        self.goal = goal
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 def unify_step(problem: Problem):
@@ -164,9 +185,14 @@ def unify_step(problem: Problem):
 # ---------------------------------------------------------------------------
 # mgu
 
-@dataclass(frozen=True)
-class Solved:
-    substitution: Substitution
+class Solved(Record):
+    __slots__ = ("substitution",)
+
+    def __init__(self, substitution):
+        self.substitution = substitution
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 def mgu(problem: Problem):

@@ -1,7 +1,7 @@
 """Helpers that only the tests use: a timer, the locations and names a
-term holds, value-ness by walking the term, terms and programs as the
-frozen dataclasses that their equality, hash and repr are checked
-against, rebuilding a term node by node, term predicates, the
+term holds, value-ness by walking the term, terms, programs and records
+as the dataclasses that their equality, hash and repr are checked
+against, rebuilding a term or record node by node, term predicates, the
 recursive coherence walk and coherence as a predicate, weak contexts as
 terms with a hole and plugging into them, the closure-based redex
 search that the paths are checked against, the redex selection by
@@ -26,25 +26,32 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, NamedTuple, Optional
 
 from lamu import unify
-from lamu.denot import Atom, DenotError, SemValue, Table, denote
+from lamu.concrete import SourceFile, Token
+from lamu.denot import (
+    Atom, DenotError, InclusionReport, SemValue, SoundnessVerdict, Table,
+    denote,
+)
 from lamu.equiv import (
     STUCK_CONS, STUCK_GUARD, STUCK_LAM, STUCK_UNIF, STUCK_VAR, StuckKind,
     canonical_program, is_normal_term,
 )
+from lamu.generator import DEFAULT_SIGNATURE, GeneratorConfig
 from lamu.parallel import (
     ParNormalResult, ParResult, _lift, _par_thread, par_term,
 )
 from lamu.reduction import (
-    ALLOC, BETA, FAILRULE, FRESH, GUARD, UNIF, Exploration, Redex,
-    enumerate_redexes,
+    ALLOC, BETA, FAILRULE, FRESH, GUARD, UNIF, EvalResult, Exploration,
+    Redex, enumerate_redexes,
 )
 from lamu.syntax import (
     OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, LamuError,
     Program, Session, Substitution, Term, Unif, Var, alpha_eq, check_coherent,
-    coherence_witness, free_vars, make_spine, singleton, spine,
+    coherence_witness, free_vars, is_value, make_spine, singleton, spine,
     subst_apply, subterms,
 )
-from lamu.typecheck import Base, Type
+from lamu.typecheck import (
+    Arrow, Base, Meta, StepReport, Type, Typing, Verdict,
+)
 
 
 def within(seconds, what, run):
@@ -181,13 +188,233 @@ SAME = {cls: cls for cls in MIRRORS}
 def rebuild(x, classes):
     """x built again node by node, recursively, each node of class c by
     classes[c] from its fields other than value: with MIRRORS its
-    mirror, with SAME a copy that shares no node with x."""
+    mirror, with SAME a copy that shares no node with x.  Tuples and
+    frozensets are taken apart too, so a record's values inside its
+    fields are rebuilt as well."""
     if type(x) is tuple:
         return tuple(rebuild(t, classes) for t in x)
+    if type(x) is frozenset:
+        return frozenset(rebuild(t, classes) for t in x)
     if type(x) not in classes:
         return x
     return classes[type(x)](*[rebuild(getattr(x, f), classes)
                               for f in type(x).__slots__ if f != "value"])
+
+
+# ---------------------------------------------------------------------------
+# The records (types, semantic values, goals, verdicts, results) as the
+# dataclasses they were before they became plain slotted classes: the
+# equality, hash and repr that the hand-written ones are checked against.
+# Methods that print or compare nothing are left out.
+
+@dataclass
+class MirrorToken:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+@dataclass
+class MirrorSourceFile:
+    signature: dict = field(default_factory=dict)
+    base_sizes: dict = field(default_factory=dict)
+    definitions: dict = field(default_factory=dict)
+    program: Program = field(default_factory=Program)
+
+
+@dataclass(frozen=True)
+class MirrorAtom:
+    base: str
+    tag: object
+
+    def __repr__(self):
+        if self.tag[0] == "atom":
+            return f"{self.base}#{self.tag[1]}"
+        name, args = self.tag[1], self.tag[2]
+        if args:
+            return f"{name}({', '.join(map(repr, args))})"
+        return name
+
+
+@dataclass(frozen=True)
+class MirrorTable:
+    entries: tuple
+
+    def __repr__(self):
+        inner = ", ".join(
+            f"{a!r}->{{{','.join(sorted(map(repr, img)))}}}"
+            for a, img in self.entries)
+        return f"Table[{inner}]"
+
+
+@dataclass
+class MirrorInclusionReport:
+    rule: str
+    ok: bool
+    equal: bool
+    detail: str = ""
+
+
+@dataclass
+class MirrorSoundnessVerdict:
+    ok: bool
+    steps: list
+    final_denotation: Optional[frozenset] = None
+
+
+@dataclass(frozen=True)
+class MirrorStuckKind:
+    kind: str
+    sub: tuple = ()
+
+
+@dataclass
+class MirrorGeneratorConfig:
+    seed: int = 0
+    max_depth: int = 4
+    variables: tuple = ("x", "y", "z")
+    signature: dict = field(default_factory=lambda: dict(DEFAULT_SIGNATURE))
+    allow_absloc: bool = True
+    well_typed: bool = False
+
+
+@dataclass(frozen=True)
+class MirrorParResult:
+    program: Program
+    goals: tuple
+
+
+@dataclass
+class MirrorParNormalResult:
+    program: Program
+    steps: int
+    normal: bool
+
+
+@dataclass
+class MirrorEvalResult:
+    program: Program
+    trace: list
+    normal: bool
+
+
+@dataclass
+class MirrorExploration:
+    normal_forms: set
+    states: int
+    complete: bool
+
+
+@dataclass(frozen=True)
+class MirrorBase:
+    name: str
+
+    def __repr__(self):
+        return self.name
+
+
+@dataclass(frozen=True)
+class MirrorArrow:
+    left: object
+    right: object
+
+    def __repr__(self):
+        l = (f"({self.left!r})" if isinstance(self.left, MirrorArrow)
+             else f"{self.left!r}")
+        return f"{l} -> {self.right!r}"
+
+
+@dataclass(frozen=True)
+class MirrorMeta:
+    id: int
+
+    def __repr__(self):
+        return f"?{self.id}"
+
+
+@dataclass
+class MirrorTyping:
+    type: object
+    node: object
+    gamma: dict
+
+
+@dataclass
+class MirrorStepReport:
+    rule: str
+    ok: bool
+    error: Optional[str] = None
+
+
+@dataclass
+class MirrorVerdict:
+    ok: bool
+    steps: list = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class MirrorGoal:
+    lhs: Term
+    rhs: Term
+
+    def __post_init__(self):
+        if not (is_value(self.lhs) and is_value(self.rhs)):
+            raise unify.NotAGoalError("both sides of a goal must be values")
+
+
+@dataclass(frozen=True)
+class MirrorStepped:
+    problem: unify.Problem
+    rule: str
+
+
+@dataclass(frozen=True)
+class MirrorFailed:
+    reason: str
+    goal: MirrorGoal
+
+
+@dataclass(frozen=True)
+class MirrorSolved:
+    substitution: Substitution
+
+
+RECORD_MIRRORS = {
+    Token: MirrorToken, SourceFile: MirrorSourceFile, Atom: MirrorAtom,
+    Table: MirrorTable, InclusionReport: MirrorInclusionReport,
+    SoundnessVerdict: MirrorSoundnessVerdict, StuckKind: MirrorStuckKind,
+    GeneratorConfig: MirrorGeneratorConfig, ParResult: MirrorParResult,
+    ParNormalResult: MirrorParNormalResult, EvalResult: MirrorEvalResult,
+    Exploration: MirrorExploration, Base: MirrorBase, Arrow: MirrorArrow,
+    Meta: MirrorMeta, Typing: MirrorTyping, StepReport: MirrorStepReport,
+    Verdict: MirrorVerdict, unify.Goal: MirrorGoal,
+    unify.Stepped: MirrorStepped, unify.Failed: MirrorFailed,
+    unify.Solved: MirrorSolved}
+# the records that were frozen, each rebuilt as itself
+SAME_VALUES = {cls: cls for cls, mirror in RECORD_MIRRORS.items()
+               if mirror.__dataclass_params__.frozen}
+
+
+def assert_records_match_the_mirror(records, pairs):
+    """repr and hash of every record as its dataclass mirror has them,
+    each record equal to a copy that shares no record with it, and ==
+    and != for each (i, j) in pairs as the mirrors have them.  Only for
+    the records that were frozen, the ones with a hash.  Returns how
+    many of the pairs are unequal."""
+    mirrors = [rebuild(x, RECORD_MIRRORS) for x in records]
+    for x, m in zip(records, mirrors):
+        copy = rebuild(x, SAME_VALUES)
+        assert copy is not x and copy == x and not copy != x, x
+        assert repr(x) == repr(m).replace("Mirror", "")
+        assert hash(x) == hash(m) == hash(copy), x
+    unequal = 0
+    for i, j in pairs:
+        equal = mirrors[i] == mirrors[j]
+        assert (records[i] == records[j]) is equal, (records[i], records[j])
+        assert (records[i] != records[j]) is (mirrors[i] != mirrors[j])
+        unequal += not equal
+    return unequal
 
 
 # ---------------------------------------------------------------------------

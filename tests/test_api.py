@@ -10,30 +10,42 @@ Every name a module imports is read in that module, and a module
 imports its siblings at module level and only through their public
 names.  No function keeps state in a module between calls: nothing
 declares a ``global``, writes into a module-level name's attributes or
-items, or calls a mutating method on one.  Terms and programs are
-slotted and immutable by contract, checked by an AST scan of ``src/``,
-``bench/`` and ``tests/``: nothing assigns or deletes a node's field
-outside its class's ``__init__``, nor sets one through ``setattr`` or a
-descriptor.  Redexes are slotted tuples, and the reprs of all three
-are pinned."""
+items, or calls a mutating method on one.  Terms, programs and the
+records (types, semantic values, goals, verdicts, results) are plain
+slotted classes.  The nodes and the records that were frozen
+dataclasses are immutable by contract, checked by an AST scan of
+``src/``, ``bench/`` and ``tests/``: nothing assigns or deletes one of
+their fields outside its class's ``__init__``, nor sets one through
+``setattr`` or a descriptor; verdicts and reports stay writable.
+Nothing in ``src/`` imports ``dataclasses``, and a fresh import of the
+CLI loads neither it nor ``inspect``.  Redexes are slotted tuples, and
+the reprs of nodes, records and redexes are pinned."""
 
 import ast
 import importlib
 import importlib.util
 import os
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
 import lamu
-from lamu.concrete import parse_program
-from lamu.reduction import BETA, Redex, evaluate
+from helpers import RECORD_MIRRORS, SAME_VALUES
+from lamu.concrete import SourceFile, Token, parse_program
+from lamu.denot import Atom, InclusionReport, SoundnessVerdict, Table
+from lamu.equiv import STUCK_CONS, STUCK_VAR, StuckKind
+from lamu.generator import GeneratorConfig
+from lamu.parallel import ParNormalResult, ParResult
+from lamu.reduction import BETA, EvalResult, Exploration, Redex, evaluate
 from lamu.syntax import (
-    Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Term, Unif, Var,
-    singleton, term_key,
+    Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Substitution, Term, Unif,
+    Var, singleton, term_key,
 )
-from lamu.typecheck import Base
+from lamu.typecheck import Arrow, Base, Meta, StepReport, Typing, Verdict
+from lamu.unify import OCCURS_CHECK, Failed, Goal, Problem, Solved, Stepped
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "lamu")
@@ -472,6 +484,36 @@ def test_the_check_sees_bad_imports():
     ]
 
 
+def dataclass_imports(modules):
+    """module:line of each import of dataclasses, at any depth."""
+    return [f"{module}:{node.lineno}" for module, tree in modules
+            for node, alias, _ in _imports(tree)
+            if (node.module if isinstance(node, ast.ImportFrom)
+                else alias.name) == "dataclasses"]
+
+
+def test_src_generates_no_code_on_import():
+    # records are plain classes: nothing in src/ imports dataclasses, and
+    # a fresh import of the CLI loads neither it nor inspect, which it
+    # imports; site is off so that nothing else preloads them
+    assert dataclass_imports(list(_modules())) == []
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lamu.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code,
+                          os.path.join(ROOT, "src")],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
+
+
+def test_the_check_sees_a_dataclass_import():
+    tree = ast.parse("import dataclasses\n"
+                     "from dataclasses import field\n"
+                     "def f():\n"
+                     "    from dataclasses import dataclass\n"
+                     "    return dataclass, field, dataclasses\n")
+    assert dataclass_imports([("m", tree)]) == ["m:1", "m:2", "m:4"]
+
+
 def test_readme_library_example_prints_its_comments(capsys):
     # README's python block runs as written, and each print prints the
     # text of the comment that ends its line
@@ -484,53 +526,64 @@ def test_readme_library_example_prints_its_comments(capsys):
     assert expected and capsys.readouterr().out.splitlines() == expected
 
 
-# Every node class with its fields, and each field's name: the names the
-# immutability guard watches.
+# Every node class with its fields, and every immutable class: the nodes,
+# the records that were frozen dataclasses, and a unification problem.
+# Their field names are the names the immutability guard watches.
 NODES = {cls.__name__: cls.__slots__ for cls in
          (Var, Cons, Abs, AbsLoc, App, Fresh, Guard, Unif, Program)}
-NODE_FIELDS = {f for fields in NODES.values() for f in fields}
-# setattr calls whose attribute name is computed, and whose object (by
-# module and source text) is known not to be a node: the tracer rebinds
-# module attributes
-NOT_NODES = {("tracing", "mod")}
+FROZEN = {**NODES, **{cls.__name__: cls.__slots__
+                      for cls in (Problem, *SAME_VALUES)}}
+WATCHED = {f for fields in FROZEN.values() for f in fields}
+# every class whose constructor writes its fields: the immutable ones and
+# the records that a harness or the CLI fills in later
+CONSTRUCTORS = {**FROZEN, **{cls.__name__: cls.__slots__
+                             for cls in RECORD_MIRRORS}}
+# objects (by module and source text) known to be of no immutable class:
+# the tracer rebinds module attributes, the CLI and the parser fill in a
+# SourceFile (whose program shares its name with ParResult's), and a
+# write to a Redex tuple must raise
+NOT_FROZEN = {("tracing", "mod"), ("cli", "src"), ("cli", "session"),
+              ("concrete", "src"), ("test_api", "redex")}
 
 
-def _constructor_stores(tree):
-    """The attribute nodes of ``self.<field> = ...`` in a node class's
-    ``__init__``, for each field of that class."""
+def _constructor_stores(tree, classes):
+    """The attribute nodes of ``self.<field> = ...`` in the ``__init__``
+    of a class in classes, for each field of that class."""
     for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and cls.name in NODES:
+        if isinstance(cls, ast.ClassDef) and cls.name in classes:
             for node in cls.body:
                 if isinstance(node, ast.FunctionDef) and node.name == "__init__":
                     for store in ast.walk(node):
                         if (isinstance(store, ast.Attribute)
                                 and isinstance(store.value, ast.Name)
                                 and store.value.id == "self"
-                                and store.attr in NODES[cls.name]):
+                                and store.attr in classes[cls.name]):
                             yield store
 
 
 # the fields that a node constructor in src/ writes
 CONSTRUCTED = {store.attr for _, tree in _modules()
-               for store in _constructor_stores(tree)}
+               for store in _constructor_stores(tree, NODES)}
 
 
 def mutation_faults(modules):
-    """module:line and source text of each write to a node's field
-    outside its constructor: a store or a del of an attribute named like
-    a node field, other than ``self.<field>`` in a node class's
-    ``__init__``; a ``setattr`` or ``delattr`` of a field by its name,
-    or of a computed name on anything not in NOT_NODES; any
-    ``__setattr__``, ``__delattr__``, ``__set__`` or ``__delete__``
-    call."""
+    """module:line and source text of each write to a field of an
+    immutable node or record outside its constructor, on anything not in
+    NOT_FROZEN: a store or a del of an attribute named like a watched
+    field, other than ``self.<field>`` in the ``__init__`` of a class in
+    CONSTRUCTORS; a ``setattr`` or ``delattr`` of a watched field by its
+    name, or of a computed name; any ``__setattr__``, ``__delattr__``,
+    ``__set__`` or ``__delete__`` call."""
     faults = []
     for module, tree in modules:
-        allowed = set(map(id, _constructor_stores(tree)))
+        allowed = set(map(id, _constructor_stores(tree, CONSTRUCTORS)))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 fault = (isinstance(node.ctx, (ast.Store, ast.Del))
-                         and node.attr in NODE_FIELDS
-                         and id(node) not in allowed)
+                         and node.attr in WATCHED
+                         and id(node) not in allowed
+                         and (module, ast.unparse(node.value))
+                         not in NOT_FROZEN)
             elif isinstance(node, ast.Call):
                 fault = _mutating_call(module, node)
             else:
@@ -548,9 +601,9 @@ def _mutating_call(module, call):
     if not (isinstance(func, ast.Name) and func.id in ("setattr", "delattr")
             and len(args) > 1):
         return False
-    if isinstance(args[1], ast.Constant):
-        return args[1].value in NODE_FIELDS
-    return (module, ast.unparse(args[0])) not in NOT_NODES
+    if (module, ast.unparse(args[0])) in NOT_FROZEN:
+        return False
+    return not isinstance(args[1], ast.Constant) or args[1].value in WATCHED
 
 
 X, C = Var("x"), Cons("C")
@@ -584,11 +637,75 @@ def test_every_term_kind_is_covered():
 
 @pytest.mark.parametrize("node, text", GOLDEN)
 def test_terms_are_slotted_frozen_and_print_as_pinned(node, text):
-    # frozen by contract: each field is written by a node constructor,
-    # the one place where the immutability guard allows a write
+    # immutable by contract: each field is written by a node
+    # constructor, the one place where the immutability guard allows a
+    # write
     assert repr(node) == text
     assert not hasattr(node, "__dict__")
     assert set(type(node).__slots__) <= CONSTRUCTED
+
+
+I, ATOM = Base("i"), Atom("i", ("atom", 0))
+GOAL = Goal(X, C)
+# one record of every kind with its repr, recorded from the dataclasses
+# the records were; a field left out prints its default
+GOLDEN_RECORDS = [
+    (Token("lower", "x", 1, 1),
+     "Token(kind='lower', text='x', line=1, col=1)"),
+    (SourceFile(), "SourceFile(signature={}, base_sizes={}, definitions={}, "
+                   "program=Program(threads=()))"),
+    (Atom("s1", ("cons", "S", (ATOM,))), "S(i#0)"),
+    (Table(((ATOM, frozenset((ATOM,))),)), "Table[i#0->{i#0}]"),
+    (InclusionReport(BETA, True, True),
+     "InclusionReport(rule='beta', ok=True, equal=True, detail='')"),
+    (SoundnessVerdict(True, []),
+     "SoundnessVerdict(ok=True, steps=[], final_denotation=None)"),
+    (StuckKind(STUCK_CONS, (StuckKind(STUCK_VAR),)),
+     "StuckKind(kind='stuck-cons', sub=(StuckKind(kind='stuck-var', "
+     "sub=()),))"),
+    (GeneratorConfig(),
+     "GeneratorConfig(seed=0, max_depth=4, variables=('x', 'y', 'z'), "
+     "signature={'C': i, 'D': i, 'S': i -> i, 'P': i -> i -> i}, "
+     "allow_absloc=True, well_typed=False)"),
+    (ParResult(singleton(C), (GOAL,)),
+     "ParResult(program=Program(threads=(Cons(name='C'),)), "
+     "goals=(Goal(lhs=Var(name='x'), rhs=Cons(name='C')),))"),
+    (ParNormalResult(singleton(C), 0, True),
+     "ParNormalResult(program=Program(threads=(Cons(name='C'),)), steps=0, "
+     "normal=True)"),
+    (EvalResult(singleton(C), [], True),
+     "EvalResult(program=Program(threads=(Cons(name='C'),)), trace=[], "
+     "normal=True)"),
+    (Exploration(set(), 1, True),
+     "Exploration(normal_forms=set(), states=1, complete=True)"),
+    (I, "i"),
+    (Arrow(Arrow(I, I), Meta(3)), "(i -> i) -> ?3"),
+    (Meta(3), "?3"),
+    (Typing(I, C, {"x": I}),
+     "Typing(type=i, node=Cons(name='C'), gamma={'x': i})"),
+    (StepReport(BETA, True), "StepReport(rule='beta', ok=True, error=None)"),
+    (Verdict(True), "Verdict(ok=True, steps=[])"),
+    (GOAL, "Goal(lhs=Var(name='x'), rhs=Cons(name='C'))"),
+    (Stepped(Problem([GOAL]), "u-orient"),
+     "Stepped(problem=Problem([Goal(lhs=Var(name='x'), rhs=Cons(name='C'))]), "
+     "rule='u-orient')"),
+    (Failed(OCCURS_CHECK, GOAL),
+     "Failed(reason='occurs check', goal=Goal(lhs=Var(name='x'), "
+     "rhs=Cons(name='C')))"),
+    (Solved(Substitution({"x": C})),
+     "Solved(substitution=Substitution({x -> Cons(name='C')}))"),
+]
+
+
+def test_every_record_kind_is_covered():
+    kinds = [type(record) for record, _ in GOLDEN_RECORDS]
+    assert kinds == list(RECORD_MIRRORS)
+
+
+@pytest.mark.parametrize("record, text", GOLDEN_RECORDS)
+def test_records_are_slotted_and_print_as_pinned(record, text):
+    assert repr(record) == text
+    assert not hasattr(record, "__dict__")
 
 
 def test_app_value_is_a_field_that_eq_hash_and_repr_ignore():
@@ -636,17 +753,47 @@ def test_the_guard_sees_every_kind_of_write():
         "    setattr(mod, k, 1)\n"
         "    delattr(t, 'ann')\n"
         "    object.__setattr__(t, 'fn', 1)\n"
-        "    App.fn.__set__(t, 1)\n")
+        "    App.fn.__set__(t, 1)\n"
+        "class SourceFile:\n"
+        "    def __init__(self):\n"
+        "        self.program = None\n"
+        "def g(atom, table, base, arrow, meta, goal, stepped, failed, solved,\n"
+        "      kind, result, problem, verdict, report, src):\n"
+        "    atom.tag = 0\n"
+        "    table.entries = ()\n"
+        "    base.name = 'j'\n"
+        "    arrow.right = base\n"
+        "    meta.id += 1\n"
+        "    goal.lhs = goal.rhs\n"
+        "    stepped.rule = 'u-delete'\n"
+        "    failed.reason = ''\n"
+        "    solved.substitution = None\n"
+        "    kind.sub = ()\n"
+        "    result.goals = ()\n"
+        "    problem.goals = ()\n"
+        "    verdict.ok = False\n"
+        "    report.detail = 'x'\n"
+        "    src.program = None\n")
     planted = [
         "6: self.fn", "9: self.left", "11: t.arg", "12: t.value",
         "13: t.body", "14: t.name", "15: setattr(t, 'threads', ())",
         "17: setattr(t, k, 1)", "19: delattr(t, 'ann')",
-        "20: object.__setattr__(t, 'fn', 1)", "21: App.fn.__set__(t, 1)"]
-    # the tracer's setattr on a module is known not to touch a node
+        "20: object.__setattr__(t, 'fn', 1)", "21: App.fn.__set__(t, 1)",
+        # one write to each record that was frozen, and to a problem; the
+        # fields of a verdict and a report stay writable
+        "27: atom.tag", "28: table.entries", "29: base.name",
+        "30: arrow.right", "31: meta.id", "32: goal.lhs", "33: stepped.rule",
+        "34: failed.reason", "35: solved.substitution", "36: kind.sub",
+        "37: result.goals", "38: problem.goals"]
+    # the tracer's setattr on a module is known not to touch a node, and
+    # the CLI's src is a SourceFile
     assert sorted(mutation_faults([("tracing", tree)])) == sorted(
-        f"tracing:{fault}" for fault in planted)
+        f"tracing:{fault}" for fault in planted + ["41: src.program"])
+    assert sorted(mutation_faults([("cli", tree)])) == sorted(
+        f"cli:{fault}" for fault in planted + ["18: setattr(mod, k, 1)"])
     assert sorted(mutation_faults([("m", tree)])) == sorted(
-        f"m:{fault}" for fault in planted + ["18: setattr(mod, k, 1)"])
+        f"m:{fault}" for fault in planted + ["18: setattr(mod, k, 1)",
+                                             "41: src.program"])
 
 
 def test_redex_is_a_slotted_tuple():

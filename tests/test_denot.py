@@ -1,17 +1,24 @@
 """Tests for the finite denotational semantics: models, enumeration,
-unitary constructors, denotation clauses, and soundness along steps."""
+unitary constructors, denotation clauses, and soundness along steps;
+semantic values compare, hash and print as the dataclasses they were."""
+
+import itertools
 
 import pytest
 
 from lamu.concrete import parse_program
-from helpers import denote_toplevel_oracle, is_unitary, within
+from helpers import (
+    assert_records_match_the_mirror, denote_toplevel_oracle, is_unitary,
+    within,
+)
 from lamu.denot import (
-    DenotError, Model, TooLarge, denote, denote_toplevel, soundness_check,
+    Atom, DenotError, Model, Table, TooLarge, denote, denote_toplevel, soundness_check,
 )
 from lamu.generator import STRATIFIED_SIGNATURE, Generator, GeneratorConfig
 from lamu.reduction import FRESH, evaluate
 from lamu.syntax import (
     AbsLoc, Cons, Fresh, Guard, LamuError, Program, Unif, Var, singleton,
+    subterms,
 )
 from lamu.typecheck import (
     Arrow, Base, ambient_context, base_names_used, default_signature,
@@ -283,3 +290,32 @@ def test_toplevel_denotation_names_every_missing_variable():
     typing = annotate("x =:= C | y =:= C")
     with pytest.raises(DenotError, match=r"\['x', 'y'\]"):
         denote_toplevel(typing.node, model(), {})
+
+
+def test_semantic_values_match_the_dataclass_mirror_on_criterion_8():
+    # criterion 8's stream: the denotation of each program and the
+    # first and last values of the enumeration of each type in its
+    # typing; every pair of one program's values compared
+    config = GeneratorConfig(seed=29, max_depth=3, allow_absloc=False,
+                             well_typed=True,
+                             signature=dict(STRATIFIED_SIGNATURE))
+    gsig = default_signature(config.signature)
+    kinds = set()
+    unequal = 0
+    for p in itertools.islice(Generator(config).programs(), 215):
+        typing = infer(ambient_context(p), gsig, p)
+        sizes = {n: 2 for n in base_names_used(typing) if n != "unit"}
+        m = Model(sizes, gsig, cap=4096)
+        types = [typing.type, *typing.gamma.values(),
+                 *(t.ann for t in subterms(typing.node)
+                   if getattr(t, "ann", None) is not None)]
+        try:
+            values = [*denote_toplevel(typing.node, m, typing.gamma)]
+            for ty in types:
+                values += m.enum_type(ty)[:4] + m.enum_type(ty)[-4:]
+        except TooLarge:
+            continue
+        kinds.update(type(v) for v in values)
+        unequal += assert_records_match_the_mirror(
+            values, itertools.combinations(range(len(values)), 2))
+    assert kinds == {Atom, Table} and unequal > 40_000

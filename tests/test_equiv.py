@@ -1,10 +1,14 @@
-"""Tests for structural equivalence and the normal/stuck classifier."""
+"""Tests for structural equivalence and the normal/stuck classifier,
+whose stuck kinds compare, hash and print as the dataclass they were."""
 
+import itertools
 import signal
 
 from hypothesis import given, strategies as st
 
-from helpers import is_normal_term_oracle, is_stuck_oracle
+from helpers import (
+    assert_records_match_the_mirror, is_normal_term_oracle, is_stuck_oracle,
+)
 from lamu.equiv import (
     STUCK_CONS, STUCK_GUARD, STUCK_LAM, STUCK_UNIF, STUCK_VAR,
     canonical_program, canonical_thread, is_normal_program, is_normal_term,
@@ -124,6 +128,22 @@ def test_classifier_matches_recursive_oracle_on_every_subterm():
             kinds.add(k and k.kind)
     assert kinds >= {None, STUCK_VAR, STUCK_CONS, STUCK_GUARD, STUCK_UNIF,
                      STUCK_LAM}
+
+
+def test_stuck_kinds_match_the_dataclass_mirror_on_criterion_4():
+    # the kinds of every subterm of each program and of its normal form,
+    # every pair of one program's kinds compared
+    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
+    count = unequal = 0
+    for _ in range(500):
+        p = gen.program()
+        kinds = [k for t in (*subterms(p),
+                             *subterms(par_normalize(p, fuel=300).program))
+                 if (k := is_stuck(t)) is not None]
+        count += len(kinds)
+        unequal += assert_records_match_the_mirror(
+            kinds, itertools.combinations(range(len(kinds)), 2))
+    assert count > 2_000 and unequal > 3_000
 
 
 def test_deep_stuck_chain_is_classified_in_linear_time():

@@ -1,14 +1,20 @@
 """Tests for simple typing: inference, checking, failure modes, and
-subject reduction along evaluation."""
+subject reduction along evaluation; types compare, hash and print as
+the dataclasses they were."""
+
+import itertools
 
 import pytest
 
+from helpers import assert_records_match_the_mirror
 from lamu.concrete import parse_program
-from lamu.generator import DEFAULT_SIGNATURE, Generator, GeneratorConfig
+from lamu.generator import (
+    DEFAULT_SIGNATURE, STRATIFIED_SIGNATURE, Generator, GeneratorConfig,
+)
 from lamu.reduction import FRESH, evaluate
-from lamu.syntax import Program, Var, free_vars, singleton
+from lamu.syntax import Program, Var, free_vars, singleton, subterms
 from lamu.typecheck import (
-    UNIT, Arrow, Base, StepReport, TypeCheckError, ambient_context, check,
+    UNIT, Arrow, Base, Meta, StepReport, TypeCheckError, ambient_context, check,
     default_signature, infer, subject_reduction_check,
 )
 
@@ -155,3 +161,40 @@ def test_subject_reduction_on_samples():
         p = next(stream)
         verdict = subject_reduction_check(ambient_context(p), sig, p, fuel=150)
         assert verdict.ok, (p, [s for s in verdict.steps if not s.ok])
+
+
+def _with_metas(ty, ids):
+    """ty with each base type replaced by the metavariable ids gives it."""
+    if isinstance(ty, Arrow):
+        return Arrow(_with_metas(ty.left, ids), _with_metas(ty.right, ids))
+    return Meta(ids.setdefault(ty.name, len(ids)))
+
+
+def test_types_match_the_dataclass_mirror_on_criteria_7_and_8():
+    # the inferred type, context and binder types of each program of
+    # both streams, every part of each, and each again with metavariables
+    # for its base types; every pair of one program's types compared
+    streams = [(GeneratorConfig(seed=19, max_depth=3, allow_absloc=False,
+                                well_typed=True), 300),
+               (GeneratorConfig(seed=29, max_depth=3, allow_absloc=False,
+                                well_typed=True,
+                                signature=dict(STRATIFIED_SIGNATURE)), 215)]
+    kinds = set()
+    unequal = 0
+    for config, count in streams:
+        sig = default_signature(config.signature)
+        for p in itertools.islice(Generator(config).programs(), count):
+            typing = infer(ambient_context(p), sig, p)
+            stack = [typing.type, *typing.gamma.values(),
+                     *(t.ann for t in subterms(typing.node)
+                       if getattr(t, "ann", None) is not None)]
+            types, ids = [], {}
+            while stack:
+                ty = stack.pop()
+                types += [ty, _with_metas(ty, ids)]
+                if isinstance(ty, Arrow):
+                    stack += [ty.left, ty.right]
+            kinds.update(type(ty) for ty in types)
+            unequal += assert_records_match_the_mirror(
+                types, itertools.combinations(range(len(types)), 2))
+    assert kinds == {Base, Arrow, Meta} and unequal > 50_000

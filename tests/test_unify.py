@@ -1,11 +1,14 @@
 """Tests for the unification engine: single rules, mgu outcomes, clash
-detection, and the unifier laws on random goal sets."""
+detection, and the unifier laws on random goal sets; goals, steps and
+outcomes compare, hash and print as the dataclasses they were."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    brute_force_unifiable, compose, ground_universe, problem_subst,
+    assert_records_match_the_mirror, brute_force_unifiable, compose, ground_universe, problem_subst,
     problem_terms, range_values, subst_equal, unify_step_oracle,
 )
 from lamu import unify
@@ -221,6 +224,30 @@ def test_mgu_laws_on_random_goal_sets():
             failed += 1
             assert brute_force(problem) is None
     assert solved > 20 and failed > 20
+
+
+def test_records_match_the_dataclass_mirror_on_criterion_6():
+    # criterion 6's goal sets: each problem's goals, every step with the
+    # goals it leaves, and the outcome of mgu and of the last step, which
+    # for a failure is an equal record built separately
+    gen = Generator(GeneratorConfig(seed=13, max_depth=3,
+                                    variables=("x", "y")))
+    kinds = set()
+    unequal = 0
+    for _ in range(1000):
+        problem = Problem([Goal(*gen.goal())
+                           for _ in range(gen.rng.randint(1, 3))])
+        records = [*problem, mgu(problem)]
+        result = unify_step(problem)
+        while isinstance(result, Stepped):
+            records += [result, *result.problem]
+            result = unify_step(result.problem)
+        if result is not None:
+            records.append(result)
+        kinds.update(type(r) for r in records)
+        unequal += assert_records_match_the_mirror(
+            records, itertools.combinations(range(len(records)), 2))
+    assert kinds == {Goal, Stepped, Failed, Solved} and unequal > 15_000
 
 
 @given(st.integers(0, 10_000))
