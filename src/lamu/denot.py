@@ -113,6 +113,8 @@ class Model:
         for name, n in base_sizes.items():
             if n < 0:
                 raise DenotError(f"negative size for base type {name}")
+            if n > cap:
+                raise TooLarge(f"base type {name}", n, cap)
         self.cap = cap
         self.sig = dict(sig)
         self._bases: Dict[str, List[SemValue]] = {
@@ -325,12 +327,18 @@ class SoundnessVerdict(Record):
 def soundness_check(p: Program, model: Model, fuel=200) -> SoundnessVerdict:
     """Evaluate the program; at each step of the trace check that the
     denotation shrinks or stays equal, with equality required for every
-    rule other than fail."""
+    rule other than fail.  A program denotes the union of its threads,
+    so each thread is denoted once, when it appears, and its denotation
+    is spliced into a list as evaluate splices the thread: a thread a
+    step leaves unchanged keeps its free variables and their types."""
     typing = infer(ambient_context(p), model.sig, p)
-    before_sem = denote_toplevel(typing.node, model, typing.gamma)
+    sems = [denote_toplevel(t, model, typing.gamma) for t in typing.node]
+    before_sem = frozenset().union(*sems)
     verdict = SoundnessVerdict(True, [])
-    for ts, context, after in typed_steps(typing, fuel):
-        after_sem = denote_toplevel(after, model, context)
+    for ts, context in typed_steps(typing, fuel):
+        sems[ts.thread:ts.thread + 1] = [
+            denote_toplevel(t, model, context) for t in ts.after]
+        after_sem = frozenset().union(*sems)
         equal = after_sem == before_sem
         ok = equal or (ts.rule == FAILRULE and after_sem <= before_sem)
         report = InclusionReport(ts.rule, ok, equal)

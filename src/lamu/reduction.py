@@ -29,8 +29,7 @@ skips the NamedTuple's generated Python-level ``__new__``.  ``evaluate``
 is the one loop that steps a program: it splices each delta into a list
 of threads, so a step costs the size of the thread it rewrites, not the
 size of the program.  ``replay`` rebuilds the whole programs from the
-deltas for ``--trace`` and for ``typecheck.typed_steps``, whose whole
-programs the soundness harness denotes.
+deltas for ``--trace``.
 
 Because threads never interact, ``reachable_normal_forms`` explores each
 thread on its own and sums the threads' normal forms: its cost is the

@@ -300,8 +300,9 @@ def is_value(t: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Substitution
 
-class Substitution:
-    """Finite map from variable names to values, identity elsewhere."""
+class Substitution(Record):
+    """Finite map from variable names to values, identity elsewhere.
+    Immutable by contract: == compares the maps, hash their items."""
 
     __slots__ = ("_map",)
 
@@ -323,6 +324,9 @@ class Substitution:
 
     def __bool__(self):
         return bool(self._map)
+
+    def __hash__(self):
+        return hash(frozenset(self._map.items()))
 
     def __repr__(self):
         inner = ", ".join(f"{k} -> {v!r}" for k, v in sorted(self._map.items()))

@@ -4,16 +4,19 @@ the subject-reduction and soundness harnesses), and the
 subject-reduction harness, which re-checks only the threads each step
 made: a program has a type exactly when each of its threads has it.
 
-Inference introduces metavariables for unannotated binders, solves the
-first-order equality constraints by syntactic unification, and returns
-an annotated copy of the input; leftover metavariables are defaulted to
-fresh base types so they never escape a successful result.
+Inference introduces metavariables for unannotated binders and solves
+the first-order equality constraints by syntactic unification, in a pass
+that returns types only.  ``infer`` then defaults leftover metavariables
+to fresh base types, so they never escape a successful result, and
+builds the one annotated copy of the input; ``check`` unifies with the
+expected type and builds nothing.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterator, List, Optional, Union
 
-from .reduction import FRESH, evaluate, replay
+from .reduction import FRESH, evaluate
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Record,
     Term, Unif, Var, free_vars, subterms,
@@ -169,105 +172,102 @@ class _Solver:
 
 
 class _Inferencer:
-    def __init__(self, sig: Dict[str, Type]):
+    """Inference in two passes.  The first, run when the inferencer is
+    built, solves the constraints over x for its type and returns types
+    only; it lists each binder's type once its body is done, in
+    post-order.  The second, ``typing``, defaults the leftover
+    metavariables and builds the one annotated copy of x."""
+
+    def __init__(self, gamma: Dict[str, Optional[Type]],
+                 sig: Dict[str, Type], x: Union[Term, Program]):
         self.sig = sig
         self.solver = _Solver()
+        self.anns: List[Type] = []
+        self.gamma = {name: self.lift(ty) for name, ty in gamma.items()}
+        self.type = (self.program(self.gamma, x) if isinstance(x, Program)
+                     else self.term(self.gamma, x))
 
     def lift(self, ty: Optional[Type]) -> Type:
         return self.solver.fresh() if ty is None else ty
 
-    def term(self, gamma: Dict[str, Type], t: Term):
+    def term(self, gamma: Dict[str, Type], t: Term) -> Type:
         if isinstance(t, Var):
             if t.name not in gamma:
                 raise TypeCheckError(f"unbound variable {t.name}")
-            return t, gamma[t.name]
+            return gamma[t.name]
         if isinstance(t, Cons):
             if t.name not in self.sig:
                 raise TypeCheckError(f"constructor {t.name} has no declared type")
-            return t, self.sig[t.name]
+            return self.sig[t.name]
         if isinstance(t, (Abs, AbsLoc)):
             a = self.lift(t.ann)
-            body, b = self.program({**gamma, t.var: a}, t.body)
-            node = (AbsLoc(t.loc, t.var, body, a) if isinstance(t, AbsLoc)
-                    else Abs(t.var, body, a))
-            return node, Arrow(a, b)
+            b = self.program({**gamma, t.var: a}, t.body)
+            self.anns.append(a)
+            return Arrow(a, b)
         if isinstance(t, App):
-            fn, fty = self.term(gamma, t.fn)
-            arg, aty = self.term(gamma, t.arg)
+            fty = self.term(gamma, t.fn)
+            aty = self.term(gamma, t.arg)
             result = self.solver.fresh()
             self.solver.unify(fty, Arrow(aty, result), "application")
-            return App(fn, arg), result
+            return result
         if isinstance(t, Fresh):
             a = self.lift(t.ann)
-            body, b = self.term({**gamma, t.var: a}, t.body)
-            return Fresh(t.var, body, a), b
-        if isinstance(t, Guard):
-            left, lty = self.term(gamma, t.left)
-            right, rty = self.term(gamma, t.right)
-            self.solver.unify(lty, self.sig[OK], "guard condition")
-            return Guard(left, right), rty
-        if isinstance(t, Unif):
-            left, lty = self.term(gamma, t.left)
-            right, rty = self.term(gamma, t.right)
+            b = self.term({**gamma, t.var: a}, t.body)
+            self.anns.append(a)
+            return b
+        if isinstance(t, (Guard, Unif)):
+            lty = self.term(gamma, t.left)
+            rty = self.term(gamma, t.right)
+            if isinstance(t, Guard):
+                self.solver.unify(lty, self.sig[OK], "guard condition")
+                return rty
             self.solver.unify(lty, rty, "unification goal")
-            return Unif(left, right), self.sig[OK]
+            return self.sig[OK]
         raise TypeCheckError(f"cannot type {t!r}")
 
-    def program(self, gamma: Dict[str, Type], p: Program):
+    def program(self, gamma: Dict[str, Type], p: Program) -> Type:
         ty = self.solver.fresh()
-        threads = []
         for t in p:
-            t2, tty = self.term(gamma, t)
-            self.solver.unify(tty, ty, "alternative thread")
-            threads.append(t2)
-        return Program(tuple(threads)), ty
-
-
-class _Defaulter:
-    """Replaces leftover metas with fresh base types, deterministically
-    in traversal order."""
-
-    def __init__(self, solver: _Solver, taken):
-        self.solver = solver
-        self.map: Dict[int, Base] = {}
-        self._n = 0
-        self._taken = set(taken)
-
-    def default(self, ty: Type) -> Type:
-        ty = self.solver.resolve(ty)
-        if isinstance(ty, Meta):
-            if ty.id not in self.map:
-                while True:
-                    name = f"t{self._n}"
-                    self._n += 1
-                    if name not in self._taken:
-                        break
-                self.map[ty.id] = Base(name)
-            return self.map[ty.id]
-        if isinstance(ty, Arrow):
-            return Arrow(self.default(ty.left), self.default(ty.right))
+            self.solver.unify(self.term(gamma, t), ty, "alternative thread")
         return ty
 
-    def node(self, x):
-        if isinstance(x, Program):
-            return Program(tuple(self.node(t) for t in x))
-        t = x
-        if isinstance(t, (Var, Cons)):
-            return t
-        if isinstance(t, (Abs, AbsLoc, Fresh)):
-            # the body first: that order numbers the defaulted names
-            body = self.node(t.body)
-            ann = self.default(t.ann)
-            if isinstance(t, AbsLoc):
-                return AbsLoc(t.loc, t.var, body, ann)
-            return type(t)(t.var, body, ann)    # Abs and Fresh alike
-        if isinstance(t, App):
-            return App(self.node(t.fn), self.node(t.arg))
-        if isinstance(t, Guard):
-            return Guard(self.node(t.left), self.node(t.right))
-        if isinstance(t, Unif):
-            return Unif(self.node(t.left), self.node(t.right))
-        raise TypeCheckError(f"cannot default {t!r}")
+    def typing(self, x) -> "Typing":
+        """Each leftover metavariable becomes a fresh base type, named in
+        the order the type, the binders (post-order) and the context
+        first mention it; x is copied with its binders' types."""
+        taken = base_names(*self.sig.values())
+        names = (f"t{n}" for n in itertools.count() if f"t{n}" not in taken)
+        bases: Dict[int, Base] = {}
+
+        def default(ty: Type) -> Type:
+            ty = self.solver.resolve(ty)
+            if isinstance(ty, Meta):
+                if ty.id not in bases:
+                    bases[ty.id] = Base(next(names))
+                return bases[ty.id]
+            if isinstance(ty, Arrow):
+                return Arrow(default(ty.left), default(ty.right))
+            return ty
+
+        ty = default(self.type)
+        node = _annotated(x, iter([default(a) for a in self.anns]))
+        return Typing(ty, node, {n: default(a) for n, a in self.gamma.items()})
+
+
+def _annotated(x, anns: Iterator[Type]):
+    """x with each binder's type taken from anns, in post-order."""
+    if isinstance(x, Program):
+        return Program(tuple([_annotated(t, anns) for t in x]))
+    if isinstance(x, (Var, Cons)):
+        return x
+    if isinstance(x, (Abs, AbsLoc, Fresh)):
+        body = _annotated(x.body, anns)
+        if isinstance(x, AbsLoc):
+            return AbsLoc(x.loc, x.var, body, next(anns))
+        return type(x)(x.var, body, next(anns))    # Abs and Fresh alike
+    if isinstance(x, App):
+        return App(_annotated(x.fn, anns), _annotated(x.arg, anns))
+    return type(x)(_annotated(x.left, anns), _annotated(x.right, anns))
 
 
 class Typing(Record):
@@ -281,35 +281,18 @@ class Typing(Record):
         self.gamma = gamma
 
 
-def _run(gamma, sig, x, expected=None) -> Typing:
-    inf = _Inferencer(sig)
-    solved_gamma = {}
-    for name, ty in gamma.items():
-        solved_gamma[name] = inf.solver.fresh() if ty is None else ty
-    if isinstance(x, Program):
-        node, ty = inf.program(solved_gamma, x)
-    else:
-        node, ty = inf.term(solved_gamma, x)
-    if expected is not None:
-        inf.solver.unify(ty, expected, "expected type")
-    defaulter = _Defaulter(inf.solver, base_names(*sig.values()))
-    return Typing(
-        defaulter.default(ty),
-        defaulter.node(node),
-        {name: defaulter.default(t) for name, t in solved_gamma.items()})
-
-
 def infer(gamma: Dict[str, Optional[Type]], sig: Dict[str, Type],
           x: Union[Term, Program]) -> Typing:
     """Principal type plus annotated input.  gamma entries may be None
     for ambient variables whose types should be inferred."""
-    return _run(gamma, sig, x)
+    return _Inferencer(gamma, sig, x).typing(x)
 
 
-def check(gamma, sig, x, expected: Type) -> Typing:
-    """Succeeds iff the typing judgment is derivable; raises
-    TypeCheckError otherwise."""
-    return _run(gamma, sig, x, expected)
+def check(gamma, sig, x, expected: Type) -> None:
+    """Returns if the typing judgment at the expected type is derivable
+    and raises TypeCheckError otherwise; builds no node."""
+    inf = _Inferencer(gamma, sig, x)
+    inf.solver.unify(inf.type, expected, "expected type")
 
 
 def ambient_context(x) -> Dict[str, Optional[Type]]:
@@ -331,14 +314,14 @@ def base_names_used(typing: "Typing") -> set:
 # The harnesses' step loop and the subject reduction harness
 
 def typed_steps(typing: Typing, fuel) -> Iterator[tuple]:
-    """Evaluate typing.node and yield each step of the trace with the
-    typing context after it (one dict, extended in place: the variable a
-    fresh step issues takes its binder's type) and the program after it."""
+    """Evaluate typing.node and yield each step of the trace, a delta,
+    with the typing context after it: one dict, extended in place, in
+    which the variable a fresh step issues takes its binder's type."""
     context = dict(typing.gamma)
-    for ts, after in replay(typing.node, evaluate(typing.node, fuel).trace):
+    for ts in evaluate(typing.node, fuel).trace:
         if ts.rule == FRESH:
             context[ts.fresh_var] = ts.focus.ann
-        yield ts, context, after
+        yield ts, context
 
 
 class StepReport(Record):
@@ -365,7 +348,7 @@ def subject_reduction_check(gamma, sig, p: Program, fuel=200) -> Verdict:
     trace made, at the program's inferred type."""
     typing = infer(gamma, sig, p)
     verdict = Verdict(True)
-    for ts, context, _ in typed_steps(typing, fuel):
+    for ts, context in typed_steps(typing, fuel):
         try:
             check(context, sig, Program(ts.after), typing.type)
             verdict.steps.append(StepReport(ts.rule, True))

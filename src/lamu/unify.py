@@ -51,11 +51,12 @@ def _goal_key(g: Goal):
     return term_key(g.lhs), term_key(g.rhs)
 
 
-class Problem:
+class Problem(Record):
     """A unification problem: a set of goals with insertion order kept
     for the deterministic rewrite policy.  Duplicates (up to alpha)
     collapse; a problem of one goal holds no duplicate, so only a
-    problem of two or more goals keys them.  Immutable by contract."""
+    problem of two or more goals keys them.  Immutable by contract: ==
+    and hash compare the goals."""
 
     __slots__ = ("goals",)
 
@@ -77,6 +78,9 @@ class Problem:
 
     def __len__(self):
         return len(self.goals)
+
+    def __hash__(self):
+        return hash(self.goals)
 
     def __repr__(self):
         return f"Problem({list(self.goals)!r})"

@@ -11,7 +11,10 @@ composition, support and range, the recursive free variables, the
 rebuilding substitution and one-variable substitution through a
 Substitution, trace replay, the whole-program step and the
 product-space explorer, the unitary check of denotations, the
-whole-program toplevel denotation, the free variables, terms and
+whole-program toplevel denotation, the typed layer that built a copy of
+the input in each of two passes (inference with its defaulter, check
+returning that typing, the step loop that replays whole programs and
+soundness over them), the free variables, terms and
 substitution instance of a unification problem, a batch of generated
 goals, the brute-force unification oracle, the criterion-4 critical
 pairs, the recursive normal/stuck classifier, the whole-program
@@ -29,7 +32,7 @@ from lamu import unify
 from lamu.concrete import SourceFile, Token
 from lamu.denot import (
     Atom, DenotError, InclusionReport, SemValue, SoundnessVerdict, Table,
-    denote,
+    denote, denote_toplevel,
 )
 from lamu.equiv import (
     STUCK_CONS, STUCK_GUARD, STUCK_LAM, STUCK_UNIF, STUCK_VAR, StuckKind,
@@ -41,8 +44,9 @@ from lamu.parallel import (
 )
 from lamu.reduction import (
     ALLOC, BETA, FAILRULE, FRESH, GUARD, UNIF, EvalResult, Exploration,
-    Redex, enumerate_redexes,
+    Redex, enumerate_redexes, evaluate,
 )
+from lamu.reduction import replay as replay_programs
 from lamu.syntax import (
     OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, LamuError,
     Program, Session, Substitution, Term, Unif, Var, alpha_eq, check_coherent,
@@ -50,7 +54,8 @@ from lamu.syntax import (
     subst_apply, subterms,
 )
 from lamu.typecheck import (
-    Arrow, Base, Meta, StepReport, Type, Typing, Verdict,
+    Arrow, Base, Meta, StepReport, Type, TypeCheckError, Typing, Verdict,
+    _Solver, ambient_context, base_names,
 )
 
 
@@ -858,6 +863,177 @@ def denote_toplevel_oracle(x, model, gamma=None):
     for combo in itertools.product(*domains):
         out |= denote(x, dict(zip(names, combo)), model)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The typed layer as it was before it built only what its verdicts read:
+# an inferencer that builds a copy of the input with metavariables for its
+# binders, a defaulter that builds it again, check returning that typing,
+# a step loop that rebuilds every whole program with replay, and
+# soundness that denotes the whole program after every step
+
+class _NodeInferencer:
+    def __init__(self, sig):
+        self.sig = sig
+        self.solver = _Solver()
+
+    def lift(self, ty):
+        return self.solver.fresh() if ty is None else ty
+
+    def term(self, gamma, t):
+        if isinstance(t, Var):
+            if t.name not in gamma:
+                raise TypeCheckError(f"unbound variable {t.name}")
+            return t, gamma[t.name]
+        if isinstance(t, Cons):
+            if t.name not in self.sig:
+                raise TypeCheckError(f"constructor {t.name} has no declared type")
+            return t, self.sig[t.name]
+        if isinstance(t, (Abs, AbsLoc)):
+            a = self.lift(t.ann)
+            body, b = self.program({**gamma, t.var: a}, t.body)
+            node = (AbsLoc(t.loc, t.var, body, a) if isinstance(t, AbsLoc)
+                    else Abs(t.var, body, a))
+            return node, Arrow(a, b)
+        if isinstance(t, App):
+            fn, fty = self.term(gamma, t.fn)
+            arg, aty = self.term(gamma, t.arg)
+            result = self.solver.fresh()
+            self.solver.unify(fty, Arrow(aty, result), "application")
+            return App(fn, arg), result
+        if isinstance(t, Fresh):
+            a = self.lift(t.ann)
+            body, b = self.term({**gamma, t.var: a}, t.body)
+            return Fresh(t.var, body, a), b
+        if isinstance(t, Guard):
+            left, lty = self.term(gamma, t.left)
+            right, rty = self.term(gamma, t.right)
+            self.solver.unify(lty, self.sig[OK], "guard condition")
+            return Guard(left, right), rty
+        if isinstance(t, Unif):
+            left, lty = self.term(gamma, t.left)
+            right, rty = self.term(gamma, t.right)
+            self.solver.unify(lty, rty, "unification goal")
+            return Unif(left, right), self.sig[OK]
+        raise TypeCheckError(f"cannot type {t!r}")
+
+    def program(self, gamma, p):
+        ty = self.solver.fresh()
+        threads = []
+        for t in p:
+            t2, tty = self.term(gamma, t)
+            self.solver.unify(tty, ty, "alternative thread")
+            threads.append(t2)
+        return Program(tuple(threads)), ty
+
+
+class _Defaulter:
+    """Replaces leftover metas with fresh base types, deterministically
+    in traversal order."""
+
+    def __init__(self, solver, taken):
+        self.solver = solver
+        self.map = {}
+        self._n = 0
+        self._taken = set(taken)
+
+    def default(self, ty):
+        ty = self.solver.resolve(ty)
+        if isinstance(ty, Meta):
+            if ty.id not in self.map:
+                while True:
+                    name = f"t{self._n}"
+                    self._n += 1
+                    if name not in self._taken:
+                        break
+                self.map[ty.id] = Base(name)
+            return self.map[ty.id]
+        if isinstance(ty, Arrow):
+            return Arrow(self.default(ty.left), self.default(ty.right))
+        return ty
+
+    def node(self, x):
+        if isinstance(x, Program):
+            return Program(tuple(self.node(t) for t in x))
+        t = x
+        if isinstance(t, (Var, Cons)):
+            return t
+        if isinstance(t, (Abs, AbsLoc, Fresh)):
+            # the body first: that order numbers the defaulted names
+            body = self.node(t.body)
+            ann = self.default(t.ann)
+            if isinstance(t, AbsLoc):
+                return AbsLoc(t.loc, t.var, body, ann)
+            return type(t)(t.var, body, ann)    # Abs and Fresh alike
+        if isinstance(t, App):
+            return App(self.node(t.fn), self.node(t.arg))
+        if isinstance(t, Guard):
+            return Guard(self.node(t.left), self.node(t.right))
+        if isinstance(t, Unif):
+            return Unif(self.node(t.left), self.node(t.right))
+        raise TypeCheckError(f"cannot default {t!r}")
+
+
+def _typing_oracle(gamma, sig, x, expected=None) -> Typing:
+    inf = _NodeInferencer(sig)
+    solved_gamma = {}
+    for name, ty in gamma.items():
+        solved_gamma[name] = inf.solver.fresh() if ty is None else ty
+    if isinstance(x, Program):
+        node, ty = inf.program(solved_gamma, x)
+    else:
+        node, ty = inf.term(solved_gamma, x)
+    if expected is not None:
+        inf.solver.unify(ty, expected, "expected type")
+    defaulter = _Defaulter(inf.solver, base_names(*sig.values()))
+    return Typing(
+        defaulter.default(ty),
+        defaulter.node(node),
+        {name: defaulter.default(t) for name, t in solved_gamma.items()})
+
+
+def infer_oracle(gamma, sig, x) -> Typing:
+    """The typing that typecheck.infer is checked against."""
+    return _typing_oracle(gamma, sig, x)
+
+
+def check_oracle(gamma, sig, x, expected) -> Typing:
+    """The check that typecheck.check is checked against: the typing at
+    the expected type, or TypeCheckError."""
+    return _typing_oracle(gamma, sig, x, expected)
+
+
+def typed_steps_oracle(typing: Typing, fuel):
+    """Each step of the trace of typing.node with the typing context
+    after it (one dict, extended in place) and the whole program after
+    it."""
+    context = dict(typing.gamma)
+    for ts, after in replay_programs(typing.node,
+                                     evaluate(typing.node, fuel).trace):
+        if ts.rule == FRESH:
+            context[ts.fresh_var] = ts.focus.ann
+        yield ts, context, after
+
+
+def soundness_check_oracle(p: Program, model, fuel=200) -> SoundnessVerdict:
+    """The soundness harness that denotes the whole program after every
+    step: the definition that denot.soundness_check is checked against."""
+    typing = infer_oracle(ambient_context(p), model.sig, p)
+    before_sem = denote_toplevel(typing.node, model, typing.gamma)
+    verdict = SoundnessVerdict(True, [])
+    for ts, context, after in typed_steps_oracle(typing, fuel):
+        after_sem = denote_toplevel(after, model, context)
+        equal = after_sem == before_sem
+        ok = equal or (ts.rule == FAILRULE and after_sem <= before_sem)
+        report = InclusionReport(ts.rule, ok, equal)
+        if not ok:
+            report.detail = (f"before={sorted(map(repr, before_sem))} "
+                             f"after={sorted(map(repr, after_sem))}")
+            verdict.ok = False
+        verdict.steps.append(report)
+        before_sem = after_sem
+    verdict.final_denotation = before_sem
+    return verdict
 
 
 def product_bfs(p: Program, key=canonical_program, fuel=200,

@@ -305,6 +305,19 @@ def test_denote(capsys):
     assert "1 element(s)" in out
 
 
+def test_denote_rejects_an_oversized_base_at_once(tmp_path, capsys):
+    # no type uses the base, so only its declared size can reject it
+    path = tmp_path / "big.luni"
+    path.write_text("base i = 1000000000. x\n", encoding="utf-8")
+    code, out, err = within(1.0, "denote with a base of 10 ** 9 atoms",
+                            lambda: run_main(["denote", str(path), "--cap",
+                                              "10"], capsys))
+    assert code == EXIT_USER_ERROR and out == ""
+    assert err.splitlines() == [
+        "error: enumeration of base type i needs 1000000000 elements, "
+        "cap is 10"]
+
+
 def test_denote_rejects_a_recursive_signature_at_once(capsys):
     # cons C : i -> i has no finite model
     code, out, err = within(1.0, "denote on a recursive signature",

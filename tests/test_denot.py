@@ -9,7 +9,7 @@ import pytest
 from lamu.concrete import parse_program
 from helpers import (
     assert_records_match_the_mirror, denote_toplevel_oracle, is_unitary,
-    within,
+    soundness_check_oracle, typed_steps_oracle, within,
 )
 from lamu.denot import (
     Atom, DenotError, Model, Table, TooLarge, denote, denote_toplevel, soundness_check,
@@ -63,6 +63,14 @@ def test_declared_atoms_plus_images():
     m = Model({"n": 2}, default_signature({"W": Arrow(Base("n"), Base("m"))}))
     assert len(m.enum_type(Base("n"))) == 2
     assert len(m.enum_type(Base("m"))) == 2  # one image per n atom
+
+
+def test_an_oversized_base_is_rejected_before_it_is_built():
+    # no type needs the base, and its atoms are never enumerated
+    with pytest.raises(TooLarge, match="base type i needs 1000000000 "
+                                       "elements, cap is 10"):
+        within(1, "a model with a base of 10 ** 9 atoms",
+               lambda: Model({"i": 10 ** 9}, SIG, cap=10))
 
 
 def test_empty_base_rejected():
@@ -243,9 +251,10 @@ def _assert_parity(x, model, gamma):
 
 
 def _assert_parity_along_trace(p, model, fuel):
+    # the whole program after each step, rebuilt with replay
     typing = infer(ambient_context(p), model.sig, p)
     _assert_parity(typing.node, model, typing.gamma)
-    for _, context, after in typed_steps(typing, fuel):
+    for _, context, after in typed_steps_oracle(typing, fuel):
         _assert_parity(after, model, context)
 
 
@@ -319,3 +328,47 @@ def test_semantic_values_match_the_dataclass_mirror_on_criterion_8():
         unequal += assert_records_match_the_mirror(
             values, itertools.combinations(range(len(values)), 2))
     assert kinds == {Atom, Table} and unequal > 40_000
+
+
+# ---------------------------------------------------------------------------
+# soundness, each thread denoted once, against the whole-program harness
+
+def _soundness(check, p, model, fuel):
+    """Everything a verdict holds, or the class of the exception."""
+    try:
+        v = check(p, model, fuel)
+    except LamuError as exc:
+        return type(exc)
+    return (v.ok, [(s.rule, s.ok, s.equal, s.detail) for s in v.steps],
+            v.final_denotation)
+
+
+def test_soundness_matches_the_whole_program_harness_on_criterion_8():
+    # the worked example and the seed-29 stream's 215 draws; the steps
+    # typed_steps yields are the oracle's, each with an equal context
+    nat, tup = Base("nat"), Base("tuple")
+    sig = default_signature({
+        "N1": nat, "N2": nat, "T": Arrow(nat, Arrow(nat, tup))})
+    worked = parse_program(
+        r"fresh x. ((\z. fresh y. ((z =:= T N1 y); (T y x))) (T x N2))")
+    cases = [(worked, Model({"nat": 4}, sig), 200)]
+    config = GeneratorConfig(seed=29, max_depth=3, allow_absloc=False,
+                             well_typed=True,
+                             signature=dict(STRATIFIED_SIGNATURE))
+    gsig = default_signature(config.signature)
+    for p in itertools.islice(Generator(config).programs(), 215):
+        typing = infer(ambient_context(p), gsig, p)
+        sizes = {n: 2 for n in base_names_used(typing) if n != "unit"}
+        cases.append((p, Model(sizes, gsig, cap=4096), 100))
+    outcomes = []
+    for p, m, fuel in cases:
+        outcome = _soundness(soundness_check, p, m, fuel)
+        assert outcome == _soundness(soundness_check_oracle, p, m, fuel), p
+        outcomes.append(outcome)
+        typing = infer(ambient_context(p), m.sig, p)
+        steps = [(ts, dict(context))
+                 for ts, context in typed_steps(typing, fuel)]
+        assert steps == [(ts, dict(context)) for ts, context, _ in
+                         typed_steps_oracle(typing, fuel)]
+    assert outcomes.count(TooLarge) == 15
+    assert all(o[0] for o in outcomes if o is not TooLarge)

@@ -250,6 +250,24 @@ def test_records_match_the_dataclass_mirror_on_criterion_6():
     assert kinds == {Goal, Stepped, Failed, Solved} and unequal > 15_000
 
 
+def test_substitutions_and_problems_compare_by_value():
+    assert mgu_goal(X, C) == mgu_goal(X, C)
+    assert hash(mgu_goal(X, C)) == hash(mgu_goal(X, C))
+    assert mgu_goal(X, C) != mgu_goal(X, D)
+    # the map's order is not part of the value
+    xy = Substitution({"x": C, "y": D})
+    assert xy == Substitution({"y": D, "x": C}) and hash(xy) == hash(
+        Substitution({"y": D, "x": C}))
+    assert xy != Substitution({"x": C}) and Substitution() == Substitution({"x": X})
+    # a problem's goals are in order
+    xc, yd = Goal(X, C), Goal(Y, D)
+    assert Problem([xc, yd]) == Problem([Goal(X, C), Goal(Y, D)])
+    assert hash(Problem([xc, yd])) == hash(Problem([Goal(X, C), Goal(Y, D)]))
+    assert Problem([xc, yd]) != Problem([yd, xc])
+    assert Stepped(Problem([xc]), "u-orient") == Stepped(Problem([xc]), "u-orient")
+    assert Substitution() != Problem() and Problem() != ()
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_mgu_deterministic(seed):
@@ -257,11 +275,9 @@ def test_mgu_deterministic(seed):
     for problem in problems:
         a = mgu(problem)
         b = mgu(problem)
+        assert a == b and hash(a) == hash(b)
         if isinstance(a, Solved):
-            assert isinstance(b, Solved)
             assert subst_equal(a.substitution, b.substitution)
-        else:
-            assert a == b
 
 
 # -- the one-pass step against the two-phase oracle (rule name, then dispatch)
