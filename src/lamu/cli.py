@@ -2,7 +2,7 @@
 subcommands, and a small REPL.
 
 Exit codes: 0 success, 1 the program normalized to fail, 2 any rejected
-input (a LamuError, or nesting too deep to recurse over), 3
+input (a LamuError, nesting too deep to recurse over, or no memory), 3
 property-suite counterexample, 141 (128 + SIGPIPE) the reader closed
 standard output.
 """
@@ -230,6 +230,8 @@ def cmd_repl(args, out) -> int:
                                     trace=command == ":trace", cap=4096), out)
         except (LamuError, RecursionError) as exc:
             print(f"error: {exc}", file=out)
+        except MemoryError:  # it carries no text
+            print("error: out of memory", file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +290,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USER_ERROR if exc.code else EXIT_OK
     except (LamuError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USER_ERROR
+    except MemoryError:  # it carries no text
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USER_ERROR
     except BrokenPipeError:
         # the rest of the buffer goes to devnull: the flush at exit stays quiet

@@ -7,11 +7,14 @@ Types denote finite sets; arrow types denote all functions into the
 power set of the codomain, so sizes are doubly exponential and every
 enumeration is guarded by a cap.  Constructors are interpreted by
 injective tagging: each constructor application reserves a distinct
-atom in its result base type, computed as a least fixpoint.
+atom in its result base type.  A base type is closed once, in
+dependency order: its declared atoms, then its constructors' images
+over the closed enumerations of their argument types.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, FrozenSet, List, Optional, Union
 
 from .reduction import FAILRULE
@@ -122,14 +125,6 @@ class Model:
             for name, n in base_sizes.items()}
         self._enum_cache: Dict[Type, List[SemValue]] = {}
         self._cons_cache: Dict[str, SemValue] = {}
-        self._close_bases()
-        for name, atoms in self._bases.items():
-            if not atoms:
-                raise DenotError(f"base type {name} is empty")
-
-    # -- base-type closure under constructor images
-
-    def _close_bases(self):
         feeds: Dict[str, set] = {}   # base -> the bases its arguments use
         for c in self.sig:
             base = _result_base(self.sig[c])
@@ -137,8 +132,8 @@ class Model:
             for sub in base_names(*arg_types(self.sig[c])):
                 self._bases.setdefault(sub, [])
                 feeds.setdefault(base, set()).add(sub)
-        # a base that feeds its own constructors' arguments gains new
-        # atoms every round, so no finite model exists
+        # a base that feeds its own constructors' arguments would contain
+        # its own images, so no finite model exists
         for base in sorted(feeds):
             seen, stack = set(), list(feeds[base])
             while stack:
@@ -149,31 +144,21 @@ class Model:
                 if sub not in seen:
                     seen.add(sub)
                     stack.extend(feeds.get(sub, ()))
-        changed = True
-        while changed:
-            changed = False
-            self._enum_cache.clear()
-            for c in sorted(self.sig):
-                args = arg_types(self.sig[c])
-                base = _result_base(self.sig[c])
-                known = set(self._bases[base])
-                domains = [self.enum_type(a) for a in args]
-                for combo in itertools.product(*domains):
-                    atom = Atom(base, ("cons", c, tuple(combo)))
-                    if atom not in known:
-                        known.add(atom)
-                        self._bases[base].append(atom)
-                        changed = True
-                if len(self._bases[base]) > self.cap:
-                    raise TooLarge(f"base type {base}",
-                                   len(self._bases[base]), self.cap)
-        self._enum_cache.clear()
+        # the feed graph is acyclic: enumerating a base closes it once
+        for c in sorted(self.sig):
+            self.enum_type(Base(_result_base(self.sig[c])))
+        for name, atoms in self._bases.items():
+            if not atoms:
+                raise DenotError(f"base type {name} is empty")
 
     # -- enumeration
 
     def enum_type(self, ty: Type) -> List[SemValue]:
         """Full enumeration of a type's interpretation, in a canonical
-        deterministic order.  Raises TooLarge beyond the cap."""
+        deterministic order.  Raises TooLarge beyond the cap.  A base
+        type holds its declared atoms, then each constructor's images
+        over its argument types in itertools.product order, constructors
+        in name order; the first enumeration closes it."""
         if ty in self._enum_cache:
             return self._enum_cache[ty]
         if isinstance(ty, Meta):
@@ -181,7 +166,15 @@ class Model:
         if isinstance(ty, Base):
             if ty.name not in self._bases:
                 raise DenotError(f"base type {ty.name} has no interpretation")
-            result = list(self._bases[ty.name])
+            result = self._bases[ty.name]
+            for c in sorted(self.sig):
+                if _result_base(self.sig[c]) == ty.name:
+                    domains = [self.enum_type(a) for a in arg_types(self.sig[c])]
+                    count = len(result) + math.prod(map(len, domains))
+                    if count > self.cap:
+                        raise TooLarge(f"base type {ty.name}", count, self.cap)
+                    result += [Atom(ty.name, ("cons", c, combo))
+                               for combo in itertools.product(*domains)]
         else:
             domain = self.enum_type(ty.left)
             codomain = self.enum_type(ty.right)

@@ -196,14 +196,14 @@ def find_redex(p, strategy="leftmost", rng=None, start=0,
                 if out:
                     return out[-1]
         return None
+    if strategy != "random":
+        raise ValueError(f"unknown strategy {strategy!r}")
     redexes = enumerate_redexes(p, unifications)
     if not redexes:
         return None
-    if strategy == "random":
-        if rng is None:
-            raise ValueError("random strategy needs an rng")
-        return redexes[rng.randrange(len(redexes))]
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if rng is None:
+        raise ValueError("random strategy needs an rng")
+    return redexes[rng.randrange(len(redexes))]
 
 
 def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
@@ -278,6 +278,8 @@ def evaluate(p: Program, fuel=1000, strategy="leftmost", seed=0) -> EvalResult:
     The threads live in one list and each step splices its delta in.
     Under leftmost every thread before the last stepped one is normal and
     unchanged, so the search resumes at that thread."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     check_coherent(p)
     session = Session.for_program(p)
     rng = random.Random(seed) if strategy == "random" else None

@@ -11,7 +11,8 @@ composition, support and range, the recursive free variables, the
 rebuilding substitution and one-variable substitution through a
 Substitution, trace replay, the whole-program step and the
 product-space explorer, the unitary check of denotations, the
-whole-program toplevel denotation, the typed layer that built a copy of
+whole-program toplevel denotation, the model whose bases are closed in
+rounds to a least fixpoint, the typed layer that built a copy of
 the input in each of two passes (inference with its defaulter, check
 returning that typing, the step loop that replays whole programs and
 soundness over them), the free variables, terms and
@@ -31,8 +32,8 @@ from typing import Iterator, List, NamedTuple, Optional
 from lamu import unify
 from lamu.concrete import SourceFile, Token
 from lamu.denot import (
-    Atom, DenotError, InclusionReport, SemValue, SoundnessVerdict, Table,
-    denote, denote_toplevel,
+    Atom, DenotError, InclusionReport, Model, SemValue, SoundnessVerdict,
+    Table, TooLarge, _result_base, denote, denote_toplevel,
 )
 from lamu.equiv import (
     STUCK_CONS, STUCK_GUARD, STUCK_LAM, STUCK_UNIF, STUCK_VAR, StuckKind,
@@ -55,7 +56,7 @@ from lamu.syntax import (
 )
 from lamu.typecheck import (
     Arrow, Base, Meta, StepReport, Type, TypeCheckError, Typing, Verdict,
-    _Solver, ambient_context, base_names,
+    _Solver, ambient_context, arg_types, base_names,
 )
 
 
@@ -863,6 +864,95 @@ def denote_toplevel_oracle(x, model, gamma=None):
     for combo in itertools.product(*domains):
         out |= denote(x, dict(zip(names, combo)), model)
     return out
+
+
+class RoundLoopModel(Model):
+    """The model whose bases are closed as a least fixpoint: every
+    constructor product is rebuilt in rounds over the atoms found so far,
+    the enumerations cleared each round, until no base gains an atom;
+    each product is compared with the cap only once built.  The
+    definition that denot.Model's one closure in dependency order is
+    checked against."""
+
+    def __init__(self, base_sizes, sig, cap=4096):
+        for name, n in base_sizes.items():
+            if n < 0:
+                raise DenotError(f"negative size for base type {name}")
+            if n > cap:
+                raise TooLarge(f"base type {name}", n, cap)
+        self.cap = cap
+        self.sig = dict(sig)
+        self._bases = {name: [Atom(name, ("atom", i)) for i in range(n)]
+                       for name, n in base_sizes.items()}
+        self._enum_cache = {}
+        self._cons_cache = {}
+        self._close_bases()
+        for name, atoms in self._bases.items():
+            if not atoms:
+                raise DenotError(f"base type {name} is empty")
+
+    def _close_bases(self):
+        feeds = {}   # base -> the bases its arguments use
+        for c in self.sig:
+            base = _result_base(self.sig[c])
+            self._bases.setdefault(base, [])
+            for sub in base_names(*arg_types(self.sig[c])):
+                self._bases.setdefault(sub, [])
+                feeds.setdefault(base, set()).add(sub)
+        for base in sorted(feeds):
+            seen, stack = set(), list(feeds[base])
+            while stack:
+                sub = stack.pop()
+                if sub == base:
+                    raise TooLarge(f"base type {base}", "infinitely many",
+                                   self.cap)
+                if sub not in seen:
+                    seen.add(sub)
+                    stack.extend(feeds.get(sub, ()))
+        changed = True
+        while changed:
+            changed = False
+            self._enum_cache.clear()
+            for c in sorted(self.sig):
+                args = arg_types(self.sig[c])
+                base = _result_base(self.sig[c])
+                known = set(self._bases[base])
+                domains = [self.enum_type(a) for a in args]
+                for combo in itertools.product(*domains):
+                    atom = Atom(base, ("cons", c, tuple(combo)))
+                    if atom not in known:
+                        known.add(atom)
+                        self._bases[base].append(atom)
+                        changed = True
+                if len(self._bases[base]) > self.cap:
+                    raise TooLarge(f"base type {base}",
+                                   len(self._bases[base]), self.cap)
+        self._enum_cache.clear()
+
+    def enum_type(self, ty):
+        if ty in self._enum_cache:
+            return self._enum_cache[ty]
+        if isinstance(ty, Meta):
+            raise DenotError("cannot enumerate an unsolved metavariable")
+        if isinstance(ty, Base):
+            if ty.name not in self._bases:
+                raise DenotError(f"base type {ty.name} has no interpretation")
+            result = list(self._bases[ty.name])
+        else:
+            domain = self.enum_type(ty.left)
+            codomain = self.enum_type(ty.right)
+            n, m = len(domain), len(codomain)
+            count = (2 ** m) ** n
+            if count > self.cap:
+                raise TooLarge(repr(ty), count, self.cap)
+            subsets = [frozenset(s)
+                       for k in range(m + 1)
+                       for s in itertools.combinations(codomain, k)]
+            result = [
+                Table(tuple(zip(domain, images)))
+                for images in itertools.product(subsets, repeat=n)]
+        self._enum_cache[ty] = result
+        return result
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,40 @@ def test_denote_rejects_a_recursive_signature_at_once(capsys):
     assert "base type i" in err
 
 
+def test_denote_lists_no_table_over_a_partial_domain(tmp_path, capsys):
+    # a function over {i#0} alone is no element of i -> i2, since Z is in i
+    path = tmp_path / "tables.luni"
+    path.write_text("base i = 1. base i2 = 1. cons F : (i -> i2) -> j. "
+                    "cons Z : i. x | F f\n", encoding="utf-8")
+    code, out, err = run_main(["denote", str(path)], capsys)
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines() == [
+        "type: j",
+        "denotation (6 element(s)):",
+        "  F(Table[i#0->{i2#0}, Z->{i2#0}])",
+        "  F(Table[i#0->{i2#0}, Z->{}])",
+        "  F(Table[i#0->{}, Z->{i2#0}])",
+        "  F(Table[i#0->{}, Z->{}])",
+        "  j#0",
+        "  j#1",
+    ]
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("lamu.denot.Model", exhausted)
+    path = tmp_path / "c.luni"
+    path.write_text("cons C : i. C\n", encoding="utf-8")
+    assert run_main(["denote", str(path)], capsys) == (
+        EXIT_USER_ERROR, "", "error: out of memory\n")
+    code, out = run_repl(["cons C : i.", ":denote C", "C"], monkeypatch,
+                         capsys)
+    assert code == EXIT_OK
+    assert out[:2] == ["error: out of memory", "C"]
+
+
 def test_confluence_suite_small(capsys):
     code, out, _ = run_main(
         ["test-confluence", "--samples", "30", "--seed", "7"], capsys)

@@ -8,8 +8,8 @@ import pytest
 
 from lamu.concrete import parse_program
 from helpers import (
-    assert_records_match_the_mirror, denote_toplevel_oracle, is_unitary,
-    soundness_check_oracle, typed_steps_oracle, within,
+    RoundLoopModel, assert_records_match_the_mirror, denote_toplevel_oracle,
+    is_unitary, soundness_check_oracle, typed_steps_oracle, within,
 )
 from lamu.denot import (
     Atom, DenotError, Model, Table, TooLarge, denote, denote_toplevel, soundness_check,
@@ -71,6 +71,149 @@ def test_an_oversized_base_is_rejected_before_it_is_built():
                                        "elements, cap is 10"):
         within(1, "a model with a base of 10 ** 9 atoms",
                lambda: Model({"i": 10 ** 9}, SIG, cap=10))
+
+
+# ---------------------------------------------------------------------------
+# the closure in dependency order against the round loop
+
+def _closure(make, sizes, sig, cap, types=()):
+    """Each base's atoms in order, the enumeration of each type, each
+    constructor's interpretation, or the class and text of an error."""
+    def outcome(value):
+        try:
+            return value()
+        except LamuError as exc:
+            return type(exc), str(exc)
+    m = outcome(lambda: make(sizes, sig, cap=cap))
+    if isinstance(m, tuple):
+        return m
+    return ({name: list(atoms) for name, atoms in m._bases.items()},
+            [outcome(lambda: m.enum_type(ty)) for ty in types],
+            [outcome(lambda: m.cons_interp(c)) for c in sorted(sig)])
+
+
+def _stream_models(seed, sig, cap, draws):
+    """The model and types of each of a well-typed stream's first draws,
+    as criterion 8 builds them."""
+    config = GeneratorConfig(seed=seed, max_depth=3, allow_absloc=False,
+                             well_typed=True, signature=dict(sig))
+    gsig = default_signature(config.signature)
+    for p in itertools.islice(Generator(config).programs(), draws):
+        typing = infer(ambient_context(p), gsig, p)
+        sizes = {n: 2 for n in base_names_used(typing) if n != "unit"}
+        yield sizes, gsig, cap, [
+            typing.type, *typing.gamma.values(),
+            *(t.ann for t in subterms(typing.node)
+              if getattr(t, "ann", None) is not None)]
+
+
+def test_closure_matches_the_round_loop_oracle():
+    # the models this file and criterion 8 build by hand, then the
+    # stratified streams (seed 29 is criterion 8's), and the stream of
+    # test_soundness_on_samples; every signature here closes in one round
+    nat, tup = Base("nat"), Base("tuple")
+    worked = default_signature({
+        "N1": nat, "N2": nat, "T": Arrow(nat, Arrow(nat, tup))})
+    cases = [
+        ({}, SIG, 4096, [I, Arrow(I, I)]),
+        ({}, STRATIFIED, 4096, [I, PAIR, Arrow(I, PAIR)]),
+        ({}, default_signature({"Z": I, "S": Arrow(I, I)}), 32, []),
+        ({"n": 2}, default_signature({"W": Arrow(Base("n"), Base("m"))}),
+         4096, [Base("m")]),
+        ({"i": 10 ** 9}, SIG, 10, []),
+        ({"n": 0}, default_signature(), 4096, []),
+        ({"n": 3}, default_signature(), 64,
+         [Arrow(Base("n"), Arrow(Base("n"), Base("n")))]),
+        ({"i": 15}, default_signature({"C": I}), 4096, [I]),
+        ({"i": 1}, default_signature(), 4096, [I, Arrow(I, I)]),
+        ({"nat": 4}, worked, 4096, [nat, tup, Arrow(nat, tup)]),
+    ]
+    for seed in (7, 11, 29, 53):
+        cases += _stream_models(seed, STRATIFIED_SIGNATURE, 4096, 300)
+    no_ok = dict(STRATIFIED)
+    del no_ok["Ok"]
+    cases += _stream_models(53, no_ok, 600, 100)
+    models = enumerations = 0   # rejected, and too large to enumerate
+    for sizes, sig, cap, types in cases:
+        closure = _closure(Model, sizes, sig, cap, types)
+        assert closure == _closure(RoundLoopModel, sizes, sig, cap, types), \
+            (sizes, sig)
+        if isinstance(closure[0], type):
+            models += 1
+        else:
+            enumerations += sum(isinstance(e, tuple) for e in closure[1])
+    assert (len(cases), models, enumerations) == (1310, 3, 166)
+
+
+def test_function_typed_constructor_arguments_keep_no_stale_tables():
+    # i gains Z after F's first round over i = {i#0}: the round loop kept
+    # F's images of the two tables over that partial domain
+    i2, j = Base("i2"), Base("j")
+    sig = default_signature({"F": Arrow(Arrow(I, i2), j), "Z": I})
+    tables = Model({"i": 1, "i2": 1}, sig).enum_type(Arrow(I, i2))
+    assert len(tables) == 4
+    atoms = Model({"i": 1, "i2": 1}, sig).enum_type(j)
+    assert [a.tag for a in atoms] == [("cons", "F", (t,)) for t in tables]
+    stale = RoundLoopModel({"i": 1, "i2": 1}, sig).enum_type(j)
+    assert len(stale) == 6 and atoms == stale[2:]
+
+
+def test_a_product_beyond_the_cap_is_rejected_before_it_is_built():
+    sig = default_signature({"P": Arrow(I, Arrow(I, Base("j")))})
+    with pytest.raises(TooLarge, match="base type j needs 2250000 "
+                                       "elements, cap is 4096"):
+        within(1, "a model whose product has 2 250 000 atoms",
+               lambda: Model({"i": 1500}, sig))
+
+
+def test_bases_list_declared_atoms_then_constructors_by_name():
+    # Z is added to i after A's product in the round loop's first round,
+    # so the round loop listed A(Z) after B's images
+    j, k = Base("j"), Base("k")
+    sig = default_signature({"A": Arrow(I, j), "B": Arrow(k, j), "W": k,
+                             "Z": I})
+    order = ["A(i#0)", "A(Z)", "B(k#0)", "B(W)"]
+    assert list(map(repr, Model({"i": 1, "k": 1}, sig).enum_type(j))) == order
+    assert list(map(repr, RoundLoopModel({"i": 1, "k": 1}, sig).enum_type(j))) \
+        == ["A(i#0)", "B(k#0)", "A(Z)", "B(W)"]
+
+
+def test_closure_builds_only_the_atoms_it_keeps(monkeypatch):
+    built = []
+    init = Atom.__init__
+
+    def counting(self, base, tag):
+        built.append(tag)
+        init(self, base, tag)
+
+    monkeypatch.setattr(Atom, "__init__", counting)
+    bases = [I, Base("s1"), PAIR, Base("unit")]
+    m = Model({}, STRATIFIED)
+    assert len(built) == sum(len(m.enum_type(b)) for b in bases) == 9
+    built.clear()
+    RoundLoopModel({}, STRATIFIED)
+    assert len(built) == 18
+
+
+def test_errors_name_the_first_base_in_name_order():
+    def message(sizes, sig):
+        with pytest.raises(LamuError) as info:
+            Model(sizes, default_signature(sig))
+        return str(info.value)
+    a, b, c, d = map(Base, "abcd")
+    cycle = "enumeration of base type {} needs infinitely many elements, " \
+            "cap is 4096"
+    # two disjoint cycles, a -> b -> a and c -> d -> c
+    assert message({}, {"K": Arrow(d, c), "H": Arrow(c, d), "G": Arrow(a, b),
+                        "F": Arrow(b, a)}) == cycle.format("a")
+    # a chain a <- b into the cycle b -> c -> b
+    assert message({}, {"F": Arrow(b, a), "G": Arrow(c, b),
+                        "H": Arrow(b, c)}) == cycle.format("b")
+    # two empty bases: the first declared, and the first in the
+    # signature's own order, result before arguments
+    assert message({"n": 0, "m": 0}, {}) == "base type n is empty"
+    assert message({}, {"F": Arrow(d, c), "G": Arrow(b, a)}) \
+        == "base type c is empty"
 
 
 def test_empty_base_rejected():

@@ -240,6 +240,16 @@ def test_random_strategy_needs_rng():
                       rng=random.Random(0)) is not None
 
 
+def test_an_unknown_strategy_is_rejected_before_any_search():
+    # a normal program, a reducible one, and no step at all
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        find_redex(parse_program("C"), "bogus")
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        evaluate(parse_program("C | D"), strategy="bogus")
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        evaluate(parse_program("C =:= C"), fuel=0, strategy="bogus")
+
+
 def test_reachable_normal_forms_simple():
     ex = reachable_normal_forms(parse_program("C =:= C | C =:= D"))
     assert ex.complete
