@@ -160,9 +160,10 @@ def cmd_test_confluence(args, out) -> int:
 def cmd_test_soundness(args, out) -> int:
     def sound(src, i, tally):
         try:
-            model = _model_for(src, args.cap, _typing(src))
-            return denot.soundness_check(src.program, model,
-                                         fuel=args.fuel).ok
+            typing = _typing(src)
+            model = _model_for(src, args.cap, typing)
+            return denot.soundness_check(src.program, model, fuel=args.fuel,
+                                         typing=typing).ok
         except (denot.TooLarge, denot.DenotError):
             tally["skipped"] += 1
             return True

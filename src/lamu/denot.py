@@ -317,14 +317,18 @@ class SoundnessVerdict(Record):
         self.final_denotation = None
 
 
-def soundness_check(p: Program, model: Model, fuel=200) -> SoundnessVerdict:
+def soundness_check(p: Program, model: Model, fuel=200,
+                    typing=None) -> SoundnessVerdict:
     """Evaluate the program; at each step of the trace check that the
     denotation shrinks or stays equal, with equality required for every
     rule other than fail.  A program denotes the union of its threads,
     so each thread is denoted once, when it appears, and its denotation
     is spliced into a list as evaluate splices the thread: a thread a
-    step leaves unchanged keeps its free variables and their types."""
-    typing = infer(ambient_context(p), model.sig, p)
+    step leaves unchanged keeps its free variables and their types.
+    typing is p's principal typing under model.sig with its free
+    variables ambient, if the caller has it; else it is inferred."""
+    if typing is None:
+        typing = infer(ambient_context(p), model.sig, p)
     sems = [denote_toplevel(t, model, typing.gamma) for t in typing.node]
     before_sem = frozenset().union(*sems)
     verdict = SoundnessVerdict(True, [])

@@ -34,7 +34,10 @@ deltas for ``--trace``.
 Because threads never interact, ``reachable_normal_forms`` explores each
 thread on its own and sums the threads' normal forms: its cost is the
 sum of the threads' state spaces, not their product (partial-order
-reduction, Godefroid 1996).
+reduction, Godefroid 1996).  Its searches share one table of the call
+from key to node, so each distinct thread state up to ``≡`` is stepped,
+and its successors keyed, once per call; ``states`` still counts a
+state once per search that visits it.
 """
 from __future__ import annotations
 
@@ -335,47 +338,74 @@ def reachable_normal_forms(p: Program, fuel=200,
     A child or successor whose key is still being explored further out
     (a thread that spawns a copy of itself) is not followed, and makes
     the exploration incomplete, as does split nesting deeper than fuel.
-    states counts the distinct thread states of every exploration; past
-    max_states the search stops.  An incomplete exploration reports a
-    subset of the normal forms.
+    states counts the distinct thread states of every exploration, a
+    state once per search that visits it; past max_states the search
+    stops.  An incomplete exploration reports a subset of the normal
+    forms.
+
+    The searches share one table of the call from key to node: each
+    distinct thread state up to ``≡`` has its redexes enumerated and
+    stepped, and its successors keyed, once, however many searches
+    visit it.  A node is a list ``[key, thread, successors]``: a thread
+    with that key until the node is expanded, then None and, for each
+    redex in enumerate_redexes order, the node of the one thread the
+    step leaves or a tuple of the nodes of the 0 or several threads it
+    leaves.  A step commutes with the renamings of ``≡``, so any thread
+    with the key gives the same successors up to ``≡``.
     """
     check_coherent(p)
     session = Session.for_program(p)
     states = 0
     memo = {}           # thread key -> (normal forms, complete)
     active = set()      # keys of the explorations in progress
+    table = {}          # thread key -> its node [key, thread, successors]
 
-    def program_nfs(threads):
-        """Multiset-sums of the threads' normal forms; the driver below
-        answers each yielded thread with its (normal forms, complete)."""
+    def node(t):
+        k = canonical_thread(t)
+        n = table.get(k)
+        if n is None:
+            n = table[k] = [k, t, None]
+        return n
+
+    def program_nfs(nodes):
+        """Multiset-sums of the nodes' normal forms; the driver below
+        answers each yielded node with its (normal forms, complete)."""
         nfs, complete = {()}, True
-        for t in threads:
-            sub, ok = yield t
+        for n in nodes:
+            sub, ok = yield n
             nfs = {tuple(sorted(a + b)) for a in nfs for b in sub}
             complete = complete and ok
         return nfs, complete
 
-    def thread_nfs(t, key):
+    def thread_nfs(start):
         """Breadth-first search over the single-thread states reachable
-        from t; each split step's threads go through program_nfs."""
+        from the node start; each split step's nodes go through
+        program_nfs."""
         nonlocal states
-        visited = {key}
-        frontier = [(t, key)]
+        visited = {start[0]}
+        frontier = [start]
         nfs, complete = set(), True
         for _ in range(fuel):
             next_frontier = []
-            for s, k in frontier:
-                redexes = enumerate_redexes((s,), session.unifications)
-                if not redexes:
-                    nfs.add((k,))
-                for r in redexes:
-                    after = step_at(s, r, session).after
-                    if len(after) != 1:
-                        sub, ok = yield from program_nfs(after)
+            for n in frontier:
+                succ = n[2]
+                if succ is None:
+                    s = n[1]
+                    n[1] = None
+                    succ = n[2] = []
+                    for r in enumerate_redexes((s,), session.unifications):
+                        after = step_at(s, r, session).after
+                        succ.append(node(after[0]) if len(after) == 1
+                                    else tuple([node(t) for t in after]))
+                if not succ:
+                    nfs.add((n[0],))
+                for n2 in succ:
+                    if type(n2) is tuple:
+                        sub, ok = yield from program_nfs(n2)
                         nfs |= sub
                         complete = complete and ok
                         continue
-                    k2 = canonical_thread(after[0])
+                    k2 = n2[0]
                     if k2 in visited:
                         continue
                     if k2 in active:
@@ -385,7 +415,7 @@ def reachable_normal_forms(p: Program, fuel=200,
                         return nfs, False
                     visited.add(k2)
                     states += 1
-                    next_frontier.append((after[0], k2))
+                    next_frontier.append(n2)
             frontier = next_frontier
             if not frontier:
                 break
@@ -393,12 +423,12 @@ def reachable_normal_forms(p: Program, fuel=200,
 
     # Explicit stack of explorations: split nesting is bounded by fuel,
     # not by Python's recursion limit.
-    stack = [(None, program_nfs(p.threads))]
+    stack = [(None, program_nfs([node(t) for t in p.threads]))]
     reply = None
     while True:
         key, gen = stack[-1]
         try:
-            t = gen.send(reply)
+            n = gen.send(reply)
         except StopIteration as stop:
             stack.pop()
             if not stack:
@@ -407,7 +437,7 @@ def reachable_normal_forms(p: Program, fuel=200,
             active.discard(key)
             memo[key] = reply = stop.value
             continue
-        k = canonical_thread(t)
+        k = n[0]
         if k in memo:
             reply = memo[k]
         elif k in active or len(stack) > fuel or states >= max_states:
@@ -415,6 +445,6 @@ def reachable_normal_forms(p: Program, fuel=200,
         else:
             states += 1
             active.add(k)
-            stack.append((k, thread_nfs(t, k)))
+            stack.append((k, thread_nfs(n)))
             reply = None
     return Exploration(normal_forms, states, complete)

@@ -10,7 +10,8 @@ intrinsic level, location renaming, substitution equality,
 composition, support and range, the recursive free variables, the
 rebuilding substitution and one-variable substitution through a
 Substitution, trace replay, the whole-program step and the
-product-space explorer, the unitary check of denotations, the
+product-space explorer, the explorer that steps a state again in every
+search that visits it, the unitary check of denotations, the
 whole-program toplevel denotation, the model whose bases are closed in
 rounds to a least fixpoint, the typed layer that built a copy of
 the input in each of two passes (inference with its defaulter, check
@@ -37,7 +38,7 @@ from lamu.denot import (
 )
 from lamu.equiv import (
     STUCK_CONS, STUCK_GUARD, STUCK_LAM, STUCK_UNIF, STUCK_VAR, StuckKind,
-    canonical_program, is_normal_term,
+    canonical_program, canonical_thread, is_normal_term,
 )
 from lamu.generator import DEFAULT_SIGNATURE, GeneratorConfig
 from lamu.parallel import (
@@ -45,7 +46,7 @@ from lamu.parallel import (
 )
 from lamu.reduction import (
     ALLOC, BETA, FAILRULE, FRESH, GUARD, UNIF, EvalResult, Exploration,
-    Redex, enumerate_redexes, evaluate,
+    Redex, enumerate_redexes, evaluate, step_at,
 )
 from lamu.reduction import replay as replay_programs
 from lamu.syntax import (
@@ -1158,6 +1159,89 @@ def product_bfs(p: Program, key=canonical_program, fuel=200,
                 next_frontier.append(nxt)
         frontier = next_frontier
     return Exploration(normal_forms, states, not frontier)
+
+
+def reachable_normal_forms_oracle(p: Program, fuel=200,
+                                  max_states=10000) -> Exploration:
+    """The thread-modular explorer that steps and keys a state again in
+    every search that visits it: each breadth-first search enumerates
+    and steps its own states.  The definition that
+    reduction.reachable_normal_forms, which expands each key once per
+    call, is checked against: same normal forms, states and
+    completeness."""
+    check_coherent(p)
+    session = Session.for_program(p)
+    states = 0
+    memo = {}           # thread key -> (normal forms, complete)
+    active = set()      # keys of the explorations in progress
+
+    def program_nfs(threads):
+        nfs, complete = {()}, True
+        for t in threads:
+            sub, ok = yield t
+            nfs = {tuple(sorted(a + b)) for a in nfs for b in sub}
+            complete = complete and ok
+        return nfs, complete
+
+    def thread_nfs(t, key):
+        nonlocal states
+        visited = {key}
+        frontier = [(t, key)]
+        nfs, complete = set(), True
+        for _ in range(fuel):
+            next_frontier = []
+            for s, k in frontier:
+                redexes = enumerate_redexes((s,), session.unifications)
+                if not redexes:
+                    nfs.add((k,))
+                for r in redexes:
+                    after = step_at(s, r, session).after
+                    if len(after) != 1:
+                        sub, ok = yield from program_nfs(after)
+                        nfs |= sub
+                        complete = complete and ok
+                        continue
+                    k2 = canonical_thread(after[0])
+                    if k2 in visited:
+                        continue
+                    if k2 in active:
+                        complete = False
+                        continue
+                    if states >= max_states:
+                        return nfs, False
+                    visited.add(k2)
+                    states += 1
+                    next_frontier.append((after[0], k2))
+            frontier = next_frontier
+            if not frontier:
+                break
+        return nfs, complete and not frontier
+
+    stack = [(None, program_nfs(p.threads))]
+    reply = None
+    while True:
+        key, gen = stack[-1]
+        try:
+            t = gen.send(reply)
+        except StopIteration as stop:
+            stack.pop()
+            if not stack:
+                normal_forms, complete = stop.value
+                break
+            active.discard(key)
+            memo[key] = reply = stop.value
+            continue
+        k = canonical_thread(t)
+        if k in memo:
+            reply = memo[k]
+        elif k in active or len(stack) > fuel or states >= max_states:
+            reply = (set(), False)
+        else:
+            states += 1
+            active.add(k)
+            stack.append((k, thread_nfs(t, k)))
+            reply = None
+    return Exploration(normal_forms, states, complete)
 
 
 def critical_pair_instances():

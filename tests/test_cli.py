@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,7 @@ from lamu.denot import SoundnessVerdict
 from lamu.generator import DEFAULT_SIGNATURE, STRATIFIED_SIGNATURE
 from lamu.reduction import Exploration
 from lamu.syntax import Program, alpha_eq
-from lamu.typecheck import Verdict
+from lamu.typecheck import Verdict, infer
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -388,6 +389,28 @@ def test_soundness_suite_small(capsys):
     code, out, _ = run_main(
         ["test-soundness", "--samples", "15", "--seed", "7"], capsys)
     assert code == EXIT_OK
+
+
+def test_soundness_suite_types_each_sample_once(monkeypatch, capsys):
+    # the typing built for a sample's model is the one soundness_check
+    # reads, so cli and denot infer once per sample (the generator's
+    # well-typed filter calls its own infer, not counted here)
+    calls = Counter()
+
+    def counted(module):
+        def counting_infer(*args):
+            calls[module] += 1
+            return infer(*args)
+        return counting_infer
+
+    for module in ("lamu.cli", "lamu.denot"):
+        monkeypatch.setattr(f"{module}.infer", counted(module))
+    code, out, _ = run_main(
+        ["test-soundness", "--samples", "20", "--seed", "7"], capsys)
+    assert code == EXIT_OK
+    assert out.strip() == ("soundness: 20 samples, 1 skipped (no finite "
+                           "model), 0 counterexamples")
+    assert calls == {"lamu.cli": 20}
 
 
 def test_soundness_suite_counts_skipped_draws(capsys):

@@ -2,6 +2,7 @@
 unitary constructors, denotation clauses, and soundness along steps;
 semantic values compare, hash and print as the dataclasses they were."""
 
+import functools
 import itertools
 
 import pytest
@@ -488,7 +489,8 @@ def _soundness(check, p, model, fuel):
 
 def test_soundness_matches_the_whole_program_harness_on_criterion_8():
     # the worked example and the seed-29 stream's 215 draws; the steps
-    # typed_steps yields are the oracle's, each with an equal context
+    # typed_steps yields are the oracle's, each with an equal context,
+    # and a typing handed in gives the verdict of the one inferred
     nat, tup = Base("nat"), Base("tuple")
     sig = default_signature({
         "N1": nat, "N2": nat, "T": Arrow(nat, Arrow(nat, tup))})
@@ -505,10 +507,12 @@ def test_soundness_matches_the_whole_program_harness_on_criterion_8():
         cases.append((p, Model(sizes, gsig, cap=4096), 100))
     outcomes = []
     for p, m, fuel in cases:
+        typing = infer(ambient_context(p), m.sig, p)
         outcome = _soundness(soundness_check, p, m, fuel)
         assert outcome == _soundness(soundness_check_oracle, p, m, fuel), p
+        given = functools.partial(soundness_check, typing=typing)
+        assert outcome == _soundness(given, p, m, fuel), p
         outcomes.append(outcome)
-        typing = infer(ambient_context(p), m.sig, p)
         steps = [(ts, dict(context))
                  for ts, context in typed_steps(typing, fuel)]
         assert steps == [(ts, dict(context)) for ts, context, _ in

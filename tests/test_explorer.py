@@ -1,12 +1,18 @@
 """The thread-modular explorer against the product-space BFS it
-replaced, and its edge cases: self-spawning threads, deep split nesting
-and the partial normal forms of an incomplete exploration."""
+replaced and against the explorer that steps a state again in every
+search that visits it, and its edge cases: self-spawning threads, deep
+split nesting and the partial normal forms of an incomplete
+exploration."""
 
-from helpers import product_bfs
+import pytest
+
+import helpers
+from helpers import product_bfs, reachable_normal_forms_oracle
+from lamu import reduction
 from lamu.concrete import parse_program
 from lamu.equiv import canonical_program
 from lamu.generator import Generator, GeneratorConfig
-from lamu.reduction import evaluate, reachable_normal_forms
+from lamu.reduction import enumerate_redexes, evaluate, reachable_normal_forms
 
 # spawns a copy of itself next to C on every beta step
 DIVERGENT = r"(\x. x x | C) (\x. x x | C)"
@@ -87,3 +93,68 @@ def test_incomplete_exploration_has_partial_normal_forms():
     ex = reachable_normal_forms(wide, fuel=1)
     assert not ex.complete
     assert ex.normal_forms <= reachable_normal_forms(wide).normal_forms
+
+
+@pytest.fixture(scope="module")
+def criterion_4_stream():
+    """The criterion 4/9 stream's 500 draws."""
+    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
+    return tuple(gen.program() for _ in range(500))
+
+
+def _exploration(ex):
+    return ex.normal_forms, ex.states, ex.complete
+
+
+@pytest.mark.parametrize("fuel, max_states, incomplete", [
+    (200, 10_000, 0), (6, 10_000, 147), (200, 40, 95), (3, 200, 360)])
+def test_matches_the_oracle_that_steps_every_visit_on_the_stream(
+        criterion_4_stream, fuel, max_states, incomplete):
+    # one expansion per key and call leaves every exploration as it was,
+    # complete or cut by fuel, by max_states or by split nesting
+    cut = 0
+    for p in criterion_4_stream:
+        ex = reachable_normal_forms(p, fuel, max_states)
+        assert _exploration(ex) == _exploration(
+            reachable_normal_forms_oracle(p, fuel, max_states)), p
+        cut += not ex.complete
+    assert cut == incomplete
+
+
+@pytest.mark.parametrize("source, fuel, max_states", [
+    pytest.param(DIVERGENT, 200, 10_000, id="divergent"),
+    pytest.param(GROWING, 5000, 900, id="growing-900-states"),
+    pytest.param(GROWING, 50, 10_000, id="growing-fuel-50"),
+    pytest.param(RESPAWNING, 10, 10_000, id="respawning-fuel-10"),
+    pytest.param(RESPAWNING, 200, 60, id="respawning-60-states")])
+def test_matches_the_oracle_that_steps_every_visit_on_spawning_threads(
+        source, fuel, max_states):
+    p = parse_program(source)
+    ex = reachable_normal_forms(p, fuel, max_states)
+    assert not ex.complete
+    assert _exploration(ex) == _exploration(
+        reachable_normal_forms_oracle(p, fuel, max_states))
+
+
+def test_each_state_is_expanded_once_per_call(criterion_4_stream,
+                                              monkeypatch):
+    # draw 26 of the criterion 4/9 stream: its searches visit 930 states
+    # but only 254 distinct keys, and only those are enumerated and
+    # stepped; the oracle enumerates every visit
+    p = criterion_4_stream[26]
+    calls = []
+
+    def counting_enumerate_redexes(threads, unifications=None):
+        calls.append(threads)
+        return enumerate_redexes(threads, unifications)
+
+    monkeypatch.setattr(reduction, "enumerate_redexes",
+                        counting_enumerate_redexes)
+    monkeypatch.setattr(helpers, "enumerate_redexes",
+                        counting_enumerate_redexes)
+    ex = reachable_normal_forms(p)
+    assert (ex.complete, ex.states, len(ex.normal_forms)) == (True, 930, 1)
+    assert len(calls) == 254
+    calls.clear()
+    assert _exploration(reachable_normal_forms_oracle(p)) == _exploration(ex)
+    assert len(calls) == 930
