@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .syntax import (
-    AbsLoc, Cons, Guard, Program, Record, Term, Unif, Var, spine,
+    AbsLoc, Cons, Guard, Program, Term, Unif, Value, Var, spine,
     term_key,
 )
 
@@ -43,17 +43,14 @@ def struct_equiv(p: Program, q: Program) -> bool:
 # ---------------------------------------------------------------------------
 # Normal and stuck terms
 
-class StuckKind(Record):
+class StuckKind(Value):
     """Which stuck rule applies, with the stuck kinds of the subterms it
-    rests on; immutable by contract."""
+    rests on; a ``Value``."""
     __slots__ = ("kind", "sub")
 
     def __init__(self, kind, sub=()):
         self.kind = kind
         self.sub = sub
-
-    def __hash__(self):
-        return hash(self._fields())
 
 
 _VALUE = object()

@@ -14,21 +14,18 @@ from . import unify
 from .equiv import is_normal_term
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Record, Session,
-    Term, Unif, Var, check_coherent, is_value, singleton, subst_apply,
-    subst_single,
+    Term, Unif, Value, Var, check_coherent, is_value, singleton,
+    subst_apply, subst_single,
 )
 
-class ParResult(Record):
-    """A reduct and the unification goals it leaves pending; immutable
-    by contract."""
+class ParResult(Value):
+    """A reduct and the unification goals it leaves pending; a
+    ``Value``."""
     __slots__ = ("program", "goals")
 
     def __init__(self, program, goals):
         self.program = program
         self.goals = goals
-
-    def __hash__(self):
-        return hash(self._fields())
 
 
 def _lift(ctor, p: Program, q: Program) -> Program:

@@ -181,32 +181,28 @@ def find_redex(p, strategy="leftmost", rng=None, start=0,
     a session, if the caller runs one."""
     if unifications is None:
         unifications = {}
+    # leftmost reads out[0]: CPython specialises a non-negative list index
     if strategy == "leftmost":
-        out = []
-        for i in range(start, len(p)):
-            t = p[i]
-            if not t.value:
-                _collect(t, None, i, out, 1, unifications)
-                if out:
-                    return out[0]
-        return None
-    if strategy == "rightmost":
-        out = []
-        for i in range(len(p) - 1, -1, -1):
-            t = p[i]
-            if not t.value:
-                _collect(t, None, i, out, _ALL, unifications)
-                if out:
-                    return out[-1]
-        return None
-    if strategy != "random":
+        order, limit, pick = range(start, len(p)), 1, 0
+    elif strategy == "rightmost":
+        order, limit, pick = range(len(p) - 1, -1, -1), _ALL, -1
+    elif strategy == "random":
+        redexes = enumerate_redexes(p, unifications)
+        if not redexes:
+            return None
+        if rng is None:
+            raise ValueError("random strategy needs an rng")
+        return redexes[rng.randrange(len(redexes))]
+    else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    redexes = enumerate_redexes(p, unifications)
-    if not redexes:
-        return None
-    if rng is None:
-        raise ValueError("random strategy needs an rng")
-    return redexes[rng.randrange(len(redexes))]
+    out = []
+    for i in order:
+        t = p[i]
+        if not t.value:
+            _collect(t, None, i, out, limit, unifications)
+            if out:
+                return out[pick]
+    return None
 
 
 def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
@@ -346,25 +342,26 @@ def reachable_normal_forms(p: Program, fuel=200,
     The searches share one table of the call from key to node: each
     distinct thread state up to ``≡`` has its redexes enumerated and
     stepped, and its successors keyed, once, however many searches
-    visit it.  A node is a list ``[key, thread, successors]``: a thread
-    with that key until the node is expanded, then None and, for each
-    redex in enumerate_redexes order, the node of the one thread the
-    step leaves or a tuple of the nodes of the 0 or several threads it
-    leaves.  A step commutes with the renamings of ``≡``, so any thread
-    with the key gives the same successors up to ``≡``.
+    visit it.  A node is a list ``[key, thread, successors, result]``.
+    Until the node is expanded, thread is a thread with that key and
+    successors None; after, thread is None and successors holds, for
+    each redex in enumerate_redexes order, the node of the one thread
+    the step leaves or a tuple of the nodes of the 0 or several threads
+    it leaves.  A step commutes with the renamings of ``≡``, so any
+    thread with the key gives the same successors up to ``≡``.  result
+    is None until an exploration from the node starts, False while it
+    is in progress, and then its (normal forms, complete) pair.
     """
     check_coherent(p)
     session = Session.for_program(p)
     states = 0
-    memo = {}           # thread key -> (normal forms, complete)
-    active = set()      # keys of the explorations in progress
-    table = {}          # thread key -> its node [key, thread, successors]
+    table = {}      # thread key -> its node [key, thread, successors, result]
 
     def node(t):
         k = canonical_thread(t)
         n = table.get(k)
         if n is None:
-            n = table[k] = [k, t, None]
+            n = table[k] = [k, t, None, None]
         return n
 
     def program_nfs(nodes):
@@ -390,8 +387,7 @@ def reachable_normal_forms(p: Program, fuel=200,
             for n in frontier:
                 succ = n[2]
                 if succ is None:
-                    s = n[1]
-                    n[1] = None
+                    s, n[1] = n[1], None
                     succ = n[2] = []
                     for r in enumerate_redexes((s,), session.unifications):
                         after = step_at(s, r, session).after
@@ -405,15 +401,14 @@ def reachable_normal_forms(p: Program, fuel=200,
                         nfs |= sub
                         complete = complete and ok
                         continue
-                    k2 = n2[0]
-                    if k2 in visited:
+                    if n2[0] in visited:
                         continue
-                    if k2 in active:
+                    if n2[3] is False:
                         complete = False
                         continue
                     if states >= max_states:
                         return nfs, False
-                    visited.add(k2)
+                    visited.add(n2[0])
                     states += 1
                     next_frontier.append(n2)
             frontier = next_frontier
@@ -421,30 +416,28 @@ def reachable_normal_forms(p: Program, fuel=200,
                 break
         return nfs, complete and not frontier
 
-    # Explicit stack of explorations: split nesting is bounded by fuel,
-    # not by Python's recursion limit.
+    # Explicit stack of (node, its exploration): split nesting is bounded
+    # by fuel, not by Python's recursion limit.
     stack = [(None, program_nfs([node(t) for t in p.threads]))]
     reply = None
     while True:
-        key, gen = stack[-1]
+        n, gen = stack[-1]
         try:
-            n = gen.send(reply)
+            n2 = gen.send(reply)
         except StopIteration as stop:
             stack.pop()
             if not stack:
                 normal_forms, complete = stop.value
                 break
-            active.discard(key)
-            memo[key] = reply = stop.value
+            n[3] = reply = stop.value
             continue
-        k = n[0]
-        if k in memo:
-            reply = memo[k]
-        elif k in active or len(stack) > fuel or states >= max_states:
-            reply = (set(), False)
-        else:
+        result = n2[3]
+        if result is None and len(stack) <= fuel and states < max_states:
             states += 1
-            active.add(k)
-            stack.append((k, thread_nfs(n)))
+            n2[3] = False
+            stack.append((n2, thread_nfs(n2)))
             reply = None
+        else:
+            # explored, in progress further out, or past a bound
+            reply = result or (set(), False)
     return Exploration(normal_forms, states, complete)

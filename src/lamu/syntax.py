@@ -102,8 +102,7 @@ class Record:
     """A plain record over the fields in ``__slots__``: ``==`` compares
     two records of one class field by field, and ``repr`` prints
     ``Class(field=value, ...)``.  Defining ``==`` leaves a record without
-    a hash; one immutable by contract (``test_api``) defines its own,
-    the hash of its field tuple."""
+    a hash; an immutable one is a ``Value``."""
     __slots__ = ()
 
     def _fields(self):
@@ -117,6 +116,14 @@ class Record:
     def __repr__(self):
         shown = [f"{f}={getattr(self, f)!r}" for f in self.__slots__]
         return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+class Value(Record):
+    """A record immutable by contract (``test_api``), hashed by its fields."""
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 class Term(_Node):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .syntax import (
-    AbsLoc, CoherenceError, Cons, LamuError, Record, Substitution, Term,
+    AbsLoc, CoherenceError, Cons, LamuError, Substitution, Term, Value,
     Var, alpha_eq, free_vars, is_value, spine, subst_apply, term_key,
 )
 
@@ -21,9 +21,9 @@ class NotAGoalError(LamuError):
     pass
 
 
-class Goal(Record):
-    """A goal between two values, immutable by contract; == and hash
-    compare the field tuple."""
+class Goal(Value):
+    """A goal between two values; as a ``Value``, == and hash compare
+    the field tuple."""
     __slots__ = ("lhs", "rhs")
 
     def __init__(self, lhs, rhs):
@@ -31,14 +31,6 @@ class Goal(Record):
             raise NotAGoalError("both sides of a goal must be values")
         self.lhs = lhs
         self.rhs = rhs
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lhs, self.rhs) == (other.lhs, other.rhs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lhs, self.rhs))
 
     def subst(self, sigma: Substitution) -> "Goal":
         return Goal(subst_apply(self.lhs, sigma), subst_apply(self.rhs, sigma))
@@ -51,12 +43,12 @@ def _goal_key(g: Goal):
     return term_key(g.lhs), term_key(g.rhs)
 
 
-class Problem(Record):
+class Problem(Value):
     """A unification problem: a set of goals with insertion order kept
     for the deterministic rewrite policy.  Duplicates (up to alpha)
     collapse; a problem of one goal holds no duplicate, so only a
-    problem of two or more goals keys them.  Immutable by contract: ==
-    and hash compare the goals."""
+    problem of two or more goals keys them.  As a ``Value``, == and hash
+    compare the goals."""
 
     __slots__ = ("goals",)
 
@@ -78,9 +70,6 @@ class Problem(Record):
 
     def __len__(self):
         return len(self.goals)
-
-    def __hash__(self):
-        return hash(self.goals)
 
     def __repr__(self):
         return f"Problem({list(self.goals)!r})"
@@ -120,29 +109,23 @@ def clash(v: Term, w: Term) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # The rewrite system
 
-class Stepped(Record):
+class Stepped(Value):
     """The problem one rule rewrote the last one to, and the rule.  Like
-    Failed and Solved, immutable by contract."""
+    Failed and Solved, a ``Value``."""
     __slots__ = ("problem", "rule")
 
     def __init__(self, problem, rule):
         self.problem = problem
         self.rule = rule
 
-    def __hash__(self):
-        return hash(self._fields())
 
-
-class Failed(Record):
+class Failed(Value):
     """A clash or the occurs check, at the goal where it was found."""
     __slots__ = ("reason", "goal")
 
     def __init__(self, reason, goal):
         self.reason = reason
         self.goal = goal
-
-    def __hash__(self):
-        return hash(self._fields())
 
 
 def unify_step(problem: Problem):
@@ -189,14 +172,11 @@ def unify_step(problem: Problem):
 # ---------------------------------------------------------------------------
 # mgu
 
-class Solved(Record):
+class Solved(Value):
     __slots__ = ("substitution",)
 
     def __init__(self, substitution):
         self.substitution = substitution
-
-    def __hash__(self):
-        return hash(self._fields())
 
 
 def mgu(problem: Problem):

@@ -16,7 +16,10 @@ slotted classes.  The nodes and the records that were frozen
 dataclasses are immutable by contract, checked by an AST scan of
 ``src/``, ``bench/`` and ``tests/``: nothing assigns or deletes one of
 their fields outside its class's ``__init__``, nor sets one through
-``setattr`` or a descriptor; verdicts and reports stay writable.
+``setattr`` or a descriptor; verdicts and reports stay writable.  The
+records that were frozen, but for five hot ones, and a problem are
+``Value``s, hashed by its one ``__hash__``; in ``src/`` only the base
+classes, ``Substitution`` and the hot five write out ``==`` or hash.
 Nothing in ``src/`` imports ``dataclasses``, and a fresh import of the
 CLI loads neither it nor ``inspect``.  Redexes are slotted tuples, and
 the reprs of nodes, records and redexes are pinned."""
@@ -41,8 +44,8 @@ from lamu.generator import GeneratorConfig
 from lamu.parallel import ParNormalResult, ParResult
 from lamu.reduction import BETA, EvalResult, Exploration, Redex, evaluate
 from lamu.syntax import (
-    Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Substitution, Term, Unif,
-    Var, singleton, term_key,
+    Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Record, Substitution, Term,
+    Unif, Value, Var, singleton, term_key,
 )
 from lamu.typecheck import Arrow, Base, Meta, StepReport, Typing, Verdict
 from lamu.unify import OCCURS_CHECK, Failed, Goal, Problem, Solved, Stepped
@@ -794,6 +797,76 @@ def test_the_guard_sees_every_kind_of_write():
     assert sorted(mutation_faults([("m", tree)])) == sorted(
         f"m:{fault}" for fault in planted + ["18: setattr(mod, k, 1)",
                                              "41: src.program"])
+
+
+# the classes of src/ that may write out == or hash: the ones of nodes,
+# of records and of values, a substitution's (its field is a dict), and
+# the five hot values, which typed compares and hashes up to 6 * 10 ** 5
+# times a pass, where a generic field-tuple == measured 1.7-1.8x slower
+OWN_EQ_HASH = {"_Node", "Record", "Value", "Substitution", "Atom", "Table",
+               "Base", "Arrow", "Meta"}
+HOT_VALUES = {Atom, Table, Base, Arrow, Meta}
+
+
+def eq_hash_faults(modules):
+    """module:line Class.name for each ``__eq__`` or ``__hash__`` that a
+    class outside OWN_EQ_HASH defines or assigns in its body."""
+    faults = []
+    for module, tree in modules:
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name not in OWN_EQ_HASH:
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        names = [node.name]
+                    elif isinstance(node, ast.Assign):
+                        names = [t.id for t in node.targets
+                                 if isinstance(t, ast.Name)]
+                    else:
+                        names = []
+                    faults += [f"{module}:{node.lineno} {cls.name}.{name}"
+                               for name in names
+                               if name in ("__eq__", "__hash__")]
+    return faults
+
+
+def test_src_writes_out_eq_and_hash_only_where_a_pass_needs_them():
+    assert eq_hash_faults(list(_modules())) == []
+
+
+def test_the_check_sees_a_written_out_hash():
+    tree = ast.parse(
+        "class Goal(Value):\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "    def __hash__(self):\n"
+        "        return 0\n"
+        "class Plain(Record):\n"
+        "    __hash__ = None\n"
+        "    def _fields(self):\n"
+        "        return ()\n"
+        "class Atom:\n"
+        "    def __hash__(self):\n"
+        "        return 1\n")
+    assert eq_hash_faults([("m", tree)]) == [
+        "m:2 Goal.__eq__", "m:4 Goal.__hash__", "m:7 Plain.__hash__"]
+
+
+def test_the_values_are_the_records_that_were_frozen():
+    # every Value subclass hashes its field tuple through Value's one
+    # __hash__; the records that were frozen dataclasses are values but
+    # for the five hot ones, and a unification problem is one too
+    values, stack = set(), [Value]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            values.add(sub)
+            stack.append(sub)
+    assert values == set(SAME_VALUES) - HOT_VALUES | {Problem}
+    assert all(cls.__hash__ is Value.__hash__ and cls.__eq__ is Record.__eq__
+               for cls in values)
+    assert not any(issubclass(cls, Record) for cls in HOT_VALUES)
+    goals = [Goal(X, C), Goal(C, X)]
+    assert Problem(goals) == Problem(list(goals))
+    assert hash(Problem(goals)) == hash(Problem(list(goals)))
 
 
 def test_redex_is_a_slotted_tuple():

@@ -35,7 +35,7 @@ from lamu.reduction import (
     reachable_normal_forms, replay, step_at,
 )
 from lamu.syntax import (
-    AbsLoc, App, Cons, Program, Session, Term, Unif, Var, check_coherent,
+    Abs, AbsLoc, App, Cons, Program, Session, Term, Unif, Var, check_coherent,
     free_vars, singleton, subst_single, subst_threads, subterms,
 )
 
@@ -168,6 +168,26 @@ def test_rightmost_stops_at_the_last_thread_with_a_redex():
                     lambda: evaluate(p, fuel=4000, strategy="rightmost"))
     assert not result.normal and result.steps == 4000
     assert len(result.program) == 3999
+
+
+def _p_tree(leaves):
+    """One thread: a balanced tree of P over leaves copies of \\x. x."""
+    if leaves == 1:
+        return Abs("x", singleton(Var("x")))
+    half = _p_tree(leaves // 2)
+    return App(App(Cons("P"), half), half)
+
+
+def test_leftmost_stops_at_the_first_redex_of_a_wide_thread():
+    # each step allocates the leftmost leaf still unallocated; the search
+    # skips the allocated subtrees, which are values, and stops at the
+    # first redex it meets (about 0.16 s), where one that collected every
+    # redex of the thread on each step took 8 s or more
+    p = Program((_p_tree(4096),))
+    result = within(3.0, "4 096 leftmost steps of one wide thread",
+                    lambda: evaluate(p, fuel=40_960))
+    assert result.normal and result.steps == 4096
+    assert {ts.rule for ts in result.trace} == {ALLOC}
 
 
 def test_divergent_evaluates_in_linear_time():
