@@ -28,7 +28,8 @@ from .reduction import (
 from .syntax import (
     FAIL, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, LamuError,
     Program, Session, Substitution, Term, Unif, Var, alpha_eq,
-    free_vars, is_value, singleton, subst_apply, subst_single,
+    check_coherent, coherence_witness, free_vars, is_value, singleton,
+    subst_apply, subst_single,
 )
 from .typecheck import (
     Arrow, Base, Type, TypeCheckError, check, default_signature, infer,
@@ -45,11 +46,11 @@ __all__ = [
     "Problem", "Program", "Session", "Solved", "SourceFile", "Substitution",
     "Term", "TooLarge", "TraceStep", "Type", "TypeCheckError", "Unif", "Var",
     "alpha_eq", "canonical_program", "canonical_thread", "check",
-    "default_signature", "denote", "denote_toplevel", "evaluate",
-    "find_redex", "free_vars", "hm_translate", "infer", "is_normal_program",
-    "is_normal_term", "is_stuck", "is_unifier", "is_value", "mgu",
-    "mgu_goal", "par_normalize", "par_step", "parse_file", "parse_program",
-    "parse_term", "pretty", "pretty_program", "pretty_term",
+    "check_coherent", "coherence_witness", "default_signature", "denote",
+    "denote_toplevel", "evaluate", "find_redex", "free_vars", "hm_translate",
+    "infer", "is_normal_program", "is_normal_term", "is_stuck", "is_unifier",
+    "is_value", "mgu", "mgu_goal", "par_normalize", "par_step", "parse_file",
+    "parse_program", "parse_term", "pretty", "pretty_program", "pretty_term",
     "reachable_normal_forms", "replay", "sample_programs", "singleton",
     "soundness_check", "step", "struct_equiv", "subject_reduction_check",
     "subst_apply", "subst_single",

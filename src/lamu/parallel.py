@@ -1,7 +1,8 @@
 """Simultaneous (parallel) reduction: a maximal-parallel evaluator that
 collects pending unification goals per thread and discharges them at the
 thread boundary.  Used as an independent oracle against the small-step
-evaluator.  Threads never interact, so a thread is the unit of work:
+evaluator.  ``par_term`` returns the reduct's threads and its pending
+goals.  Threads never interact, so a thread is the unit of work:
 ``par_normalize`` steps only the threads that are not yet normal, and
 its loop holds only those, so its cost is linear in the thread-steps
 it takes.
@@ -14,78 +15,64 @@ from . import unify
 from .equiv import is_normal_term
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Record, Session,
-    Term, Unif, Value, Var, check_coherent, is_value, singleton,
-    subst_apply, subst_single,
+    Term, Unif, Var, is_value, subst_apply, subst_single, subst_threads,
 )
 
-class ParResult(Value):
-    """A reduct and the unification goals it leaves pending; a
-    ``Value``."""
-    __slots__ = ("program", "goals")
 
-    def __init__(self, program, goals):
-        self.program = program
-        self.goals = goals
-
-
-def _lift(ctor, p: Program, q: Program) -> Program:
-    """Lift a binary term constructor to programs:
+def _lift(ctor, ts: tuple, us: tuple) -> tuple:
+    """Lift a binary term constructor to threads:
     (+_i t_i) * (+_j s_j) = +_i +_j (t_i * s_j)."""
-    return Program(tuple(ctor(t, s) for t in p for s in q))
+    return tuple([ctor(t, s) for t in ts for s in us])
 
 
-def par_term(t: Term, session: Session) -> ParResult:
+def par_term(t: Term, session: Session) -> Tuple[tuple, tuple]:
     """One maximal simultaneous reduction of a term: every root redex is
     contracted and every value-value unification is emitted as a pending
     goal; values map to themselves."""
     if is_value(t):
-        return ParResult(singleton(t), ())
+        return (t,), ()
     if isinstance(t, Abs):
         loc = session.fresh_loc()
-        return ParResult(singleton(AbsLoc(loc, t.var, t.body, t.ann)), ())
+        return (AbsLoc(loc, t.var, t.body, t.ann),), ()
     if isinstance(t, Fresh):
         y = session.fresh_var()
         return par_term(subst_single(t.body, t.var, Var(y)), session)
     if isinstance(t, App):
         if isinstance(t.fn, AbsLoc) and is_value(t.arg):
-            body = subst_single(t.fn.body, t.fn.var, t.arg)
-            return ParResult(body, ())
-        fn = par_term(t.fn, session)
-        arg = par_term(t.arg, session)
-        return ParResult(_lift(App, fn.program, arg.program),
-                         fn.goals + arg.goals)
+            return subst_threads(t.fn.body.threads, t.fn.var, t.arg), ()
+        fn, fn_goals = par_term(t.fn, session)
+        arg, arg_goals = par_term(t.arg, session)
+        return _lift(App, fn, arg), fn_goals + arg_goals
     if isinstance(t, Guard):
         if is_value(t.left):
             return par_term(t.right, session)
-        left = par_term(t.left, session)
-        right = par_term(t.right, session)
-        return ParResult(_lift(Guard, left.program, right.program),
-                         left.goals + right.goals)
+        left, left_goals = par_term(t.left, session)
+        right, right_goals = par_term(t.right, session)
+        return _lift(Guard, left, right), left_goals + right_goals
     if isinstance(t, Unif):
         if is_value(t.left) and is_value(t.right):
-            return ParResult(singleton(Cons(OK)),
-                             (unify.Goal(t.left, t.right),))
-        left = par_term(t.left, session)
-        right = par_term(t.right, session)
-        return ParResult(_lift(Unif, left.program, right.program),
-                         left.goals + right.goals)
+            return (Cons(OK),), (unify.Goal(t.left, t.right),)
+        left, left_goals = par_term(t.left, session)
+        right, right_goals = par_term(t.right, session)
+        return _lift(Unif, left, right), left_goals + right_goals
     raise TypeError(f"unexpected term {t!r}")
 
 
 def _par_thread(t: Term, session: Session) -> Tuple[Term, ...]:
     """One simultaneous step of one thread: reduce it, then apply the mgu
     of its pending goals; no threads when they fail to unify."""
-    result = par_term(t, session)
-    if not result.goals:
-        return result.program.threads
-    outcome = unify.mgu(unify.Problem(result.goals))
+    threads, goals = par_term(t, session)
+    if not goals:
+        return threads
+    outcome = unify.mgu(unify.Problem(goals))
     if isinstance(outcome, unify.Failed):
         return ()
-    return subst_apply(result.program, outcome.substitution).threads
+    return tuple([subst_apply(u, outcome.substitution) for u in threads])
 
 
 def par_step(p: Program, session=None) -> Program:
-    """One simultaneous reduction of a program, thread by thread."""
+    """One simultaneous reduction of a program, thread by thread; without
+    a session, Session.for_program checks p coherent."""
     if session is None:
         session = Session.for_program(p)
     return Program(tuple(u for t in p for u in _par_thread(t, session)))
@@ -123,7 +110,6 @@ def par_normalize(p: Program, fuel=200) -> ParNormalResult:
     holds normal threads and the slots of pending ones, and the slot
     tree is flattened once at the end.  A step costs the pending
     threads, not the finished ones."""
-    check_coherent(p)
     session = Session.for_program(p)
     root, pending = [], []
     _place(p.threads, root, pending)

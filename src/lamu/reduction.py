@@ -49,8 +49,7 @@ from . import unify
 from .equiv import canonical_thread
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Record, Session,
-    Substitution, Term, Unif, Var, check_coherent, subst_apply,
-    subst_single, subst_threads,
+    Substitution, Term, Unif, Var, subst_apply, subst_single, subst_threads,
 )
 
 ALLOC = "alloc"
@@ -249,7 +248,9 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
 
 
 def step(p: Program, session: Optional[Session] = None) -> Optional[TraceStep]:
-    """One leftmost reduction step, or None if normal."""
+    """One leftmost reduction step, or None if normal.  Without a
+    session, Session.for_program checks p coherent and makes one; a
+    given session is used as it is, and p is not walked again."""
     session = session or Session.for_program(p)
     redex = find_redex(p, unifications=session.unifications)
     if redex is None:
@@ -279,7 +280,6 @@ def evaluate(p: Program, fuel=1000, strategy="leftmost", seed=0) -> EvalResult:
     unchanged, so the search resumes at that thread."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    check_coherent(p)
     session = Session.for_program(p)
     rng = random.Random(seed) if strategy == "random" else None
     trace: List[TraceStep] = []
@@ -352,7 +352,6 @@ def reachable_normal_forms(p: Program, fuel=200,
     is None until an exploration from the node starts, False while it
     is in progress, and then its (normal forms, complete) pair.
     """
-    check_coherent(p)
     session = Session.for_program(p)
     states = 0
     table = {}      # thread key -> its node [key, thread, successors, result]

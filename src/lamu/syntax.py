@@ -10,9 +10,10 @@ of a mapped name comes back as the same object, so a substitution builds
 only the nodes above the occurrences it replaces.  ``term_key`` is the
 one canonical form: alpha-equivalence compares whole keys, and
 structural equivalence (module ``equiv``) compares their shapes.
-``==``, ``repr``, ``term_key``, ``free_vars``, ``coherence_witness`` and
-``Session.for_program`` walk the term with an explicit stack, so each
-takes a term of any depth.
+``Session.for_program`` is the one pass before a run: a coherence walk
+per thread, which also collects the names and locations to avoid.
+``==``, ``repr``, ``term_key``, ``free_vars`` and that walk use an
+explicit stack, so each takes a term of any depth.
 """
 from __future__ import annotations
 
@@ -207,9 +208,6 @@ class Program(_Node):
     @property
     def is_fail(self):
         return not self.threads
-
-    def __add__(self, other: "Program") -> "Program":
-        return Program(self.threads + other.threads)
 
     def __iter__(self):
         return iter(self.threads)
@@ -549,26 +547,30 @@ def alpha_eq(a, b) -> bool:
 # ---------------------------------------------------------------------------
 # Coherence
 
-def coherence_witness(terms: Iterable[Term]):
-    """None if the set of terms is coherent, else a description of the
-    violated condition.  The closures are visited in pre-order, each with
-    the names bound above it, by a walk with an explicit stack; the
-    first that captures a name is the witness, else the first location
-    whose closures differ."""
+def _coherence_walk(terms: tuple, names: set):
+    """The walk behind coherence_witness and Session.for_program: the
+    closures in pre-order, each with the names bound above it, on an
+    explicit stack that also adds every name, free or bound, to names.
+    Returns (witness, by_loc): the first closure that captures a name,
+    else the first location whose closures differ, else None; and each
+    location's closures."""
     by_loc = {}
-    stack = [(t, frozenset()) for t in reversed(tuple(terms))]
+    stack = [(t, frozenset()) for t in reversed(terms)]
     while stack:
         t, bound = stack.pop()
         cls = type(t)
-        if cls is App:
+        if cls is Var:
+            names.add(t.name)
+        elif cls is App:
             stack.extend(((t.arg, bound), (t.fn, bound)))
         elif cls is Guard or cls is Unif:
             stack.extend(((t.right, bound), (t.left, bound)))
         elif cls is Abs or cls is AbsLoc or cls is Fresh:
+            names.add(t.var)
             if cls is AbsLoc:
-                captured = free_vars(t) & bound
+                captured = bound and free_vars(t) & bound
                 if captured:
-                    return ("captured-variable", t, sorted(captured))
+                    return ("captured-variable", t, sorted(captured)), by_loc
                 by_loc.setdefault(t.loc, []).append(t)
             inner = bound | {t.var}
             body = (t.body,) if cls is Fresh else t.body.threads
@@ -577,15 +579,19 @@ def coherence_witness(terms: Iterable[Term]):
         first = nodes[0]
         for other in nodes[1:]:
             if not alpha_eq(first, other):
-                return ("location-mismatch", loc, first, other)
-    return None
+                return ("location-mismatch", loc, first, other), by_loc
+    return None, by_loc
+
+
+def coherence_witness(terms: Iterable[Term]):
+    """None if the set of terms is coherent, else a description of the
+    violated condition."""
+    return _coherence_walk(tuple(terms), set())[0]
 
 
 def check_coherent(p: Program):
-    for i, t in enumerate(p):
-        w = coherence_witness([t])
-        if w is not None:
-            raise CoherenceError(f"thread {i} violates coherence: {w[0]}", w)
+    """Session.for_program's coherence check, without the session."""
+    Session.for_program(p)
 
 
 # ---------------------------------------------------------------------------
@@ -619,16 +625,17 @@ class Session:
 
     @classmethod
     def for_program(cls, p: Program) -> "Session":
-        """A session that avoids every name in p, free or bound, and
-        issues locations from just above p's largest one, else from 1."""
-        names, locs = set(), []
-        for t in subterms(p):
-            if type(t) is Var:
-                names.add(t.name)
-            elif isinstance(t, (Abs, AbsLoc, Fresh)):
-                names.add(t.var)
-                if type(t) is AbsLoc:
-                    locs.append(t.loc)
+        """The session of a run of p, from one coherence walk per thread:
+        CoherenceError at the first thread that is not coherent, else a
+        session that avoids every name in p, free or bound, and issues
+        locations from just above p's largest one, else from 1."""
+        names, locs = set(), set()
+        for i, t in enumerate(p.threads):
+            witness, by_loc = _coherence_walk((t,), names)
+            if witness is not None:
+                raise CoherenceError(
+                    f"thread {i} violates coherence: {witness[0]}", witness)
+            locs.update(by_loc)
         return cls(avoid=names, first_loc=max(locs) + 1 if locs else 1)
 
     def fresh_var(self) -> str:

@@ -41,9 +41,7 @@ from lamu.equiv import (
     canonical_program, canonical_thread, is_normal_term,
 )
 from lamu.generator import DEFAULT_SIGNATURE, GeneratorConfig
-from lamu.parallel import (
-    ParNormalResult, ParResult, _lift, _par_thread, par_term,
-)
+from lamu.parallel import ParNormalResult, _lift, _par_thread, par_term
 from lamu.reduction import (
     ALLOC, BETA, FAILRULE, FRESH, GUARD, UNIF, EvalResult, Exploration,
     Redex, enumerate_redexes, evaluate, step_at,
@@ -51,7 +49,7 @@ from lamu.reduction import (
 from lamu.reduction import replay as replay_programs
 from lamu.syntax import (
     OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, LamuError,
-    Program, Session, Substitution, Term, Unif, Var, alpha_eq, check_coherent,
+    Program, Session, Substitution, Term, Unif, Var, alpha_eq,
     coherence_witness, free_vars, is_value, make_spine, singleton, spine,
     subst_apply, subterms,
 )
@@ -286,12 +284,6 @@ class MirrorGeneratorConfig:
     well_typed: bool = False
 
 
-@dataclass(frozen=True)
-class MirrorParResult:
-    program: Program
-    goals: tuple
-
-
 @dataclass
 class MirrorParNormalResult:
     program: Program
@@ -391,13 +383,12 @@ RECORD_MIRRORS = {
     Token: MirrorToken, SourceFile: MirrorSourceFile, Atom: MirrorAtom,
     Table: MirrorTable, InclusionReport: MirrorInclusionReport,
     SoundnessVerdict: MirrorSoundnessVerdict, StuckKind: MirrorStuckKind,
-    GeneratorConfig: MirrorGeneratorConfig, ParResult: MirrorParResult,
+    GeneratorConfig: MirrorGeneratorConfig, unify.Solved: MirrorSolved,
     ParNormalResult: MirrorParNormalResult, EvalResult: MirrorEvalResult,
     Exploration: MirrorExploration, Base: MirrorBase, Arrow: MirrorArrow,
     Meta: MirrorMeta, Typing: MirrorTyping, StepReport: MirrorStepReport,
     Verdict: MirrorVerdict, unify.Goal: MirrorGoal,
-    unify.Stepped: MirrorStepped, unify.Failed: MirrorFailed,
-    unify.Solved: MirrorSolved}
+    unify.Stepped: MirrorStepped, unify.Failed: MirrorFailed}
 # the records that were frozen, each rebuilt as itself
 SAME_VALUES = {cls: cls for cls, mirror in RECORD_MIRRORS.items()
                if mirror.__dataclass_params__.frozen}
@@ -1132,7 +1123,6 @@ def product_bfs(p: Program, key=canonical_program, fuel=200,
     """Breadth-first search over whole programs, identified by key: the
     product of the threads' state spaces.  The oracle that
     reachable_normal_forms is checked against, on small bounds."""
-    check_coherent(p)
     session = Session.for_program(p)
     visited = {key(p)}
     frontier = [p]
@@ -1169,7 +1159,6 @@ def reachable_normal_forms_oracle(p: Program, fuel=200,
     reduction.reachable_normal_forms, which expands each key once per
     call, is checked against: same normal forms, states and
     completeness."""
-    check_coherent(p)
     session = Session.for_program(p)
     states = 0
     memo = {}           # thread key -> (normal forms, complete)
@@ -1319,19 +1308,18 @@ def par_step_oracle(p: Program, session: Session) -> Program:
     reduced and its goals unified, normal or not."""
     threads = []
     for t in p:
-        result = par_term(t, session)
-        outcome = unify.mgu(unify.Problem(result.goals))
+        reduct, goals = par_term(t, session)
+        outcome = unify.mgu(unify.Problem(goals))
         if isinstance(outcome, unify.Failed):
             continue
         threads.extend(subst_apply_oracle(
-            result.program, outcome.substitution).threads)
+            Program(reduct), outcome.substitution).threads)
     return Program(tuple(threads))
 
 
 def par_normalize_oracle(p: Program, fuel=200) -> ParNormalResult:
     """par_step_oracle on the whole program until every thread is normal
     by is_normal_term_oracle, or for exactly fuel steps."""
-    check_coherent(p)
     session = Session.for_program(p)
     current = p
     for n in range(fuel + 1):
@@ -1347,7 +1335,6 @@ def par_normalize_carry_oracle(p: Program, fuel=200) -> ParNormalResult:
     """par_normalize as a loop that lists every thread on every step and
     carries the normal ones over unstepped: the loop that the pending-only
     par_normalize replaced, quadratic when one thread keeps splitting."""
-    check_coherent(p)
     session = Session.for_program(p)
     threads = [(t, is_normal_term(t)) for t in p]
     steps = 0
@@ -1517,27 +1504,24 @@ def brute_force_unifiable(problem, universe):
 # ---------------------------------------------------------------------------
 # Full relational enumeration, for tiny terms only (diamond spot checks)
 
-def par_term_all(t: Term, session: Session) -> List[ParResult]:
-    """Every member of the simultaneous reduction relation for a term.
-    Exponential; intended for bounded-size inputs."""
-    out: List[ParResult] = []
+def par_term_all(t: Term, session: Session) -> List[tuple]:
+    """Every member of the simultaneous reduction relation for a term,
+    each a (threads, goals) pair as par_term returns it.  Exponential;
+    intended for bounded-size inputs."""
+    out: List[tuple] = []
 
-    def binary(ctor, left, right, extra=None):
-        for lp in par_term_all(left, session):
-            for rp in par_term_all(right, session):
-                out.append(ParResult(_lift(ctor, lp.program, rp.program),
-                                     lp.goals + rp.goals))
-        if extra is not None:
-            out.append(extra())
+    def binary(ctor, left, right):
+        for lts, lgoals in par_term_all(left, session):
+            for rts, rgoals in par_term_all(right, session):
+                out.append((_lift(ctor, lts, rts), lgoals + rgoals))
 
     if isinstance(t, (Var, Cons, AbsLoc)):
-        return [ParResult(singleton(t), ())]
+        return [((t,), ())]
     if isinstance(t, Abs):
         loc = session.fresh_loc()
-        return [ParResult(singleton(t), ()),
-                ParResult(singleton(AbsLoc(loc, t.var, t.body, t.ann)), ())]
+        return [((t,), ()), ((AbsLoc(loc, t.var, t.body, t.ann),), ())]
     if isinstance(t, Fresh):
-        results = [ParResult(singleton(t), ())]
+        results = [((t,), ())]
         y = session.fresh_var()
         body = subst_single_oracle(t.body, t.var, Var(y))
         results.extend(par_term_all(body, session))
@@ -1546,7 +1530,7 @@ def par_term_all(t: Term, session: Session) -> List[ParResult]:
         binary(App, t.fn, t.arg)
         if isinstance(t.fn, AbsLoc) and is_value_oracle(t.arg):
             body = subst_single_oracle(t.fn.body, t.fn.var, t.arg)
-            out.append(ParResult(body, ()))
+            out.append((body.threads, ()))
         return out
     if isinstance(t, Guard):
         binary(Guard, t.left, t.right)
@@ -1556,8 +1540,7 @@ def par_term_all(t: Term, session: Session) -> List[ParResult]:
     if isinstance(t, Unif):
         binary(Unif, t.left, t.right)
         if is_value_oracle(t.left) and is_value_oracle(t.right):
-            out.append(ParResult(singleton(Cons(OK)),
-                                 (unify.Goal(t.left, t.right),)))
+            out.append(((Cons(OK),), (unify.Goal(t.left, t.right),)))
         return out
     raise TypeError(f"unexpected term {t!r}")
 
@@ -1569,21 +1552,16 @@ def par_step_all(p: Program, session=None) -> List[Program]:
     options_per_thread = []
     for t in p:
         resolved = []
-        for r in par_term_all(t, session):
-            outcome = unify.mgu(unify.Problem(r.goals))
+        for threads, goals in par_term_all(t, session):
+            outcome = unify.mgu(unify.Problem(goals))
             if isinstance(outcome, unify.Failed):
-                resolved.append(None)
+                resolved.append(())
             else:
-                resolved.append(subst_apply(r.program, outcome.substitution))
+                resolved.append(subst_apply(
+                    Program(threads), outcome.substitution).threads)
         options_per_thread.append(resolved)
-    results = [Program(())]
+    results = [()]
     for options in options_per_thread:
-        new_results = []
-        for prefix in results:
-            for option in options:
-                if option is None:
-                    new_results.append(prefix)
-                else:
-                    new_results.append(prefix + option)
-        results = new_results
-    return results
+        results = [prefix + option for prefix in results
+                   for option in options]
+    return [Program(threads) for threads in results]

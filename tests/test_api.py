@@ -41,7 +41,7 @@ from lamu.concrete import SourceFile, Token, parse_program
 from lamu.denot import Atom, InclusionReport, SoundnessVerdict, Table
 from lamu.equiv import STUCK_CONS, STUCK_VAR, StuckKind
 from lamu.generator import GeneratorConfig
-from lamu.parallel import ParNormalResult, ParResult
+from lamu.parallel import ParNormalResult
 from lamu.reduction import BETA, EvalResult, Exploration, Redex, evaluate
 from lamu.syntax import (
     Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Record, Substitution, Term,
@@ -542,11 +542,9 @@ WATCHED = {f for fields in FROZEN.values() for f in fields}
 CONSTRUCTORS = {**FROZEN, **{cls.__name__: cls.__slots__
                              for cls in RECORD_MIRRORS}}
 # objects (by module and source text) known to be of no immutable class:
-# the tracer rebinds module attributes, the CLI and the parser fill in a
-# SourceFile (whose program shares its name with ParResult's), and a
-# write to a Redex tuple must raise
-NOT_FROZEN = {("tracing", "mod"), ("cli", "src"), ("cli", "session"),
-              ("concrete", "src"), ("test_api", "redex")}
+# the tracer rebinds module attributes, and a write to a Redex tuple must
+# raise
+NOT_FROZEN = {("tracing", "mod"), ("test_api", "redex")}
 
 
 def _constructor_stores(tree, classes):
@@ -651,7 +649,8 @@ def test_terms_are_slotted_frozen_and_print_as_pinned(node, text):
 I, ATOM = Base("i"), Atom("i", ("atom", 0))
 GOAL = Goal(X, C)
 # one record of every kind with its repr, recorded from the dataclasses
-# the records were; a field left out prints its default
+# the records were; a field left out prints its default.  The order is
+# RECORD_MIRRORS's, and an entry keeps its index, which names its case
 GOLDEN_RECORDS = [
     (Token("lower", "x", 1, 1),
      "Token(kind='lower', text='x', line=1, col=1)"),
@@ -670,9 +669,8 @@ GOLDEN_RECORDS = [
      "GeneratorConfig(seed=0, max_depth=4, variables=('x', 'y', 'z'), "
      "signature={'C': i, 'D': i, 'S': i -> i, 'P': i -> i -> i}, "
      "allow_absloc=True, well_typed=False)"),
-    (ParResult(singleton(C), (GOAL,)),
-     "ParResult(program=Program(threads=(Cons(name='C'),)), "
-     "goals=(Goal(lhs=Var(name='x'), rhs=Cons(name='C')),))"),
+    (Solved(Substitution({"x": C})),
+     "Solved(substitution=Substitution({x -> Cons(name='C')}))"),
     (ParNormalResult(singleton(C), 0, True),
      "ParNormalResult(program=Program(threads=(Cons(name='C'),)), steps=0, "
      "normal=True)"),
@@ -695,8 +693,6 @@ GOLDEN_RECORDS = [
     (Failed(OCCURS_CHECK, GOAL),
      "Failed(reason='occurs check', goal=Goal(lhs=Var(name='x'), "
      "rhs=Cons(name='C')))"),
-    (Solved(Substitution({"x": C})),
-     "Solved(substitution=Substitution({x -> Cons(name='C')}))"),
 ]
 
 
@@ -757,11 +753,8 @@ def test_the_guard_sees_every_kind_of_write():
         "    delattr(t, 'ann')\n"
         "    object.__setattr__(t, 'fn', 1)\n"
         "    App.fn.__set__(t, 1)\n"
-        "class SourceFile:\n"
-        "    def __init__(self):\n"
-        "        self.program = None\n"
         "def g(atom, table, base, arrow, meta, goal, stepped, failed, solved,\n"
-        "      kind, result, problem, verdict, report, src):\n"
+        "      kind, problem, verdict, report):\n"
         "    atom.tag = 0\n"
         "    table.entries = ()\n"
         "    base.name = 'j'\n"
@@ -772,11 +765,9 @@ def test_the_guard_sees_every_kind_of_write():
         "    failed.reason = ''\n"
         "    solved.substitution = None\n"
         "    kind.sub = ()\n"
-        "    result.goals = ()\n"
         "    problem.goals = ()\n"
         "    verdict.ok = False\n"
-        "    report.detail = 'x'\n"
-        "    src.program = None\n")
+        "    report.detail = 'x'\n")
     planted = [
         "6: self.fn", "9: self.left", "11: t.arg", "12: t.value",
         "13: t.body", "14: t.name", "15: setattr(t, 'threads', ())",
@@ -784,19 +775,15 @@ def test_the_guard_sees_every_kind_of_write():
         "20: object.__setattr__(t, 'fn', 1)", "21: App.fn.__set__(t, 1)",
         # one write to each record that was frozen, and to a problem; the
         # fields of a verdict and a report stay writable
-        "27: atom.tag", "28: table.entries", "29: base.name",
-        "30: arrow.right", "31: meta.id", "32: goal.lhs", "33: stepped.rule",
-        "34: failed.reason", "35: solved.substitution", "36: kind.sub",
-        "37: result.goals", "38: problem.goals"]
-    # the tracer's setattr on a module is known not to touch a node, and
-    # the CLI's src is a SourceFile
+        "24: atom.tag", "25: table.entries", "26: base.name",
+        "27: arrow.right", "28: meta.id", "29: goal.lhs", "30: stepped.rule",
+        "31: failed.reason", "32: solved.substitution", "33: kind.sub",
+        "34: problem.goals"]
+    # the tracer's setattr on a module is known not to touch a node
     assert sorted(mutation_faults([("tracing", tree)])) == sorted(
-        f"tracing:{fault}" for fault in planted + ["41: src.program"])
-    assert sorted(mutation_faults([("cli", tree)])) == sorted(
-        f"cli:{fault}" for fault in planted + ["18: setattr(mod, k, 1)"])
+        f"tracing:{fault}" for fault in planted)
     assert sorted(mutation_faults([("m", tree)])) == sorted(
-        f"m:{fault}" for fault in planted + ["18: setattr(mod, k, 1)",
-                                             "41: src.program"])
+        f"m:{fault}" for fault in planted + ["18: setattr(mod, k, 1)"])
 
 
 # the classes of src/ that may write out == or hash: the ones of nodes,

@@ -8,9 +8,7 @@ from helpers import (
 from lamu.concrete import parse_program
 from lamu.equiv import is_normal_term, struct_equiv
 from lamu.generator import Generator, GeneratorConfig
-from lamu.parallel import (
-    ParNormalResult, ParResult, par_normalize, par_step, par_term,
-)
+from lamu.parallel import ParNormalResult, par_normalize, par_step, par_term
 from lamu.reduction import evaluate
 from lamu.syntax import (
     AbsLoc, App, Cons, Guard, Program, Session, Unif, Var, singleton,
@@ -35,22 +33,21 @@ def _parity_programs():
 
 
 def test_par_term_value_is_identity():
-    r = par_term(C, Session())
-    assert r.program == singleton(C) and r.goals == ()
+    assert par_term(C, Session()) == ((C,), ())
 
 
 def test_par_term_contracts_nested_redexes():
     # both unification goals fire in one simultaneous step
     t = App(Unif(C, C), Unif(D, D))
-    r = par_term(t, Session())
-    assert r.program == singleton(App(Cons("Ok"), Cons("Ok")))
-    assert len(r.goals) == 2
+    threads, goals = par_term(t, Session())
+    assert threads == (App(Cons("Ok"), Cons("Ok")),)
+    assert len(goals) == 2
 
 
 def test_par_term_beta_splits():
     t = App(AbsLoc(1, "x", Program((X, C))), D)
-    r = par_term(t, Session())
-    assert r.program == Program((D, C))
+    threads, goals = par_term(t, Session())
+    assert threads == (D, C) and goals == ()
 
 
 def test_par_step_discharges_goals():
@@ -129,7 +126,7 @@ def test_normal_threads_are_par_term_fixpoints():
             for t in set(normal) - checked:
                 used = Session.for_program(singleton(t))
                 twin = Session.for_program(singleton(t))
-                assert par_term(t, used) == ParResult(singleton(t), ())
+                assert par_term(t, used) == ((t,), ())
                 assert used.fresh_var() == twin.fresh_var()
                 assert used.fresh_loc() == twin.fresh_loc()
                 checked.add(t)
@@ -143,9 +140,9 @@ def test_par_term_all_contains_reflexive_and_maximal():
     t = Unif(C, C)
     session = Session()
     results = par_term_all(t, session)
-    programs = [r.program for r in results]
-    assert singleton(t) in programs
-    assert singleton(Cons("Ok")) in programs
+    reducts = [threads for threads, _ in results]
+    assert (t,) in reducts
+    assert (Cons("Ok"),) in reducts
 
 
 def test_diamond_property_on_tiny_programs():

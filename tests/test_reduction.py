@@ -6,10 +6,10 @@ import random
 import pytest
 
 from helpers import replay, splice, subst_single_oracle
-from lamu import reduction
+from lamu import reduction, syntax
 from lamu.concrete import parse_program
 from lamu.equiv import is_normal_term, struct_equiv
-from lamu.parallel import par_normalize
+from lamu.parallel import par_normalize, par_step
 from lamu.reduction import (
     ALLOC, BETA, FAILRULE, FRESH, GUARD, UNIF, enumerate_redexes,
     evaluate, find_redex, reachable_normal_forms, step, step_at,
@@ -193,10 +193,72 @@ def test_replay():
     assert not replay(r.trace, parse_program("C"))
 
 
+# two-thread programs whose second thread is not coherent: (\x@1. x)
+# (\y@1. C), two closures at one location, and \y. \x@1. y, a closure
+# that captures a bound name
+MISMATCH = AbsLoc(1, "y", singleton(C))
+CAPTURING = AbsLoc(1, "x", singleton(Y))
+INCOHERENT = [
+    (Program((C, App(ID1, MISMATCH))), "location-mismatch",
+     ("location-mismatch", 1, ID1, MISMATCH)),
+    (Program((D, Abs("y", singleton(CAPTURING)))), "captured-variable",
+     ("captured-variable", CAPTURING, ["y"])),
+]
+# every entry that runs a program without being given a session
+ENTRIES = [evaluate, reachable_normal_forms, par_normalize, step, par_step,
+           check_coherent]
+
+
 def test_evaluate_rejects_incoherent_input():
-    bad = singleton(App(ID1, AbsLoc(1, "x", singleton(C))))
-    with pytest.raises(CoherenceError):
-        evaluate(bad)
+    # each entry raises what check_coherent raises, witness included
+    for bad, kind, witness in INCOHERENT:
+        for entry in ENTRIES:
+            with pytest.raises(CoherenceError) as info:
+                entry(bad)
+            assert str(info.value) == (
+                f"thread 1 violates coherence: {kind}"), entry
+            assert info.value.witness == witness, entry
+
+
+def _count_walks(monkeypatch):
+    """The list that each whole-program walk made in syntax appends its
+    name to: the coherence walk, and coherence_witness and subterms,
+    through which a second walk of the same program would go."""
+    walks = []
+
+    def counted(name, walk):
+        def wrapper(*args):
+            walks.append(name)
+            return walk(*args)
+        return wrapper
+
+    for name in ("_coherence_walk", "coherence_witness", "subterms"):
+        walk = getattr(syntax, name, None)
+        if walk is not None:
+            monkeypatch.setattr(syntax, name, counted(name, walk))
+    return walks
+
+
+@pytest.mark.parametrize("entry", ENTRIES[:5])
+def test_a_run_walks_each_thread_once_before_it_starts(monkeypatch, entry):
+    p = parse_program(r"(\x. x) C | fresh y. (y =:= C) | D")
+    walks = _count_walks(monkeypatch)
+    entry(p)
+    assert walks == ["_coherence_walk"] * len(p)
+
+
+def test_a_given_session_is_not_walked_again(monkeypatch):
+    # the caller that made the session walked the program; step and
+    # par_step with it walk nothing, and so do not see incoherence
+    p = parse_program(r"(\x. x) C | fresh y. (y =:= C) | D")
+    session = Session.for_program(p)
+    walks = _count_walks(monkeypatch)
+    assert step(p, session) is not None
+    par_step(p, session)
+    assert walks == []
+    bad = INCOHERENT[0][0]
+    assert step(bad, Session()).rule == BETA
+    assert par_step(bad, Session()) == Program((C, MISMATCH))
 
 
 def test_a_deep_value_passes_every_entry_check():

@@ -62,7 +62,7 @@ def test_spine_roundtrip():
 
 def test_program_basics():
     assert FAIL.is_fail
-    assert len(singleton(X) + singleton(Y)) == 2
+    assert len(Program((X, Y))) == 2
     assert list(singleton(X)) == [X]
 
 
@@ -244,7 +244,7 @@ def test_coherence_witness_matches_the_recursive_walk():
                 closures = sum(isinstance(s, AbsLoc) for s in subterms(t))
                 for k in range(closures):
                     free_y = _replace_closure(t, k, lambda c: AbsLoc(
-                        c.loc, c.var, c.body + singleton(Y)))
+                        c.loc, c.var, Program(c.body.threads + (Y,))))
                     cases += [(free_y,), (Fresh("y", free_y),)]
                 for loc in locations(t):
                     other = AbsLoc(loc, "x", singleton(D))
@@ -280,20 +280,49 @@ def _supply(session):
             [session.fresh_loc() for _ in range(6)])
 
 
+def _with_clashing_location(p):
+    """p with the closure \\x. D at the least location of its last thread
+    that holds one, applied to that thread: a clash unless the closure
+    there is \\x. D too.  p itself if no thread holds a location."""
+    for i in range(len(p) - 1, -1, -1):
+        locs = locations(p[i])
+        if locs:
+            t = App(p[i], AbsLoc(min(locs), "x", singleton(D)))
+            return Program(p.threads[:i] + (t,) + p.threads[i + 1:])
+    return p
+
+
 def test_session_for_program_issues_what_its_names_and_locations_say():
     # one walk collects both; a program whose only location is negative
-    # issues locations from just above it
+    # issues locations from just above it.  A copy of each generated
+    # program with a clashing location raises what the recursive
+    # coherence walk finds in its first incoherent thread.
     only_negative = singleton(App(AbsLoc(-3, "v1", singleton(Var("v1"))),
                                   Var("v0")))
-    programs = [FAIL, Program((Var("v0"), ID1)), only_negative]
-    programs += itertools.islice(generated_programs(), 200)
+    generated = list(itertools.islice(generated_programs(), 200))
+    programs = [FAIL, Program((Var("v0"), ID1)), only_negative, *generated]
+    programs += map(_with_clashing_location, generated)
+    raised = 0
     for p in programs:
+        witnesses = [(i, coherence_witness_oracle((t,)))
+                     for i, t in enumerate(p)]
+        bad = [(i, w) for i, w in witnesses if w is not None]
+        if bad:
+            i, witness = bad[0]
+            with pytest.raises(CoherenceError) as info:
+                Session.for_program(p)
+            assert str(info.value) == (
+                f"thread {i} violates coherence: {witness[0]}"), p
+            assert info.value.witness == witness, p
+            raised += 1
+            continue
         locs = locations(p)
         first = max(locs) + 1 if locs else 1
         assert _supply(Session.for_program(p)) == _supply(
             Session(avoid=all_names(p), first_loc=first)), p
     assert _supply(Session.for_program(only_negative)) == (
         ["v2", "v3", "v4", "v5", "v6", "v7"], [-2, -1, 0, 1, 2, 3])
+    assert raised > 50
 
 
 # -- property tests
