@@ -15,11 +15,11 @@ Grammar sketch (lowest precedence first):
     freshterm::= 'fresh' LOW '.' term
     atom     ::= LOW | UP | '(' term-or-lambda ')'
 
-Variables are lowercase identifiers, constructors uppercase; ``Ok`` is
-reserved.  Lambda and fresh bodies extend as far right as possible.
-The printer follows the same levels: ``pretty_term`` dispatches on the
-node's type, and each kind parenthesizes itself where the grammar
-expects a higher level.
+Variables are lowercase identifiers, constructors uppercase; ``Ok`` and
+its type ``unit`` are reserved.  Lambda and fresh bodies extend as far
+right as possible.  The printer follows the same levels: ``pretty_term``
+dispatches on the node's type, and each kind parenthesizes itself where
+the grammar expects a higher level.
 """
 from __future__ import annotations
 
@@ -28,10 +28,10 @@ import re
 from typing import Dict, Iterator, List
 
 from .syntax import (
-    FAIL, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Record,
+    FAIL, OK, Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Record,
     Term, Unif, Var, free_vars,
 )
-from .typecheck import Arrow, Base, Type
+from .typecheck import UNIT, Arrow, Base, Type
 
 
 class ParseError(LamuError):
@@ -137,8 +137,11 @@ class _Parser:
 
     def parse_file(self) -> SourceFile:
         src = SourceFile()
+        reserved = {"cons": OK, "base": UNIT.name}
         while self.peek().kind in ("cons", "base", "def"):
             kind = self.next().kind
+            if self.peek().text == reserved.get(kind):
+                self.error(f"{kind} {self.peek().text} is reserved")
             if kind == "cons":
                 name = self.expect("upper").text
                 self.expect_punct(":")

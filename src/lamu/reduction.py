@@ -16,14 +16,15 @@ rebuilds only the nodes on the redex's path, shares every subterm beside
 it, and returns a ``TraceStep``, a delta naming the thread, what it
 became and the location, variable or substitution the rule issued.  Beta
 substitutes straight into the body's threads, and the substitution
-shares every subterm it does not change.  A run contracts each
-(closure, argument) pair of objects once: terms are immutable and
-shared, so the pair gives the same threads every time, and ``step_at``
-reads them from the session's memo.  The memo is keyed by identity:
-``==`` would hash whole terms, and a location alone would rest on
-coherence and ignore ``ann``.  The redex search reads the outcome of a
-unification of two values from a second memo of the session, so the
-explorer does not unify again the sides a state shares with its parent.
+shares every subterm it does not change.  A ``Unif`` of two values is
+one ``unif`` redex: ``step_at`` contracts it by unif when its sides
+have a most general unifier, else by fail.  A run contracts each
+(closure, argument) pair and unifies each pair of value sides once:
+terms are immutable and shared, so a pair of objects gives the same
+outcome every time, and ``step_at`` reads it from the session's memos,
+so the explorer does not unify again the sides a state shares with its
+parent.  The memos are keyed by identity: ``==`` would hash whole
+terms, and a location alone would rest on coherence and ignore ``ann``.
 ``Redex`` and ``TraceStep`` are built through ``tuple.__new__``, which
 skips the NamedTuple's generated Python-level ``__new__``.  ``evaluate``
 is the one loop that steps a program: it splices each delta into a list
@@ -65,18 +66,17 @@ _new = tuple.__new__    # builds a NamedTuple without its Python-level __new__
 
 
 class Redex(NamedTuple):
-    """The redex focus of thread ``thread``, contracted by ``rule``.
-    ``path`` leads from focus back to the thread root: a linked list of
-    ``(parent, side, outer_path)`` with side 0 for the ``fn``/``left``
-    child of parent and 1 for ``arg``/``right``, None at the root.  A
-    NamedTuple because the search builds one per redex, through
-    ``tuple.__new__`` with every field given; ``==`` compares
-    ``unify_outcome`` too."""
+    """The redex focus of thread ``thread``, contracted by ``rule``; a
+    ``Unif`` of two values is a ``unif`` redex, and ``step_at`` decides
+    whether unif or fail contracts it.  ``path`` leads from focus back
+    to the thread root: a linked list of ``(parent, side, outer_path)``
+    with side 0 for the ``fn``/``left`` child of parent and 1 for
+    ``arg``/``right``, None at the root.  A NamedTuple because the
+    search builds one per redex, through ``tuple.__new__``."""
     thread: int
     path: Optional[tuple]
     focus: Term
     rule: str
-    unify_outcome: object = None
 
 
 class TraceStep(NamedTuple):
@@ -95,52 +95,41 @@ class TraceStep(NamedTuple):
     focus: Optional[Term] = None
 
 
-def _collect(t: Term, path, thread: int, out: list, limit: int,
-             unifications: dict):
+def _collect(t: Term, path, thread: int, out: list, limit: int):
     """Append the redexes of t, reached along path in the given thread,
     to out in leftmost-innermost order (post-order, children left to
     right), stopping once out holds limit of them.  The search enters no
-    child that is a value: a value holds no redex.  The outcome of a
-    ``Unif`` of two values is read from unifications, the session's memo
-    (see ``Session``), or computed and stored there."""
+    child that is a value: a value holds no redex."""
     cls = type(t)
     if cls is App:
         fn, arg = t.fn, t.arg
         if not fn.value:
-            _collect(fn, (t, 0, path), thread, out, limit, unifications)
+            _collect(fn, (t, 0, path), thread, out, limit)
             if len(out) >= limit:
                 return
         if not arg.value:
-            _collect(arg, (t, 1, path), thread, out, limit, unifications)
+            _collect(arg, (t, 1, path), thread, out, limit)
         elif type(fn) is AbsLoc:
-            out.append(_new(Redex, (thread, path, t, BETA, None)))
+            out.append(_new(Redex, (thread, path, t, BETA)))
     elif cls is Guard or cls is Unif:
         left, right = t.left, t.right
         if not left.value:
-            _collect(left, (t, 0, path), thread, out, limit, unifications)
+            _collect(left, (t, 0, path), thread, out, limit)
             if len(out) >= limit:
                 return
         if not right.value:
-            _collect(right, (t, 1, path), thread, out, limit, unifications)
+            _collect(right, (t, 1, path), thread, out, limit)
             if len(out) >= limit:
                 return
         if cls is Guard:
             if left.value:
-                out.append(_new(Redex, (thread, path, t, GUARD, None)))
+                out.append(_new(Redex, (thread, path, t, GUARD)))
         elif left.value and right.value:
-            key = (id(left), id(right))
-            entry = unifications.get(key)
-            if entry is not None and entry[0] is left and entry[1] is right:
-                outcome = entry[2]
-            else:
-                outcome = unify.mgu_goal(left, right)
-                unifications[key] = (left, right, outcome)
-            rule = UNIF if isinstance(outcome, unify.Solved) else FAILRULE
-            out.append(_new(Redex, (thread, path, t, rule, outcome)))
+            out.append(_new(Redex, (thread, path, t, UNIF)))
     elif cls is Abs:
-        out.append(_new(Redex, (thread, path, t, ALLOC, None)))
+        out.append(_new(Redex, (thread, path, t, ALLOC)))
     elif cls is Fresh:
-        out.append(_new(Redex, (thread, path, t, FRESH, None)))
+        out.append(_new(Redex, (thread, path, t, FRESH)))
 
 
 def _plug(path, t: Term) -> Term:
@@ -156,37 +145,30 @@ def _plug(path, t: Term) -> Term:
     return t
 
 
-def enumerate_redexes(p, unifications=None) -> List[Redex]:
-    """Every redex of a program or a sequence of threads, in order;
-    unifications is the memo of a session, if the caller runs one."""
-    if unifications is None:
-        unifications = {}
+def enumerate_redexes(p) -> List[Redex]:
+    """Every redex of a program or a sequence of threads, in order."""
     out = []
     for i, t in enumerate(p):
         if not t.value:
-            _collect(t, None, i, out, _ALL, unifications)
+            _collect(t, None, i, out, _ALL)
     return out
 
 
-def find_redex(p, strategy="leftmost", rng=None, start=0,
-               unifications=None) -> Optional[Redex]:
+def find_redex(p, strategy="leftmost", rng=None, start=0) -> Optional[Redex]:
     """Select a redex of a program or a sequence of threads.  Default:
     leftmost thread, leftmost-innermost position, searching from thread
     start on.  Returns None iff the program is normal (from thread start
     on, under leftmost).  Leftmost searches forward from thread start and
     rightmost backward from the last thread; both skip the threads that
     are values and stop in the first thread that has a redex.  Random
-    draws from every redex of the program.  unifications is the memo of
-    a session, if the caller runs one."""
-    if unifications is None:
-        unifications = {}
+    draws from every redex of the program."""
     # leftmost reads out[0]: CPython specialises a non-negative list index
     if strategy == "leftmost":
         order, limit, pick = range(start, len(p)), 1, 0
     elif strategy == "rightmost":
         order, limit, pick = range(len(p) - 1, -1, -1), _ALL, -1
     elif strategy == "random":
-        redexes = enumerate_redexes(p, unifications)
+        redexes = enumerate_redexes(p)
         if not redexes:
             return None
         if rng is None:
@@ -198,7 +180,7 @@ def find_redex(p, strategy="leftmost", rng=None, start=0,
     for i in order:
         t = p[i]
         if not t.value:
-            _collect(t, None, i, out, limit, unifications)
+            _collect(t, None, i, out, limit)
             if out:
                 return out[pick]
     return None
@@ -210,10 +192,12 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
     contractum plugged back along redex.path, so it shares with t every
     subterm beside that path.  The step records what the rule issued:
     the location of alloc and the variable of fresh, taken from the
-    session, and the substitution of unif.  Beta substitutes the
-    argument into the closure's body once per (closure, argument) pair
-    of objects in a session and reads the threads from the session's
-    memo after that, so a run that meets the pair again shares them."""
+    session, and the substitution of unif.  A ``unif`` redex steps by
+    unif if its two sides have a most general unifier, else by fail.
+    Beta substitutes the argument into the closure's body, and unif
+    unifies the two sides, once per pair of objects in a session; after
+    that, the step reads the outcome from the session's memo, so a run
+    that meets the pair again shares it."""
     path = redex.path
     focus = redex.focus
     rule = redex.rule
@@ -237,10 +221,19 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
         fresh_var = session.fresh_var()
         after = (_plug(path, subst_single(focus.body, focus.var, Var(fresh_var))),)
     elif rule == UNIF:
-        sigma = redex.unify_outcome.substitution
-        after = (subst_apply(_plug(path, Cons(OK)), sigma),)
-    elif rule == FAILRULE:
-        after = ()
+        left, right = focus.left, focus.right
+        key = (id(left), id(right))
+        entry = session.unifications.get(key)
+        if entry is not None and entry[0] is left and entry[1] is right:
+            outcome = entry[2]
+        else:
+            outcome = unify.mgu_goal(left, right)
+            session.unifications[key] = (left, right, outcome)
+        if isinstance(outcome, unify.Solved):
+            sigma = outcome.substitution
+            after = (subst_apply(_plug(path, Cons(OK)), sigma),)
+        else:
+            rule, after = FAILRULE, ()
     else:
         raise ValueError(f"unknown rule {rule!r}")
     return _new(TraceStep, (rule, redex.thread, t, after, sigma, fresh_var,
@@ -252,7 +245,7 @@ def step(p: Program, session: Optional[Session] = None) -> Optional[TraceStep]:
     session, Session.for_program checks p coherent and makes one; a
     given session is used as it is, and p is not walked again."""
     session = session or Session.for_program(p)
-    redex = find_redex(p, unifications=session.unifications)
+    redex = find_redex(p)
     if redex is None:
         return None
     return step_at(p[redex.thread], redex, session)
@@ -285,8 +278,7 @@ def evaluate(p: Program, fuel=1000, strategy="leftmost", seed=0) -> EvalResult:
     trace: List[TraceStep] = []
     threads, start = list(p), 0
     for _ in range(fuel):
-        redex = find_redex(threads, strategy, rng, start,
-                           session.unifications)
+        redex = find_redex(threads, strategy, rng, start)
         if redex is None:
             return EvalResult(Program(threads), trace, True)
         i = redex.thread
@@ -296,8 +288,7 @@ def evaluate(p: Program, fuel=1000, strategy="leftmost", seed=0) -> EvalResult:
         if strategy == "leftmost":
             start = i
     return EvalResult(Program(threads), trace,
-                      find_redex(threads, start=start,
-                                 unifications=session.unifications) is None)
+                      find_redex(threads, start=start) is None)
 
 
 def replay(p: Program, trace) -> Iterator[Tuple[TraceStep, Program]]:
@@ -388,7 +379,7 @@ def reachable_normal_forms(p: Program, fuel=200,
                 if succ is None:
                     s, n[1] = n[1], None
                     succ = n[2] = []
-                    for r in enumerate_redexes((s,), session.unifications):
+                    for r in enumerate_redexes((s,)):
                         after = step_at(s, r, session).after
                         succ.append(node(after[0]) if len(after) == 1
                                     else tuple([node(t) for t in after]))

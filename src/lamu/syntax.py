@@ -585,12 +585,15 @@ def _coherence_walk(terms: tuple, names: set):
 
 def coherence_witness(terms: Iterable[Term]):
     """None if the set of terms is coherent, else a description of the
-    violated condition."""
+    violated condition.  The terms are judged jointly, as criterion 6
+    judges the sides of a unification problem; check_coherent judges a
+    program thread by thread."""
     return _coherence_walk(tuple(terms), set())[0]
 
 
 def check_coherent(p: Program):
-    """Session.for_program's coherence check, without the session."""
+    """Session.for_program's coherence check, without the session: each
+    thread on its own, since threads never interact."""
     Session.for_program(p)
 
 
@@ -608,7 +611,9 @@ class Session:
     threads a beta step got by substituting the value ``arg`` into the
     body of the closure ``fn``.  ``unifications`` maps ``(id(left),
     id(right))`` to ``(left, right, outcome)``: the ``unify.mgu_goal``
-    outcome of a ``Unif`` with those two value sides.  Terms are
+    outcome with which a step contracted a ``Unif`` of those two value
+    sides, by unif or by fail.  ``reduction.step_at`` alone reads and
+    writes both tables; the redex search takes neither.  Terms are
     immutable, so the same two objects always give the same result.  The
     memos are keyed by identity, since hashing a term walks all of it;
     an entry holds both objects, so their ids are not reused while the

@@ -462,7 +462,6 @@ class ContextRedex(NamedTuple):
     context: Term
     focus: Term
     rule: str
-    unify_outcome: object = None
 
 
 def _term_redexes_with_contexts(t: Term, context_of, thread: int) -> Iterator[ContextRedex]:
@@ -483,9 +482,7 @@ def _term_redexes_with_contexts(t: Term, context_of, thread: int) -> Iterator[Co
         yield from _term_redexes_with_contexts(t.left, lambda h: context_of(Unif(h, t.right)), thread)
         yield from _term_redexes_with_contexts(t.right, lambda h: context_of(Unif(t.left, h)), thread)
         if is_value_oracle(t.left) and is_value_oracle(t.right):
-            outcome = unify.mgu_goal(t.left, t.right)
-            rule = UNIF if isinstance(outcome, unify.Solved) else FAILRULE
-            yield ContextRedex(thread, context_of(HOLE), t, rule, outcome)
+            yield ContextRedex(thread, context_of(HOLE), t, UNIF)
     elif isinstance(t, Abs):
         yield ContextRedex(thread, context_of(HOLE), t, ALLOC)
     elif isinstance(t, Fresh):
@@ -798,7 +795,8 @@ def program_step_at(p: Program, redex: Redex, session: Session) -> ProgramStep:
     """Contract the redex by plugging the contractum into its weak
     context, then splice the result into a new program: the
     whole-program step that the thread-level step_at is checked
-    against."""
+    against.  A unif redex steps by unif or fail as a fresh mgu_goal of
+    its sides says."""
     i = redex.thread
     w = weak_context(redex)
     focus = redex.focus
@@ -817,10 +815,12 @@ def program_step_at(p: Program, redex: Redex, session: Session) -> ProgramStep:
         body = subst_single_oracle(focus.body, focus.var, Var(fresh_var))
         middle = (plug_term(w, body),)
     elif rule == UNIF:
-        sigma = redex.unify_outcome.substitution
-        middle = (subst_apply_oracle(plug_term(w, Cons(OK)), sigma),)
-    elif rule == FAILRULE:
-        middle = ()
+        outcome = unify.mgu_goal(focus.left, focus.right)
+        if isinstance(outcome, unify.Solved):
+            sigma = outcome.substitution
+            middle = (subst_apply_oracle(plug_term(w, Cons(OK)), sigma),)
+        else:
+            rule, middle = FAILRULE, ()
     else:
         raise ValueError(f"unknown rule {rule!r}")
     after = Program(p.threads[:i] + middle + p.threads[i + 1:])
@@ -1180,7 +1180,7 @@ def reachable_normal_forms_oracle(p: Program, fuel=200,
         for _ in range(fuel):
             next_frontier = []
             for s, k in frontier:
-                redexes = enumerate_redexes((s,), session.unifications)
+                redexes = enumerate_redexes((s,))
                 if not redexes:
                     nfs.add((k,))
                 for r in redexes:

@@ -8,7 +8,9 @@ defaulted parameter is passed by some call in ``src/``, ``bench/`` or
 ``tests/``: a parameter that no caller passes is a knob to remove.
 Every name a module imports is read in that module, and a module
 imports its siblings at module level and only through their public
-names.  No function keeps state in a module between calls: nothing
+names.  The redex search names neither the unifier nor the session's
+unification memo: ``step_at`` decides unif or fail.  No function keeps
+state in a module between calls: nothing
 declares a ``global``, writes into a module-level name's attributes or
 items, or calls a mutating method on one.  Terms, programs and the
 records (types, semantic values, goals, verdicts, results) are plain
@@ -487,6 +489,52 @@ def test_the_check_sees_bad_imports():
     ]
 
 
+SEARCH = {"_collect", "find_redex", "enumerate_redexes"}
+UNIFYING = {"unify", "unifications"}
+
+
+def search_faults(tree):
+    """function: name for each time a redex search function names the
+    unifier or the session's unification memo, in its parameters or its
+    body: the search only finds redexes, and step_at decides by
+    unification whether unif or fail contracts a ``=:=``."""
+    faults = []
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef) and function.name in SEARCH:
+            for node in ast.walk(function):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, (ast.arg, ast.keyword)):
+                    name = node.arg
+                else:
+                    continue
+                if name in UNIFYING:
+                    faults.append(f"{function.name}: {name}")
+    return faults
+
+
+def test_the_redex_search_does_not_unify():
+    assert search_faults(dict(_modules())["reduction"]) == []
+
+
+def test_the_check_sees_a_search_that_unifies():
+    tree = ast.parse(
+        "def _collect(t, out):\n"
+        "    out.append(unify.mgu_goal(t.left, t.right))\n"
+        "def find_redex(p, unifications=None):\n"
+        "    return p\n"
+        "def enumerate_redexes(p, session):\n"
+        "    return _collect(p, session.unifications)\n"
+        "def step_at(t, session):\n"
+        "    return unify.mgu_goal(t, session.unifications)\n")
+    assert search_faults(tree) == [
+        "_collect: unify", "find_redex: unifications",
+        "enumerate_redexes: unifications",
+    ]
+
+
 def dataclass_imports(modules):
     """module:line of each import of dataclasses, at any depth."""
     return [f"{module}:{node.lineno}" for module, tree in modules
@@ -862,6 +910,6 @@ def test_redex_is_a_slotted_tuple():
     assert repr(redex) == (
         "Redex(thread=0, path=None, focus=App(fn=AbsLoc(loc=1, var='x', "
         "body=Program(threads=(Var(name='x'),)), ann=None), "
-        "arg=Cons(name='C')), rule='beta', unify_outcome=None)")
+        "arg=Cons(name='C')), rule='beta')")
     with pytest.raises(AttributeError):
         redex.rule = "alloc"

@@ -363,6 +363,34 @@ def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
     assert out[:2] == ["error: out of memory", "C"]
 
 
+RESERVED = [
+    # each was accepted: the first made every guard's condition i -> i,
+    # the second denoted as one element, A, with base unit dropped
+    ("cons Ok : i -> i. Ok\n", "error: cons Ok is reserved at line 1, column 6\n"),
+    ("base unit = 3. cons A : unit. fresh x. x =:= A ; x\n",
+     "error: base unit is reserved at line 1, column 6\n"),
+]
+
+
+@pytest.mark.parametrize("text, error", RESERVED,
+                         ids=["cons-Ok", "base-unit"])
+def test_a_reserved_declaration_is_one_error_line(text, error, tmp_path,
+                                                  capsys):
+    path = tmp_path / "reserved.luni"
+    path.write_text(text, encoding="utf-8")
+    for command in ("run", "check", "denote"):
+        assert run_main([command, str(path)], capsys) == (
+            EXIT_USER_ERROR, "", error)
+
+
+def test_the_repl_rejects_a_reserved_declaration_and_keeps_its_own(
+        monkeypatch, capsys):
+    code, out = run_repl(["cons A : j.", "cons Ok : j. A", ":type A"],
+                         monkeypatch, capsys)
+    assert code == EXIT_OK
+    assert out[:2] == ["error: cons Ok is reserved at line 1, column 6", "j"]
+
+
 def test_confluence_suite_small(capsys):
     code, out, _ = run_main(
         ["test-confluence", "--samples", "30", "--seed", "7"], capsys)

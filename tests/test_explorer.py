@@ -144,9 +144,9 @@ def test_each_state_is_expanded_once_per_call(criterion_4_stream,
     p = criterion_4_stream[26]
     calls = []
 
-    def counting_enumerate_redexes(threads, unifications=None):
+    def counting_enumerate_redexes(threads):
         calls.append(threads)
-        return enumerate_redexes(threads, unifications)
+        return enumerate_redexes(threads)
 
     monkeypatch.setattr(reduction, "enumerate_redexes",
                         counting_enumerate_redexes)

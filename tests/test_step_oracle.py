@@ -13,9 +13,12 @@ it is built against the walk that decides value-ness from scratch, and
 ``subst_single`` against a ``Substitution`` through the rebuilding
 substitution.  Every step the explorer takes on the criterion 4/9
 stream is checked against the step rebuilt from its weak context by
-the rebuilding substitution, and every unification outcome it
-enumerates, memoised or not, against a fresh ``mgu_goal``."""
+the rebuilding substitution, and every unification it steps, its
+outcome memoised or not, against a fresh ``mgu_goal``.  A sha256 pins
+every answer of ``evaluate`` and the explorer on the criterion-4 stream
+and the critical pairs."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -28,7 +31,7 @@ from helpers import (
 )
 from lamu import reduction
 from lamu import unify
-from lamu.concrete import parse_file, parse_program
+from lamu.concrete import parse_file, parse_program, pretty_program
 from lamu.generator import Generator, GeneratorConfig
 from lamu.reduction import (
     ALLOC, BETA, FAILRULE, FRESH, GUARD, STRATEGIES, UNIF, enumerate_redexes, evaluate,
@@ -59,19 +62,18 @@ def oracle_evaluate(p, fuel):
         redex = find_redex_oracle(current)
         if redex is None:
             return current, trace, True
-        after = program_step_at(current, redex, session).after
-        sigma = fresh_var = fresh_loc = None
-        if redex.rule == UNIF:
-            sigma = unify.mgu_goal(redex.focus.left,
-                                   redex.focus.right).substitution
+        old = program_step_at(current, redex, session)
+        after = old.after
+        fresh_var = fresh_loc = None
         if redex.rule == FRESH:
             new_names = free_names_introduced(current, after)
             fresh_var = new_names[0] if new_names else None
         if redex.rule == ALLOC:
             fresh_loc = _new_location(current.threads[redex.thread],
                                       after.threads[redex.thread])
-        trace.append(ProgramStep(redex.rule, redex.thread, current, after,
-                                 sigma, fresh_var, fresh_loc, redex.focus))
+        trace.append(ProgramStep(old.rule, redex.thread, current, after,
+                                 old.substitution, fresh_var, fresh_loc,
+                                 redex.focus))
         current = after
     return current, trace, find_redex_oracle(current) is None
 
@@ -394,10 +396,10 @@ def test_every_explorer_step_matches_the_rebuilding_step(monkeypatch):
 
 
 def test_every_enumerated_unification_matches_a_fresh_mgu(monkeypatch):
-    # the explorer re-enumerates, on each state, the unifications that
-    # state shares with its parent, and reads their outcomes from the
-    # session's memo; the test above reuses redex.unify_outcome, so only
-    # a fresh mgu_goal of the sides can catch a stale outcome
+    # the explorer steps, in each state, the unifications that state
+    # shares with its parent, and step_at reads their outcomes from the
+    # session's memo; only a fresh mgu_goal of the sides, taken beside
+    # step_at, can catch a stale outcome
     mgu_goal = unify.mgu_goal
     counts = Counter()
 
@@ -405,24 +407,46 @@ def test_every_enumerated_unification_matches_a_fresh_mgu(monkeypatch):
         counts["computed"] += 1
         return mgu_goal(v, w)
 
-    def checked_enumerate_redexes(p, unifications):
-        redexes = enumerate_redexes(p, unifications)
-        for r in redexes:
-            if r.rule in (UNIF, FAILRULE):
-                fresh = mgu_goal(r.focus.left, r.focus.right)
-                assert type(fresh) is type(r.unify_outcome)
-                if isinstance(fresh, unify.Solved):
-                    assert dict(r.unify_outcome.substitution.items()) == \
-                        dict(fresh.substitution.items())
-                counts["enumerated"] += 1
-        return redexes
+    def checked_step_at(t, redex, session):
+        ts = step_at(t, redex, session)
+        if redex.rule == UNIF:
+            fresh = mgu_goal(redex.focus.left, redex.focus.right)
+            solved = isinstance(fresh, unify.Solved)
+            assert ts.rule == (UNIF if solved else FAILRULE)
+            if solved:
+                assert dict(ts.substitution.items()) == \
+                    dict(fresh.substitution.items())
+            counts["stepped"] += 1
+        return ts
 
     monkeypatch.setattr(unify, "mgu_goal", counting_mgu_goal)
-    monkeypatch.setattr(reduction, "enumerate_redexes",
-                        checked_enumerate_redexes)
+    monkeypatch.setattr(reduction, "step_at", checked_step_at)
     for p in confluence_stream():
         reachable_normal_forms(p, fuel=200, max_states=10_000)
-    assert 0 < counts["computed"] < counts["enumerated"]
+    assert 0 < counts["computed"] < counts["stepped"]
+
+
+# the sha256 of the answers below, pinned before the redex search left
+# the choice between unif and fail to step_at
+ANSWERS_DIGEST = "9c2b1da151afde6e77d04814f7fa3e20df47d430e7f0c8f8682957aca76a3ad0"
+
+
+def test_answers_match_the_pinned_digest():
+    # every step, EvalResult and Exploration on the criterion-4 stream's
+    # first 100 draws and the critical pairs (the stream without its
+    # divergent program), under every strategy
+    answers = []
+    for p in confluence_stream(100)[:-1]:
+        for strategy, seed in [("leftmost", 0), ("rightmost", 0),
+                               ("random", 0), ("random", 1), ("random", 2)]:
+            result = evaluate(p, 200, strategy, seed)
+            answers.extend((ts.rule, ts.thread, pretty_program(after))
+                           for ts, after in replay(p, result.trace))
+            answers.append(result.normal)
+        e = reachable_normal_forms(p, fuel=200, max_states=10_000)
+        answers.append((e.states, e.complete, sorted(e.normal_forms)))
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == ANSWERS_DIGEST
 
 
 def test_beta_shares_the_body_beside_the_occurrences():

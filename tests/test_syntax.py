@@ -16,7 +16,9 @@ from helpers import (
     plug, plug_term, rebuild, subst_apply_oracle, subst_equal, subst_loc,
     subst_single_oracle, support,
 )
+from lamu.concrete import parse_program
 from lamu.generator import Generator, GeneratorConfig, STRATIFIED_SIGNATURE
+from lamu.reduction import evaluate
 from lamu.syntax import (
     FAIL, OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard,
     NotAValueError, Program, Session, Substitution, Unif, Var,
@@ -208,6 +210,18 @@ def test_coherence_good_cases():
     assert coherent(App(ID1, ID2))
     # distinct threads may disagree on a location
     check_coherent(Program((ID1, AbsLoc(1, "x", singleton(C)))))
+
+
+def test_a_program_is_coherent_thread_by_thread_and_terms_jointly():
+    # threads never interact, so check_coherent and evaluate accept two
+    # threads that give L1 different closures; coherence_witness judges
+    # its terms jointly, as criterion 6 judges a unification problem
+    p = parse_program(r"(\x@L1. x) | (\y@L1. C)")
+    assert coherence_witness(p.threads) == (
+        "location-mismatch", 1, ID1, AbsLoc(1, "y", singleton(C)))
+    check_coherent(p)
+    result = evaluate(p)
+    assert result.normal and result.program == p
 
 
 def _replace_closure(t, k, change):
