@@ -16,8 +16,7 @@ from .syntax import (
     make_spine, singleton,
 )
 from .typecheck import (
-    Arrow, Base, Type, TypeCheckError, ambient_context, arg_types,
-    default_signature, infer,
+    Arrow, Base, Type, ambient_context, arg_types, default_signature, typable,
 )
 
 IOTA = Base("i")
@@ -70,8 +69,10 @@ class Generator:
     def __init__(self, config: Optional[GeneratorConfig] = None):
         self.config = config or GeneratorConfig()
         self.rng = random.Random(self.config.seed)
-        self._arg_counts = {c: len(arg_types(ty))
-                            for c, ty in self.config.signature.items()}
+        self._arities = sorted((c, len(arg_types(ty)))
+                               for c, ty in self.config.signature.items())
+        self._kinds = (["var", "cons", "absloc"] if self.config.allow_absloc
+                       else ["var", "cons"])
 
     # -- values
 
@@ -81,17 +82,14 @@ class Generator:
         cfg = self.config
         if depth is None:
             depth = cfg.max_depth
-        choices = ["var", "cons"]
-        if cfg.allow_absloc:
-            choices.append("absloc")
-        kind = self.rng.choice(choices) if depth > 0 else "var"
+        kind = self.rng.choice(self._kinds) if depth > 0 else "var"
         if kind == "var":
             return Var(self.rng.choice(cfg.variables))
         if kind == "absloc":
             loc, var, body = self.rng.choice(_CLOSED_BODIES)
             return AbsLoc(loc, var, body)
-        name = self.rng.choice(sorted(self._arg_counts))
-        args = [self.value(depth - 1) for _ in range(self._arg_counts[name])]
+        name, arity = self.rng.choice(self._arities)
+        args = [self.value(depth - 1) for _ in range(arity)]
         return make_spine(Cons(name), args)
 
     def goal(self) -> Tuple[Term, Term]:
@@ -131,16 +129,13 @@ class Generator:
 
     def programs(self) -> Iterator[Program]:
         """Endless stream of coherent programs; when well_typed is set,
-        only programs accepted by type inference are yielded."""
+        only the typable ones."""
         sig = default_signature(self.config.signature)
         while True:
             p = self.program()
-            if self.config.well_typed:
-                try:
-                    infer(ambient_context(p), sig, p)
-                except TypeCheckError:
-                    continue
-            yield p
+            if not self.config.well_typed or typable(
+                    ambient_context(p), sig, p):
+                yield p
 
 
 def sample_programs(n: int, config: Optional[GeneratorConfig] = None) -> List[Program]:

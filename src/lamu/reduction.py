@@ -209,7 +209,7 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
         fn, arg = focus.fn, focus.arg
         key = (id(fn), id(arg))
         entry = session.betas.get(key)
-        if entry is not None and entry[0] is fn and entry[1] is arg:
+        if entry is not None:
             body = entry[2]
         else:
             body = subst_threads(fn.body.threads, fn.var, arg)
@@ -224,7 +224,7 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
         left, right = focus.left, focus.right
         key = (id(left), id(right))
         entry = session.unifications.get(key)
-        if entry is not None and entry[0] is left and entry[1] is right:
+        if entry is not None:
             outcome = entry[2]
         else:
             outcome = unify.mgu_goal(left, right)

@@ -616,9 +616,9 @@ class Session:
     writes both tables; the redex search takes neither.  Terms are
     immutable, so the same two objects always give the same result.  The
     memos are keyed by identity, since hashing a term walks all of it;
-    an entry holds both objects, so their ids are not reused while the
-    session lives, and a reader checks them with ``is``.  The tables are
-    separate because a ``Unif``'s sides may be an ``App``'s two halves.
+    an entry holds both objects, so their ids name that one pair while
+    the session lives.  The tables are separate because a ``Unif``'s
+    sides may be an ``App``'s two halves.
     """
 
     def __init__(self, avoid=(), first_loc=1):

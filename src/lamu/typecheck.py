@@ -9,7 +9,7 @@ the first-order equality constraints by syntactic unification, in a pass
 that returns types only.  ``infer`` then defaults leftover metavariables
 to fresh base types, so they never escape a successful result, and
 builds the one annotated copy of the input; ``check`` unifies with the
-expected type and builds nothing.
+expected type, and ``typable`` stops after the pass: neither builds.
 """
 from __future__ import annotations
 
@@ -286,6 +286,15 @@ def infer(gamma: Dict[str, Optional[Type]], sig: Dict[str, Type],
     """Principal type plus annotated input.  gamma entries may be None
     for ambient variables whose types should be inferred."""
     return _Inferencer(gamma, sig, x).typing(x)
+
+
+def typable(gamma, sig, x) -> bool:
+    """Whether x has a type: infer's solving pass alone, building nothing."""
+    try:
+        _Inferencer(gamma, sig, x)
+    except TypeCheckError:
+        return False
+    return True
 
 
 def check(gamma, sig, x, expected: Type) -> None:

@@ -1,19 +1,21 @@
 """First-order unification over values, with location-aware clash.
 
-The rewrite system operates on finite sets of goals between values and
-produces either an idempotent most general unifier or a ``Failed``
-witness (clash or occurs check), the one record of failure for a step
-and for ``mgu``.  Allocated abstractions unify only when their locations
-coincide; under the coherence invariant equal locations imply
-alpha-equal bodies.
+``mgu`` runs Martelli & Montanari's (1982) transformations in place on
+one list of goals between values, each with the free names of its sides
+once a step needed them, and returns an idempotent most general unifier
+or a ``Failed`` witness (clash or occurs check).  Allocated abstractions
+unify only when their locations coincide; under the coherence invariant
+equal locations imply alpha-equal bodies.
 """
 from __future__ import annotations
 
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from .syntax import (
     AbsLoc, CoherenceError, Cons, LamuError, Substitution, Term, Value,
-    Var, alpha_eq, free_vars, is_value, spine, subst_apply, term_key,
+    Var, alpha_eq, free_vars, is_value, spine, subst_apply, subst_single,
+    term_key,
 )
 
 
@@ -32,38 +34,36 @@ class Goal(Value):
         self.lhs = lhs
         self.rhs = rhs
 
-    def subst(self, sigma: Substitution) -> "Goal":
-        return Goal(subst_apply(self.lhs, sigma), subst_apply(self.rhs, sigma))
 
-    def free_vars(self):
-        return free_vars(self.lhs) | free_vars(self.rhs)
+def _head(t: Term):
+    """What alpha-equivalence keeps of a value's top node."""
+    return t.name if type(t) in (Var, Cons) else getattr(t, "loc", None)
 
 
-def _goal_key(g: Goal):
-    return term_key(g.lhs), term_key(g.rhs)
+def _distinct(goals, sides):
+    """The goals without each one alpha-equal to an earlier one, where
+    sides(goal) is its pair of sides.  Alpha-equal goals have equal
+    heads, so goals whose heads all differ are not keyed."""
+    pairs = [sides(g) for g in goals]
+    if len({(_head(a), _head(b)) for a, b in pairs}) == len(goals):
+        return goals
+    first = {}
+    for g, (a, b) in zip(goals, pairs):
+        first.setdefault((term_key(a), term_key(b)), g)
+    return list(first.values())
 
 
 class Problem(Value):
     """A unification problem: a set of goals with insertion order kept
     for the deterministic rewrite policy.  Duplicates (up to alpha)
-    collapse; a problem of one goal holds no duplicate, so only a
-    problem of two or more goals keys them.  As a ``Value``, == and hash
-    compare the goals."""
+    collapse.  As a ``Value``, == and hash compare the goals."""
 
     __slots__ = ("goals",)
 
     def __init__(self, goals=()):
         goals = tuple(goals)
-        if len(goals) > 1:
-            seen = set()
-            out = []
-            for g in goals:
-                key = _goal_key(g)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(g)
-            goals = tuple(out)
-        self.goals = goals
+        self.goals = goals if len(goals) < 2 else tuple(
+            _distinct(goals, attrgetter("lhs", "rhs")))
 
     def __iter__(self):
         return iter(self.goals)
@@ -109,16 +109,6 @@ def clash(v: Term, w: Term) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # The rewrite system
 
-class Stepped(Value):
-    """The problem one rule rewrote the last one to, and the rule.  Like
-    Failed and Solved, a ``Value``."""
-    __slots__ = ("problem", "rule")
-
-    def __init__(self, problem, rule):
-        self.problem = problem
-        self.rule = rule
-
-
 class Failed(Value):
     """A clash or the occurs check, at the goal where it was found."""
     __slots__ = ("reason", "goal")
@@ -128,50 +118,6 @@ class Failed(Value):
         self.goal = goal
 
 
-def unify_step(problem: Problem):
-    """Apply exactly one rewrite rule to the first goal that some rule
-    fits, in insertion order.  For that goal the rule is the first that
-    fits in the priority delete > clash > occurs-check > orient >
-    match-lam > match-cons > eliminate.  Returns Stepped, Failed, or
-    None when the problem is in solved form."""
-    goals = problem.goals
-    for i, goal in enumerate(goals):
-        v, w = goal.lhs, goal.rhs
-        rest = goals[:i] + goals[i + 1:]
-        if isinstance(v, Var):
-            if isinstance(w, Var) and w.name == v.name:
-                return Stepped(Problem(rest), "u-delete")
-            if v.name in free_vars(w):
-                return Failed(OCCURS_CHECK, goal)
-            if any(v.name in g.free_vars() for g in rest):
-                sigma = Substitution({v.name: w})
-                new_rest = tuple(g.subst(sigma) for g in rest)
-                return Stepped(Problem(new_rest[:i] + (goal,) + new_rest[i:]),
-                               "u-eliminate")
-            continue
-        reason = clash(v, w)
-        if reason is not None:
-            return Failed(reason, goal)
-        if isinstance(w, Var):
-            return Stepped(Problem(rest[:i] + (Goal(w, v),) + rest[i:]),
-                           "u-orient")
-        if isinstance(v, AbsLoc):
-            # without a clash, w is an AbsLoc at the same location
-            if not alpha_eq(v, w):
-                raise CoherenceError(
-                    "equal locations with distinct bodies in unification goal")
-            return Stepped(Problem(rest), "u-match-lam")
-        # without a clash, both are structures with one head and arity
-        _, v_args = spine(v)
-        _, w_args = spine(w)
-        decomposed = tuple(Goal(a, b) for a, b in zip(v_args, w_args))
-        return Stepped(Problem(rest[:i] + decomposed + rest[i:]), "u-match-cons")
-    return None
-
-
-# ---------------------------------------------------------------------------
-# mgu
-
 class Solved(Value):
     __slots__ = ("substitution",)
 
@@ -179,21 +125,66 @@ class Solved(Value):
         self.substitution = substitution
 
 
+def _eliminate(side, names, name, value, value_names):
+    """One side of a goal and its free names, with value for name."""
+    if name in names:
+        return subst_single(side, name, value), names - {name} | value_names
+    return side, names
+
+
 def mgu(problem: Problem):
-    """Iterate the rewrite system to a normal form and read off the
-    idempotent most general unifier, or the failure witness."""
-    current = problem
-    while True:
-        result = unify_step(current)
-        if result is None:
-            bindings = {}
-            for g in current:
-                assert isinstance(g.lhs, Var), "normal form is not solved"
-                bindings[g.lhs.name] = g.rhs
-            return Solved(Substitution(bindings))
-        if isinstance(result, Failed):
-            return result
-        current = result.problem
+    """Rewrite the goals to a normal form and read off the idempotent
+    most general unifier, or the failure witness.  A step rewrites the
+    first goal, in insertion order, that a rule fits, by the first rule
+    in the order delete > clash > occurs check > orient > match-lam >
+    match-cons > eliminate; alpha-duplicate goals collapse to the first.
+    A goal is [lhs, its free names, rhs, its free names, the Goal given
+    or None], the names None until a step needs them."""
+    goals = [[g.lhs, None, g.rhs, None, g] for g in problem.goals]
+    i = 0
+    while i < len(goals):
+        goal = goals[i]
+        v, w = goal[0], goal[2]
+        if type(v) is Var:
+            name = v.name
+            if type(w) is Var and w.name == name:
+                del goals[i]                                # u-delete
+                i = 0
+                continue
+            for g in goals:
+                if g[1] is None:
+                    g[1], g[3] = free_vars(g[0]), free_vars(g[2])
+            if name in goal[3]:
+                return Failed(OCCURS_CHECK, goal[4] or Goal(v, w))
+            i += 1              # on to the next goal, unless one changes
+            for j, g in enumerate(goals):                   # u-eliminate
+                if g is not goal and (name in g[1] or name in g[3]):
+                    goals[j] = [*_eliminate(g[0], g[1], name, w, goal[3]),
+                                *_eliminate(g[2], g[3], name, w, goal[3]), None]
+                    i = 0
+            if i == 0:
+                goals[:] = _distinct(goals, itemgetter(0, 2))
+            continue
+        reason = clash(v, w)
+        if reason is not None:
+            return Failed(reason, goal[4] or Goal(v, w))
+        if type(w) is Var:                                  # u-orient
+            created = [[w, goal[3], v, goal[1], None]]
+        elif type(v) is AbsLoc:                             # u-match-lam
+            # without a clash, w is an AbsLoc at the same location
+            if not alpha_eq(v, w):
+                raise CoherenceError(
+                    "equal locations with distinct bodies in unification goal")
+            created = []
+        else:                                               # u-match-cons
+            # without a clash, both are structures with one head and arity
+            created = [[a, None, b, None, None]
+                       for a, b in zip(spine(v)[1], spine(w)[1])]
+        goals[i:i + 1] = created
+        if created and len(goals) > 1:
+            goals[:] = _distinct(goals, itemgetter(0, 2))
+        i = 0
+    return Solved(Substitution({g[0].name: g[2] for g in goals}))
 
 
 def mgu_goal(v: Term, w: Term):
@@ -201,6 +192,9 @@ def mgu_goal(v: Term, w: Term):
 
 
 def is_unifier(sigma: Substitution, problem: Problem) -> bool:
-    return all(
-        alpha_eq(subst_apply(g.lhs, sigma), subst_apply(g.rhs, sigma))
-        for g in problem)
+    """Whether sigma makes the two sides of every goal alpha-equal."""
+    for g in problem:
+        a, b = subst_apply(g.lhs, sigma), subst_apply(g.rhs, sigma)
+        if a != b and not alpha_eq(a, b):
+            return False
+    return True

@@ -21,8 +21,10 @@ substitution instance of a unification problem, a batch of generated
 goals, the brute-force unification oracle, the criterion-4 critical
 pairs, the recursive normal/stuck classifier, the whole-program
 simultaneous evaluator and the carry-over loop that lists every thread
-on every step, the two-phase unification step, and the full
-simultaneous reduction relation for the diamond spot checks."""
+on every step, the rule-by-rule unification step and the mgu that
+iterates it, the oracle of unify.mgu, the two-phase step that the
+rule-by-rule one is checked against, and the full simultaneous
+reduction relation for the diamond spot checks."""
 
 import functools
 import itertools
@@ -49,9 +51,9 @@ from lamu.reduction import (
 from lamu.reduction import replay as replay_programs
 from lamu.syntax import (
     OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, LamuError,
-    Program, Session, Substitution, Term, Unif, Var, alpha_eq,
+    Program, Session, Substitution, Term, Unif, Value, Var, alpha_eq,
     coherence_witness, free_vars, is_value, make_spine, singleton, spine,
-    subst_apply, subterms,
+    subst_apply, subterms, term_key,
 )
 from lamu.typecheck import (
     Arrow, Base, Meta, StepReport, Type, TypeCheckError, Typing, Verdict,
@@ -362,6 +364,17 @@ class MirrorGoal:
             raise unify.NotAGoalError("both sides of a goal must be values")
 
 
+# the record of one step of unify_step, below
+class Stepped(Value):
+    """The problem one rule rewrote the last one to, and the rule.  Like
+    Failed and Solved, a ``Value``."""
+    __slots__ = ("problem", "rule")
+
+    def __init__(self, problem, rule):
+        self.problem = problem
+        self.rule = rule
+
+
 @dataclass(frozen=True)
 class MirrorStepped:
     problem: unify.Problem
@@ -388,7 +401,7 @@ RECORD_MIRRORS = {
     Exploration: MirrorExploration, Base: MirrorBase, Arrow: MirrorArrow,
     Meta: MirrorMeta, Typing: MirrorTyping, StepReport: MirrorStepReport,
     Verdict: MirrorVerdict, unify.Goal: MirrorGoal,
-    unify.Stepped: MirrorStepped, unify.Failed: MirrorFailed}
+    Stepped: MirrorStepped, unify.Failed: MirrorFailed}
 # the records that were frozen, each rebuilt as itself
 SAME_VALUES = {cls: cls for cls, mirror in RECORD_MIRRORS.items()
                if mirror.__dataclass_params__.frozen}
@@ -1347,8 +1360,83 @@ def par_normalize_carry_oracle(p: Program, fuel=200) -> ParNormalResult:
 
 
 # ---------------------------------------------------------------------------
-# The two-phase unification step that unify.unify_step is checked
-# against: pick a rule name per goal, then dispatch on it
+# The rule-by-rule unification step, which rebuilds the problem after
+# every rule, and the mgu that iterates it: the oracle of unify.mgu
+
+def goal_free_vars(goal) -> frozenset:
+    return free_vars(goal.lhs) | free_vars(goal.rhs)
+
+
+def goal_subst(goal, sigma: Substitution):
+    return unify.Goal(subst_apply(goal.lhs, sigma), subst_apply(goal.rhs, sigma))
+
+
+def keyed_problem(goals):
+    """The problem of goals, each alpha-duplicate of an earlier goal
+    dropped by its full key, as unify.Problem drops it."""
+    first = {}
+    for g in goals:
+        first.setdefault((term_key(g.lhs), term_key(g.rhs)), g)
+    return unify.Problem(first.values())
+
+
+def unify_step(problem):
+    """Apply exactly one rewrite rule to the first goal that some rule
+    fits, in insertion order.  For that goal the rule is the first that
+    fits in the priority delete > clash > occurs-check > orient >
+    match-lam > match-cons > eliminate.  Returns Stepped, Failed, or
+    None when the problem is in solved form."""
+    Goal, Problem = unify.Goal, keyed_problem
+    goals = problem.goals
+    for i, goal in enumerate(goals):
+        v, w = goal.lhs, goal.rhs
+        rest = goals[:i] + goals[i + 1:]
+        if isinstance(v, Var):
+            if isinstance(w, Var) and w.name == v.name:
+                return Stepped(Problem(rest), "u-delete")
+            if v.name in free_vars(w):
+                return unify.Failed(unify.OCCURS_CHECK, goal)
+            if any(v.name in goal_free_vars(g) for g in rest):
+                sigma = Substitution({v.name: w})
+                new_rest = tuple(goal_subst(g, sigma) for g in rest)
+                return Stepped(Problem(new_rest[:i] + (goal,) + new_rest[i:]),
+                               "u-eliminate")
+            continue
+        reason = unify.clash(v, w)
+        if reason is not None:
+            return unify.Failed(reason, goal)
+        if isinstance(w, Var):
+            return Stepped(Problem(rest[:i] + (Goal(w, v),) + rest[i:]),
+                           "u-orient")
+        if isinstance(v, AbsLoc):
+            # without a clash, w is an AbsLoc at the same location
+            if not alpha_eq(v, w):
+                raise CoherenceError(
+                    "equal locations with distinct bodies in unification goal")
+            return Stepped(Problem(rest), "u-match-lam")
+        # without a clash, both are structures with one head and arity
+        _, v_args = spine(v)
+        _, w_args = spine(w)
+        decomposed = tuple(Goal(a, b) for a, b in zip(v_args, w_args))
+        return Stepped(Problem(rest[:i] + decomposed + rest[i:]), "u-match-cons")
+    return None
+
+
+def mgu_oracle(problem):
+    """unify_step iterated to a normal form: the idempotent most general
+    unifier read off the solved form, or the failure witness."""
+    while True:
+        result = unify_step(problem)
+        if result is None:
+            return unify.Solved(Substitution(
+                {g.lhs.name: g.rhs for g in problem}))
+        if isinstance(result, unify.Failed):
+            return result
+        problem = result.problem
+
+
+# The two-phase unification step that unify_step is checked against:
+# pick a rule name per goal, then dispatch on it
 
 def _rule_for(goal, rest_fv: frozenset) -> Optional[str]:
     """Highest-priority applicable rule for one goal.  Priority:
@@ -1376,13 +1464,13 @@ def _rule_for(goal, rest_fv: frozenset) -> Optional[str]:
 def unify_step_oracle(problem):
     """Apply exactly one rewrite rule to the first eligible goal, in
     insertion order.  Returns Stepped, Failed, or None in solved form."""
-    Goal, Problem, Stepped = unify.Goal, unify.Problem, unify.Stepped
+    Goal, Problem = unify.Goal, keyed_problem
     goals = problem.goals
     for i, goal in enumerate(goals):
         rest = goals[:i] + goals[i + 1:]
         rest_fv = frozenset()
         for g in rest:
-            rest_fv |= g.free_vars()
+            rest_fv |= goal_free_vars(g)
         rule = _rule_for(goal, rest_fv)
         if rule is None:
             continue
@@ -1407,7 +1495,7 @@ def unify_step_oracle(problem):
             return Stepped(Problem(rest[:i] + decomposed + rest[i:]), rule)
         if rule == "u-eliminate":
             sigma = Substitution({v.name: w})
-            new_rest = tuple(g.subst(sigma) for g in rest)
+            new_rest = tuple(goal_subst(g, sigma) for g in rest)
             return Stepped(Problem(new_rest[:i] + (goal,) + new_rest[i:]), rule)
     return None
 
@@ -1418,7 +1506,7 @@ def unify_step_oracle(problem):
 def problem_free_vars(problem) -> frozenset:
     out = frozenset()
     for g in problem:
-        out |= g.free_vars()
+        out |= goal_free_vars(g)
     return out
 
 
@@ -1430,7 +1518,7 @@ def problem_terms(problem) -> Iterator[Term]:
 
 def problem_subst(problem, sigma: Substitution):
     """The problem with sigma applied to both sides of every goal."""
-    return unify.Problem(g.subst(sigma) for g in problem)
+    return unify.Problem(goal_subst(g, sigma) for g in problem)
 
 
 def goals(gen, n: int) -> list:
@@ -1483,7 +1571,8 @@ def brute_force_unifiable(problem, universe):
     # due[k]: the goals whose variables are all among names[:k]
     due = [[] for _ in range(len(names) + 1)]
     for g in problem:
-        due[max((position[n] + 1 for n in g.free_vars()), default=0)].append(g)
+        due[max((position[n] + 1 for n in goal_free_vars(g)),
+                default=0)].append(g)
     asg = {}
 
     def search(k):

@@ -38,7 +38,7 @@ from collections import Counter
 import pytest
 
 import lamu
-from helpers import RECORD_MIRRORS, SAME_VALUES
+from helpers import RECORD_MIRRORS, SAME_VALUES, Stepped
 from lamu.concrete import SourceFile, Token, parse_program
 from lamu.denot import Atom, InclusionReport, SoundnessVerdict, Table
 from lamu.equiv import STUCK_CONS, STUCK_VAR, StuckKind
@@ -50,7 +50,7 @@ from lamu.syntax import (
     Unif, Value, Var, singleton, term_key,
 )
 from lamu.typecheck import Arrow, Base, Meta, StepReport, Typing, Verdict
-from lamu.unify import OCCURS_CHECK, Failed, Goal, Problem, Solved, Stepped
+from lamu.unify import OCCURS_CHECK, Failed, Goal, Problem, Solved
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "lamu")

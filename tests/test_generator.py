@@ -1,9 +1,13 @@
-"""Tests for the random program generator: determinism, coherence,
-depth bounds, and the shape of the sampled distribution."""
+"""Tests for the random program generator: determinism, the draws
+pinned, coherence, depth bounds, and the shape of the sampled
+distribution."""
+
+import hashlib
 
 from helpers import coherent, goals
 from lamu.generator import (
-    DEFAULT_SIGNATURE, Generator, GeneratorConfig, sample_programs,
+    DEFAULT_SIGNATURE, STRATIFIED_SIGNATURE, Generator, GeneratorConfig,
+    sample_programs,
 )
 from lamu.syntax import AbsLoc, Cons, Unif, Var, is_value, subterms
 from lamu.typecheck import (
@@ -17,6 +21,31 @@ def test_fixed_seed_reproduces_stream():
     assert a == b
     c = sample_programs(25, GeneratorConfig(seed=10))
     assert a != c
+
+
+# sha256 of the draws below, taken before the generator kept its
+# constructor table and value kinds from one call to the next
+DRAWS_DIGEST = ("b042ffc54a564e1d63606b9ecd5e02c2"
+                "a45beeec89061c77708afcae26b60478")
+
+
+def test_draws_match_the_pinned_digest():
+    # the typed workload's four streams: its goals, the two well-typed
+    # program streams and the round-trip programs
+    gen = Generator(GeneratorConfig(seed=13, max_depth=3,
+                                    variables=("x", "y")))
+    draws = [gen.goal() for _ in range(300)]
+    for config in (
+            GeneratorConfig(seed=19, max_depth=3, allow_absloc=False,
+                            well_typed=True),
+            GeneratorConfig(seed=29, max_depth=3, allow_absloc=False,
+                            well_typed=True,
+                            signature=dict(STRATIFIED_SIGNATURE)),
+            GeneratorConfig(seed=43, max_depth=4)):
+        stream = Generator(config).programs()
+        draws += [next(stream) for _ in range(60)]
+    digest = hashlib.sha256(repr(draws).encode()).hexdigest()
+    assert digest == DRAWS_DIGEST
 
 
 def test_depth_zero_is_atomic():

@@ -1,7 +1,7 @@
 """Tests for simple typing: inference, checking, failure modes, and
 subject reduction along evaluation; inference and check against the
 oracles that built the annotated copy twice, and a guard that check
-builds no node; types compare, hash and print as the dataclasses they
+and typable build no node; types compare, hash and print as the dataclasses they
 were."""
 
 import itertools
@@ -21,7 +21,7 @@ from lamu.syntax import (
 )
 from lamu.typecheck import (
     UNIT, Arrow, Base, Meta, StepReport, TypeCheckError, ambient_context, check,
-    default_signature, infer, subject_reduction_check, typed_steps,
+    default_signature, infer, subject_reduction_check, typable, typed_steps,
 )
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -352,3 +352,24 @@ def test_check_builds_no_node(monkeypatch):
     for context, x, ty in steps:
         assert check(context, sig, x, ty) is None
     assert len(steps) > 700
+
+
+def test_typable_answers_as_infer_and_builds_no_node(monkeypatch):
+    # every candidate criteria 7 and 8's streams draw, rejected ones
+    # included; with every node class typecheck imports unbuildable
+    cases = []
+    for config in (_criterion_7(), _criterion_8()):
+        sig = default_signature(config.signature)
+        draws = Generator(config)
+        for _ in range(400):
+            p = draws.program()
+            gamma = ambient_context(p)
+            cases.append((gamma, sig, p, not isinstance(
+                _inferred(infer, gamma, sig, p), str)))
+    for name, cls in vars(lamu.typecheck).items():
+        if isinstance(cls, type) and issubclass(cls, (Term, Program)):
+            monkeypatch.setattr(lamu.typecheck, name,
+                                _Unbuildable(name, (), {"node": cls}))
+    assert [typable(gamma, sig, p) for gamma, sig, p, _ in cases] == [
+        typed for *_, typed in cases]
+    assert 100 < sum(typed for *_, typed in cases) < 700

@@ -8,20 +8,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    assert_records_match_the_mirror, brute_force_unifiable, compose, ground_universe, problem_subst,
-    problem_terms, range_values, subst_equal, unify_step_oracle,
+    Stepped, assert_records_match_the_mirror, brute_force_unifiable, compose,
+    ground_universe, mgu_oracle, problem_free_vars, problem_subst,
+    problem_terms, range_values, subst_equal, unify_step, unify_step_oracle,
 )
 from lamu import unify
 from lamu.generator import Generator, GeneratorConfig
 from lamu.syntax import (
-    AbsLoc, App, CoherenceError, Cons, Substitution, Var,
-    coherence_witness, free_vars, make_spine, singleton, term_key,
+    AbsLoc, App, CoherenceError, Cons, Substitution, Var, alpha_eq,
+    coherence_witness, make_spine, singleton, term_key,
 )
 from lamu.unify import (
     ARITY_CLASH, CONSTRUCTOR_CLASH, LOCATION_CLASH,
     OCCURS_CHECK, TYPE_CLASH, Failed, Goal, NotAGoalError, Problem,
-    Solved, Stepped, clash, is_unifier, mgu, mgu_goal,
-    unify_step,
+    Solved, clash, is_unifier, mgu, mgu_goal,
 )
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -192,7 +192,7 @@ def test_brute_force_agrees_on_small_problems():
         outcome = mgu(g)
         witness = brute_force(g)
         if isinstance(outcome, Solved):
-            assert witness is not None or not g.free_vars()
+            assert witness is not None or not problem_free_vars(g)
         else:
             assert witness is None
 
@@ -325,3 +325,87 @@ def test_one_pass_step_matches_two_phase_oracle():
     assert rules == {"u-delete", "u-orient", "u-match-lam", "u-match-cons",
                      "u-eliminate", OCCURS_CHECK, CONSTRUCTOR_CLASH,
                      TYPE_CLASH, LOCATION_CLASH}
+
+
+# -- mgu against mgu_oracle, which iterates the rule-by-rule unify_step
+
+def _criterion_6_problems():
+    gen = Generator(GeneratorConfig(seed=13, max_depth=3,
+                                    variables=("x", "y")))
+    return [Problem([Goal(*gen.goal())
+                     for _ in range(gen.rng.randint(1, 3))])
+            for _ in range(1000)]
+
+
+def test_mgu_matches_the_oracle_on_criterion_6():
+    outcomes = [mgu(problem) for problem in _criterion_6_problems()]
+    assert outcomes == [mgu_oracle(problem)
+                        for problem in _criterion_6_problems()]
+    assert {type(o) for o in outcomes} == {Solved, Failed}
+
+
+def test_mgu_matches_the_oracle_on_random_problems():
+    # the whole outcome: a substitution, or a reason and its goal
+    kinds = set()
+    for seed in (1, 2, 3):
+        gen = Generator(GeneratorConfig(seed=seed, max_depth=3,
+                                        variables=("x", "y", "z")))
+        for _ in range(5000):
+            problem = Problem([Goal(*gen.goal())
+                               for _ in range(gen.rng.randint(1, 5))])
+            outcome = mgu(problem)
+            assert outcome == mgu_oracle(problem), problem
+            kinds.add(outcome.reason if isinstance(outcome, Failed)
+                      else len(outcome.substitution.items()))
+    assert kinds >= {OCCURS_CHECK, CONSTRUCTOR_CLASH, TYPE_CLASH,
+                     LOCATION_CLASH, 0, 1, 2, 3}
+
+
+def test_mgu_raises_the_oracles_coherence_error():
+    # two closures at one location with distinct bodies, met at once and
+    # after an eliminate step made them so
+    for problem in (
+            Problem([Goal(ID1, AbsLoc(1, "y", singleton(C)))]),
+            Problem([Goal(X, C), Goal(ID1, AbsLoc(1, "y", singleton(X)))])):
+        errors = []
+        for solve in (mgu, mgu_oracle):
+            with pytest.raises(CoherenceError) as info:
+                solve(problem)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+
+def test_mgu_keys_goals_only_where_their_heads_collide(monkeypatch):
+    # alpha-equal goals have equal heads (a variable's or constructor's
+    # name, a closure's location), so only a collision costs term_key
+    # walks; a step that creates no goal (delete, match-lam, a nullary
+    # match-cons) has nothing to look for
+    id1b = AbsLoc(1, "y", singleton(Y))
+    pair = Goal(cons("S", X), cons("S", C)), Goal(cons("S", Y), cons("S", D))
+    one_goal = [Problem([g]) for g in (
+        Goal(X, cons("S", Y)), Goal(C, X), Goal(ID1, id1b), pair[0],
+        Goal(C, C), Goal(C, D), Goal(X, cons("S", X)))]
+    # after the first step the two goals' heads collide
+    dropping = [Problem([first, *pair]) for first in (
+        Goal(X, X), Goal(ID1, id1b), Goal(D, D))]
+    duplicate = Problem([Goal(cons("P", cons("S", X), cons("S", X)),
+                              cons("P", cons("S", C), cons("S", C)))])
+    keyed = []
+    monkeypatch.setattr(unify, "term_key",
+                        lambda x: keyed.append(x) or term_key(x))
+    for problem in one_goal + dropping:
+        mgu(problem)
+    assert Problem([Goal(X, C), Goal(Y, C), Goal(ID1, X)]).goals
+    assert keyed == []
+    # match-cons makes S x = S C twice: a collision, keyed and collapsed
+    assert mgu(duplicate) == Solved(Substitution({"x": C}))
+    assert len(keyed) == 4
+    # equal sides, the common case, are not keyed by is_unifier either
+    compared = []
+    monkeypatch.setattr(unify, "alpha_eq",
+                        lambda a, b: compared.append(a) or alpha_eq(a, b))
+    sigma = Substitution({"x": C, "y": D})
+    assert is_unifier(sigma, Problem([Goal(X, C), *pair]))
+    assert compared == []
+    assert is_unifier(Substitution(), Problem([Goal(ID1, id1b)]))
+    assert len(compared) == 1
