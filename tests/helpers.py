@@ -1,63 +1,63 @@
-"""Helpers that only the tests use: a timer, the locations and names a
-term holds, value-ness by walking the term, terms, programs and records
-as the dataclasses that their equality, hash and repr are checked
-against, rebuilding a term or record node by node, term predicates, the
-recursive coherence walk and coherence as a predicate, weak contexts as
-terms with a hole and plugging into them, the closure-based redex
-search that the paths are checked against, the redex selection by
-strategy over every redex, the printer that decides parentheses by
-intrinsic level, location renaming, substitution equality,
-composition, support and range, the recursive free variables, the
-rebuilding substitution and one-variable substitution through a
-Substitution, trace replay, the whole-program step and the
-product-space explorer, the explorer that steps a state again in every
-search that visits it, the unitary check of denotations, the
-whole-program toplevel denotation, the model whose bases are closed in
-rounds to a least fixpoint, the typed layer that built a copy of
-the input in each of two passes (inference with its defaulter, check
-returning that typing, the step loop that replays whole programs and
-soundness over them), the free variables, terms and
-substitution instance of a unification problem, a batch of generated
-goals, the brute-force unification oracle, the criterion-4 critical
-pairs, the recursive normal/stuck classifier, the whole-program
-simultaneous evaluator and the carry-over loop that lists every thread
-on every step, the rule-by-rule unification step and the mgu that
-iterates it, the oracle of unify.mgu, the two-phase step that the
-rule-by-rule one is checked against, and the full simultaneous
+"""Helpers that only the tests use.  Each fast path of src/ is checked
+against one slow definition, here unless named:
+
+  fast path                            its oracle
+  Term.value, set when built           is_value_oracle: a walk
+  == / hash / repr of nodes, records   rule_key, rule_repr, fields: the
+                                       rules over the fields
+  coherence_witness, free_vars         coherence_witness_oracle,
+    (explicit stacks)                  free_vars_oracle (recursion)
+  subst_single, subst_apply (sharing)  subst_oracle (rebuilding)
+  pretty_term (dispatch on type)       pretty_term_oracle (levels)
+  enumerate_redexes's paths            redexes_with_contexts (weak contexts)
+  find_redex (stops early)             find_redex_oracle (every redex)
+  step_at, evaluate (thread deltas)    program_step_at (plug, then splice)
+  reachable_normal_forms               product_bfs (whole programs)
+  term_key, canonical_program          canon_oracle.canonicalize
+  is_stuck, is_normal_term             is_stuck_oracle (rule by rule)
+  par_normalize (pending threads)      par_normalize_oracle (whole program)
+  mgu (one pass, in place)             mgu_oracle (iterates unify_step)
+  infer, check                         infer_oracle, check_oracle
+  denote_toplevel (thread by thread)   denote_toplevel_oracle (product)
+  Model (bases closed in order)        RoundLoopModel (rounds, fixpoint)
+  soundness_check, typed_steps         soundness_check_oracle,
+                                       typed_steps_oracle (whole programs)
+  concrete.hm_translate                typecheck.infer (test_concrete)
+
+Besides: a timer, term, context and substitution utilities, trace
+replay, unification-problem helpers, the brute-force ground unifier of
+criterion 6, the criterion-4 critical pairs and the full simultaneous
 reduction relation for the diamond spot checks."""
 
 import functools
 import itertools
 import signal
-from dataclasses import dataclass, field
 from typing import Iterator, List, NamedTuple, Optional
 
 from lamu import unify
-from lamu.concrete import SourceFile, Token
 from lamu.denot import (
     Atom, DenotError, InclusionReport, Model, SemValue, SoundnessVerdict,
     Table, TooLarge, _result_base, denote, denote_toplevel,
 )
 from lamu.equiv import (
     STUCK_CONS, STUCK_GUARD, STUCK_LAM, STUCK_UNIF, STUCK_VAR, StuckKind,
-    canonical_program, canonical_thread, is_normal_term,
+    canonical_program,
 )
-from lamu.generator import DEFAULT_SIGNATURE, GeneratorConfig
-from lamu.parallel import ParNormalResult, _lift, _par_thread, par_term
+from lamu.parallel import ParNormalResult, _lift, par_term
 from lamu.reduction import (
-    ALLOC, BETA, FAILRULE, FRESH, GUARD, UNIF, EvalResult, Exploration,
-    Redex, enumerate_redexes, evaluate, step_at,
+    ALLOC, BETA, FAILRULE, FRESH, GUARD, UNIF, Exploration, Redex,
+    enumerate_redexes, evaluate,
 )
 from lamu.reduction import replay as replay_programs
 from lamu.syntax import (
     OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, LamuError,
-    Program, Session, Substitution, Term, Unif, Value, Var, alpha_eq,
-    coherence_witness, free_vars, is_value, make_spine, singleton, spine,
+    Program, Record, Session, Substitution, Term, Unif, Value, Var, _Node,
+    alpha_eq, coherence_witness, free_vars, make_spine, singleton, spine,
     subst_apply, subterms, term_key,
 )
 from lamu.typecheck import (
-    Arrow, Base, Meta, StepReport, Type, TypeCheckError, Typing, Verdict,
-    _Solver, ambient_context, arg_types, base_names,
+    Arrow, Base, Meta, Type, TypeCheckError, Typing, _Solver,
+    ambient_context, arg_types, base_names,
 )
 
 
@@ -117,251 +117,102 @@ def is_value_oracle(t: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Terms and programs as the frozen dataclasses they were before they
-# became plain slotted classes: the equality, hash and repr that
-# syntax's hand-written ones are checked against
+# The rules that ==, hash and repr of the nodes and records keep, stated
+# once over their fields: what the hand-written ones are checked against
 
-@dataclass(frozen=True, slots=True)
-class MirrorTerm:
-    value = False
-
-
-@dataclass(frozen=True, slots=True)
-class MirrorVar(MirrorTerm):
-    name: str
-    value = True
+def _ruled(x) -> bool:
+    """A node, or a record that the rules below speak of: Substitution
+    (its map compared and hashed as a set of items) is not one."""
+    return (isinstance(x, (_Node, Record, Atom, Table, Base, Arrow, Meta))
+            and type(x) is not Substitution)
 
 
-@dataclass(frozen=True, slots=True)
-class MirrorCons(MirrorTerm):
-    name: str
-    value = True
+def fields(x) -> tuple:
+    """x's fields in slot order; on a node, without value."""
+    return tuple([getattr(x, f) for f in type(x).__slots__ if f != "value"])
 
 
-@dataclass(frozen=True, slots=True)
-class MirrorAbs(MirrorTerm):
-    var: str
-    body: "MirrorProgram"
-    ann: Optional[object] = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, slots=True)
-class MirrorAbsLoc(MirrorTerm):
-    loc: int
-    var: str
-    body: "MirrorProgram"
-    ann: Optional[object] = field(default=None, compare=False)
-    value = True
-
-
-@dataclass(frozen=True, slots=True)
-class MirrorApp(MirrorTerm):
-    # value stays unset: the mirror checks only what ignores it
-    fn: MirrorTerm
-    arg: MirrorTerm
-    value: bool = field(init=False, repr=False, compare=False)
-
-
-@dataclass(frozen=True, slots=True)
-class MirrorFresh(MirrorTerm):
-    var: str
-    body: MirrorTerm
-    ann: Optional[object] = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, slots=True)
-class MirrorGuard(MirrorTerm):
-    left: MirrorTerm
-    right: MirrorTerm
-
-
-@dataclass(frozen=True, slots=True)
-class MirrorUnif(MirrorTerm):
-    left: MirrorTerm
-    right: MirrorTerm
-
-
-@dataclass(frozen=True, slots=True)
-class MirrorProgram:
-    threads: tuple = ()
-
-
-MIRRORS = {Var: MirrorVar, Cons: MirrorCons, Abs: MirrorAbs,
-           AbsLoc: MirrorAbsLoc, App: MirrorApp, Fresh: MirrorFresh,
-           Guard: MirrorGuard, Unif: MirrorUnif, Program: MirrorProgram}
-SAME = {cls: cls for cls in MIRRORS}
-
-
-def rebuild(x, classes):
-    """x built again node by node, recursively, each node of class c by
-    classes[c] from its fields other than value: with MIRRORS its
-    mirror, with SAME a copy that shares no node with x.  Tuples and
-    frozensets are taken apart too, so a record's values inside its
-    fields are rebuilt as well."""
+def rule_key(x):
+    """What == compares: a node or record is its class with its fields'
+    keys, leaving out ann on terms; a tuple or frozenset is its
+    elements' keys; anything else is itself.  Two objects are equal
+    exactly when their keys are."""
     if type(x) is tuple:
-        return tuple(rebuild(t, classes) for t in x)
+        return tuple(map(rule_key, x))
     if type(x) is frozenset:
-        return frozenset(rebuild(t, classes) for t in x)
-    if type(x) not in classes:
+        return frozenset(map(rule_key, x))
+    if not _ruled(x):
         return x
-    return classes[type(x)](*[rebuild(getattr(x, f), classes)
-                              for f in type(x).__slots__ if f != "value"])
+    compared = [f for f in type(x).__slots__
+                if f != "value" and not (f == "ann" and isinstance(x, Term))]
+    return (type(x), *[rule_key(getattr(x, f)) for f in compared])
 
 
-# ---------------------------------------------------------------------------
-# The records (types, semantic values, goals, verdicts, results) as the
-# dataclasses they were before they became plain slotted classes: the
-# equality, hash and repr that the hand-written ones are checked against.
-# Methods that print or compare nothing are left out.
-
-@dataclass
-class MirrorToken:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-@dataclass
-class MirrorSourceFile:
-    signature: dict = field(default_factory=dict)
-    base_sizes: dict = field(default_factory=dict)
-    definitions: dict = field(default_factory=dict)
-    program: Program = field(default_factory=Program)
-
-
-@dataclass(frozen=True)
-class MirrorAtom:
-    base: str
-    tag: object
-
-    def __repr__(self):
-        if self.tag[0] == "atom":
-            return f"{self.base}#{self.tag[1]}"
-        name, args = self.tag[1], self.tag[2]
-        if args:
-            return f"{name}({', '.join(map(repr, args))})"
-        return name
+def rule_repr(x) -> str:
+    """What repr prints: a node or record as Class(field=value, ...),
+    without value; an atom as base#i or its constructor applied to its
+    arguments, a table as its entries, a base type as its name, an
+    arrow with its left side in parentheses when that is an arrow, a
+    metavariable as ?id; anything else as its own repr."""
+    cls = type(x)
+    if cls is tuple:
+        inner = ", ".join(map(rule_repr, x))
+        return f"({inner},)" if len(x) == 1 else f"({inner})"
+    if cls is Atom:
+        if x.tag[0] == "atom":
+            return f"{x.base}#{x.tag[1]}"
+        name, args = x.tag[1:]
+        return f"{name}({', '.join(map(rule_repr, args))})" if args else name
+    if cls is Table:
+        return "Table[" + ", ".join(
+            f"{rule_repr(a)}->{{{','.join(sorted(map(rule_repr, image)))}}}"
+            for a, image in x.entries) + "]"
+    if cls is Base:
+        return x.name
+    if cls is Arrow:
+        left = rule_repr(x.left)
+        return (f"({left})" if type(x.left) is Arrow else left) + \
+            f" -> {rule_repr(x.right)}"
+    if cls is Meta:
+        return f"?{x.id}"
+    if not _ruled(x) or cls is unify.Problem:
+        return repr(x)
+    shown = [f"{f}={rule_repr(getattr(x, f))}" for f in cls.__slots__
+             if f != "value"]
+    return f"{cls.__name__}({', '.join(shown)})"
 
 
-@dataclass(frozen=True)
-class MirrorTable:
-    entries: tuple
-
-    def __repr__(self):
-        inner = ", ".join(
-            f"{a!r}->{{{','.join(sorted(map(repr, img)))}}}"
-            for a, img in self.entries)
-        return f"Table[{inner}]"
-
-
-@dataclass
-class MirrorInclusionReport:
-    rule: str
-    ok: bool
-    equal: bool
-    detail: str = ""
+def rebuild(x):
+    """x built again node by node from its fields, sharing no node or
+    record with it: tuples and frozensets are taken apart too."""
+    if type(x) is tuple:
+        return tuple(map(rebuild, x))
+    if type(x) is frozenset:
+        return frozenset(map(rebuild, x))
+    if not _ruled(x):
+        return x
+    return type(x)(*map(rebuild, fields(x)))
 
 
-@dataclass
-class MirrorSoundnessVerdict:
-    ok: bool
-    steps: list
-    final_denotation: Optional[frozenset] = None
-
-
-@dataclass(frozen=True)
-class MirrorStuckKind:
-    kind: str
-    sub: tuple = ()
-
-
-@dataclass
-class MirrorGeneratorConfig:
-    seed: int = 0
-    max_depth: int = 4
-    variables: tuple = ("x", "y", "z")
-    signature: dict = field(default_factory=lambda: dict(DEFAULT_SIGNATURE))
-    allow_absloc: bool = True
-    well_typed: bool = False
-
-
-@dataclass
-class MirrorParNormalResult:
-    program: Program
-    steps: int
-    normal: bool
-
-
-@dataclass
-class MirrorEvalResult:
-    program: Program
-    trace: list
-    normal: bool
-
-
-@dataclass
-class MirrorExploration:
-    normal_forms: set
-    states: int
-    complete: bool
-
-
-@dataclass(frozen=True)
-class MirrorBase:
-    name: str
-
-    def __repr__(self):
-        return self.name
-
-
-@dataclass(frozen=True)
-class MirrorArrow:
-    left: object
-    right: object
-
-    def __repr__(self):
-        l = (f"({self.left!r})" if isinstance(self.left, MirrorArrow)
-             else f"{self.left!r}")
-        return f"{l} -> {self.right!r}"
-
-
-@dataclass(frozen=True)
-class MirrorMeta:
-    id: int
-
-    def __repr__(self):
-        return f"?{self.id}"
-
-
-@dataclass
-class MirrorTyping:
-    type: object
-    node: object
-    gamma: dict
-
-
-@dataclass
-class MirrorStepReport:
-    rule: str
-    ok: bool
-    error: Optional[str] = None
-
-
-@dataclass
-class MirrorVerdict:
-    ok: bool
-    steps: list = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class MirrorGoal:
-    lhs: Term
-    rhs: Term
-
-    def __post_init__(self):
-        if not (is_value(self.lhs) and is_value(self.rhs)):
-            raise unify.NotAGoalError("both sides of a goal must be values")
+def assert_records_keep_the_rules(records, pairs):
+    """repr of every record as the rules print it, its hash the hash of
+    its field tuple, and the record equal to a copy that shares no
+    record with it; == and != for each (i, j) in pairs as the rules
+    have them.  Only for the records with a hash.  Returns how many of
+    the pairs are unequal."""
+    keys = [rule_key(x) for x in records]
+    for x in records:
+        copy = rebuild(x)
+        assert copy is not x and copy == x and not copy != x, x
+        assert repr(x) == rule_repr(x)
+        assert hash(x) == hash(fields(x)) == hash(copy), x
+    unequal = 0
+    for i, j in pairs:
+        equal = keys[i] == keys[j]
+        assert (records[i] == records[j]) is equal, (records[i], records[j])
+        assert (records[i] != records[j]) is not equal
+        unequal += not equal
+    return unequal
 
 
 # the record of one step of unify_step, below
@@ -373,59 +224,6 @@ class Stepped(Value):
     def __init__(self, problem, rule):
         self.problem = problem
         self.rule = rule
-
-
-@dataclass(frozen=True)
-class MirrorStepped:
-    problem: unify.Problem
-    rule: str
-
-
-@dataclass(frozen=True)
-class MirrorFailed:
-    reason: str
-    goal: MirrorGoal
-
-
-@dataclass(frozen=True)
-class MirrorSolved:
-    substitution: Substitution
-
-
-RECORD_MIRRORS = {
-    Token: MirrorToken, SourceFile: MirrorSourceFile, Atom: MirrorAtom,
-    Table: MirrorTable, InclusionReport: MirrorInclusionReport,
-    SoundnessVerdict: MirrorSoundnessVerdict, StuckKind: MirrorStuckKind,
-    GeneratorConfig: MirrorGeneratorConfig, unify.Solved: MirrorSolved,
-    ParNormalResult: MirrorParNormalResult, EvalResult: MirrorEvalResult,
-    Exploration: MirrorExploration, Base: MirrorBase, Arrow: MirrorArrow,
-    Meta: MirrorMeta, Typing: MirrorTyping, StepReport: MirrorStepReport,
-    Verdict: MirrorVerdict, unify.Goal: MirrorGoal,
-    Stepped: MirrorStepped, unify.Failed: MirrorFailed}
-# the records that were frozen, each rebuilt as itself
-SAME_VALUES = {cls: cls for cls, mirror in RECORD_MIRRORS.items()
-               if mirror.__dataclass_params__.frozen}
-
-
-def assert_records_match_the_mirror(records, pairs):
-    """repr and hash of every record as its dataclass mirror has them,
-    each record equal to a copy that shares no record with it, and ==
-    and != for each (i, j) in pairs as the mirrors have them.  Only for
-    the records that were frozen, the ones with a hash.  Returns how
-    many of the pairs are unequal."""
-    mirrors = [rebuild(x, RECORD_MIRRORS) for x in records]
-    for x, m in zip(records, mirrors):
-        copy = rebuild(x, SAME_VALUES)
-        assert copy is not x and copy == x and not copy != x, x
-        assert repr(x) == repr(m).replace("Mirror", "")
-        assert hash(x) == hash(m) == hash(copy), x
-    unequal = 0
-    for i, j in pairs:
-        equal = mirrors[i] == mirrors[j]
-        assert (records[i] == records[j]) is equal, (records[i], records[j])
-        assert (records[i] != records[j]) is (mirrors[i] != mirrors[j])
-        unequal += not equal
-    return unequal
 
 
 # ---------------------------------------------------------------------------
@@ -1164,88 +962,6 @@ def product_bfs(p: Program, key=canonical_program, fuel=200,
     return Exploration(normal_forms, states, not frontier)
 
 
-def reachable_normal_forms_oracle(p: Program, fuel=200,
-                                  max_states=10000) -> Exploration:
-    """The thread-modular explorer that steps and keys a state again in
-    every search that visits it: each breadth-first search enumerates
-    and steps its own states.  The definition that
-    reduction.reachable_normal_forms, which expands each key once per
-    call, is checked against: same normal forms, states and
-    completeness."""
-    session = Session.for_program(p)
-    states = 0
-    memo = {}           # thread key -> (normal forms, complete)
-    active = set()      # keys of the explorations in progress
-
-    def program_nfs(threads):
-        nfs, complete = {()}, True
-        for t in threads:
-            sub, ok = yield t
-            nfs = {tuple(sorted(a + b)) for a in nfs for b in sub}
-            complete = complete and ok
-        return nfs, complete
-
-    def thread_nfs(t, key):
-        nonlocal states
-        visited = {key}
-        frontier = [(t, key)]
-        nfs, complete = set(), True
-        for _ in range(fuel):
-            next_frontier = []
-            for s, k in frontier:
-                redexes = enumerate_redexes((s,))
-                if not redexes:
-                    nfs.add((k,))
-                for r in redexes:
-                    after = step_at(s, r, session).after
-                    if len(after) != 1:
-                        sub, ok = yield from program_nfs(after)
-                        nfs |= sub
-                        complete = complete and ok
-                        continue
-                    k2 = canonical_thread(after[0])
-                    if k2 in visited:
-                        continue
-                    if k2 in active:
-                        complete = False
-                        continue
-                    if states >= max_states:
-                        return nfs, False
-                    visited.add(k2)
-                    states += 1
-                    next_frontier.append((after[0], k2))
-            frontier = next_frontier
-            if not frontier:
-                break
-        return nfs, complete and not frontier
-
-    stack = [(None, program_nfs(p.threads))]
-    reply = None
-    while True:
-        key, gen = stack[-1]
-        try:
-            t = gen.send(reply)
-        except StopIteration as stop:
-            stack.pop()
-            if not stack:
-                normal_forms, complete = stop.value
-                break
-            active.discard(key)
-            memo[key] = reply = stop.value
-            continue
-        k = canonical_thread(t)
-        if k in memo:
-            reply = memo[k]
-        elif k in active or len(stack) > fuel or states >= max_states:
-            reply = (set(), False)
-        else:
-            states += 1
-            active.add(k)
-            stack.append((k, thread_nfs(t, k)))
-            reply = None
-    return Exploration(normal_forms, states, complete)
-
-
 def critical_pair_instances():
     """(v1 =:= v2) (w1 =:= w2) t with both goals solvable, so the two
     interleavings must meet after discharging both unifiers."""
@@ -1344,21 +1060,6 @@ def par_normalize_oracle(p: Program, fuel=200) -> ParNormalResult:
     return ParNormalResult(current, fuel, False)
 
 
-def par_normalize_carry_oracle(p: Program, fuel=200) -> ParNormalResult:
-    """par_normalize as a loop that lists every thread on every step and
-    carries the normal ones over unstepped: the loop that the pending-only
-    par_normalize replaced, quadratic when one thread keeps splitting."""
-    session = Session.for_program(p)
-    threads = [(t, is_normal_term(t)) for t in p]
-    steps = 0
-    while steps < fuel and not all(normal for _, normal in threads):
-        threads = [(u, normal or is_normal_term(u)) for t, normal in threads
-                   for u in ((t,) if normal else _par_thread(t, session))]
-        steps += 1
-    return ParNormalResult(Program(tuple(t for t, _ in threads)), steps,
-                           all(normal for _, normal in threads))
-
-
 # ---------------------------------------------------------------------------
 # The rule-by-rule unification step, which rebuilds the problem after
 # every rule, and the mgu that iterates it: the oracle of unify.mgu
@@ -1433,71 +1134,6 @@ def mgu_oracle(problem):
         if isinstance(result, unify.Failed):
             return result
         problem = result.problem
-
-
-# The two-phase unification step that unify_step is checked against:
-# pick a rule name per goal, then dispatch on it
-
-def _rule_for(goal, rest_fv: frozenset) -> Optional[str]:
-    """Highest-priority applicable rule for one goal.  Priority:
-    delete > clash > occurs-check > orient > match-lam > match-cons
-    > eliminate."""
-    v, w = goal.lhs, goal.rhs
-    if isinstance(v, Var) and isinstance(w, Var) and v.name == w.name:
-        return "u-delete"
-    if unify.clash(v, w) is not None:
-        return "u-clash"
-    if isinstance(v, Var) and not (isinstance(w, Var) and w.name == v.name) \
-            and v.name in free_vars(w):
-        return "u-occurs-check"
-    if isinstance(w, Var) and not isinstance(v, Var):
-        return "u-orient"
-    if isinstance(v, AbsLoc) and isinstance(w, AbsLoc) and v.loc == w.loc:
-        return "u-match-lam"
-    if not isinstance(v, Var) and not isinstance(w, Var):
-        return "u-match-cons"
-    if isinstance(v, Var) and v.name in rest_fv:
-        return "u-eliminate"
-    return None
-
-
-def unify_step_oracle(problem):
-    """Apply exactly one rewrite rule to the first eligible goal, in
-    insertion order.  Returns Stepped, Failed, or None in solved form."""
-    Goal, Problem = unify.Goal, keyed_problem
-    goals = problem.goals
-    for i, goal in enumerate(goals):
-        rest = goals[:i] + goals[i + 1:]
-        rest_fv = frozenset()
-        for g in rest:
-            rest_fv |= goal_free_vars(g)
-        rule = _rule_for(goal, rest_fv)
-        if rule is None:
-            continue
-        v, w = goal.lhs, goal.rhs
-        if rule == "u-delete":
-            return Stepped(Problem(rest), rule)
-        if rule == "u-clash":
-            return unify.Failed(unify.clash(v, w), goal)
-        if rule == "u-occurs-check":
-            return unify.Failed(unify.OCCURS_CHECK, goal)
-        if rule == "u-orient":
-            return Stepped(Problem(rest[:i] + (Goal(w, v),) + rest[i:]), rule)
-        if rule == "u-match-lam":
-            if not alpha_eq(v, w):
-                raise CoherenceError(
-                    "equal locations with distinct bodies in unification goal")
-            return Stepped(Problem(rest), rule)
-        if rule == "u-match-cons":
-            _, v_args = spine(v)
-            _, w_args = spine(w)
-            decomposed = tuple(Goal(a, b) for a, b in zip(v_args, w_args))
-            return Stepped(Problem(rest[:i] + decomposed + rest[i:]), rule)
-        if rule == "u-eliminate":
-            sigma = Substitution({v.name: w})
-            new_rest = tuple(goal_subst(g, sigma) for g in rest)
-            return Stepped(Problem(new_rest[:i] + (goal,) + new_rest[i:]), rule)
-    return None
 
 
 # ---------------------------------------------------------------------------

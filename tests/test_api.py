@@ -38,7 +38,7 @@ from collections import Counter
 import pytest
 
 import lamu
-from helpers import RECORD_MIRRORS, SAME_VALUES, Stepped
+from helpers import Stepped
 from lamu.concrete import SourceFile, Token, parse_program
 from lamu.denot import Atom, InclusionReport, SoundnessVerdict, Table
 from lamu.equiv import STUCK_CONS, STUCK_VAR, StuckKind
@@ -577,18 +577,25 @@ def test_readme_library_example_prints_its_comments(capsys):
     assert expected and capsys.readouterr().out.splitlines() == expected
 
 
+# Every record class, and the ones that were frozen dataclasses
+RECORDS = [Token, SourceFile, Atom, Table, InclusionReport, SoundnessVerdict,
+           StuckKind, GeneratorConfig, Solved, ParNormalResult, EvalResult,
+           Exploration, Base, Arrow, Meta, Typing, StepReport, Verdict, Goal,
+           Stepped, Failed]
+FROZEN_RECORDS = [Atom, Table, StuckKind, Solved, Base, Arrow, Meta, Goal,
+                  Stepped, Failed]
 # Every node class with its fields, and every immutable class: the nodes,
 # the records that were frozen dataclasses, and a unification problem.
 # Their field names are the names the immutability guard watches.
 NODES = {cls.__name__: cls.__slots__ for cls in
          (Var, Cons, Abs, AbsLoc, App, Fresh, Guard, Unif, Program)}
 FROZEN = {**NODES, **{cls.__name__: cls.__slots__
-                      for cls in (Problem, *SAME_VALUES)}}
+                      for cls in (Problem, *FROZEN_RECORDS)}}
 WATCHED = {f for fields in FROZEN.values() for f in fields}
 # every class whose constructor writes its fields: the immutable ones and
 # the records that a harness or the CLI fills in later
 CONSTRUCTORS = {**FROZEN, **{cls.__name__: cls.__slots__
-                             for cls in RECORD_MIRRORS}}
+                             for cls in RECORDS}}
 # objects (by module and source text) known to be of no immutable class:
 # the tracer rebinds module attributes, and a write to a Redex tuple must
 # raise
@@ -698,7 +705,7 @@ I, ATOM = Base("i"), Atom("i", ("atom", 0))
 GOAL = Goal(X, C)
 # one record of every kind with its repr, recorded from the dataclasses
 # the records were; a field left out prints its default.  The order is
-# RECORD_MIRRORS's, and an entry keeps its index, which names its case
+# RECORDS's, and an entry keeps its index, which names its case
 GOLDEN_RECORDS = [
     (Token("lower", "x", 1, 1),
      "Token(kind='lower', text='x', line=1, col=1)"),
@@ -746,7 +753,7 @@ GOLDEN_RECORDS = [
 
 def test_every_record_kind_is_covered():
     kinds = [type(record) for record, _ in GOLDEN_RECORDS]
-    assert kinds == list(RECORD_MIRRORS)
+    assert kinds == RECORDS
 
 
 @pytest.mark.parametrize("record, text", GOLDEN_RECORDS)
@@ -895,7 +902,7 @@ def test_the_values_are_the_records_that_were_frozen():
         for sub in stack.pop().__subclasses__():
             values.add(sub)
             stack.append(sub)
-    assert values == set(SAME_VALUES) - HOT_VALUES | {Problem}
+    assert values == set(FROZEN_RECORDS) - HOT_VALUES | {Problem}
     assert all(cls.__hash__ is Value.__hash__ and cls.__eq__ is Record.__eq__
                for cls in values)
     assert not any(issubclass(cls, Record) for cls in HOT_VALUES)

@@ -1,8 +1,11 @@
 """Tests for the concrete syntax: parsing, pretty-printing, round
-trips, declarations, and the type-inference translation."""
+trips, declarations, and the type-inference translation, which is
+checked against the type checker: the evaluator, running a translated
+term, must compute the principal type that ``infer`` gives."""
 
 import itertools
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,14 +15,17 @@ from lamu.concrete import (
     ParseError, hm_translate, parse_file, parse_program, parse_term,
     pretty_program, pretty_term,
 )
-from lamu.equiv import struct_equiv
+from lamu.equiv import canonical_program, struct_equiv
 from lamu.generator import Generator, GeneratorConfig
-from lamu.reduction import evaluate
+from lamu.parallel import par_normalize
+from lamu.reduction import evaluate, reachable_normal_forms
 from lamu.syntax import (
     Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Unif, Var, alpha_eq,
-    singleton, subterms,
+    singleton, spine, subterms, term_key,
 )
-from lamu.typecheck import Arrow, Base
+from lamu.typecheck import (
+    Arrow, Base, TypeCheckError, ambient_context, default_signature, infer,
+)
 
 X, Y = Var("x"), Var("y")
 C, D = Cons("C"), Cons("D")
@@ -244,3 +250,97 @@ def test_hm_translate_self_application_fails():
 def test_hm_translate_rejects_non_lambda():
     with pytest.raises(Exception):
         hm_translate(Unif(C, C))
+
+
+# -- the translation against infer: pure lambda terms over x and y, every
+# alpha-class up to size 7 and a seeded stream of larger ones
+
+def _lambda_terms(size):
+    """Every pure lambda term over x and y with size nodes."""
+    if size == 1:
+        yield from (X, Y)
+        return
+    for body in _lambda_terms(size - 1):
+        yield from (Abs(v, singleton(body)) for v in ("x", "y"))
+    for k in range(1, size - 1):
+        for fn in _lambda_terms(k):
+            for arg in _lambda_terms(size - 1 - k):
+                yield App(fn, arg)
+
+
+def _draw_lambda_term(rng, size):
+    if size == 1:
+        return rng.choice((X, Y))
+    if size == 2 or rng.random() < 0.4:
+        return Abs(rng.choice("xy"), singleton(_draw_lambda_term(rng, size - 1)))
+    k = rng.randint(1, size - 2)
+    return App(_draw_lambda_term(rng, k), _draw_lambda_term(rng, size - 1 - k))
+
+
+def _as_type(thread):
+    """A value built from F and variables read as a type: F a b as
+    a -> b, a variable as a base type of its name."""
+    if isinstance(thread, Var):
+        return Base(thread.name)
+    head, (left, right) = spine(thread)
+    assert head == Cons("F"), thread
+    return Arrow(_as_type(left), _as_type(right))
+
+
+def _numbered(ty, names):
+    """ty with its base types renamed a0, a1, ... in order of first
+    occurrence: two types are equal up to renaming exactly when these
+    are equal."""
+    if isinstance(ty, Base):
+        return Base(names.setdefault(ty.name, f"a{len(names)}"))
+    return Arrow(_numbered(ty.left, names), _numbered(ty.right, names))
+
+
+def _agrees_with_infer(t):
+    """Check the translation of t against infer; True when t has no type."""
+    try:
+        ty = infer(ambient_context(t), default_signature(), t).type
+    except TypeCheckError as error:
+        # without constructors, the occurs check is the only failure
+        assert "occurs check" in str(error), (t, error)
+        ty = None
+    p = singleton(hm_translate(t))
+    result = evaluate(p)
+    assert result.normal, t
+    if ty is None:
+        assert result.program.is_fail, (t, result.program)
+    else:
+        assert len(result.program) == 1, (t, result.program)
+        assert _numbered(_as_type(result.program.threads[0]), {}) == \
+            _numbered(ty, {}), (t, result.program, ty)
+    # every reduction order reaches that one normal form
+    explored = reachable_normal_forms(p)
+    nf = canonical_program(result.program)
+    assert explored.complete and explored.normal_forms == {nf}, t
+    simultaneous = par_normalize(p)
+    assert simultaneous.normal, t
+    assert canonical_program(simultaneous.program) == nf, t
+    return ty is None
+
+
+def test_hm_translate_computes_the_principal_type_that_infer_gives():
+    for source, normal_form in (
+            (r"\f. \g. \x. f (g x)", "F (F v4 v3) (F (F v2 v4) (F v2 v3))"),
+            (r"\f. \x. f (f x)", "F (F v2 v2) (F v2 v2)"),
+            (r"\x. x x", "fail")):
+        t = parse_term(source)
+        assert pretty_program(evaluate(singleton(hm_translate(t))).program) \
+            == normal_form
+        _agrees_with_infer(t)
+    # per size: how many alpha-classes, each checked once, and how many
+    # of them have no type
+    counts = []
+    for n in range(1, 8):
+        terms = {term_key(t): t for t in _lambda_terms(n)}.values()
+        counts.append((len(terms), sum(map(_agrees_with_infer, terms))))
+    assert counts == [(2, 0), (3, 0), (8, 2), (24, 5), (77, 19), (262, 90),
+                      (923, 351)]
+    rng = random.Random(18)
+    untyped = sum(_agrees_with_infer(_draw_lambda_term(rng, rng.randint(8, 16)))
+                  for _ in range(300))
+    assert untyped == 162

@@ -9,7 +9,7 @@ import pytest
 
 from lamu.concrete import parse_program
 from helpers import (
-    RoundLoopModel, assert_records_match_the_mirror, denote_toplevel_oracle,
+    RoundLoopModel, assert_records_keep_the_rules, denote_toplevel_oracle,
     is_unitary, soundness_check_oracle, typed_steps_oracle, within,
 )
 from lamu.denot import (
@@ -469,7 +469,7 @@ def test_semantic_values_match_the_dataclass_mirror_on_criterion_8():
         except TooLarge:
             continue
         kinds.update(type(v) for v in values)
-        unequal += assert_records_match_the_mirror(
+        unequal += assert_records_keep_the_rules(
             values, itertools.combinations(range(len(values)), 2))
     assert kinds == {Atom, Table} and unequal > 40_000
 

@@ -1,13 +1,13 @@
 """The thread-modular explorer against the product-space BFS it
-replaced and against the explorer that steps a state again in every
-search that visits it, and its edge cases: self-spawning threads, deep
-split nesting and the partial normal forms of an incomplete
-exploration."""
+replaced, its bounds (an exploration cut by one reports at most
+max_states states and a subset of the normal forms, and one that
+completes is the exploration without the cut), and its edge cases:
+self-spawning threads, deep split nesting and the partial normal forms
+of an incomplete exploration."""
 
 import pytest
 
-import helpers
-from helpers import product_bfs, reachable_normal_forms_oracle
+from helpers import product_bfs
 from lamu import reduction
 from lamu.concrete import parse_program
 from lamu.equiv import canonical_program
@@ -102,6 +102,13 @@ def criterion_4_stream():
     return tuple(gen.program() for _ in range(500))
 
 
+@pytest.fixture(scope="module")
+def criterion_4_explorations(criterion_4_stream):
+    """Each draw's exploration under the default bounds, pinned in
+    test_step_oracle's digest; every one completes."""
+    return tuple(reachable_normal_forms(p) for p in criterion_4_stream)
+
+
 def _exploration(ex):
     return ex.normal_forms, ex.states, ex.complete
 
@@ -109,38 +116,40 @@ def _exploration(ex):
 @pytest.mark.parametrize("fuel, max_states, incomplete", [
     (200, 10_000, 0), (6, 10_000, 147), (200, 40, 95), (3, 200, 360)])
 def test_matches_the_oracle_that_steps_every_visit_on_the_stream(
-        criterion_4_stream, fuel, max_states, incomplete):
-    # one expansion per key and call leaves every exploration as it was,
-    # complete or cut by fuel, by max_states or by split nesting
+        criterion_4_stream, criterion_4_explorations, fuel, max_states,
+        incomplete):
+    # each exploration complete or cut by fuel, by max_states or by
+    # split nesting, against the same draw explored without a cut
     cut = 0
-    for p in criterion_4_stream:
+    for p, full in zip(criterion_4_stream, criterion_4_explorations):
         ex = reachable_normal_forms(p, fuel, max_states)
-        assert _exploration(ex) == _exploration(
-            reachable_normal_forms_oracle(p, fuel, max_states)), p
+        assert full.complete and ex.states <= max_states, p
+        if ex.complete:
+            assert _exploration(ex) == _exploration(full), p
+        else:
+            assert ex.normal_forms <= full.normal_forms, p
         cut += not ex.complete
     assert cut == incomplete
 
 
-@pytest.mark.parametrize("source, fuel, max_states", [
-    pytest.param(DIVERGENT, 200, 10_000, id="divergent"),
-    pytest.param(GROWING, 5000, 900, id="growing-900-states"),
-    pytest.param(GROWING, 50, 10_000, id="growing-fuel-50"),
-    pytest.param(RESPAWNING, 10, 10_000, id="respawning-fuel-10"),
-    pytest.param(RESPAWNING, 200, 60, id="respawning-60-states")])
+@pytest.mark.parametrize("source, fuel, max_states, states", [
+    pytest.param(DIVERGENT, 200, 10_000, 6, id="divergent"),
+    pytest.param(GROWING, 5000, 900, 900, id="growing-900-states"),
+    pytest.param(GROWING, 50, 10_000, 202, id="growing-fuel-50"),
+    pytest.param(RESPAWNING, 10, 10_000, 59, id="respawning-fuel-10"),
+    pytest.param(RESPAWNING, 200, 60, 60, id="respawning-60-states")])
 def test_matches_the_oracle_that_steps_every_visit_on_spawning_threads(
-        source, fuel, max_states):
-    p = parse_program(source)
-    ex = reachable_normal_forms(p, fuel, max_states)
-    assert not ex.complete
-    assert _exploration(ex) == _exploration(
-        reachable_normal_forms_oracle(p, fuel, max_states))
+        source, fuel, max_states, states):
+    # no normal form is reached, and the count of states is pinned
+    ex = reachable_normal_forms(parse_program(source), fuel, max_states)
+    assert _exploration(ex) == (set(), states, False)
 
 
 def test_each_state_is_expanded_once_per_call(criterion_4_stream,
                                               monkeypatch):
     # draw 26 of the criterion 4/9 stream: its searches visit 930 states
     # but only 254 distinct keys, and only those are enumerated and
-    # stepped; the oracle enumerates every visit
+    # stepped
     p = criterion_4_stream[26]
     calls = []
 
@@ -150,11 +159,6 @@ def test_each_state_is_expanded_once_per_call(criterion_4_stream,
 
     monkeypatch.setattr(reduction, "enumerate_redexes",
                         counting_enumerate_redexes)
-    monkeypatch.setattr(helpers, "enumerate_redexes",
-                        counting_enumerate_redexes)
     ex = reachable_normal_forms(p)
     assert (ex.complete, ex.states, len(ex.normal_forms)) == (True, 930, 1)
     assert len(calls) == 254
-    calls.clear()
-    assert _exploration(reachable_normal_forms_oracle(p)) == _exploration(ex)
-    assert len(calls) == 930

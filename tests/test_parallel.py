@@ -2,8 +2,8 @@
 small-step semantics."""
 
 from helpers import (
-    critical_pair_instances, par_normalize_carry_oracle,
-    par_normalize_oracle, par_step_all, par_term_all, within,
+    critical_pair_instances, par_normalize_oracle, par_step_all,
+    par_term_all, within,
 )
 from lamu.concrete import parse_program
 from lamu.equiv import is_normal_term, struct_equiv
@@ -96,13 +96,11 @@ def test_par_normalize_out_of_fuel_takes_exactly_fuel_steps():
 
 def test_par_normalize_matches_whole_program_oracle():
     # exact equality: thread order, names and locations issued, steps;
-    # against the whole-program loop and the loop that carries normal
-    # threads over, in and out of fuel
+    # against the whole-program loop, in and out of fuel
     for i, p in enumerate(_parity_programs()):
         for fuel in (0, 1, 3, 300):
             expected = par_normalize_oracle(p, fuel=fuel)
             assert par_normalize(p, fuel=fuel) == expected, (i, fuel)
-            assert par_normalize_carry_oracle(p, fuel=fuel) == expected
 
 
 def test_par_normalize_skips_finished_threads():

@@ -1,9 +1,9 @@
 """Tests for the core AST: values, substitution, alpha equivalence,
 weak contexts, coherence, name supplies, and node equality.  The sharing
 substitution is checked against the rebuilding one, free_vars against
-the recursive definition, and ==, !=, hash and repr against the frozen
-dataclasses that terms and programs were, also on terms too deep to
-recurse over."""
+the recursive definition, and ==, !=, hash and repr against the rules
+stated over the fields, which the frozen dataclasses that terms and
+programs were kept, also on terms too deep to recurse over."""
 
 import itertools
 
@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
-    HOLE, MIRRORS, SAME, all_names, coherence_witness_oracle, coherent,
-    compose, free_vars_oracle, is_structure, is_weak_context, locations,
-    plug, plug_term, rebuild, subst_apply_oracle, subst_equal, subst_loc,
-    subst_single_oracle, support,
+    HOLE, all_names, coherence_witness_oracle, coherent, compose,
+    free_vars_oracle, is_structure, is_weak_context, locations, plug,
+    plug_term, rebuild, rule_key, rule_repr, subst_apply_oracle,
+    subst_equal, subst_loc, subst_single_oracle, support,
 )
 from lamu.concrete import parse_program
 from lamu.generator import Generator, GeneratorConfig, STRATIFIED_SIGNATURE
@@ -410,17 +410,17 @@ def test_substitution_shares_what_it_does_not_change():
 
 def _assert_equality_matches_the_mirror(nodes, pairs):
     """repr of every node, and ==, != and the hash of an equal pair for
-    each (i, j) in pairs, as the nodes' dataclass mirrors have them.
-    Returns how many of the pairs are unequal."""
-    mirrors = [rebuild(x, MIRRORS) for x in nodes]
+    each (i, j) in pairs, as the rules that the nodes' dataclass mirrors
+    kept have them.  Returns how many of the pairs are unequal."""
+    keys = [rule_key(x) for x in nodes]
     hashes = [hash(x) for x in nodes]
-    for x, m in zip(nodes, mirrors):
-        assert repr(x) == repr(m).replace("Mirror", "")
+    for x in nodes:
+        assert repr(x) == rule_repr(x)
     unequal = 0
     for i, j in pairs:
-        equal = mirrors[i] == mirrors[j]
+        equal = keys[i] == keys[j]
         assert (nodes[i] == nodes[j]) is equal, (nodes[i], nodes[j])
-        assert (nodes[i] != nodes[j]) is (mirrors[i] != mirrors[j])
+        assert (nodes[i] != nodes[j]) is not equal
         assert not equal or hashes[i] == hashes[j]
         unequal += not equal
     return unequal
@@ -434,7 +434,7 @@ def test_equality_matches_the_dataclass_mirror_on_criterion_4():
     for _ in range(500):
         p = gen.program()
         nodes = [p, *subterms(p)]
-        copies = [q := rebuild(p, SAME), *subterms(q)]
+        copies = [q := rebuild(p), *subterms(q)]
         n = len(nodes)
         unequal += _assert_equality_matches_the_mirror(
             nodes + copies,

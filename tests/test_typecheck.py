@@ -10,7 +10,7 @@ import os
 import pytest
 
 import lamu.typecheck
-from helpers import assert_records_match_the_mirror, check_oracle, infer_oracle
+from helpers import assert_records_keep_the_rules, check_oracle, infer_oracle
 from lamu.concrete import parse_file, parse_program
 from lamu.generator import (
     DEFAULT_SIGNATURE, STRATIFIED_SIGNATURE, Generator, GeneratorConfig,
@@ -203,7 +203,7 @@ def test_types_match_the_dataclass_mirror_on_criteria_7_and_8():
                 if isinstance(ty, Arrow):
                     stack += [ty.left, ty.right]
             kinds.update(type(ty) for ty in types)
-            unequal += assert_records_match_the_mirror(
+            unequal += assert_records_keep_the_rules(
                 types, itertools.combinations(range(len(types)), 2))
     assert kinds == {Base, Arrow, Meta} and unequal > 50_000
 
