@@ -44,19 +44,20 @@ class ParseError(LamuError):
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+|\#[^\n]*)
-  | (?P<unif>=:=)
-  | (?P<arrow>->)
   | (?P<atloc>@L(?P<locnum>[0-9]+))
   | (?P<lower>[a-z][A-Za-z0-9_']*)
   | (?P<upper>[A-Z][A-Za-z0-9_']*)
   | (?P<int>[0-9]+)
-  | (?P<punct>[\\.;|():=])
+  | (?P<op>=:=|->|[\\.;|():=])
 """, re.VERBOSE)
 
 _KEYWORDS = {"fresh", "fail", "cons", "base", "def"}
 
 
 class Token(Record):
+    """A word's kind names its class (``lower``, ``upper``, ``int``,
+    ``atloc``, ``eof``) or is the keyword itself; an operator or
+    punctuation token's kind is its own text."""
     __slots__ = ("kind", "text", "line", "col")
 
     def __init__(self, kind, text, line, col):
@@ -80,7 +81,7 @@ def tokenize(text: str) -> List[Token]:
         col = pos - line_start + 1
         value = m.group()
         if kind != "ws":
-            if kind == "lower" and value in _KEYWORDS:
+            if kind == "op" or kind == "lower" and value in _KEYWORDS:
                 kind = value
             if kind == "atloc":
                 value = m.group("locnum")
@@ -125,8 +126,8 @@ class _Parser:
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.text or tok.kind!r}",
-                             tok.line, tok.col)
+            shown = kind if kind.isalpha() else repr(kind)
+            self.error(f"expected {shown}, found {tok.text or tok.kind!r}")
         return self.next()
 
     def error(self, message):
@@ -144,48 +145,37 @@ class _Parser:
                 self.error(f"{kind} {self.peek().text} is reserved")
             if kind == "cons":
                 name = self.expect("upper").text
-                self.expect_punct(":")
+                self.expect(":")
                 ty = self.parse_type()
                 src.signature[name] = ty
             elif kind == "base":
                 name = self.expect("lower").text
-                self.expect_punct("=")
+                self.expect("=")
                 size = int(self.expect("int").text)
                 src.base_sizes[name] = size
             else:
                 name = self.expect("lower").text
-                self.expect_punct("=")
+                self.expect("=")
                 self.definitions[name] = src.definitions[name] = \
                     self.parse_term()
-            self.expect_punct(".")
+            self.expect(".")
         if self.pos == 0 or self.peek().kind != "eof":
             src.program = self.parse_program()
         self.expect("eof")
         return src
 
-    def expect_punct(self, ch):
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == ch:
-            return self.next()
-        raise ParseError(f"expected {ch!r}, found {tok.text or tok.kind!r}",
-                         tok.line, tok.col)
-
-    def at_punct(self, ch):
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == ch
-
     def parse_type(self) -> Type:
         left = self.parse_type_atom()
-        if self.peek().kind == "arrow":
+        if self.peek().kind == "->":
             self.next()
             return Arrow(left, self.parse_type())
         return left
 
     def parse_type_atom(self) -> Type:
-        if self.at_punct("("):
+        if self.peek().kind == "(":
             self.next()
             ty = self.parse_type()
-            self.expect_punct(")")
+            self.expect(")")
             return ty
         return Base(self.expect("lower").text)
 
@@ -196,31 +186,31 @@ class _Parser:
             self.next()
             return Program(())
         threads = [self.parse_term()]
-        while self.at_punct("|"):
+        while self.peek().kind == "|":
             self.next()
             threads.append(self.parse_term())
         return Program(tuple(threads))
 
     def parse_term(self) -> Term:
         left = self.parse_unifterm()
-        if self.at_punct(";"):
+        if self.peek().kind == ";":
             self.next()
             return Guard(left, self.parse_term())
         return left
 
     def parse_unifterm(self) -> Term:
         left = self.parse_appterm()
-        if self.peek().kind == "unif":
+        if self.peek().kind == "=:=":
             self.next()
             right = self.parse_appterm()
-            if self.peek().kind == "unif":
+            if self.peek().kind == "=:=":
                 self.error("=:= is not associative; use parentheses")
             return Unif(left, right)
         return left
 
     def parse_appterm(self) -> Term:
         tok = self.peek()
-        if tok.kind == "punct" and tok.text == "\\":
+        if tok.kind == "\\":
             return self.parse_lambda()
         if tok.kind == "fresh":
             return self.parse_fresh()
@@ -230,12 +220,12 @@ class _Parser:
         return term
 
     def parse_lambda(self) -> Term:
-        self.expect_punct("\\")
+        self.expect("\\")
         var = self.expect("lower").text
         loc = None
         if self.peek().kind == "atloc":
             loc = int(self.next().text)
-        self.expect_punct(".")
+        self.expect(".")
         self.bound.append(var)
         body = self.parse_program()
         self.bound.pop()
@@ -246,7 +236,7 @@ class _Parser:
     def parse_fresh(self) -> Term:
         self.expect("fresh")
         var = self.expect("lower").text
-        self.expect_punct(".")
+        self.expect(".")
         self.bound.append(var)
         body = self.parse_term()
         self.bound.pop()
@@ -254,8 +244,7 @@ class _Parser:
 
     def starts_atom(self) -> bool:
         tok = self.peek()
-        return (tok.kind in ("lower", "upper")
-                or (tok.kind == "punct" and tok.text == "("))
+        return tok.kind in ("lower", "upper", "(")
 
     def parse_atom(self) -> Term:
         tok = self.peek()
@@ -272,10 +261,10 @@ class _Parser:
         if tok.kind == "upper":
             self.next()
             return Cons(tok.text)
-        if self.at_punct("("):
+        if self.peek().kind == "(":
             self.next()
             inner = self.parse_term()
-            self.expect_punct(")")
+            self.expect(")")
             return inner
         self.error(f"expected a term, found {tok.text or tok.kind!r}")
 

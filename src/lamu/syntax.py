@@ -10,8 +10,9 @@ of a mapped name comes back as the same object, so a substitution builds
 only the nodes above the occurrences it replaces.  ``term_key`` is the
 one canonical form: alpha-equivalence compares whole keys, and
 structural equivalence (module ``equiv``) compares their shapes.
-``Session.for_program`` is the one pass before a run: a coherence walk
-per thread, which also collects the names and locations to avoid.
+``check_coherent`` (as ``Session.for_program``) is the one pass before a
+run: a coherence walk per thread, which also collects the names and
+locations to avoid.
 ``==``, ``repr``, ``term_key``, ``free_vars`` and that walk use an
 explicit stack, so each takes a term of any depth.
 """
@@ -35,10 +36,15 @@ class CoherenceError(LamuError):
         self.witness = witness
 
 
-class _Node:
-    """The one ``==``, ``hash`` and ``repr`` of terms and programs, over
-    the fields in ``__slots__``: ``repr`` hides ``value``, and ``==`` and
-    the hash, that of ``term_key``, ignore ``value`` and ``ann``."""
+class Record:
+    """A record over the fields in ``__slots__``.  ``==`` compares two
+    records of one class field by field, leaving out a term's ``ann``
+    and ``value``, and ``repr`` prints ``Class(field=value, ...)``
+    without ``value``; a field that is a record or a tuple is taken
+    apart on an explicit stack, so terms of any depth compare and
+    print.  A record whose class writes its own ``repr`` prints by it.
+    Defining ``==`` leaves a record without a hash; an immutable one is
+    a ``Value``."""
     __slots__ = ()
 
     def __init_subclass__(cls):
@@ -61,26 +67,24 @@ class _Node:
                 return False
             if cls is tuple:
                 stack.extend(zip(a, b))
-            elif isinstance(a, _Node):
+            elif isinstance(a, Record):
                 stack.extend([(getattr(a, f), getattr(b, f))
                               for f in cls._compared])
             elif a != b:
                 return False
         return True
 
-    def __hash__(self):
-        return hash(term_key(self))
-
     def __repr__(self):
-        # Explicit stack of (is it text, what to print): nodes and thread
-        # tuples are taken apart on it, any other field prints its repr.
+        # Explicit stack of (is it text, what to print): records that
+        # print by this repr and tuples are taken apart on it, any other
+        # field prints its own repr.
         out = []
         stack = [(False, self)]
         while stack:
             text, x = stack.pop()
             if text:
                 out.append(x)
-            elif isinstance(x, _Node):
+            elif type(x).__repr__ is Record.__repr__:
                 out.append(f"{type(x).__qualname__}(")
                 stack.append((True, ")"))
                 shown = x._shown
@@ -99,32 +103,20 @@ class _Node:
         return "".join(out)
 
 
-class Record:
-    """A plain record over the fields in ``__slots__``: ``==`` compares
-    two records of one class field by field, and ``repr`` prints
-    ``Class(field=value, ...)``.  Defining ``==`` leaves a record without
-    a hash; an immutable one is a ``Value``."""
-    __slots__ = ()
-
-    def _fields(self):
-        return tuple([getattr(self, f) for f in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __repr__(self):
-        shown = [f"{f}={getattr(self, f)!r}" for f in self.__slots__]
-        return f"{type(self).__qualname__}({', '.join(shown)})"
-
-
 class Value(Record):
     """A record immutable by contract (``test_api``), hashed by its fields."""
     __slots__ = ()
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(tuple([getattr(self, f) for f in self.__slots__]))
+
+
+class _Node(Record):
+    """Terms and programs: a record hashed as its ``term_key``."""
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(term_key(self))
 
 
 class Term(_Node):
@@ -397,12 +389,9 @@ def _subst_binder(t: Term, mapping: dict) -> Term:
             new = _pick_fresh(var, captured | body_fv | set(inner))
             body = _subst(_subst(t.body, {var: Var(new)}), inner)
             var = new
-    cls = type(t)
-    if cls is Abs:
-        return Abs(var, body, t.ann)
-    if cls is AbsLoc:
+    if type(t) is AbsLoc:
         return AbsLoc(t.loc, var, body, t.ann)
-    return Fresh(var, body, t.ann)
+    return type(t)(var, body, t.ann)    # Abs and Fresh alike
 
 
 def _subst_threads(threads: tuple, mapping: dict) -> tuple:
@@ -548,7 +537,7 @@ def alpha_eq(a, b) -> bool:
 # Coherence
 
 def _coherence_walk(terms: tuple, names: set):
-    """The walk behind coherence_witness and Session.for_program: the
+    """The walk behind coherence_witness and check_coherent: the
     closures in pre-order, each with the names bound above it, on an
     explicit stack that also adds every name, free or bound, to names.
     Returns (witness, by_loc): the first closure that captures a name,
@@ -591,10 +580,20 @@ def coherence_witness(terms: Iterable[Term]):
     return _coherence_walk(tuple(terms), set())[0]
 
 
-def check_coherent(p: Program):
-    """Session.for_program's coherence check, without the session: each
-    thread on its own, since threads never interact."""
-    Session.for_program(p)
+def check_coherent(p: Program) -> "Session":
+    """The session of a run of p, from one coherence walk per thread,
+    since threads never interact: CoherenceError at the first thread
+    that is not coherent, else a session that avoids every name in p,
+    free or bound, and issues locations from just above p's largest
+    one, else from 1."""
+    names, locs = set(), set()
+    for i, t in enumerate(p.threads):
+        witness, by_loc = _coherence_walk((t,), names)
+        if witness is not None:
+            raise CoherenceError(
+                f"thread {i} violates coherence: {witness[0]}", witness)
+        locs.update(by_loc)
+    return Session(avoid=names, first_loc=max(locs) + 1 if locs else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -628,20 +627,10 @@ class Session:
         self.betas = {}
         self.unifications = {}
 
-    @classmethod
-    def for_program(cls, p: Program) -> "Session":
-        """The session of a run of p, from one coherence walk per thread:
-        CoherenceError at the first thread that is not coherent, else a
-        session that avoids every name in p, free or bound, and issues
-        locations from just above p's largest one, else from 1."""
-        names, locs = set(), set()
-        for i, t in enumerate(p.threads):
-            witness, by_loc = _coherence_walk((t,), names)
-            if witness is not None:
-                raise CoherenceError(
-                    f"thread {i} violates coherence: {witness[0]}", witness)
-            locs.update(by_loc)
-        return cls(avoid=names, first_loc=max(locs) + 1 if locs else 1)
+    @staticmethod
+    def for_program(p: Program) -> "Session":
+        """check_coherent(p): the checked session of a run of p."""
+        return check_coherent(p)
 
     def fresh_var(self) -> str:
         while True:

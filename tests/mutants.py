@@ -124,14 +124,20 @@ MUTANTS = [
            "return (self.left, self.right) == (other.left, other.right)",
            "return self.left == other.left"),
     Mutant("value-hash-skips-the-first-field", "syntax.py",
-           "        return hash(self._fields())\n",
-           "        return hash(self._fields()[1:])\n"),
+           "        return hash(tuple([getattr(self, f) for f in self.__slots__]))\n",
+           "        return hash(tuple([getattr(self, f) for f in self.__slots__[1:]]))\n"),
+    Mutant("record-repr-takes-apart-a-written-repr", "syntax.py",
+           "            elif type(x).__repr__ is Record.__repr__:\n",
+           "            elif isinstance(x, Record):\n"),
     Mutant("node-eq-compares-ann", "syntax.py",
            'if f != "ann" and f != "value")',
            'if f != "value")'),
     Mutant("hm-translate-swaps-the-arrow", "concrete.py",
            "goal = Unif(fn, App(App(Cons(HM_ARROW), arg), Var(a)))",
            "goal = Unif(fn, App(App(Cons(HM_ARROW), Var(a)), arg))"),
+    Mutant("expect-leaves-an-operator-unquoted", "concrete.py",
+           "shown = kind if kind.isalpha() else repr(kind)",
+           "shown = kind"),
 ]
 
 

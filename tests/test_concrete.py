@@ -107,6 +107,42 @@ def test_parse_errors_have_positions():
         parse_program("")
 
 
+# each expectation the parser can miss, with the message it raises
+MISSED = [
+    (parse_file, "def k = C )", "expected '.', found ')' at line 1, column 11"),
+    (parse_program, r"\x C", "expected '.', found 'C' at line 1, column 4"),
+    (parse_program, r"\x -> x", "expected '.', found '->' at line 1, column 4"),
+    (parse_program, r"\x@L2 x", "expected '.', found 'x' at line 1, column 7"),
+    (parse_file, "cons K : i =:= k.",
+     "expected '.', found '=:=' at line 1, column 12"),
+    (parse_program, "(C", "expected ')', found 'eof' at line 1, column 3"),
+    (parse_program, r"(\x. x", "expected ')', found 'eof' at line 1, column 7"),
+    (parse_file, "cons K : (i -> k.",
+     "expected ')', found '.' at line 1, column 17"),
+    (parse_file, "cons K i -> k.", "expected ':', found 'i' at line 1, column 8"),
+    (parse_file, "base i 3.", "expected '=', found '3' at line 1, column 8"),
+    (parse_file, "def k C.", "expected '=', found 'C' at line 1, column 7"),
+    (parse_file, "cons k : i.", "expected upper, found 'k' at line 1, column 6"),
+    (parse_file, "cons fresh : i.",
+     "expected upper, found 'fresh' at line 1, column 6"),
+    (parse_program, r"\X. X", "expected lower, found 'X' at line 1, column 2"),
+    (parse_program, "fresh X. x",
+     "expected lower, found 'X' at line 1, column 7"),
+    (parse_file, "base 3 = 2.", "expected lower, found '3' at line 1, column 6"),
+    (parse_file, "base i = n.", "expected int, found 'n' at line 1, column 10"),
+    (parse_program, "C )", "expected eof, found ')' at line 1, column 3"),
+    (parse_file, "def k = C. C C.",
+     "expected eof, found '.' at line 1, column 15"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", MISSED)
+def test_a_missed_expectation_names_what_was_expected(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 def test_comments_and_whitespace():
     assert parse_term("x  # trailing comment") == X
     assert parse_program("x |\n  # a comment line\n  C") == Program((X, C))
