@@ -12,7 +12,7 @@ random program generator (generator), and a CLI (cli).
 
 from .concrete import (
     ParseError, SourceFile, hm_translate, parse_file, parse_program,
-    parse_term, pretty, pretty_program, pretty_term,
+    parse_term, pretty_program, pretty_term,
 )
 from .denot import Model, TooLarge, denote, denote_toplevel, soundness_check
 from .equiv import (
@@ -28,8 +28,8 @@ from .reduction import (
 from .syntax import (
     FAIL, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, LamuError,
     Program, Session, Substitution, Term, Unif, Var, alpha_eq,
-    check_coherent, coherence_witness, free_vars, is_value, singleton,
-    subst_apply, subst_single,
+    check_coherent, coherence_witness, free_vars, singleton, subst_apply,
+    subst_single,
 )
 from .typecheck import (
     Arrow, Base, Type, TypeCheckError, check, default_signature, infer,
@@ -49,8 +49,8 @@ __all__ = [
     "check_coherent", "coherence_witness", "default_signature", "denote",
     "denote_toplevel", "evaluate", "find_redex", "free_vars", "hm_translate",
     "infer", "is_normal_program", "is_normal_term", "is_stuck", "is_unifier",
-    "is_value", "mgu", "mgu_goal", "par_normalize", "par_step", "parse_file",
-    "parse_program", "parse_term", "pretty", "pretty_program", "pretty_term",
+    "mgu", "mgu_goal", "par_normalize", "par_step", "parse_file",
+    "parse_program", "parse_term", "pretty_program", "pretty_term",
     "reachable_normal_forms", "replay", "sample_programs", "singleton",
     "soundness_check", "step", "struct_equiv", "subject_reduction_check",
     "subst_apply", "subst_single",

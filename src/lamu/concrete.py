@@ -44,7 +44,7 @@ class ParseError(LamuError):
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+|\#[^\n]*)
-  | (?P<atloc>@L(?P<locnum>[0-9]+))
+  | (?P<atloc>@L[0-9]+)
   | (?P<lower>[a-z][A-Za-z0-9_']*)
   | (?P<upper>[A-Z][A-Za-z0-9_']*)
   | (?P<int>[0-9]+)
@@ -77,14 +77,12 @@ def tokenize(text: str) -> List[Token]:
         if m is None:
             col = pos - line_start + 1
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup if m.lastgroup != "locnum" else "atloc"
+        kind = m.lastgroup
         col = pos - line_start + 1
         value = m.group()
         if kind != "ws":
             if kind == "op" or kind == "lower" and value in _KEYWORDS:
                 kind = value
-            if kind == "atloc":
-                value = m.group("locnum")
             tokens.append(Token(kind, value, line, col))
         newlines = value.count("\n")
         if newlines:
@@ -224,7 +222,7 @@ class _Parser:
         var = self.expect("lower").text
         loc = None
         if self.peek().kind == "atloc":
-            loc = int(self.next().text)
+            loc = int(self.next().text.removeprefix("@L"))
         self.expect(".")
         self.bound.append(var)
         body = self.parse_program()
@@ -337,12 +335,6 @@ def pretty_program(p: Program) -> str:
     for i, t in enumerate(p):
         parts.append(pretty_term(t, _LVL_OPEN, i == last))
     return " | ".join(parts)
-
-
-def pretty(x) -> str:
-    if isinstance(x, Program):
-        return pretty_program(x)
-    return pretty_term(x)
 
 
 # ---------------------------------------------------------------------------

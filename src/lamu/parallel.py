@@ -15,7 +15,7 @@ from . import unify
 from .equiv import is_normal_term
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Record, Session,
-    Term, Unif, Var, is_value, subst_apply, subst_single, subst_threads,
+    Term, Unif, Var, check_coherent, subst_apply, subst_single,
 )
 
 
@@ -29,7 +29,7 @@ def par_term(t: Term, session: Session) -> Tuple[tuple, tuple]:
     """One maximal simultaneous reduction of a term: every root redex is
     contracted and every value-value unification is emitted as a pending
     goal; values map to themselves."""
-    if is_value(t):
+    if t.value:
         return (t,), ()
     if isinstance(t, Abs):
         loc = session.fresh_loc()
@@ -38,19 +38,19 @@ def par_term(t: Term, session: Session) -> Tuple[tuple, tuple]:
         y = session.fresh_var()
         return par_term(subst_single(t.body, t.var, Var(y)), session)
     if isinstance(t, App):
-        if isinstance(t.fn, AbsLoc) and is_value(t.arg):
-            return subst_threads(t.fn.body.threads, t.fn.var, t.arg), ()
+        if isinstance(t.fn, AbsLoc) and t.arg.value:
+            return subst_single(t.fn.body, t.fn.var, t.arg).threads, ()
         fn, fn_goals = par_term(t.fn, session)
         arg, arg_goals = par_term(t.arg, session)
         return _lift(App, fn, arg), fn_goals + arg_goals
     if isinstance(t, Guard):
-        if is_value(t.left):
+        if t.left.value:
             return par_term(t.right, session)
         left, left_goals = par_term(t.left, session)
         right, right_goals = par_term(t.right, session)
         return _lift(Guard, left, right), left_goals + right_goals
     if isinstance(t, Unif):
-        if is_value(t.left) and is_value(t.right):
+        if t.left.value and t.right.value:
             return (Cons(OK),), (unify.Goal(t.left, t.right),)
         left, left_goals = par_term(t.left, session)
         right, right_goals = par_term(t.right, session)
@@ -72,9 +72,9 @@ def _par_thread(t: Term, session: Session) -> Tuple[Term, ...]:
 
 def par_step(p: Program, session=None) -> Program:
     """One simultaneous reduction of a program, thread by thread; without
-    a session, Session.for_program checks p coherent."""
+    a session, check_coherent checks p coherent and makes one."""
     if session is None:
-        session = Session.for_program(p)
+        session = check_coherent(p)
     return Program(tuple(u for t in p for u in _par_thread(t, session)))
 
 
@@ -110,7 +110,7 @@ def par_normalize(p: Program, fuel=200) -> ParNormalResult:
     holds normal threads and the slots of pending ones, and the slot
     tree is flattened once at the end.  A step costs the pending
     threads, not the finished ones."""
-    session = Session.for_program(p)
+    session = check_coherent(p)
     root, pending = [], []
     _place(p.threads, root, pending)
     steps = 0

@@ -50,7 +50,7 @@ from . import unify
 from .equiv import canonical_thread
 from .syntax import (
     OK, Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Record, Session,
-    Substitution, Term, Unif, Var, subst_apply, subst_single, subst_threads,
+    Substitution, Term, Unif, Var, check_coherent, subst_apply, subst_single,
 )
 
 ALLOC = "alloc"
@@ -212,7 +212,7 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
         if entry is not None:
             body = entry[2]
         else:
-            body = subst_threads(fn.body.threads, fn.var, arg)
+            body = subst_single(fn.body, fn.var, arg).threads
             session.betas[key] = (fn, arg, body)
         after = body if path is None else tuple([_plug(path, s) for s in body])
     elif rule == GUARD:
@@ -242,9 +242,9 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
 
 def step(p: Program, session: Optional[Session] = None) -> Optional[TraceStep]:
     """One leftmost reduction step, or None if normal.  Without a
-    session, Session.for_program checks p coherent and makes one; a
-    given session is used as it is, and p is not walked again."""
-    session = session or Session.for_program(p)
+    session, check_coherent checks p coherent and makes one; a given
+    session is used as it is, and p is not walked again."""
+    session = session or check_coherent(p)
     redex = find_redex(p)
     if redex is None:
         return None
@@ -273,7 +273,7 @@ def evaluate(p: Program, fuel=1000, strategy="leftmost", seed=0) -> EvalResult:
     unchanged, so the search resumes at that thread."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    session = Session.for_program(p)
+    session = check_coherent(p)
     rng = random.Random(seed) if strategy == "random" else None
     trace: List[TraceStep] = []
     threads, start = list(p), 0
@@ -343,7 +343,7 @@ def reachable_normal_forms(p: Program, fuel=200,
     is None until an exploration from the node starts, False while it
     is in progress, and then its (normal forms, complete) pair.
     """
-    session = Session.for_program(p)
+    session = check_coherent(p)
     states = 0
     table = {}      # thread key -> its node [key, thread, successors, result]
 

@@ -10,9 +10,9 @@ of a mapped name comes back as the same object, so a substitution builds
 only the nodes above the occurrences it replaces.  ``term_key`` is the
 one canonical form: alpha-equivalence compares whole keys, and
 structural equivalence (module ``equiv``) compares their shapes.
-``check_coherent`` (as ``Session.for_program``) is the one pass before a
-run: a coherence walk per thread, which also collects the names and
-locations to avoid.
+``check_coherent`` is the one pass before a run: a coherence walk per
+thread, which also collects the names and locations to avoid, and
+returns the run's ``Session``.
 ``==``, ``repr``, ``term_key``, ``free_vars`` and that walk use an
 explicit stack, so each takes a term of any depth.
 """
@@ -120,7 +120,9 @@ class _Node(Record):
 
 
 class Term(_Node):
-    """``value``: whether the term is a value; on ``App``, set when built."""
+    """``value``: whether the term is a value (a variable, a located
+    abstraction, or a constructor applied to values), decided once, when
+    the term is built."""
     __slots__ = ()
     value = False
 
@@ -288,12 +290,6 @@ def make_spine(head: Term, args: Iterable[Term]) -> Term:
     return head
 
 
-def is_value(t: Term) -> bool:
-    """A variable, a located abstraction, or a constructor applied to
-    values: read from the term, which decided it when it was built."""
-    return t.value
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 
@@ -308,7 +304,7 @@ class Substitution(Record):
         for name, v in (mapping or {}).items():
             if isinstance(v, Var) and v.name == name:
                 continue
-            if not is_value(v):
+            if not v.value:
                 raise NotAValueError(f"substitution binds {name} to a non-value")
             m[name] = v
         self._map = m
@@ -394,21 +390,16 @@ def _subst_binder(t: Term, mapping: dict) -> Term:
     return type(t)(var, body, t.ann)    # Abs and Fresh alike
 
 
-def _subst_threads(threads: tuple, mapping: dict) -> tuple:
-    """The threads with mapping applied: the same tuple when no thread
-    changed."""
-    out = [_subst_term(t, mapping) for t in threads]
-    for s, t in zip(out, threads):
-        if s is not t:
-            return tuple(out)
-    return threads
-
-
 def _subst(x, mapping: dict):
-    if type(x) is Program:
-        threads = _subst_threads(x.threads, mapping)
-        return x if threads is x.threads else Program(threads)
-    return _subst_term(x, mapping)
+    """x with mapping applied: x itself when no thread changed, so a
+    program's threads are then the same tuple."""
+    if type(x) is not Program:
+        return _subst_term(x, mapping)
+    out = [_subst_term(t, mapping) for t in x.threads]
+    for s, t in zip(out, x.threads):
+        if s is not t:
+            return Program(tuple(out))
+    return x
 
 
 def subst_apply(x, sigma: Substitution):
@@ -421,14 +412,6 @@ def subst_single(x, name: str, value: Term):
     if not value.value:
         raise NotAValueError(f"substitution binds {name} to a non-value")
     return _subst(x, {name: value})
-
-
-def subst_threads(threads: tuple, name: str, value: Term) -> tuple:
-    """A program's threads with value for name, which must be a value:
-    subst_single on the program, without building the program."""
-    if not value.value:
-        raise NotAValueError(f"substitution binds {name} to a non-value")
-    return _subst_threads(threads, {name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +587,8 @@ class Session:
     run's two memos.
 
     Names are never re-issued; the avoid set should contain every name
-    occurring in the program under evaluation.
+    occurring in the program under evaluation, as in the session that
+    ``check_coherent`` returns for a run.
 
     ``betas`` maps ``(id(fn), id(arg))`` to ``(fn, arg, threads)``: the
     threads a beta step got by substituting the value ``arg`` into the
@@ -626,11 +610,6 @@ class Session:
         self._loc_n = first_loc
         self.betas = {}
         self.unifications = {}
-
-    @staticmethod
-    def for_program(p: Program) -> "Session":
-        """check_coherent(p): the checked session of a run of p."""
-        return check_coherent(p)
 
     def fresh_var(self) -> str:
         while True:

@@ -87,16 +87,17 @@ Type = Union[Base, Arrow, Meta]
 UNIT = Base("unit")
 
 
-def base_names(*types: Type) -> set:
-    """The names of the base types that occur in the given types."""
-    out = set()
-    stack = list(types)
+def base_names(*types: Type) -> dict:
+    """The names of the base types that occur in the given types, as
+    the keys of a dict, in first-occurrence order, left to right."""
+    out = {}
+    stack = list(reversed(types))
     while stack:
         ty = stack.pop()
         if isinstance(ty, Base):
-            out.add(ty.name)
+            out[ty.name] = None
         elif isinstance(ty, Arrow):
-            stack.extend((ty.left, ty.right))
+            stack.extend((ty.right, ty.left))
     return out
 
 
@@ -311,7 +312,7 @@ def ambient_context(x) -> Dict[str, Optional[Type]]:
     return {name: None for name in sorted(free_vars(x))}
 
 
-def base_names_used(typing: "Typing") -> set:
+def base_names_used(typing: "Typing") -> dict:
     """Every base-type name mentioned in a typing result: the result
     type, the context, and the binder annotations."""
     anns = [t.ann for t in subterms(typing.node)

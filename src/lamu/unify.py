@@ -13,14 +13,9 @@ from operator import attrgetter, itemgetter
 from typing import Optional
 
 from .syntax import (
-    AbsLoc, CoherenceError, Cons, LamuError, Substitution, Term, Value,
-    Var, alpha_eq, free_vars, is_value, spine, subst_apply, subst_single,
-    term_key,
+    AbsLoc, CoherenceError, Cons, NotAValueError, Substitution, Term, Value,
+    Var, alpha_eq, free_vars, spine, subst_apply, subst_single, term_key,
 )
-
-
-class NotAGoalError(LamuError):
-    pass
 
 
 class Goal(Value):
@@ -29,8 +24,8 @@ class Goal(Value):
     __slots__ = ("lhs", "rhs")
 
     def __init__(self, lhs, rhs):
-        if not (is_value(lhs) and is_value(rhs)):
-            raise NotAGoalError("both sides of a goal must be values")
+        if not (lhs.value and rhs.value):
+            raise NotAValueError("both sides of a goal must be values")
         self.lhs = lhs
         self.rhs = rhs
 
@@ -134,13 +129,25 @@ def _eliminate(side, names, name, value, value_names):
 
 def mgu(problem: Problem):
     """Rewrite the goals to a normal form and read off the idempotent
-    most general unifier, or the failure witness.  A step rewrites the
-    first goal, in insertion order, that a rule fits, by the first rule
-    in the order delete > clash > occurs check > orient > match-lam >
-    match-cons > eliminate; alpha-duplicate goals collapse to the first.
-    A goal is [lhs, its free names, rhs, its free names, the Goal given
-    or None], the names None until a step needs them."""
-    goals = [[g.lhs, None, g.rhs, None, g] for g in problem.goals]
+    most general unifier, or the failure witness."""
+    return _solve([[g.lhs, None, g.rhs, None, g] for g in problem.goals])
+
+
+def mgu_goal(v: Term, w: Term):
+    """mgu(Problem([Goal(v, w)])), without building the goal or the
+    problem: the witness of a failure is a Goal built then."""
+    if not (v.value and w.value):
+        raise NotAValueError("both sides of a goal must be values")
+    return _solve([[v, None, w, None, None]])
+
+
+def _solve(goals: list):
+    """mgu's loop.  A step rewrites the first goal, in insertion order,
+    that a rule fits, by the first rule in the order delete > clash >
+    occurs check > orient > match-lam > match-cons > eliminate;
+    alpha-duplicate goals collapse to the first.  A goal is [lhs, its
+    free names, rhs, its free names, the Goal given or None], the names
+    None until a step needs them."""
     i = 0
     while i < len(goals):
         goal = goals[i]
@@ -185,10 +192,6 @@ def mgu(problem: Problem):
             goals[:] = _distinct(goals, itemgetter(0, 2))
         i = 0
     return Solved(Substitution({g[0].name: g[2] for g in goals}))
-
-
-def mgu_goal(v: Term, w: Term):
-    return mgu(Problem([Goal(v, w)]))
 
 
 def is_unifier(sigma: Substitution, problem: Problem) -> bool:

@@ -17,6 +17,7 @@ against one slow definition, here unless named:
   is_stuck, is_normal_term             is_stuck_oracle (rule by rule)
   par_normalize (pending threads)      par_normalize_oracle (whole program)
   mgu (one pass, in place)             mgu_oracle (iterates unify_step)
+  mgu_goal (one goal, no Problem)      mgu of a one-goal Problem (test_unify)
   infer, check                         infer_oracle, check_oracle
   denote_toplevel (thread by thread)   denote_toplevel_oracle (product)
   Model (bases closed in order)        RoundLoopModel (rounds, fixpoint)
@@ -52,8 +53,8 @@ from lamu.reduction import replay as replay_programs
 from lamu.syntax import (
     OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, LamuError,
     Program, Record, Session, Substitution, Term, Unif, Value, Var, _Node,
-    alpha_eq, coherence_witness, free_vars, make_spine, singleton, spine,
-    subst_apply, subterms, term_key,
+    alpha_eq, check_coherent, coherence_witness, free_vars, make_spine,
+    singleton, spine, subst_apply, subterms, term_key,
 )
 from lamu.typecheck import (
     Arrow, Base, Meta, Type, TypeCheckError, Typing, _Solver,
@@ -568,8 +569,7 @@ def subst_apply_oracle(x, sigma: Substitution):
 def subst_single_oracle(x, name: str, value: Term):
     """x with value for name, through a one-binding Substitution (which
     rejects a non-value) and the rebuilding substitution: the definition
-    that syntax.subst_single and syntax.subst_threads are checked
-    against."""
+    that syntax.subst_single is checked against."""
     return subst_apply_oracle(x, Substitution({name: value}))
 
 
@@ -934,7 +934,7 @@ def product_bfs(p: Program, key=canonical_program, fuel=200,
     """Breadth-first search over whole programs, identified by key: the
     product of the threads' state spaces.  The oracle that
     reachable_normal_forms is checked against, on small bounds."""
-    session = Session.for_program(p)
+    session = check_coherent(p)
     visited = {key(p)}
     frontier = [p]
     normal_forms = set()
@@ -1049,7 +1049,7 @@ def par_step_oracle(p: Program, session: Session) -> Program:
 def par_normalize_oracle(p: Program, fuel=200) -> ParNormalResult:
     """par_step_oracle on the whole program until every thread is normal
     by is_normal_term_oracle, or for exactly fuel steps."""
-    session = Session.for_program(p)
+    session = check_coherent(p)
     current = p
     for n in range(fuel + 1):
         if all(is_normal_term_oracle(t) for t in current):
@@ -1273,7 +1273,7 @@ def par_term_all(t: Term, session: Session) -> List[tuple]:
 def par_step_all(p: Program, session=None) -> List[Program]:
     """Every program reachable by one simultaneous reduction."""
     if session is None:
-        session = Session.for_program(p)
+        session = check_coherent(p)
     options_per_thread = []
     for t in p:
         resolved = []

@@ -138,6 +138,23 @@ MUTANTS = [
     Mutant("expect-leaves-an-operator-unquoted", "concrete.py",
            "shown = kind if kind.isalpha() else repr(kind)",
            "shown = kind"),
+    Mutant("base-names-iterates-a-set", "typecheck.py",
+           "    out = {}\n"
+           "    stack = list(reversed(types))\n"
+           "    while stack:\n"
+           "        ty = stack.pop()\n"
+           "        if isinstance(ty, Base):\n"
+           "            out[ty.name] = None\n",
+           "    out = set()\n"
+           "    stack = list(types)\n"
+           "    while stack:\n"
+           "        ty = stack.pop()\n"
+           "        if isinstance(ty, Base):\n"
+           "            out.add(ty.name)\n"),
+    Mutant("atloc-token-keeps-only-its-digits", "concrete.py",
+           "            tokens.append(Token(kind, value, line, col))\n",
+           "            tokens.append(Token(kind, value[2:] if kind == \"atloc\" "
+           "else value, line, col))\n"),
 ]
 
 

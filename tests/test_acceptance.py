@@ -26,8 +26,8 @@ from lamu.reduction import (
     enumerate_redexes, evaluate, find_redex, reachable_normal_forms, step_at,
 )
 from lamu.syntax import (
-    Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Session, Substitution,
-    Unif, Var, singleton, subst_apply,
+    Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Substitution, Unif, Var,
+    check_coherent, singleton, subst_apply,
 )
 from lamu.typecheck import (
     Arrow, Base, ambient_context, base_names_used, default_signature, infer,
@@ -233,8 +233,8 @@ def test_criterion_5_strong_bisimulation():
             continue
         redex = redexes[rng.randrange(len(redexes))]
         p2 = splice(p, step_at(p[redex.thread], redex,
-                               Session.for_program(p)))
-        session_q = Session.for_program(q)
+                               check_coherent(p)))
+        session_q = check_coherent(q)
         matched = any(
             struct_equiv(p2, splice(q, step_at(q[r.thread], r, session_q)))
             for r in enumerate_redexes(q))

@@ -8,7 +8,10 @@ defaulted parameter is passed by some call in ``src/``, ``bench/`` or
 ``tests/``: a parameter that no caller passes is a knob to remove.
 Every name a module imports is read in that module, and a module
 imports its siblings at module level and only through their public
-names.  The redex search names neither the unifier nor the session's
+names.  No function but a dunder only gives a job done elsewhere a
+second name: its body, after its docstring, is neither a call passing
+its parameters in order nor its one parameter's attribute.  The redex
+search names neither the unifier nor the session's
 unification memo: ``step_at`` decides unif or fail.  No function keeps
 state in a module between calls: nothing
 declares a ``global``, writes into a module-level name's attributes or
@@ -422,6 +425,89 @@ def test_the_check_sees_a_dead_method():
         "m.A.dead", "m.A.benched", "m.A.stored"]
     assert unused_methods([("m", tree)], [("b", bench)]) == [
         "m.A.dead", "m.A.stored"]
+
+
+def _functions(node, prefix=""):
+    """(qualified name, node) for each function defined in node's
+    subtree, methods and nested functions included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if isinstance(child, ast.FunctionDef):
+                yield name, child
+            yield from _functions(child, name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def aliases(modules):
+    """module.name for each function but a dunder that only gives a job
+    done elsewhere a second name: its body, after its docstring, is
+    ``return g(<its parameters, in order>)`` or ``return <its one
+    parameter>.<attribute>``."""
+    found = []
+    for module, tree in modules:
+        for name, node in _functions(tree):
+            body = node.body
+            if (isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                body = body[1:]
+            if (node.name.startswith("__") or len(body) != 1
+                    or not isinstance(body[0], ast.Return)):
+                continue
+            value = body[0].value
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args
+                      + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            if isinstance(value, ast.Call):
+                alias = not value.keywords and params == [
+                    getattr(a, "id", None) for a in value.args]
+            else:
+                alias = (isinstance(value, ast.Attribute)
+                         and isinstance(value.value, ast.Name)
+                         and [value.value.id] == params)
+            if alias:
+                found.append(f"{module}.{name}")
+    return found
+
+
+def test_src_gives_no_job_a_second_name():
+    assert aliases(list(_modules())) == []
+
+
+def test_the_check_sees_a_second_name():
+    tree = ast.parse(
+        "def call(a, b):\n"
+        "    \"Docstring.\"\n"
+        "    return g(a, b)\n"
+        "def read(t):\n"
+        "    return t.value\n"
+        "class S:\n"
+        "    @staticmethod\n"
+        "    def make(p):\n"
+        "        return check(p)\n"
+        "    def __repr__(self):\n"
+        "        return show(self)\n"
+        "    def inner(self):\n"
+        "        def nested(x):\n"
+        "            return x.y\n"
+        "        return nested\n"
+        "def swapped(a, b):\n"
+        "    return g(b, a)\n"
+        "def keyword(a):\n"
+        "    return g(a, k=1)\n"
+        "def two(a, b):\n"
+        "    return a.value\n"
+        "def deeper(t):\n"
+        "    return t.fn.value\n"
+        "def more(t):\n"
+        "    x = t.value\n"
+        "    return t.value\n"
+        "def starred(*xs):\n"
+        "    return g(*xs)\n")
+    assert aliases([("m", tree)]) == [
+        "m.call", "m.read", "m.S.make", "m.S.inner.nested"]
 
 
 def _imports(tree):

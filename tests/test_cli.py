@@ -329,6 +329,19 @@ def test_denote_rejects_a_recursive_signature_at_once(capsys):
     assert "base type i" in err
 
 
+def test_denote_names_the_same_empty_base_under_every_hash_seed(tmp_path):
+    # a and b are both empty; the model registers a constructor's
+    # argument bases left to right, so the error names a, whatever order
+    # a set of the two names would iterate in
+    path = tmp_path / "empty.luni"
+    path.write_text("base c = 1.\ncons F : a -> b -> c.\nOk\n",
+                    encoding="utf-8")
+    runs = [cli("denote", str(path), env={"PYTHONHASHSEED": str(seed)})
+            for seed in range(4)]
+    outputs = {(*run.communicate(), run.returncode) for run in runs}
+    assert outputs == {(b"", b"error: base type a is empty\n", EXIT_USER_ERROR)}
+
+
 def test_denote_lists_no_table_over_a_partial_domain(tmp_path, capsys):
     # a function over {i#0} alone is no element of i -> i2, since Z is in i
     path = tmp_path / "tables.luni"

@@ -113,6 +113,8 @@ MISSED = [
     (parse_program, r"\x C", "expected '.', found 'C' at line 1, column 4"),
     (parse_program, r"\x -> x", "expected '.', found '->' at line 1, column 4"),
     (parse_program, r"\x@L2 x", "expected '.', found 'x' at line 1, column 7"),
+    (parse_program, r"\x@L2 @L3. x",
+     "expected '.', found '@L3' at line 1, column 7"),
     (parse_file, "cons K : i =:= k.",
      "expected '.', found '=:=' at line 1, column 12"),
     (parse_program, "(C", "expected ')', found 'eof' at line 1, column 3"),
@@ -131,6 +133,7 @@ MISSED = [
     (parse_file, "base 3 = 2.", "expected lower, found '3' at line 1, column 6"),
     (parse_file, "base i = n.", "expected int, found 'n' at line 1, column 10"),
     (parse_program, "C )", "expected eof, found ')' at line 1, column 3"),
+    (parse_program, "C @L3", "expected eof, found '@L3' at line 1, column 3"),
     (parse_file, "def k = C. C C.",
      "expected eof, found '.' at line 1, column 15"),
 ]

@@ -215,6 +215,9 @@ def test_errors_name_the_first_base_in_name_order():
     assert message({"n": 0, "m": 0}, {}) == "base type n is empty"
     assert message({}, {"F": Arrow(d, c), "G": Arrow(b, a)}) \
         == "base type c is empty"
+    # a constructor's argument bases, left to right
+    assert message({"c": 1}, {"F": Arrow(a, Arrow(b, c))}) \
+        == "base type a is empty"
 
 
 def test_empty_base_rejected():

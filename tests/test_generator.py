@@ -9,7 +9,7 @@ from lamu.generator import (
     DEFAULT_SIGNATURE, STRATIFIED_SIGNATURE, Generator, GeneratorConfig,
     sample_programs,
 )
-from lamu.syntax import AbsLoc, Cons, Unif, Var, is_value, subterms
+from lamu.syntax import AbsLoc, Cons, Unif, Var, subterms
 from lamu.typecheck import (
     ambient_context, default_signature, infer,
 )
@@ -66,13 +66,13 @@ def test_generated_programs_are_coherent():
 def test_values_are_values():
     gen = Generator(GeneratorConfig(seed=3))
     for _ in range(200):
-        assert is_value(gen.value())
+        assert gen.value().value
 
 
 def test_goal_sides_are_values():
     gen = Generator(GeneratorConfig(seed=4))
     for lhs, rhs in goals(gen, 100):
-        assert is_value(lhs) and is_value(rhs)
+        assert lhs.value and rhs.value
 
 
 def test_well_typed_stream_typechecks():

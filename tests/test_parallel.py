@@ -11,7 +11,8 @@ from lamu.generator import Generator, GeneratorConfig
 from lamu.parallel import ParNormalResult, par_normalize, par_step, par_term
 from lamu.reduction import evaluate
 from lamu.syntax import (
-    AbsLoc, App, Cons, Guard, Program, Session, Unif, Var, singleton,
+    AbsLoc, App, Cons, Guard, Program, Session, Unif, Var, check_coherent,
+    singleton,
 )
 
 X, Y = Var("x"), Var("y")
@@ -86,7 +87,7 @@ def test_par_normalize_out_of_fuel_takes_exactly_fuel_steps():
     assert par_normalize(DIVERGENT, fuel=0) == ParNormalResult(
         DIVERGENT, 0, False)
     for fuel in (1, 2, 5):
-        session = Session.for_program(DIVERGENT)
+        session = check_coherent(DIVERGENT)
         expected = DIVERGENT
         for _ in range(fuel):
             expected = par_step(expected, session)
@@ -117,13 +118,13 @@ def test_normal_threads_are_par_term_fixpoints():
     to itself, emits no goal and draws no name or location."""
     checked = set()
     for p in _parity_programs():
-        session = Session.for_program(p)
+        session = check_coherent(p)
         current = p
         for _ in range(300):
             normal = [t for t in current if is_normal_term(t)]
             for t in set(normal) - checked:
-                used = Session.for_program(singleton(t))
-                twin = Session.for_program(singleton(t))
+                used = check_coherent(singleton(t))
+                twin = check_coherent(singleton(t))
                 assert par_term(t, used) == ((t,), ())
                 assert used.fresh_var() == twin.fresh_var()
                 assert used.fresh_loc() == twin.fresh_loc()

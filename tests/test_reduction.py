@@ -16,7 +16,7 @@ from lamu.reduction import (
 )
 from lamu.syntax import (
     Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, Program, Session,
-    Unif, Var, alpha_eq, check_coherent, singleton, subst_threads,
+    Unif, Var, alpha_eq, check_coherent, singleton, subst_single,
 )
 
 X, Y = Var("x"), Var("y")
@@ -46,14 +46,14 @@ def test_alloc_uses_fresh_location():
 def test_beta_splits_threads():
     body = Program((X, C))
     p = singleton(App(AbsLoc(1, "x", body), D))
-    ts = step(p, session=Session.for_program(p))
+    ts = step(p, session=check_coherent(p))
     assert ts.rule == BETA
     assert splice(p, ts) == Program((D, C))
 
 
 def test_beta_fail_body_deletes_thread():
     p = Program((App(AbsLoc(1, "x", Program(())), D), C))
-    ts = step(p, session=Session.for_program(p))
+    ts = step(p, session=check_coherent(p))
     assert ts.rule == BETA
     assert splice(p, ts) == Program((C,))
 
@@ -67,7 +67,7 @@ def test_guard_rule():
 
 def test_fresh_rule_renames():
     p = singleton(Fresh("x", Unif(X, C)))
-    ts = step(p, session=Session.for_program(p))
+    ts = step(p, session=check_coherent(p))
     assert ts.rule == FRESH
     assert ts.fresh_var is not None
     assert alpha_eq(splice(p, ts).threads[0], Unif(Var(ts.fresh_var), C))
@@ -75,7 +75,7 @@ def test_fresh_rule_renames():
 
 def test_unif_applies_mgu_to_whole_thread():
     p = singleton(Guard(Unif(X, C), App(D, X)))
-    ts = step(p, session=Session.for_program(p))
+    ts = step(p, session=check_coherent(p))
     assert ts.rule == UNIF
     assert splice(p, ts) == singleton(Guard(Cons("Ok"), App(D, C)))
     assert ts.substitution is not None and ts.substitution("x") == C
@@ -83,13 +83,13 @@ def test_unif_applies_mgu_to_whole_thread():
 
 def test_unif_does_not_touch_other_threads():
     p = Program((Unif(X, C), X))
-    ts = step(p, session=Session.for_program(p))
+    ts = step(p, session=check_coherent(p))
     assert splice(p, ts) == Program((Cons("Ok"), X))
 
 
 def test_fail_rule_deletes_thread():
     p = Program((Unif(C, D), X))
-    ts = step(p, session=Session.for_program(p))
+    ts = step(p, session=check_coherent(p))
     assert ts.rule == FAILRULE
     assert splice(p, ts) == Program((X,))
 
@@ -146,11 +146,11 @@ def test_a_session_contracts_each_pair_once(monkeypatch):
     # 4 on every beta reads the memo
     calls = []
 
-    def counting_subst_threads(threads, name, value):
+    def counting_subst_single(x, name, value):
         calls.append(name)
-        return subst_threads(threads, name, value)
+        return subst_single(x, name, value)
 
-    monkeypatch.setattr(reduction, "subst_threads", counting_subst_threads)
+    monkeypatch.setattr(reduction, "subst_single", counting_subst_single)
     omega = run(r"(\x. x x) (\x. x x)", fuel=50)
     assert not omega.normal and omega.steps == 50
     assert [ts.rule for ts in omega.trace] == [ALLOC, ALLOC] + [BETA] * 48
@@ -251,7 +251,7 @@ def test_a_given_session_is_not_walked_again(monkeypatch):
     # the caller that made the session walked the program; step and
     # par_step with it walk nothing, and so do not see incoherence
     p = parse_program(r"(\x. x) C | fresh y. (y =:= C) | D")
-    session = Session.for_program(p)
+    session = check_coherent(p)
     walks = _count_walks(monkeypatch)
     assert step(p, session) is not None
     par_step(p, session)
@@ -287,7 +287,7 @@ def test_enumerate_redexes_positions():
 
 def test_step_at_either_redex():
     p = singleton(App(Unif(C, C), Unif(D, D)))
-    session = Session.for_program(p)
+    session = check_coherent(p)
     redexes = enumerate_redexes(p)
     left = splice(p, step_at(p[0], redexes[0], session))
     right = splice(p, step_at(p[0], redexes[1], session))

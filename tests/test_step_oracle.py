@@ -38,8 +38,8 @@ from lamu.reduction import (
     reachable_normal_forms, replay, step_at,
 )
 from lamu.syntax import (
-    Abs, AbsLoc, App, Cons, Program, Session, Term, Unif, Var, free_vars,
-    singleton, subst_single, subst_threads, subterms,
+    Abs, AbsLoc, App, Cons, Program, Term, Unif, Var, check_coherent,
+    free_vars, singleton, subst_single, subterms,
 )
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -55,7 +55,7 @@ def _new_location(old, new):
 
 
 def oracle_evaluate(p, fuel):
-    session = Session.for_program(p)
+    session = check_coherent(p)
     trace = []
     current = p
     for _ in range(fuel):
@@ -294,7 +294,7 @@ def assert_strategy_picks(p, fuel, strategy, seed):
     threads.  Both steps share every subterm beside the redex's path, so
     comparing them costs the path, not the thread."""
     result = evaluate(p, fuel, strategy, seed)
-    session = Session.for_program(p)
+    session = check_coherent(p)
     rng = random.Random(seed)
     threads = list(p)
     for ts in result.trace:
@@ -327,8 +327,7 @@ def test_paths_match_weak_contexts():
 
 def test_subst_single_matches_the_substitution():
     # the body, variable and value of every beta and fresh step the
-    # streams take, the growing value at fuel 900 among them; a beta
-    # body goes through subst_threads too
+    # streams take, the growing value at fuel 900 among them
     calls = []
     for p, fuel in streams():
         for ts in evaluate(p, fuel).trace:
@@ -342,8 +341,6 @@ def test_subst_single_matches_the_substitution():
     for x, name, value in calls:
         out = subst_single_oracle(x, name, value)
         assert subst_single(x, name, value) == out
-        if isinstance(x, Program):
-            assert subst_threads(x.threads, name, value) == out.threads
 
 
 class Issued:

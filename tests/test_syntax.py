@@ -23,8 +23,8 @@ from lamu.syntax import (
     FAIL, OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard,
     NotAValueError, Program, Session, Substitution, Unif, Var,
     alpha_eq, check_coherent, coherence_witness,
-    free_vars, is_value, make_spine,
-    singleton, spine, subst_apply, subst_single, subst_threads, subterms,
+    free_vars, make_spine,
+    singleton, spine, subst_apply, subst_single, subterms,
 )
 from lamu.typecheck import ambient_context, default_signature, infer
 
@@ -35,16 +35,16 @@ ID2 = AbsLoc(2, "x", singleton(X))
 
 
 def test_values():
-    assert is_value(X)
-    assert is_value(C)
-    assert is_value(App(C, D))
-    assert is_value(App(App(Cons("P"), X), ID1))
-    assert is_value(ID1)
-    assert not is_value(Abs("x", singleton(X)))
-    assert not is_value(App(X, C))
-    assert not is_value(App(C, App(X, C)))
-    assert not is_value(Unif(C, C))
-    assert not is_value(Fresh("x", X))
+    assert X.value
+    assert C.value
+    assert App(C, D).value
+    assert App(App(Cons("P"), X), ID1).value
+    assert ID1.value
+    assert not Abs("x", singleton(X)).value
+    assert not App(X, C).value
+    assert not App(C, App(X, C)).value
+    assert not Unif(C, C).value
+    assert not Fresh("x", X).value
 
 
 def test_structures():
@@ -282,7 +282,7 @@ def test_subst_equal():
 
 def test_session_avoids_existing_names():
     p = Program((Var("v0"), ID1))
-    s = Session.for_program(p)
+    s = check_coherent(p)
     assert s.fresh_var() == "v1"
     assert s.fresh_loc() == 2
     assert s.fresh_loc() == 3
@@ -324,7 +324,7 @@ def test_session_for_program_issues_what_its_names_and_locations_say():
         if bad:
             i, witness = bad[0]
             with pytest.raises(CoherenceError) as info:
-                Session.for_program(p)
+                check_coherent(p)
             assert str(info.value) == (
                 f"thread {i} violates coherence: {witness[0]}"), p
             assert info.value.witness == witness, p
@@ -332,9 +332,9 @@ def test_session_for_program_issues_what_its_names_and_locations_say():
             continue
         locs = locations(p)
         first = max(locs) + 1 if locs else 1
-        assert _supply(Session.for_program(p)) == _supply(
+        assert _supply(check_coherent(p)) == _supply(
             Session(avoid=all_names(p), first_loc=first)), p
-    assert _supply(Session.for_program(only_negative)) == (
+    assert _supply(check_coherent(only_negative)) == (
         ["v2", "v3", "v4", "v5", "v6", "v7"], [-2, -1, 0, 1, 2, 3])
     assert raised > 50
 
@@ -350,7 +350,7 @@ values = st.recursive(
 
 @given(values, values)
 def test_subst_preserves_valueness(v, w):
-    assert is_value(subst_single(v, "x", w))
+    assert subst_single(v, "x", w).value
 
 
 @given(values, values, values)
@@ -381,7 +381,6 @@ def test_substitution_matches_the_rebuilding_oracle():
         for name in ("x", "y", "z"):
             out = subst_single(p, name, v)
             assert out == subst_single_oracle(p, name, v)
-            assert subst_threads(p.threads, name, v) == out.threads
             if any(n.endswith("'") for n in all_names(out)):
                 renamed += 1
         for t in p:
@@ -396,7 +395,6 @@ def test_substitution_shares_what_it_does_not_change():
                  Abs("x", singleton(App(X, Y))), Fresh("y", Unif(Y, D))))
     # a name that occurs nowhere free leaves the input as it was
     assert subst_single(t, "w", C) is t
-    assert subst_threads(t.threads, "w", C) is t.threads
     assert subst_apply(t, Substitution({"w": C, "v": D})) is t
     # only the nodes above an occurrence are new
     out = subst_single(t, "x", D)

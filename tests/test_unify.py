@@ -15,12 +15,12 @@ from helpers import (
 from lamu import unify
 from lamu.generator import Generator, GeneratorConfig
 from lamu.syntax import (
-    AbsLoc, App, CoherenceError, Cons, Substitution, Var, alpha_eq,
-    coherence_witness, make_spine, singleton, term_key,
+    AbsLoc, App, CoherenceError, Cons, NotAValueError, Substitution, Var,
+    alpha_eq, coherence_witness, make_spine, singleton, term_key,
 )
 from lamu.unify import (
     ARITY_CLASH, CONSTRUCTOR_CLASH, LOCATION_CLASH,
-    OCCURS_CHECK, TYPE_CLASH, Failed, Goal, NotAGoalError, Problem,
+    OCCURS_CHECK, TYPE_CLASH, Failed, Goal, Problem,
     Solved, clash, is_unifier, mgu, mgu_goal,
 )
 
@@ -35,7 +35,7 @@ def cons(name, *args):
 
 
 def test_goal_requires_values():
-    with pytest.raises(NotAGoalError):
+    with pytest.raises(NotAValueError):
         Goal(App(X, C), C)
 
 
@@ -345,6 +345,19 @@ def test_mgu_matches_the_oracle_on_criterion_6():
     assert outcomes == [mgu_oracle(problem)
                         for problem in _criterion_6_problems()]
     assert {type(o) for o in outcomes} == {Solved, Failed}
+
+
+def test_mgu_goal_is_mgu_of_its_one_goal_on_criterion_6():
+    # every goal of criterion 6's problems, witnesses included: a
+    # failure's witness is a Goal that mgu_goal builds on failure
+    goals = [g for problem in _criterion_6_problems() for g in problem]
+    outcomes = [mgu_goal(g.lhs, g.rhs) for g in goals]
+    assert outcomes == [mgu(Problem([g])) for g in goals]
+    failed = [o for o in outcomes if isinstance(o, Failed)]
+    assert len(failed) > 100 and all(type(o.goal) is Goal for o in failed)
+    assert len(outcomes) - len(failed) > 100
+    with pytest.raises(NotAValueError):
+        mgu_goal(App(X, C), C)
 
 
 def test_mgu_matches_the_oracle_on_random_problems():
