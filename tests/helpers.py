@@ -27,15 +27,21 @@ against one slow definition, here unless named:
 
 Besides: a timer, term, context and substitution utilities, trace
 replay, unification-problem helpers, the brute-force ground unifier of
-criterion 6, the criterion-4 critical pairs and the full simultaneous
-reduction relation for the diamond spot checks."""
+criterion 6, the inputs of the acceptance criteria (each drawn afresh
+by every test that reads it) and the full simultaneous reduction
+relation for the diamond spot checks."""
 
 import functools
 import itertools
+import os
+import random
 import signal
+import subprocess
+import sys
 from typing import Iterator, List, NamedTuple, Optional
 
 from lamu import unify
+from lamu.concrete import parse_file, parse_program
 from lamu.denot import (
     Atom, DenotError, InclusionReport, Model, SemValue, SoundnessVerdict,
     Table, TooLarge, _result_base, denote, denote_toplevel,
@@ -44,6 +50,7 @@ from lamu.equiv import (
     STUCK_CONS, STUCK_GUARD, STUCK_LAM, STUCK_UNIF, STUCK_VAR, StuckKind,
     canonical_program,
 )
+from lamu.generator import STRATIFIED_SIGNATURE, Generator, GeneratorConfig
 from lamu.parallel import ParNormalResult, _lift, par_term
 from lamu.reduction import (
     ALLOC, BETA, FAILRULE, FRESH, GUARD, UNIF, Exploration, Redex,
@@ -58,7 +65,8 @@ from lamu.syntax import (
 )
 from lamu.typecheck import (
     Arrow, Base, Meta, Type, TypeCheckError, Typing, _Solver,
-    ambient_context, arg_types, base_names,
+    ambient_context, arg_types, base_names, base_names_used,
+    default_signature, infer,
 )
 
 
@@ -963,24 +971,169 @@ def product_bfs(p: Program, key=canonical_program, fuel=200,
 
 
 def critical_pair_instances():
-    """(v1 =:= v2) (w1 =:= w2) t with both goals solvable, so the two
-    interleavings must meet after discharging both unifiers."""
+    """Criterion 4's critical-pair family: (v1 =:= v2) (w1 =:= w2) t
+    with both goals solvable, so the two interleavings must meet after
+    discharging both unifiers."""
     x, y, z = Var("x"), Var("y"), Var("z")
     C, D = Cons("C"), Cons("D")
     S = lambda v: App(Cons("S"), v)
     P = lambda v, w: App(App(Cons("P"), v), w)
-    return [
-        (x, C, y, D, P(x, y)),
-        (x, S(y), y, C, P(x, y)),
-        (x, y, y, D, P(x, y)),
-        (P(x, y), P(C, D), x, C, P(y, x)),
-        (x, C, x, y, P(x, y)),
-        (S(x), S(C), y, S(x), P(x, y)),
-        (x, AbsLoc(1, "v", singleton(Var("v"))), y, C, P(x, y)),
-        (P(x, C), P(D, y), z, S(x), P(z, y)),
-        (x, y, z, D, P(x, z)),
-        (S(S(x)), S(S(C)), y, x, P(x, y)),
-    ]
+    return [singleton(App(App(Unif(v1, v2), Unif(w1, w2)), t))
+            for v1, v2, w1, w2, t in (
+                (x, C, y, D, P(x, y)),
+                (x, S(y), y, C, P(x, y)),
+                (x, y, y, D, P(x, y)),
+                (P(x, y), P(C, D), x, C, P(y, x)),
+                (x, C, x, y, P(x, y)),
+                (S(x), S(C), y, S(x), P(x, y)),
+                (x, AbsLoc(1, "v", singleton(Var("v"))), y, C, P(x, y)),
+                (P(x, C), P(D, y), z, S(x), P(z, y)),
+                (x, y, z, D, P(x, z)),
+                (S(S(x)), S(S(C)), y, x, P(x, y)))]
+
+
+# ---------------------------------------------------------------------------
+# The acceptance criteria's inputs, which test_acceptance checks and the
+# tests of a fast path on the same inputs draw again.  Every call draws
+# afresh: no test sees another's draws.
+
+CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
+# never normal: every beta step spawns a copy of itself beside a C
+DIVERGENT = r"(\x. x x | C) (\x. x x | C)"
+# criterion 8 checks 200 draws and skips 15 that have no finite model
+CRITERION_8_DRAWS = 215
+
+
+def criterion_4_programs(count=500):
+    """The first count draws of criteria 4 and 9's stream: depth 4,
+    seed 7."""
+    return itertools.islice(
+        Generator(GeneratorConfig(seed=7, max_depth=4)).programs(), count)
+
+
+def confluence_stream(count=40):
+    """The criterion 4/9 stream's first count programs, the critical
+    pairs and the divergent program: at 40, the programs that the
+    benchmark's confluence workload explores."""
+    return [*criterion_4_programs(count), *critical_pair_instances(),
+            parse_program(DIVERGENT)]
+
+
+def equivalent_variant(p: Program, rng) -> Program:
+    """A program related to p by thread reordering plus injective
+    renaming of per-thread free variables and of locations."""
+    threads = []
+    for k, t in enumerate(p):
+        sigma = Substitution({n: Var(f"w{k}_{j}")
+                              for j, n in enumerate(sorted(free_vars(t)))})
+        renamed = subst_apply(t, sigma)
+        for loc in sorted(locations(renamed), reverse=True):
+            renamed = subst_loc(renamed, loc, loc + 1000)
+        threads.append(renamed)
+    rng.shuffle(threads)
+    return Program(tuple(threads))
+
+
+def criterion_5_draws(count=500):
+    """Criterion 5's count triples: a depth-3 program from seed 71 that
+    has a redex, an equivalent variant of it and the redex to step, both
+    chosen by one rng, also seeded 71."""
+    rng = random.Random(71)
+    gen = Generator(GeneratorConfig(seed=71, max_depth=3))
+    drawn = 0
+    while drawn < count:
+        p = gen.program()
+        redexes = enumerate_redexes(p)
+        if redexes:
+            q = equivalent_variant(p, rng)
+            yield p, q, redexes[rng.randrange(len(redexes))]
+            drawn += 1
+
+
+def criterion_6_generator() -> Generator:
+    """The generator of criterion 6's goals: depth-3 values over x and
+    y, seed 13."""
+    return Generator(GeneratorConfig(seed=13, max_depth=3,
+                                     variables=("x", "y")))
+
+
+def criterion_6_problems() -> list:
+    """Criterion 6's 1 000 goal sets, of one to three goals each."""
+    gen = criterion_6_generator()
+    return [unify.Problem([unify.Goal(*gen.goal())
+                           for _ in range(gen.rng.randint(1, 3))])
+            for _ in range(1000)]
+
+
+def criterion_7_config() -> GeneratorConfig:
+    """Criterion 7's stream: well-typed depth-3 programs without
+    locations over the default signature, seed 19."""
+    return GeneratorConfig(seed=19, max_depth=3, allow_absloc=False,
+                           well_typed=True)
+
+
+def criterion_8_config() -> GeneratorConfig:
+    """Criterion 8's stream: as criterion 7's, over the stratified
+    signature, seed 29."""
+    return GeneratorConfig(seed=29, max_depth=3, allow_absloc=False,
+                           well_typed=True,
+                           signature=dict(STRATIFIED_SIGNATURE))
+
+
+def model_sizes(typing: Typing) -> dict:
+    """Criterion 8's model: two atoms for each base type of the typing
+    but unit."""
+    return {n: 2 for n in base_names_used(typing) if n != "unit"}
+
+
+def criterion_8_draws():
+    """Criterion 8's stream, each draw with its typing and its model
+    (cap 4 096), or the TooLarge or DenotError that building the model
+    raised, for which criterion 8 skips the draw."""
+    config = criterion_8_config()
+    sig = default_signature(config.signature)
+    for p in Generator(config).programs():
+        typing = infer(ambient_context(p), sig, p)
+        try:
+            model = Model(model_sizes(typing), sig, cap=4096)
+        except (TooLarge, DenotError) as exc:
+            model = exc
+        yield p, typing, model
+
+
+def worked_example():
+    """Criterion 8's worked example, and its model: nat has four atoms,
+    N1 and N2 are nats and T pairs two of them into a tuple."""
+    nat, tup = Base("nat"), Base("tuple")
+    sig = default_signature({
+        "N1": nat, "N2": nat, "T": Arrow(nat, Arrow(nat, tup))})
+    return (parse_program(r"fresh x. ((\z. fresh y. ((z =:= T N1 y); "
+                          r"(T y x))) (T x N2))"),
+            Model({"nat": 4}, sig))
+
+
+def criterion_10_config() -> GeneratorConfig:
+    """Criterion 10's stream: depth-4 programs, seed 43."""
+    return GeneratorConfig(seed=43, max_depth=4)
+
+
+def corpus_sources() -> Iterator[tuple]:
+    """Each corpus file's name and its parsed source, in name order."""
+    for name in sorted(os.listdir(CORPUS)):
+        with open(os.path.join(CORPUS, name), encoding="utf-8") as handle:
+            yield name, parse_file(handle.read())
+
+
+def cli(*argv, **popen):
+    """lamu.cli started in a subprocess, which does not see pytest's
+    pythonpath setting."""
+    src_dir = os.path.join(os.path.dirname(CORPUS), os.pardir, "src")
+    pythonpath = os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, **popen.pop("env", {}))
+    return subprocess.Popen([sys.executable, "-m", "lamu.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env, **popen)
 
 
 # ---------------------------------------------------------------------------

@@ -5,35 +5,31 @@ The heavyweight exploration (shared by the confluence and the
 cross-evaluator criteria) runs once and is cached at module scope.
 """
 
-import os
-import subprocess
-import sys
 import time
 
 from helpers import (
-    brute_force_unifiable, compose, critical_pair_instances, ground_universe,
-    locations, problem_subst, problem_terms, range_values, splice,
-    subst_equal, subst_loc,
+    brute_force_unifiable, cli, compose, corpus_sources,
+    criterion_10_config, criterion_4_programs, criterion_5_draws,
+    criterion_6_problems, criterion_7_config, criterion_8_draws,
+    critical_pair_instances, ground_universe, problem_subst, problem_terms,
+    range_values, splice, subst_equal, worked_example,
 )
 from lamu.concrete import parse_program, pretty_program
 from lamu.denot import DenotError, Model, TooLarge, denote, soundness_check
 from lamu.equiv import is_normal_program, struct_equiv
-from lamu.generator import (
-    Generator, GeneratorConfig, STRATIFIED_SIGNATURE, sample_programs,
-)
+from lamu.generator import Generator, sample_programs
 from lamu.parallel import par_normalize
 from lamu.reduction import (
     enumerate_redexes, evaluate, find_redex, reachable_normal_forms, step_at,
 )
 from lamu.syntax import (
-    Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Substitution, Unif, Var,
-    check_coherent, singleton, subst_apply,
+    Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Unif, Var,
+    check_coherent, singleton,
 )
 from lamu.typecheck import (
-    Arrow, Base, ambient_context, base_names_used, default_signature, infer,
-    subject_reduction_check,
+    Base, ambient_context, default_signature, infer, subject_reduction_check,
 )
-from lamu.unify import Goal, Problem, Solved, is_unifier, mgu, mgu_goal
+from lamu.unify import Solved, is_unifier, mgu, mgu_goal
 
 
 def report(n, name, ok, detail=""):
@@ -150,13 +146,11 @@ _EXPLORATION_CACHE = {}
 def _exploration():
     if "data" in _EXPLORATION_CACHE:
         return _EXPLORATION_CACHE["data"]
-    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
     confluence_failures = []
     agreement_failures = []
     incomplete = 0
     samples = 500
-    for i in range(samples):
-        p = gen.program()
+    for i, p in enumerate(criterion_4_programs(samples)):
         ex = reachable_normal_forms(p, fuel=200, max_states=10_000)
         if not ex.complete:
             incomplete += 1
@@ -181,8 +175,7 @@ def test_criterion_4_confluence():
     start = time.time()
     data = _exploration()
     family_failures = []
-    for i, (v1, v2, w1, w2, t) in enumerate(critical_pair_instances()):
-        p = singleton(App(App(Unif(v1, v2), Unif(w1, w2)), t))
+    for i, p in enumerate(critical_pair_instances()):
         ex = reachable_normal_forms(p, fuel=200, max_states=10_000)
         if not ex.complete or len(ex.normal_forms) != 1:
             family_failures.append(i)
@@ -198,40 +191,14 @@ def test_criterion_4_confluence():
 # ---------------------------------------------------------------------------
 # 5. Structural equivalence is a strong bisimulation
 
-def _equivalent_variant(p, rng):
-    """A program related to p by thread reordering plus injective
-    renaming of per-thread free variables and of locations."""
-    from lamu.syntax import free_vars
-    threads = []
-    for k, t in enumerate(p):
-        sigma = Substitution(
-            {n: Var(f"w{k}_{j}")
-             for j, n in enumerate(sorted(free_vars(t)))})
-        renamed = subst_apply(t, sigma)
-        for loc in sorted(locations(renamed), reverse=True):
-            renamed = subst_loc(renamed, loc, loc + 1000)
-        threads.append(renamed)
-    rng.shuffle(threads)
-    return Program(tuple(threads))
-
-
 def test_criterion_5_strong_bisimulation():
-    import random
     start = time.time()
-    rng = random.Random(71)
-    gen = Generator(GeneratorConfig(seed=71, max_depth=3))
     checked = failures = 0
-    while checked < 500:
-        p = gen.program()
-        redexes = enumerate_redexes(p)
-        if not redexes:
-            continue
-        q = _equivalent_variant(p, rng)
+    for p, q, redex in criterion_5_draws(500):
         if not struct_equiv(p, q):
             failures += 1
             checked += 1
             continue
-        redex = redexes[rng.randrange(len(redexes))]
         p2 = splice(p, step_at(p[redex.thread], redex,
                                check_coherent(p)))
         session_q = check_coherent(q)
@@ -257,13 +224,9 @@ def test_criterion_6_unification_metatheory():
     from lamu.syntax import coherence_witness
     from lamu.unify import Failed
     start = time.time()
-    gen = Generator(GeneratorConfig(seed=13, max_depth=3,
-                                    variables=("x", "y")))
     universe = ground_universe(2, _UNIVERSE_CLOSURES)
     solved = failed = bad = 0
-    for _ in range(1000):
-        problem = Problem([Goal(*gen.goal())
-                           for _ in range(gen.rng.randint(1, 3))])
+    for problem in criterion_6_problems():
         outcome = mgu(problem)
         if isinstance(outcome, Solved):
             solved += 1
@@ -297,8 +260,7 @@ def test_criterion_6_unification_metatheory():
 
 def test_criterion_7_subject_reduction():
     start = time.time()
-    gen = Generator(GeneratorConfig(seed=19, max_depth=3,
-                                    allow_absloc=False, well_typed=True))
+    gen = Generator(criterion_7_config())
     sig = default_signature(gen.config.signature)
     stream = gen.programs()
     failures = 0
@@ -318,16 +280,11 @@ def test_criterion_7_subject_reduction():
 
 def test_criterion_8_soundness():
     start = time.time()
-    nat, tup = Base("nat"), Base("tuple")
-    sig = default_signature({
-        "N1": nat, "N2": nat, "T": Arrow(nat, Arrow(nat, tup))})
-    model = Model({"nat": 4}, sig)
-    worked = parse_program(
-        r"fresh x. ((\z. fresh y. ((z =:= T N1 y); (T y x))) (T x N2))")
+    worked, model = worked_example()
     verdict = soundness_check(worked, model)
     final = evaluate(worked).program
     expected = parse_program("T N2 N1")
-    typing = infer(ambient_context(expected), sig, expected)
+    typing = infer(ambient_context(expected), model.sig, expected)
     from lamu.denot import denote_toplevel
     expected_sem = denote_toplevel(typing.node, model, typing.gamma)
     worked_ok = (verdict.ok
@@ -348,20 +305,14 @@ def test_criterion_8_soundness():
                   and denote(Program(()), {}, m2) == frozenset()
                   and stepped.is_fail)
 
-    config = GeneratorConfig(seed=29, max_depth=3, allow_absloc=False,
-                             well_typed=True,
-                             signature=dict(STRATIFIED_SIGNATURE))
-    gen = Generator(config)
-    gsig = default_signature(config.signature)
-    stream = gen.programs()
+    draws = criterion_8_draws()
     checked = failures = skipped = 0
     while checked < 200:
-        p = next(stream)
+        p, typing, m = next(draws)
         try:
-            typing = infer(ambient_context(p), gsig, p)
-            sizes = {n: 2 for n in base_names_used(typing) if n != "unit"}
-            m = Model(sizes, gsig, cap=4096)
-            v = soundness_check(p, m, fuel=100)
+            if isinstance(m, LamuError):
+                raise m
+            v = soundness_check(p, m, fuel=100, typing=typing)
         except (TooLarge, DenotError):
             skipped += 1
             continue
@@ -391,38 +342,30 @@ def test_criterion_9_cross_evaluator_agreement():
 # 10. Round-trip and determinism
 
 def test_criterion_10_round_trip_and_determinism():
-    from lamu.concrete import parse_file
     from lamu.syntax import alpha_eq
     start = time.time()
-    corpus_dir = os.path.join(os.path.dirname(__file__), "corpus")
     round_trip_failures = 0
     count = 0
-    for name in sorted(os.listdir(corpus_dir)):
-        src = parse_file(open(os.path.join(corpus_dir, name)).read())
+    for _, src in corpus_sources():
         if not alpha_eq(parse_program(pretty_program(src.program)),
                         src.program):
             round_trip_failures += 1
         count += 1
-    gen = Generator(GeneratorConfig(seed=43, max_depth=4))
+    gen = Generator(criterion_10_config())
     for _ in range(300):
         p = gen.program()
         if not alpha_eq(parse_program(pretty_program(p)), p):
             round_trip_failures += 1
         count += 1
-    streams_equal = (sample_programs(50, GeneratorConfig(seed=43))
-                     == sample_programs(50, GeneratorConfig(seed=43)))
-    # the subprocess does not see pytest's pythonpath setting
-    src_dir = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    pythonpath = os.pathsep.join(
-        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=pythonpath)
-    cmd = [sys.executable, "-m", "lamu.cli", "test-confluence",
-           "--samples", "20", "--seed", "3"]
-    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
-    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
-    reports_identical = (first.stdout == second.stdout
-                         and first.returncode == second.returncode == 0)
+    streams_equal = (sample_programs(50, criterion_10_config())
+                     == sample_programs(50, criterion_10_config()))
+    reports = []
+    for _ in range(2):
+        run = cli("test-confluence", "--samples", "20", "--seed", "3",
+                  env={"PYTHONHASHSEED": "0"})
+        reports.append((run.communicate()[0], run.returncode))
+    first, second = reports
+    reports_identical = first == second and first[1] == 0
     elapsed = time.time() - start
     report(10, "round-trip-and-determinism",
            round_trip_failures == 0 and streams_equal and reports_identical,

@@ -7,12 +7,12 @@ import random
 from hypothesis import given, strategies as st
 
 from canon_oracle import canonical_program as oracle_program, canonicalize
-from helpers import locations, product_bfs, subst_loc
+from helpers import criterion_4_programs, equivalent_variant, product_bfs
 from lamu.equiv import canonical_program, canonical_thread, struct_equiv
 from lamu.generator import Generator, GeneratorConfig
 from lamu.syntax import (
-    Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Substitution, Unif, Var,
-    alpha_eq, free_vars, singleton, subst_apply, subterms, term_key,
+    Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Unif, Var, alpha_eq,
+    singleton, subterms, term_key,
 )
 from lamu.typecheck import Base
 
@@ -127,21 +127,6 @@ def _map_children(t, f):
     return t
 
 
-def _equivalent_variant(p, rng):
-    """Thread reordering plus injective per-thread renaming of free
-    variables and of locations."""
-    threads = []
-    for k, t in enumerate(p):
-        sigma = Substitution({n: Var(f"w{k}_{j}")
-                              for j, n in enumerate(sorted(free_vars(t)))})
-        renamed = subst_apply(t, sigma)
-        for loc in sorted(locations(renamed), reverse=True):
-            renamed = subst_loc(renamed, loc, loc + 1000)
-        threads.append(renamed)
-    rng.shuffle(threads)
-    return Program(tuple(threads))
-
-
 def _edit(t, rng):
     if isinstance(t, Var):
         return rng.choice([Var(rng.choice("xyzw")), HOLE_LEAF])
@@ -193,7 +178,7 @@ def _pairs(n, seed):
         p = gen.program()
         m = _mutant(p, rng)
         yield p, _rename_bound(p, {}, [0])
-        yield p, _equivalent_variant(p, rng)
+        yield p, equivalent_variant(p, rng)
         yield p, m
         yield m, _rename_bound(m, {}, [0])
         yield m, _mutant(m, rng)
@@ -229,8 +214,7 @@ def test_equiv_key_agrees_with_oracle():
 # every program the explorer meets as the oracle's key does
 
 def test_explorer_matches_oracle_keyed_explorer():
-    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
-    programs = [gen.program() for _ in range(60)]
+    programs = list(criterion_4_programs(60))
     bounds = dict(fuel=60, max_states=300)
     explorations = []
     for p in programs:

@@ -4,13 +4,11 @@ report determinism."""
 import argparse
 import os
 import re
-import subprocess
-import sys
 from collections import Counter
 
 import pytest
 
-from helpers import within
+from helpers import CORPUS, cli, within
 from lamu.cli import (
     EXIT_BROKEN_PIPE, EXIT_COUNTEREXAMPLE, EXIT_FAILED_PROGRAM, EXIT_OK,
     EXIT_USER_ERROR,
@@ -23,24 +21,11 @@ from lamu.reduction import Exploration
 from lamu.syntax import Program, alpha_eq
 from lamu.typecheck import Verdict, infer
 
-CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def corpus(name):
     return os.path.join(CORPUS, name)
-
-
-def cli(*argv, **popen):
-    """lamu.cli started in a subprocess, which does not see pytest's
-    pythonpath setting."""
-    src_dir = os.path.join(os.path.dirname(CORPUS), os.pardir, "src")
-    pythonpath = os.pathsep.join(
-        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=pythonpath, **popen.pop("env", {}))
-    return subprocess.Popen([sys.executable, "-m", "lamu.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=env, **popen)
 
 
 def run_main(argv, capsys):

@@ -4,13 +4,12 @@ checked against the type checker: the evaluator, running a translated
 term, must compute the principal type that ``infer`` gives."""
 
 import itertools
-import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import pretty_program_oracle, pretty_term_oracle
+from helpers import corpus_sources, pretty_program_oracle, pretty_term_oracle
 from lamu.concrete import (
     ParseError, hm_translate, parse_file, parse_program, parse_term,
     pretty_program, pretty_term,
@@ -29,7 +28,6 @@ from lamu.typecheck import (
 
 X, Y = Var("x"), Var("y")
 C, D = Cons("C"), Cons("D")
-CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
 
 def test_parse_atoms():
@@ -214,11 +212,8 @@ def test_printer_matches_the_oracle():
     # that decides parentheses by intrinsic level prints them, and so do
     # the subterms of the corpus and of the first 50 programs at every
     # level and position
-    corpus = []
-    for name in sorted(os.listdir(CORPUS)):
-        with open(os.path.join(CORPUS, name), encoding="utf-8") as handle:
-            src = parse_file(handle.read())
-        corpus += [src.program, *map(singleton, src.definitions.values())]
+    corpus = [p for _, src in corpus_sources() for p in (
+        src.program, *map(singleton, src.definitions.values()))]
     generated = [p for seed in range(40) for p in itertools.islice(
         Generator(GeneratorConfig(seed=seed, max_depth=5)).programs(), 200)]
     for p in corpus + generated:

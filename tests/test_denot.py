@@ -9,8 +9,9 @@ import pytest
 
 from lamu.concrete import parse_program
 from helpers import (
-    RoundLoopModel, assert_records_keep_the_rules, denote_toplevel_oracle,
-    is_unitary, soundness_check_oracle, typed_steps_oracle, within,
+    CRITERION_8_DRAWS, RoundLoopModel, assert_records_keep_the_rules,
+    criterion_8_draws, denote_toplevel_oracle, is_unitary, model_sizes,
+    soundness_check_oracle, typed_steps_oracle, within, worked_example,
 )
 from lamu.denot import (
     Atom, DenotError, Model, Table, TooLarge, denote, denote_toplevel, soundness_check,
@@ -22,8 +23,7 @@ from lamu.syntax import (
     subterms,
 )
 from lamu.typecheck import (
-    Arrow, Base, ambient_context, base_names_used, default_signature,
-    infer, typed_steps,
+    Arrow, Base, ambient_context, default_signature, infer, typed_steps,
 )
 
 I = Base("i")
@@ -101,8 +101,7 @@ def _stream_models(seed, sig, cap, draws):
     gsig = default_signature(config.signature)
     for p in itertools.islice(Generator(config).programs(), draws):
         typing = infer(ambient_context(p), gsig, p)
-        sizes = {n: 2 for n in base_names_used(typing) if n != "unit"}
-        yield sizes, gsig, cap, [
+        yield model_sizes(typing), gsig, cap, [
             typing.type, *typing.gamma.values(),
             *(t.ann for t in subterms(typing.node)
               if getattr(t, "ann", None) is not None)]
@@ -112,9 +111,8 @@ def test_closure_matches_the_round_loop_oracle():
     # the models this file and criterion 8 build by hand, then the
     # stratified streams (seed 29 is criterion 8's), and the stream of
     # test_soundness_on_samples; every signature here closes in one round
-    nat, tup = Base("nat"), Base("tuple")
-    worked = default_signature({
-        "N1": nat, "N2": nat, "T": Arrow(nat, Arrow(nat, tup))})
+    worked = worked_example()[1].sig
+    nat, tup = worked["N1"], worked["T"].right.right   # T : nat -> nat -> tuple
     cases = [
         ({}, SIG, 4096, [I, Arrow(I, I)]),
         ({}, STRATIFIED, 4096, [I, PAIR, Arrow(I, PAIR)]),
@@ -374,9 +372,7 @@ def test_soundness_on_samples():
         p = next(stream)
         try:
             typing = infer(ambient_context(p), sig, p)
-            sizes = {name: 2 for name in base_names_used(typing)
-                     if name != "unit"}
-            m = Model(sizes, sig, cap=600)
+            m = Model(model_sizes(typing), sig, cap=600)
             verdict = soundness_check(p, m, fuel=60)
         except (TooLarge, DenotError):
             continue
@@ -406,25 +402,12 @@ def _assert_parity_along_trace(p, model, fuel):
 
 
 def test_toplevel_denotation_matches_the_product_form_on_criterion_8():
-    # the worked example, and the seed-29 stream whose first 215 draws
-    # criterion 8 checks; along the traces of the 15 draws it skips, 61
-    # programs raise TooLarge, and must do so in both forms
-    nat, tup = Base("nat"), Base("tuple")
-    sig = default_signature({
-        "N1": nat, "N2": nat, "T": Arrow(nat, Arrow(nat, tup))})
-    worked = parse_program(
-        r"fresh x. ((\z. fresh y. ((z =:= T N1 y); (T y x))) (T x N2))")
-    _assert_parity_along_trace(worked, Model({"nat": 4}, sig), 200)
-    config = GeneratorConfig(seed=29, max_depth=3, allow_absloc=False,
-                             well_typed=True,
-                             signature=dict(STRATIFIED_SIGNATURE))
-    gsig = default_signature(config.signature)
-    stream = Generator(config).programs()
-    for _ in range(215):
-        p = next(stream)
-        typing = infer(ambient_context(p), gsig, p)
-        sizes = {n: 2 for n in base_names_used(typing) if n != "unit"}
-        _assert_parity_along_trace(p, Model(sizes, gsig, cap=4096), 100)
+    # the worked example, and the draws criterion 8 checks or skips;
+    # along the traces of the 15 draws it skips, 61 programs raise
+    # TooLarge, and must do so in both forms
+    _assert_parity_along_trace(*worked_example(), 200)
+    for p, _, m in itertools.islice(criterion_8_draws(), CRITERION_8_DRAWS):
+        _assert_parity_along_trace(p, m, 100)
 
 
 def test_toplevel_denotation_sums_the_threads_environments():
@@ -452,16 +435,10 @@ def test_semantic_values_match_the_dataclass_mirror_on_criterion_8():
     # criterion 8's stream: the denotation of each program and the
     # first and last values of the enumeration of each type in its
     # typing; every pair of one program's values compared
-    config = GeneratorConfig(seed=29, max_depth=3, allow_absloc=False,
-                             well_typed=True,
-                             signature=dict(STRATIFIED_SIGNATURE))
-    gsig = default_signature(config.signature)
     kinds = set()
     unequal = 0
-    for p in itertools.islice(Generator(config).programs(), 215):
-        typing = infer(ambient_context(p), gsig, p)
-        sizes = {n: 2 for n in base_names_used(typing) if n != "unit"}
-        m = Model(sizes, gsig, cap=4096)
+    for _, typing, m in itertools.islice(criterion_8_draws(),
+                                         CRITERION_8_DRAWS):
         types = [typing.type, *typing.gamma.values(),
                  *(t.ann for t in subterms(typing.node)
                    if getattr(t, "ann", None) is not None)]
@@ -491,23 +468,12 @@ def _soundness(check, p, model, fuel):
 
 
 def test_soundness_matches_the_whole_program_harness_on_criterion_8():
-    # the worked example and the seed-29 stream's 215 draws; the steps
-    # typed_steps yields are the oracle's, each with an equal context,
-    # and a typing handed in gives the verdict of the one inferred
-    nat, tup = Base("nat"), Base("tuple")
-    sig = default_signature({
-        "N1": nat, "N2": nat, "T": Arrow(nat, Arrow(nat, tup))})
-    worked = parse_program(
-        r"fresh x. ((\z. fresh y. ((z =:= T N1 y); (T y x))) (T x N2))")
-    cases = [(worked, Model({"nat": 4}, sig), 200)]
-    config = GeneratorConfig(seed=29, max_depth=3, allow_absloc=False,
-                             well_typed=True,
-                             signature=dict(STRATIFIED_SIGNATURE))
-    gsig = default_signature(config.signature)
-    for p in itertools.islice(Generator(config).programs(), 215):
-        typing = infer(ambient_context(p), gsig, p)
-        sizes = {n: 2 for n in base_names_used(typing) if n != "unit"}
-        cases.append((p, Model(sizes, gsig, cap=4096), 100))
+    # the worked example and the draws criterion 8 checks or skips; the
+    # steps typed_steps yields are the oracle's, each with an equal
+    # context, and a typing handed in gives the verdict of the one inferred
+    cases = [(*worked_example(), 200)]
+    cases += [(p, m, 100) for p, _, m in itertools.islice(
+        criterion_8_draws(), CRITERION_8_DRAWS)]
     outcomes = []
     for p, m, fuel in cases:
         typing = infer(ambient_context(p), m.sig, p)

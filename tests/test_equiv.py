@@ -7,7 +7,8 @@ import signal
 from hypothesis import given, strategies as st
 
 from helpers import (
-    assert_records_keep_the_rules, is_normal_term_oracle, is_stuck_oracle,
+    assert_records_keep_the_rules, criterion_4_programs,
+    is_normal_term_oracle, is_stuck_oracle,
 )
 from lamu.equiv import (
     STUCK_CONS, STUCK_GUARD, STUCK_LAM, STUCK_UNIF, STUCK_VAR,
@@ -117,10 +118,8 @@ def test_classifier_matches_redex_search_on_samples():
 
 def test_classifier_matches_recursive_oracle_on_every_subterm():
     # the programs and their normal forms, which hold every stuck kind
-    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
     kinds = set()
-    for _ in range(300):
-        p = gen.program()
+    for p in criterion_4_programs(300):
         for t in (*subterms(p), *subterms(par_normalize(p, fuel=300).program)):
             k = is_stuck(t)
             assert k == is_stuck_oracle(t), t
@@ -133,10 +132,8 @@ def test_classifier_matches_recursive_oracle_on_every_subterm():
 def test_stuck_kinds_match_the_dataclass_mirror_on_criterion_4():
     # the kinds of every subterm of each program and of its normal form,
     # every pair of one program's kinds compared
-    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
     count = unequal = 0
-    for _ in range(500):
-        p = gen.program()
+    for p in criterion_4_programs(500):
         kinds = [k for t in (*subterms(p),
                              *subterms(par_normalize(p, fuel=300).program))
                  if (k := is_stuck(t)) is not None]

@@ -7,15 +7,12 @@ of an incomplete exploration."""
 
 import pytest
 
-from helpers import product_bfs
+from helpers import DIVERGENT, criterion_4_programs, product_bfs
 from lamu import reduction
 from lamu.concrete import parse_program
 from lamu.equiv import canonical_program
-from lamu.generator import Generator, GeneratorConfig
 from lamu.reduction import enumerate_redexes, evaluate, reachable_normal_forms
 
-# spawns a copy of itself next to C on every beta step
-DIVERGENT = r"(\x. x x | C) (\x. x x | C)"
 # every split spawns a thread one S deeper, so no key ever repeats
 GROWING = r"(\x. \y. x x (S y) | y) (\x. \y. x x (S y) | y) C"
 # with F = \x. (Ok ; x x) | C, the thread Ok ; F F spawns Ok ; Ok ; F F,
@@ -24,11 +21,9 @@ RESPAWNING = r"(\x. (Ok ; x x) | C) (\x. (Ok ; x x) | C)"
 
 
 def test_parity_with_product_bfs():
-    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
     bounds = dict(fuel=60, max_states=300)
     bfs_incomplete = 0
-    for _ in range(150):
-        p = gen.program()
+    for p in criterion_4_programs(150):
         modular = reachable_normal_forms(p, **bounds)
         product = product_bfs(p, **bounds)
         if product.complete:
@@ -98,8 +93,7 @@ def test_incomplete_exploration_has_partial_normal_forms():
 @pytest.fixture(scope="module")
 def criterion_4_stream():
     """The criterion 4/9 stream's 500 draws."""
-    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
-    return tuple(gen.program() for _ in range(500))
+    return tuple(criterion_4_programs(500))
 
 
 @pytest.fixture(scope="module")

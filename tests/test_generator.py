@@ -4,10 +4,12 @@ distribution."""
 
 import hashlib
 
-from helpers import coherent, goals
+from helpers import (
+    coherent, criterion_10_config, criterion_6_generator, criterion_7_config,
+    criterion_8_config, goals,
+)
 from lamu.generator import (
-    DEFAULT_SIGNATURE, STRATIFIED_SIGNATURE, Generator, GeneratorConfig,
-    sample_programs,
+    DEFAULT_SIGNATURE, Generator, GeneratorConfig, sample_programs,
 )
 from lamu.syntax import AbsLoc, Cons, Unif, Var, subterms
 from lamu.typecheck import (
@@ -32,16 +34,10 @@ DRAWS_DIGEST = ("b042ffc54a564e1d63606b9ecd5e02c2"
 def test_draws_match_the_pinned_digest():
     # the typed workload's four streams: its goals, the two well-typed
     # program streams and the round-trip programs
-    gen = Generator(GeneratorConfig(seed=13, max_depth=3,
-                                    variables=("x", "y")))
+    gen = criterion_6_generator()
     draws = [gen.goal() for _ in range(300)]
-    for config in (
-            GeneratorConfig(seed=19, max_depth=3, allow_absloc=False,
-                            well_typed=True),
-            GeneratorConfig(seed=29, max_depth=3, allow_absloc=False,
-                            well_typed=True,
-                            signature=dict(STRATIFIED_SIGNATURE)),
-            GeneratorConfig(seed=43, max_depth=4)):
+    for config in (criterion_7_config(), criterion_8_config(),
+                   criterion_10_config()):
         stream = Generator(config).programs()
         draws += [next(stream) for _ in range(60)]
     digest = hashlib.sha256(repr(draws).encode()).hexdigest()

@@ -2,7 +2,7 @@
 small-step semantics."""
 
 from helpers import (
-    critical_pair_instances, par_normalize_oracle, par_step_all,
+    DIVERGENT, confluence_stream, par_normalize_oracle, par_step_all,
     par_term_all, within,
 )
 from lamu.concrete import parse_program
@@ -18,19 +18,6 @@ from lamu.syntax import (
 X, Y = Var("x"), Var("y")
 C, D = Cons("C"), Cons("D")
 ID1 = AbsLoc(1, "x", singleton(X))
-# never normal: every step makes one more C thread beside the redex
-DIVERGENT = parse_program(r"(\x. x x | C) (\x. x x | C)")
-
-
-def _parity_programs():
-    """150 seed-7 depth-4 generator programs, the criterion-4 critical
-    pairs and the divergent program."""
-    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
-    programs = [gen.program() for _ in range(150)]
-    programs.extend(singleton(App(App(Unif(v1, v2), Unif(w1, w2)), t))
-                    for v1, v2, w1, w2, t in critical_pair_instances())
-    programs.append(DIVERGENT)
-    return programs
 
 
 def test_par_term_value_is_identity():
@@ -84,21 +71,22 @@ def test_par_normalize_divergence_reports_fuel():
 
 
 def test_par_normalize_out_of_fuel_takes_exactly_fuel_steps():
-    assert par_normalize(DIVERGENT, fuel=0) == ParNormalResult(
-        DIVERGENT, 0, False)
+    # the divergent program makes one more C thread on every step
+    p = parse_program(DIVERGENT)
+    assert par_normalize(p, fuel=0) == ParNormalResult(p, 0, False)
     for fuel in (1, 2, 5):
-        session = check_coherent(DIVERGENT)
-        expected = DIVERGENT
+        session = check_coherent(p)
+        expected = p
         for _ in range(fuel):
             expected = par_step(expected, session)
-        assert par_normalize(DIVERGENT, fuel=fuel) == ParNormalResult(
+        assert par_normalize(p, fuel=fuel) == ParNormalResult(
             expected, fuel, False)
 
 
 def test_par_normalize_matches_whole_program_oracle():
     # exact equality: thread order, names and locations issued, steps;
     # against the whole-program loop, in and out of fuel
-    for i, p in enumerate(_parity_programs()):
+    for i, p in enumerate(confluence_stream(150)):
         for fuel in (0, 1, 3, 300):
             expected = par_normalize_oracle(p, fuel=fuel)
             assert par_normalize(p, fuel=fuel) == expected, (i, fuel)
@@ -107,8 +95,9 @@ def test_par_normalize_matches_whole_program_oracle():
 def test_par_normalize_skips_finished_threads():
     # every step splits a C off the diverging thread; a loop that lists
     # the finished threads on every step took about 0.9 s at fuel 3 000
+    p = parse_program(DIVERGENT)
     r = within(0.3, "3 000 simultaneous steps of the divergent program",
-               lambda: par_normalize(DIVERGENT, fuel=3000))
+               lambda: par_normalize(p, fuel=3000))
     assert not r.normal and r.steps == 3000
     assert r.program.threads[1:] == (C,) * 2999
 
@@ -117,7 +106,7 @@ def test_normal_threads_are_par_term_fixpoints():
     """What par_normalize's carry-over relies on: a normal thread steps
     to itself, emits no goal and draws no name or location."""
     checked = set()
-    for p in _parity_programs():
+    for p in confluence_stream(150):
         session = check_coherent(p)
         current = p
         for _ in range(300):

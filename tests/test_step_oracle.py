@@ -20,29 +20,26 @@ and the critical pairs."""
 
 import hashlib
 import itertools
-import os
 import random
 from collections import Counter
 
 from helpers import (
-    ProgramStep, critical_pair_instances, find_redex_oracle,
-    is_value_oracle, locations, program_step_at, redexes_with_contexts,
-    subst_single_oracle, weak_context, within,
+    DIVERGENT, ProgramStep, confluence_stream, corpus_sources,
+    criterion_4_programs, find_redex_oracle, is_value_oracle, locations,
+    program_step_at, redexes_with_contexts, subst_single_oracle,
+    weak_context, within,
 )
 from lamu import reduction
 from lamu import unify
-from lamu.concrete import parse_file, parse_program, pretty_program
-from lamu.generator import Generator, GeneratorConfig
+from lamu.concrete import parse_program, pretty_program
 from lamu.reduction import (
     ALLOC, BETA, FAILRULE, FRESH, GUARD, STRATEGIES, UNIF, enumerate_redexes, evaluate,
     reachable_normal_forms, replay, step_at,
 )
 from lamu.syntax import (
-    Abs, AbsLoc, App, Cons, Program, Term, Unif, Var, check_coherent,
-    free_vars, singleton, subst_single, subterms,
+    Abs, AbsLoc, App, Cons, Program, Term, Var, check_coherent, free_vars,
+    singleton, subst_single, subterms,
 )
-
-CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
 
 def free_names_introduced(before, after):
@@ -108,19 +105,7 @@ def fork_ladder():
         yield k, 10 * 2 ** k, parse_program(rf"(\f. {calls}) (\x. x | S x)")
 
 
-def corpus_programs():
-    for name in sorted(os.listdir(CORPUS)):
-        with open(os.path.join(CORPUS, name), encoding="utf-8") as handle:
-            yield parse_file(handle.read()).program
-
-
-def generated_programs():
-    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
-    return itertools.islice(gen.programs(), 200)
-
-
 ISSUED = r"fresh y. C | fresh y. (y =:= C) | \x. x"
-DIVERGENT = r"(\x. x x | C) (\x. x x | C)"
 # builds the value S (S (... C)), one level every three steps
 GROWING = r"(\x. \y. x x (S y)) (\x. \y. x x (S y)) C"
 
@@ -132,12 +117,12 @@ def test_fork_ladder_matches_oracle():
 
 
 def test_corpus_matches_oracle():
-    for p in corpus_programs():
-        assert_same_trace(p, 1000)
+    for _, src in corpus_sources():
+        assert_same_trace(src.program, 1000)
 
 
 def test_generated_programs_match_oracle():
-    for p in generated_programs():
+    for p in criterion_4_programs(200):
         assert_same_trace(p, 200)
 
 
@@ -241,8 +226,8 @@ def visited_threads(p, fuel):
 def streams():
     """(program, fuel) for every stream the oracles above run."""
     out = [(p, fuel) for _, fuel, p in fork_ladder()]
-    out += [(p, 1000) for p in corpus_programs()]
-    out += [(p, 200) for p in generated_programs()]
+    out += [(src.program, 1000) for _, src in corpus_sources()]
+    out += [(p, 200) for p in criterion_4_programs(200)]
     out += [(parse_program(ISSUED), 10), (parse_program(DIVERGENT), 2000),
             (parse_program(GROWING), 900)]
     return out
@@ -355,18 +340,6 @@ class Issued:
 
     def fresh_loc(self):
         return self.ts.fresh_loc
-
-
-def confluence_stream(count=40):
-    """The criterion 4/9 stream's first count programs, the critical
-    pairs and the divergent program: at 40, the programs that the
-    benchmark's confluence workload explores."""
-    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
-    programs = [gen.program() for _ in range(count)]
-    programs.extend(singleton(App(App(Unif(v1, v2), Unif(w1, w2)), t))
-                    for v1, v2, w1, w2, t in critical_pair_instances())
-    programs.append(parse_program(DIVERGENT))
-    return programs
 
 
 def test_every_explorer_step_matches_the_rebuilding_step(monkeypatch):

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
-    HOLE, all_names, coherence_witness_oracle, coherent, compose,
-    free_vars_oracle, is_structure, is_weak_context, locations, plug,
-    plug_term, rebuild, rule_key, rule_repr, subst_apply_oracle,
-    subst_equal, subst_loc, subst_single_oracle, support,
+    CRITERION_8_DRAWS, HOLE, all_names, coherence_witness_oracle, coherent,
+    compose, criterion_4_programs, criterion_8_draws, free_vars_oracle,
+    is_structure, is_weak_context, locations, plug, plug_term, rebuild,
+    rule_key, rule_repr, subst_apply_oracle, subst_equal, subst_loc,
+    subst_single_oracle, support,
 )
 from lamu.concrete import parse_program
-from lamu.generator import Generator, GeneratorConfig, STRATIFIED_SIGNATURE
+from lamu.generator import Generator, GeneratorConfig
 from lamu.reduction import evaluate
 from lamu.syntax import (
     FAIL, OK, Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard,
@@ -26,7 +27,6 @@ from lamu.syntax import (
     free_vars, make_spine,
     singleton, spine, subst_apply, subst_single, subterms,
 )
-from lamu.typecheck import ambient_context, default_signature, infer
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 C, D = Cons("C"), Cons("D")
@@ -427,10 +427,8 @@ def _assert_equality_matches_the_mirror(nodes, pairs):
 def test_equality_matches_the_dataclass_mirror_on_criterion_4():
     # every pair of one program's subterms, and each subterm against
     # its copy built separately
-    gen = Generator(GeneratorConfig(seed=7, max_depth=4))
     unequal = 0
-    for _ in range(500):
-        p = gen.program()
+    for p in criterion_4_programs(500):
         nodes = [p, *subterms(p)]
         copies = [q := rebuild(p), *subterms(q)]
         n = len(nodes)
@@ -444,13 +442,10 @@ def test_equality_matches_the_dataclass_mirror_on_criterion_4():
 def test_equality_matches_the_dataclass_mirror_on_criterion_8():
     # every pair among one program's subterms and those of its
     # infer-annotated copy, which equals it but for ann
-    config = GeneratorConfig(seed=29, max_depth=3, allow_absloc=False,
-                             well_typed=True,
-                             signature=dict(STRATIFIED_SIGNATURE))
-    sig = default_signature(config.signature)
     annotated = 0
-    for p in itertools.islice(Generator(config).programs(), 215):
-        q = infer(ambient_context(p), sig, p).node
+    for p, typing, _ in itertools.islice(criterion_8_draws(),
+                                         CRITERION_8_DRAWS):
+        q = typing.node
         nodes = [p, *subterms(p), q, *subterms(q)]
         _assert_equality_matches_the_mirror(
             nodes, itertools.combinations_with_replacement(

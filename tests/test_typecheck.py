@@ -5,16 +5,16 @@ and typable build no node; types compare, hash and print as the dataclasses they
 were."""
 
 import itertools
-import os
 
 import pytest
 
 import lamu.typecheck
-from helpers import assert_records_keep_the_rules, check_oracle, infer_oracle
-from lamu.concrete import parse_file, parse_program
-from lamu.generator import (
-    DEFAULT_SIGNATURE, STRATIFIED_SIGNATURE, Generator, GeneratorConfig,
+from helpers import (
+    CRITERION_8_DRAWS, assert_records_keep_the_rules, check_oracle,
+    corpus_sources, criterion_7_config, criterion_8_config, infer_oracle,
 )
+from lamu.concrete import parse_file, parse_program
+from lamu.generator import DEFAULT_SIGNATURE, Generator, GeneratorConfig
 from lamu.reduction import FRESH, evaluate
 from lamu.syntax import (
     Abs, AbsLoc, Fresh, Program, Term, Var, free_vars, singleton, subterms,
@@ -23,8 +23,6 @@ from lamu.typecheck import (
     UNIT, Arrow, Base, Meta, StepReport, TypeCheckError, ambient_context, check,
     default_signature, infer, subject_reduction_check, typable, typed_steps,
 )
-
-CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
 I = Base("i")
 SIG = default_signature({"C": I, "D": I, "S": Arrow(I, I),
@@ -182,14 +180,10 @@ def test_types_match_the_dataclass_mirror_on_criteria_7_and_8():
     # the inferred type, context and binder types of each program of
     # both streams, every part of each, and each again with metavariables
     # for its base types; every pair of one program's types compared
-    streams = [(GeneratorConfig(seed=19, max_depth=3, allow_absloc=False,
-                                well_typed=True), 300),
-               (GeneratorConfig(seed=29, max_depth=3, allow_absloc=False,
-                                well_typed=True,
-                                signature=dict(STRATIFIED_SIGNATURE)), 215)]
     kinds = set()
     unequal = 0
-    for config, count in streams:
+    for config, count in ((criterion_7_config(), 300),
+                          (criterion_8_config(), CRITERION_8_DRAWS)):
         sig = default_signature(config.signature)
         for p in itertools.islice(Generator(config).programs(), count):
             typing = infer(ambient_context(p), sig, p)
@@ -211,17 +205,6 @@ def test_types_match_the_dataclass_mirror_on_criteria_7_and_8():
 # ---------------------------------------------------------------------------
 # inference and check against the oracles that built the annotated copy
 # twice; check builds no node
-
-def _criterion_7():
-    return GeneratorConfig(seed=19, max_depth=3, allow_absloc=False,
-                           well_typed=True)
-
-
-def _criterion_8():
-    return GeneratorConfig(seed=29, max_depth=3, allow_absloc=False,
-                           well_typed=True,
-                           signature=dict(STRATIFIED_SIGNATURE))
-
 
 def _binder_anns(node):
     """Each binder's variable and type, as text, in subterms' walk order."""
@@ -277,7 +260,8 @@ def test_infer_matches_the_node_building_oracle():
     # every candidate criteria 7 and 8's streams draw, the ones type
     # inference rejects included, and the corpus
     rejected = 0
-    for config, count in ((_criterion_7(), 300), (_criterion_8(), 215)):
+    for config, count in ((criterion_7_config(), 300),
+                          (criterion_8_config(), CRITERION_8_DRAWS)):
         sig = default_signature(config.signature)
         draws, accepted = Generator(config), []
         while len(accepted) < count:
@@ -291,9 +275,7 @@ def test_infer_matches_the_node_building_oracle():
                 accepted.append(p)
         assert accepted == list(itertools.islice(Generator(config).programs(),
                                                  count))
-    for name in sorted(os.listdir(CORPUS)):
-        with open(os.path.join(CORPUS, name), encoding="utf-8") as handle:
-            src = parse_file(handle.read())
+    for name, src in corpus_sources():
         sig, gamma = default_signature(src.signature), ambient_context(src.program)
         assert (_inferred(infer, gamma, sig, src.program)
                 == _inferred(infer_oracle, gamma, sig, src.program)), name
@@ -303,7 +285,7 @@ def test_infer_matches_the_node_building_oracle():
 def _criterion_7_steps():
     """(context, threads, type) for every step of criterion 7's stream:
     the threads the step made and the type of the program it began with."""
-    config = _criterion_7()
+    config = criterion_7_config()
     sig = default_signature(config.signature)
     for p in itertools.islice(Generator(config).programs(), 300):
         typing = infer(ambient_context(p), sig, p)
@@ -314,7 +296,7 @@ def _criterion_7_steps():
 def test_check_matches_the_oracle_on_criterion_7():
     # every step's threads, at the program's type, where they type, and
     # at a wrong one, where only an empty program (fail) types
-    sig = default_signature(_criterion_7().signature)
+    sig = default_signature(criterion_7_config().signature)
     steps = list(_criterion_7_steps())
     for context, x, ty in steps:
         right, wrong = [_checked(check, context, sig, x, expected)
@@ -340,7 +322,7 @@ class _Unbuildable(type):
 def test_check_builds_no_node(monkeypatch):
     # every node class typecheck imports raises once built, while check
     # decides every step of criterion 7's stream
-    sig = default_signature(_criterion_7().signature)
+    sig = default_signature(criterion_7_config().signature)
     steps = list(_criterion_7_steps())
     nodes = {name: cls for name, cls in vars(lamu.typecheck).items()
              if isinstance(cls, type) and issubclass(cls, (Term, Program))}
@@ -358,7 +340,7 @@ def test_typable_answers_as_infer_and_builds_no_node(monkeypatch):
     # every candidate criteria 7 and 8's streams draw, rejected ones
     # included; with every node class typecheck imports unbuildable
     cases = []
-    for config in (_criterion_7(), _criterion_8()):
+    for config in (criterion_7_config(), criterion_8_config()):
         sig = default_signature(config.signature)
         draws = Generator(config)
         for _ in range(400):

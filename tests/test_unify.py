@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     Stepped, assert_records_keep_the_rules, brute_force_unifiable, compose,
-    ground_universe, mgu_oracle, problem_free_vars, problem_subst,
-    problem_terms, range_values, subst_equal, unify_step,
+    criterion_6_problems, ground_universe, mgu_oracle, problem_free_vars,
+    problem_subst, problem_terms, range_values, subst_equal, unify_step,
 )
 from lamu import unify
 from lamu.generator import Generator, GeneratorConfig
@@ -242,13 +242,9 @@ def test_records_match_the_dataclass_mirror_on_criterion_6():
     # criterion 6's goal sets: each problem's goals, every step with the
     # goals it leaves, and the outcome of mgu and of the last step, which
     # for a failure is an equal record built separately
-    gen = Generator(GeneratorConfig(seed=13, max_depth=3,
-                                    variables=("x", "y")))
     kinds = set()
     unequal = 0
-    for _ in range(1000):
-        problem = Problem([Goal(*gen.goal())
-                           for _ in range(gen.rng.randint(1, 3))])
+    for problem in criterion_6_problems():
         records = [*problem, mgu(problem)]
         result = unify_step(problem)
         while isinstance(result, Stepped):
@@ -332,25 +328,17 @@ def test_one_pass_step_matches_two_phase_oracle():
 
 # -- mgu against mgu_oracle, which iterates the rule-by-rule unify_step
 
-def _criterion_6_problems():
-    gen = Generator(GeneratorConfig(seed=13, max_depth=3,
-                                    variables=("x", "y")))
-    return [Problem([Goal(*gen.goal())
-                     for _ in range(gen.rng.randint(1, 3))])
-            for _ in range(1000)]
-
-
 def test_mgu_matches_the_oracle_on_criterion_6():
-    outcomes = [mgu(problem) for problem in _criterion_6_problems()]
+    outcomes = [mgu(problem) for problem in criterion_6_problems()]
     assert outcomes == [mgu_oracle(problem)
-                        for problem in _criterion_6_problems()]
+                        for problem in criterion_6_problems()]
     assert {type(o) for o in outcomes} == {Solved, Failed}
 
 
 def test_mgu_goal_is_mgu_of_its_one_goal_on_criterion_6():
     # every goal of criterion 6's problems, witnesses included: a
     # failure's witness is a Goal that mgu_goal builds on failure
-    goals = [g for problem in _criterion_6_problems() for g in problem]
+    goals = [g for problem in criterion_6_problems() for g in problem]
     outcomes = [mgu_goal(g.lhs, g.rhs) for g in goals]
     assert outcomes == [mgu(Problem([g])) for g in goals]
     failed = [o for o in outcomes if isinstance(o, Failed)]
