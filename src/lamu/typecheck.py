@@ -197,9 +197,7 @@ class _Inferencer:
                 raise TypeCheckError(f"unbound variable {t.name}")
             return gamma[t.name]
         if isinstance(t, Cons):
-            if t.name not in self.sig:
-                raise TypeCheckError(f"constructor {t.name} has no declared type")
-            return self.sig[t.name]
+            return self.cons(t.name)
         if isinstance(t, (Abs, AbsLoc)):
             a = self.lift(t.ann)
             b = self.program({**gamma, t.var: a}, t.body)
@@ -220,11 +218,16 @@ class _Inferencer:
             lty = self.term(gamma, t.left)
             rty = self.term(gamma, t.right)
             if isinstance(t, Guard):
-                self.solver.unify(lty, self.sig[OK], "guard condition")
+                self.solver.unify(lty, self.cons(OK), "guard condition")
                 return rty
             self.solver.unify(lty, rty, "unification goal")
-            return self.sig[OK]
+            return self.cons(OK)
         raise TypeCheckError(f"cannot type {t!r}")
+
+    def cons(self, name: str) -> Type:
+        if name not in self.sig:
+            raise TypeCheckError(f"constructor {name} has no declared type")
+        return self.sig[name]
 
     def program(self, gamma: Dict[str, Type], p: Program) -> Type:
         ty = self.solver.fresh()

@@ -809,13 +809,14 @@ class _NodeInferencer:
         if isinstance(t, Guard):
             left, lty = self.term(gamma, t.left)
             right, rty = self.term(gamma, t.right)
-            self.solver.unify(lty, self.sig[OK], "guard condition")
+            self.solver.unify(lty, self.term(gamma, Cons(OK))[1],
+                              "guard condition")
             return Guard(left, right), rty
         if isinstance(t, Unif):
             left, lty = self.term(gamma, t.left)
             right, rty = self.term(gamma, t.right)
             self.solver.unify(lty, rty, "unification goal")
-            return Unif(left, right), self.sig[OK]
+            return Unif(left, right), self.term(gamma, Cons(OK))[1]
         raise TypeCheckError(f"cannot type {t!r}")
 
     def program(self, gamma, p):
@@ -1004,7 +1005,7 @@ DIVERGENT = r"(\x. x x | C) (\x. x x | C)"
 CRITERION_8_DRAWS = 215
 
 
-def criterion_4_programs(count=500):
+def criterion_4_programs(count):
     """The first count draws of criteria 4 and 9's stream: depth 4,
     seed 7."""
     return itertools.islice(
@@ -1034,7 +1035,7 @@ def equivalent_variant(p: Program, rng) -> Program:
     return Program(tuple(threads))
 
 
-def criterion_5_draws(count=500):
+def criterion_5_draws(count):
     """Criterion 5's count triples: a depth-3 program from seed 71 that
     has a redex, an equivalent variant of it and the redex to step, both
     chosen by one rng, also seeded 71."""

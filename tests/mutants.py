@@ -70,6 +70,11 @@ MUTANTS = [
            "            new = _pick_fresh(",
            "        if False:\n"
            "            new = _pick_fresh("),
+    Mutant("pick-fresh-takes-the-first-prime", "syntax.py",
+           "    candidate = base + \"'\"\n"
+           "    while candidate in forbidden:\n"
+           "        candidate += \"'\"\n",
+           "    candidate = base + \"'\"\n"),
     Mutant("mgu-drops-the-occurs-check", "unify.py",
            "            if name in goal[3]:\n"
            "                return Failed(OCCURS_CHECK",

@@ -27,7 +27,8 @@ records that were frozen, but for five hot ones, and a problem are
 classes, ``Substitution`` and the hot five write out ``==`` or hash.
 Nothing in ``src/`` imports ``dataclasses``, and a fresh import of the
 CLI loads neither it nor ``inspect``.  Redexes are slotted tuples, and
-the reprs of nodes, records and redexes are pinned."""
+the reprs of nodes, records and redexes are pinned, and so are the
+error paths that no other test reaches."""
 
 import ast
 import importlib
@@ -42,17 +43,23 @@ import pytest
 
 import lamu
 from helpers import Stepped
-from lamu.concrete import SourceFile, Token, parse_program
-from lamu.denot import Atom, InclusionReport, SoundnessVerdict, Table
+from lamu.concrete import SourceFile, Token, hm_translate, parse_program
+from lamu.denot import (
+    Atom, InclusionReport, Model, SoundnessVerdict, Table, denote,
+)
 from lamu.equiv import STUCK_CONS, STUCK_VAR, StuckKind
 from lamu.generator import GeneratorConfig
 from lamu.parallel import ParNormalResult
-from lamu.reduction import BETA, EvalResult, Exploration, Redex, evaluate
-from lamu.syntax import (
-    Abs, AbsLoc, App, Cons, Fresh, Guard, Program, Record, Substitution, Term,
-    Unif, Value, Var, singleton, term_key,
+from lamu.reduction import (
+    BETA, EvalResult, Exploration, Redex, evaluate, step,
 )
-from lamu.typecheck import Arrow, Base, Meta, StepReport, Typing, Verdict
+from lamu.syntax import (
+    Abs, AbsLoc, App, Cons, Fresh, Guard, LamuError, Program, Record,
+    Substitution, Term, Unif, Value, Var, singleton, term_key,
+)
+from lamu.typecheck import (
+    Arrow, Base, Meta, StepReport, Typing, Verdict, default_signature,
+)
 from lamu.unify import OCCURS_CHECK, Failed, Goal, Problem, Solved
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -1006,3 +1013,59 @@ def test_redex_is_a_slotted_tuple():
         "arg=Cons(name='C')), rule='beta')")
     with pytest.raises(AttributeError):
         redex.rule = "alloc"
+
+
+# the error paths that no other test reaches: each call, and the class
+# and text of what it raises, or what it returns
+
+def _model():
+    return Model({"i": 1}, default_signature({"C": Base("i")}))
+
+
+@pytest.mark.parametrize("call, outcome", [
+    pytest.param(lambda: Table(((Atom("i", ("atom", 0)), frozenset()),))(
+        Atom("i", ("atom", 1))),
+        "DenotError: argument i#1 outside table domain",
+        id="table-argument-outside-its-domain"),
+    pytest.param(lambda: Model({"i": -1}, default_signature()),
+                 "DenotError: negative size for base type i",
+                 id="model-negative-size"),
+    pytest.param(lambda: Model({}, default_signature(
+        {"F": Arrow(Base("i"), Meta(0))})),
+        "DenotError: constructor result type ?0 is not a base type",
+        id="model-result-not-a-base"),
+    pytest.param(lambda: _model().enum_type(Meta(0)),
+                 "DenotError: cannot enumerate an unsolved metavariable",
+                 id="enum-type-of-a-meta"),
+    pytest.param(lambda: _model().enum_type(Base("q")),
+                 "DenotError: base type q has no interpretation",
+                 id="enum-type-of-an-undeclared-base"),
+    pytest.param(lambda: denote(Cons("Q"), {}, _model()),
+                 "DenotError: constructor Q has no declared type",
+                 id="denote-an-undeclared-constructor"),
+    pytest.param(lambda: denote(Var("x"), {}, _model()),
+                 "DenotError: variable x missing from environment",
+                 id="denote-an-unbound-variable"),
+    pytest.param(lambda: denote(Abs("x", singleton(Var("x"))), {}, _model()),
+                 "DenotError: abstraction lacks a binder type annotation",
+                 id="denote-an-unannotated-abs"),
+    pytest.param(lambda: denote(Fresh("x", Var("x")), {}, _model()),
+                 "DenotError: fresh binder lacks a type annotation",
+                 id="denote-an-unannotated-fresh"),
+    pytest.param(lambda: denote(App(Cons("C"), Cons("C")), {}, _model()),
+                 "DenotError: application of a non-function denotation",
+                 id="denote-an-application-of-a-non-function"),
+    pytest.param(lambda: denote(Base("i"), {}, _model()),
+                 "DenotError: cannot denote i", id="denote-a-non-term"),
+    pytest.param(lambda: hm_translate(Abs("x", Program((Var("x"), Var("x"))))),
+                 "LamuError: hm_translate input must be a pure lambda term",
+                 id="hm-translate-a-two-thread-body"),
+    pytest.param(lambda: step(parse_program("C")), None,
+                 id="step-a-normal-program"),
+])
+def test_unreached_error_paths_say_what_is_pinned(call, outcome):
+    try:
+        result = call()
+    except LamuError as exc:
+        result = f"{type(exc).__name__}: {exc}"
+    assert result == outcome

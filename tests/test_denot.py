@@ -111,8 +111,10 @@ def test_closure_matches_the_round_loop_oracle():
     # the models this file and criterion 8 build by hand, then the
     # stratified streams (seed 29 is criterion 8's), and the stream of
     # test_soundness_on_samples; every signature here closes in one round
-    worked = worked_example()[1].sig
-    nat, tup = worked["N1"], worked["T"].right.right   # T : nat -> nat -> tuple
+    # but the last of the list below, where the round loop meets
+    # A : j -> i before Z : k -> j has put Z(k#0) into j
+    worked = worked_example()[1].sig    # T : nat -> nat -> tuple
+    nat, tup = worked["N1"], worked["T"].right.right
     cases = [
         ({}, SIG, 4096, [I, Arrow(I, I)]),
         ({}, STRATIFIED, 4096, [I, PAIR, Arrow(I, PAIR)]),
@@ -126,6 +128,9 @@ def test_closure_matches_the_round_loop_oracle():
         ({"i": 15}, default_signature({"C": I}), 4096, [I]),
         ({"i": 1}, default_signature(), 4096, [I, Arrow(I, I)]),
         ({"nat": 4}, worked, 4096, [nat, tup, Arrow(nat, tup)]),
+        ({"j": 1, "k": 1}, default_signature({
+            "A": Arrow(Base("j"), I), "Z": Arrow(Base("k"), Base("j"))}),
+         4096, [I]),
     ]
     for seed in (7, 11, 29, 53):
         cases += _stream_models(seed, STRATIFIED_SIGNATURE, 4096, 300)
@@ -141,7 +146,7 @@ def test_closure_matches_the_round_loop_oracle():
             models += 1
         else:
             enumerations += sum(isinstance(e, tuple) for e in closure[1])
-    assert (len(cases), models, enumerations) == (1310, 3, 166)
+    assert (len(cases), models, enumerations) == (1311, 3, 166)
 
 
 def test_function_typed_constructor_arguments_keep_no_stale_tables():

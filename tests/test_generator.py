@@ -1,12 +1,15 @@
-"""Tests for the random program generator: determinism, the draws
-pinned, coherence, depth bounds, and the shape of the sampled
-distribution."""
+"""Tests for the random program generator: determinism, the draws and
+every acceptance criterion's inputs pinned, coherence, depth bounds, and
+the shape of the sampled distribution."""
 
 import hashlib
+import itertools
 
 from helpers import (
-    coherent, criterion_10_config, criterion_6_generator, criterion_7_config,
-    criterion_8_config, goals,
+    CRITERION_8_DRAWS, coherent, corpus_sources, criterion_10_config,
+    criterion_4_programs, criterion_5_draws, criterion_6_generator,
+    criterion_6_problems, criterion_7_config, criterion_8_config,
+    criterion_8_draws, critical_pair_instances, goals, worked_example,
 )
 from lamu.generator import (
     DEFAULT_SIGNATURE, Generator, GeneratorConfig, sample_programs,
@@ -42,6 +45,46 @@ def test_draws_match_the_pinned_digest():
         draws += [next(stream) for _ in range(60)]
     digest = hashlib.sha256(repr(draws).encode()).hexdigest()
     assert digest == DRAWS_DIGEST
+
+
+# sha256 of the repr of each criterion's inputs, taken while
+# test_acceptance still drew them by hand
+CRITERION_INPUT_DIGESTS = {
+    4: "9ec2258d38be6019e9f6a955195b182242a11492e660ade1ffec981296030228",
+    5: "a7537804feb40e997e82cbb7e34c276dfdd30124d7619cd565eb13afc5c2b39e",
+    6: "9782df83153baf5e81cbd1f7a5d4900d90f57d4f2b91d64efc4bfcb4a9ba264d",
+    7: "1875d65db3d5f681eb4586b515cc71174cb3a8016f0c7da85a8f38f1b915c332",
+    8: "deb59205e995c5950558734c793aa1158f35834726fb6e7f998dd2b322e42b92",
+    10: "c7c2f72e69ea61029e06555e0ed01d44f2d77986952062b980fe6a5d8dbb1840",
+}
+
+
+def test_criterion_inputs_match_the_pinned_digests():
+    # 4 and 9: the stream and the critical pairs; 5: each program, its
+    # variant and the redex stepped; 8: each program with its typing and
+    # the atoms of each base of its model; 10: the corpus, the stream and
+    # the 50 draws compared for determinism
+    def atoms(model):
+        return {name: len(values) for name, values in model._bases.items()}
+
+    worked, model = worked_example()
+    inputs = {
+        4: [*criterion_4_programs(500), *critical_pair_instances()],
+        5: list(criterion_5_draws(500)),
+        6: criterion_6_problems(),
+        7: list(itertools.islice(
+            Generator(criterion_7_config()).programs(), 300)),
+        8: [(worked, sorted(model.sig.items()), atoms(model))] + [
+            (p, typing.type, sorted(typing.gamma.items()), atoms(m))
+            for p, typing, m in itertools.islice(criterion_8_draws(),
+                                                 CRITERION_8_DRAWS)],
+        10: [*((name, src.program) for name, src in corpus_sources()),
+             *itertools.islice(Generator(criterion_10_config()).programs(),
+                               300),
+             *sample_programs(50, criterion_10_config())],
+    }
+    assert {n: hashlib.sha256(repr(x).encode()).hexdigest()
+            for n, x in inputs.items()} == CRITERION_INPUT_DIGESTS
 
 
 def test_depth_zero_is_atomic():

@@ -133,6 +133,10 @@ def test_subst_capture_avoidance():
     assert out.var != "x"
     assert free_vars(out) == {"x"}
     assert alpha_eq(out, Abs("w", singleton(App(Var("w"), X))))
+    # x' occurs free in the body, so the binder takes the next prime
+    x1, x2 = Var("x'"), Var("x''")
+    out = subst_single(Abs("x", singleton(App(Y, App(X, x1)))), "y", X)
+    assert out == Abs("x''", singleton(App(X, App(x2, x1))))
 
 
 def test_subst_capture_avoidance_fresh():
@@ -140,6 +144,9 @@ def test_subst_capture_avoidance_fresh():
     out = subst_single(t, "y", X)
     assert out.var != "x"
     assert free_vars(out) == {"x"}
+    x1, x2 = Var("x'"), Var("x''")
+    out = subst_single(Fresh("x", App(Y, App(X, x1))), "y", X)
+    assert out == Fresh("x''", App(X, App(x2, x1)))
 
 
 def test_subst_simultaneous():

@@ -95,6 +95,18 @@ def test_unknown_symbols():
         infer({}, SIG, singleton(Var("x")))
     with pytest.raises(TypeCheckError):
         typ("Q")
+    # a goal and a guard need Ok's type: without one declared, they say
+    # so as any undeclared constructor does, and typable answers no
+    sig = {"C": I}
+    message = "constructor Ok has no declared type"
+    for text in ("C =:= C", "C ; C", "Ok"):
+        p = parse_program(text)
+        with pytest.raises(TypeCheckError, match=f"^{message}$"):
+            infer({}, sig, p)
+        with pytest.raises(TypeCheckError, match=f"^{message}$"):
+            check({}, sig, p, I)
+        assert not typable({}, sig, p)
+        assert _inferred(infer_oracle, {}, sig, p) == message
 
 
 def test_occurs_check_in_types():
