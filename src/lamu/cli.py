@@ -205,8 +205,6 @@ def cmd_repl(args, out) -> int:
             print("", file=out)
             return EXIT_OK
         line = line.strip()
-        if not line:
-            continue
         command, _, rest = line.partition(" ")
         try:
             if line in (":q", ":quit"):
@@ -218,11 +216,14 @@ def cmd_repl(args, out) -> int:
                 session.program = parse_program(rest, session.definitions)
                 view = views[command]
             else:
+                tokens = tokenize(line)
+                if len(tokens) == 1:  # blank, or only a comment
+                    continue
                 parsed = parse_file(line, session.definitions)
                 session.signature.update(parsed.signature)
                 session.base_sizes.update(parsed.base_sizes)
                 session.definitions.update(parsed.definitions)
-                if tokenize(line)[-2].text == ".":  # declarations only
+                if tokens[-2].text == ".":  # declarations only
                     continue
                 session.program = parsed.program
                 view = cmd_run

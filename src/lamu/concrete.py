@@ -35,9 +35,8 @@ from .typecheck import UNIT, Arrow, Base, Type
 
 
 class ParseError(LamuError):
-    def __init__(self, message, line=None, col=None):
-        where = f" at line {line}, column {col}" if line is not None else ""
-        super().__init__(f"{message}{where}")
+    def __init__(self, message, line, col):
+        super().__init__(f"{message} at line {line}, column {col}")
         self.line = line
         self.col = col
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, FrozenSet, List, Optional, Union
+from typing import Dict, FrozenSet, List, Union
 
 from .reduction import FAILRULE
 from .syntax import (
@@ -271,7 +271,7 @@ def denote(x: Union[Term, Program], env: Dict[str, SemValue],
 
 
 def denote_toplevel(x: Union[Term, Program], model: Model,
-                    gamma: Optional[Dict[str, Type]] = None) -> FrozenSet[SemValue]:
+                    gamma: Dict[str, Type]) -> FrozenSet[SemValue]:
     """Union of the threads' denotations, each over every environment on
     its own free variables, whose types gamma gives.  Exact: every type
     denotes a non-empty set (Model rejects empty bases, a function space
@@ -280,7 +280,6 @@ def denote_toplevel(x: Union[Term, Program], model: Model,
     threads = list(x) if isinstance(x, Program) else [x]
     own = [sorted(free_vars(t)) for t in threads]
     names = sorted(set().union(*own))
-    gamma = gamma or {}
     missing = [n for n in names if n not in gamma]
     if missing:
         raise DenotError(f"no types for free variables {missing}")

@@ -66,8 +66,8 @@ class GeneratorConfig(Record):
 
 
 class Generator:
-    def __init__(self, config: Optional[GeneratorConfig] = None):
-        self.config = config or GeneratorConfig()
+    def __init__(self, config: GeneratorConfig):
+        self.config = config
         self.rng = random.Random(self.config.seed)
         self._arities = sorted((c, len(arg_types(ty)))
                                for c, ty in self.config.signature.items())
@@ -138,7 +138,7 @@ class Generator:
                 yield p
 
 
-def sample_programs(n: int, config: Optional[GeneratorConfig] = None) -> List[Program]:
+def sample_programs(n: int, config: GeneratorConfig) -> List[Program]:
     gen = Generator(config)
     stream = gen.programs()
     return [next(stream) for _ in range(n)]

@@ -196,7 +196,7 @@ class Program(_Node):
     iterable of threads is stored as a tuple."""
     __slots__ = ("threads",)
 
-    def __init__(self, threads=()):
+    def __init__(self, threads):
         self.threads = threads if type(threads) is tuple else tuple(threads)
 
     @property

@@ -25,7 +25,8 @@ against one slow definition, here unless named:
                                        typed_steps_oracle (whole programs)
   concrete.hm_translate                typecheck.infer (test_concrete)
 
-Besides: a timer, term, context and substitution utilities, trace
+Besides: a timer, term, context and substitution utilities, the small
+values that the substitution and canonical-form laws range over, trace
 replay, unification-problem helpers, the brute-force ground unifier of
 criterion 6, the inputs of the acceptance criteria (each drawn afresh
 by every test that reads it) and the full simultaneous reduction
@@ -503,6 +504,46 @@ def subst_equal(a: Substitution, b: Substitution) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The small values that the substitution and canonical-form laws range
+# over: the leaves x, y, C, D and \x@L1. x, and the nodes C a b and D a b
+
+VALUE_LEAVES = (Var("x"), Var("y"), Cons("C"), Cons("D"),
+                AbsLoc(1, "x", singleton(Var("x"))))
+VALUE_HEADS = (Cons("C"), Cons("D"))
+
+
+def _values_of(leaves: int) -> list:
+    """Every value of the universe with exactly leaves leaves, in a fixed
+    order: 5, 50 and 1 000 of them for 1, 2 and 3 leaves."""
+    if leaves == 1:
+        return list(VALUE_LEAVES)
+    return [App(App(head, a), b)
+            for k in range(1, leaves)
+            for a in _values_of(k) for b in _values_of(leaves - k)
+            for head in VALUE_HEADS]
+
+
+def small_values(leaves: int) -> list:
+    """Every value of the universe with at most leaves leaves, fewest
+    first: 55 for 2 leaves, 1 055 for 3."""
+    return [v for n in range(1, leaves + 1) for v in _values_of(n)]
+
+
+def draw_value(rng) -> Term:
+    """A value of the universe with at most 6 leaves, drawn from rng: the
+    count uniformly, then the shape, the leaves and the heads."""
+    return _draw_value_of(rng, rng.randint(1, 6))
+
+
+def _draw_value_of(rng, leaves: int) -> Term:
+    if leaves == 1:
+        return rng.choice(VALUE_LEAVES)
+    k = rng.randint(1, leaves - 1)
+    return App(App(rng.choice(VALUE_HEADS), _draw_value_of(rng, k)),
+               _draw_value_of(rng, leaves - k))
+
+
+# ---------------------------------------------------------------------------
 # The rebuilding substitution that syntax's sharing substitution is
 # checked against: it builds every node anew and, at each binder, walks
 # the body's free variables before it decides capture
@@ -661,12 +702,11 @@ def is_unitary(value: SemValue, ty: Type) -> bool:
     return True
 
 
-def denote_toplevel_oracle(x, model, gamma=None):
+def denote_toplevel_oracle(x, model, gamma):
     """The toplevel denotation as the union over every environment on all
     the free variables of x, each denoting the whole of x: the definition
     that the thread-by-thread denot.denote_toplevel is checked against."""
     names = sorted(free_vars(x))
-    gamma = gamma or {}
     missing = [n for n in names if n not in gamma]
     if missing:
         raise DenotError(f"no types for free variables {missing}")

@@ -14,6 +14,10 @@ oracle may go.  The checkout itself is never written to.
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py NAME ...   # the named mutants only
 
+Every input of Tier-1 is seeded, and each run sets the same
+PYTHONHASHSEED, so the table is a function of the tree: two runs on one
+tree print the same killers for every mutant.
+
 On a 2-core machine a mutant takes one Tier-1 run, about 22 s, but the
 two that break mgu take minutes, for their hanging tests: the whole
 table takes about 17 minutes.
@@ -220,7 +224,10 @@ def run_tier1(copy):
     process is ended and Tier-1 goes on without the tests that finished
     and that one."""
     events = os.path.join(copy, "mutant-events.txt")
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", MUTANT_EVENTS=events,
+    # a fixed hash seed: a test that iterates a set of strings sees the
+    # same order in every run, and every other input is seeded
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0",
+               MUTANT_EVENTS=events,
                PYTHONPATH=os.pathsep.join(
                    [os.path.join(copy, "src"), os.path.join(copy, "tests")]))
     # test_mutants checks the source text, which every mutant changes

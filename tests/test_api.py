@@ -5,7 +5,8 @@ outside its own definition or exported in ``lamu.__all__``, and every
 method is read as an attribute in ``src/`` or ``bench/`` outside its own
 body: a helper that only the tests use belongs in ``tests/``.  Every
 defaulted parameter is passed by some call in ``src/``, ``bench/`` or
-``tests/``: a parameter that no caller passes is a knob to remove.
+``tests/``, and left out by another: a parameter that no caller passes
+is a knob to remove, and a default that no caller takes is dead.
 Every name a module imports is read in that module, and a module
 imports its siblings at module level and only through their public
 names.  No function but a dunder only gives a job done elsewhere a
@@ -322,6 +323,13 @@ def _calls(tree):
                 yield call.func.attr, call
 
 
+def _passes_all(call):
+    """Whether the call has ``*args`` or ``**kwargs``, and so may pass
+    every parameter."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg is None for k in call.keywords))
+
+
 def unpassed_parameters(modules, readers):
     """module.function(parameter=) for each defaulted parameter of a
     function or method in modules that no call in modules or readers
@@ -330,10 +338,8 @@ def unpassed_parameters(modules, readers):
     positions, keywords = Counter(), {}
     for _, tree in modules + readers:
         for name, call in _calls(tree):
-            passes_all = (any(isinstance(a, ast.Starred) for a in call.args)
-                          or any(k.arg is None for k in call.keywords))
-            positions[name] = max(positions[name], float("inf") if passes_all
-                                  else len(call.args))
+            positions[name] = max(positions[name], float("inf")
+                                  if _passes_all(call) else len(call.args))
             keywords.setdefault(name, set()).update(
                 k.arg for k in call.keywords)
     return [f"{module}.{what}({parameter}=)"
@@ -348,6 +354,38 @@ def unpassed_parameters(modules, readers):
 def test_src_passes_every_defaulted_parameter():
     readers = list(_modules(BENCH)) + list(_modules(os.path.join(ROOT, "tests")))
     assert unpassed_parameters(list(_modules()), readers) == []
+
+
+def untaken_defaults(modules, readers):
+    """module.function(parameter=) for each defaulted parameter of a
+    function or method in modules that every call in modules or readers
+    passes, by position or by keyword: a default that no call takes.
+    Calls are matched by name, and one with ``*args`` or ``**kwargs``
+    passes every parameter.  A function that no call names is left to
+    unpassed_parameters."""
+    calls = {}
+    for _, tree in modules + readers:
+        for name, call in _calls(tree):
+            calls.setdefault(name, []).append(call)
+
+    def passes(call, parameter, positional):
+        return (_passes_all(call)
+                or any(k.arg == parameter for k in call.keywords)
+                or (parameter in positional
+                    and positional.index(parameter) < len(call.args)))
+
+    return [f"{module}.{what}({parameter}=)"
+            for module, tree in modules
+            for what, called, positional, defaulted in _signatures(tree)
+            if called in calls
+            for parameter in defaulted
+            if all(passes(call, parameter, positional)
+                   for call in calls[called])]
+
+
+def test_some_call_takes_every_default():
+    readers = list(_modules(BENCH)) + list(_modules(os.path.join(ROOT, "tests")))
+    assert untaken_defaults(list(_modules()), readers) == []
 
 
 def test_the_check_sees_a_parameter_no_call_passes():
@@ -376,6 +414,30 @@ def test_the_check_sees_a_parameter_no_call_passes():
         "m.S.make(p=)", "m.S.s(j=)", "m.S.m(j=)"]
     assert unpassed_parameters([("m", tree)], [("b", bench)]) == [
         "m.f(c=)", "m.S.__init__(last=)", "m.S.s(j=)", "m.S.m(j=)"]
+
+
+def test_the_check_sees_a_default_no_call_takes():
+    tree = ast.parse(
+        "def f(a, b=1, *, c=2):\n"
+        "    return f(0, 1, c=3)\n"
+        "def g(x=0):\n"
+        "    return g(x=1)\n"
+        "def h(x=0):\n"
+        "    return h(*())\n"
+        "def uncalled(x=0):\n"
+        "    return x\n"
+        "class S:\n"
+        "    def __init__(self, avoid=(), first=1):\n"
+        "        self.m(1)\n"
+        "    def m(self, k=0):\n"
+        "        return k\n"
+        "S((), 2)\n")
+    bench = ast.parse("f(0)\nS(avoid=())\n")
+    assert untaken_defaults([("m", tree)], []) == [
+        "m.f(b=)", "m.f(c=)", "m.g(x=)", "m.h(x=)",
+        "m.S.__init__(avoid=)", "m.S.__init__(first=)", "m.S.m(k=)"]
+    assert untaken_defaults([("m", tree)], [("b", bench)]) == [
+        "m.g(x=)", "m.h(x=)", "m.S.__init__(avoid=)", "m.S.m(k=)"]
 
 
 def _methods(tree):

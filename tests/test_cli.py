@@ -200,6 +200,13 @@ def test_repl_definitions_respect_binders(monkeypatch, capsys):
     ]
 
 
+def test_repl_skips_a_line_that_holds_only_a_comment(monkeypatch, capsys):
+    code, out = run_repl(["# just a comment", "", "C # a comment", "  #"],
+                         monkeypatch, capsys)
+    assert code == EXIT_OK
+    assert out == ["C", ""]
+
+
 def test_repl_reports_deep_input_and_continues(tmp_path, monkeypatch, capsys):
     parens, _ = _deep_inputs(tmp_path)
     code, out = run_repl([parens.read_text().strip(), "C"], monkeypatch, capsys)

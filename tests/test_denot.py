@@ -336,8 +336,8 @@ def test_soundness_reports_the_violating_step(monkeypatch):
     # the context types the variable that step #2 issues from that step on
     issued = [ts.fresh_var for ts in evaluate(p).trace if ts.rule == FRESH]
 
-    def empty_from_step_2(x, model, gamma=None):
-        if issued[0] in (gamma or {}):
+    def empty_from_step_2(x, model, gamma):
+        if issued[0] in gamma:
             return frozenset()
         return denote_toplevel(x, model, gamma)
 

@@ -4,8 +4,6 @@ whose stuck kinds compare, hash and print as the dataclass they were."""
 import itertools
 import signal
 
-from hypothesis import given, strategies as st
-
 from helpers import (
     assert_records_keep_the_rules, criterion_4_programs,
     is_normal_term_oracle, is_stuck_oracle,
@@ -167,9 +165,11 @@ def test_deep_stuck_chain_is_classified_in_linear_time():
     assert k == is_stuck(App(X, Y))
 
 
-@given(st.integers(0, 10_000))
-def test_struct_equiv_reflexive(seed):
-    gen = Generator(GeneratorConfig(seed=seed, max_depth=3))
-    p = gen.program()
-    assert struct_equiv(p, p)
-    assert struct_equiv(p, Program(tuple(reversed(p.threads))))
+def test_struct_equiv_reflexive():
+    # the first program of each seed 0..99
+    programs = [Generator(GeneratorConfig(seed=seed, max_depth=3)).program()
+                for seed in range(100)]
+    assert len(programs) == 100
+    for p in programs:
+        assert struct_equiv(p, p), p
+        assert struct_equiv(p, Program(tuple(reversed(p.threads)))), p

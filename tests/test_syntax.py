@@ -6,16 +6,16 @@ stated over the fields, which the frozen dataclasses that terms and
 programs were kept, also on terms too deep to recurse over."""
 
 import itertools
+import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from helpers import (
     CRITERION_8_DRAWS, HOLE, all_names, coherence_witness_oracle, coherent,
-    compose, criterion_4_programs, criterion_8_draws, free_vars_oracle,
-    is_structure, is_weak_context, locations, plug, plug_term, rebuild,
-    rule_key, rule_repr, subst_apply_oracle, subst_equal, subst_loc,
-    subst_single_oracle, support,
+    compose, criterion_4_programs, criterion_8_draws, draw_value,
+    free_vars_oracle, is_structure, is_weak_context, locations, plug,
+    plug_term, rebuild, rule_key, rule_repr, small_values, subst_apply_oracle,
+    subst_equal, subst_loc, subst_single_oracle, support,
 )
 from lamu.concrete import parse_program
 from lamu.generator import Generator, GeneratorConfig
@@ -348,24 +348,30 @@ def test_session_for_program_issues_what_its_names_and_locations_say():
 
 # -- property tests
 
-values = st.recursive(
-    st.sampled_from([X, Y, C, D, ID1]),
-    lambda inner: st.tuples(st.sampled_from([C, D]), inner, inner).map(
-        lambda triple: App(App(triple[0], triple[1]), triple[2])),
-    max_leaves=6)
+def test_subst_preserves_valueness():
+    # every pair of values of up to 2 leaves, and 100 drawn of up to 6
+    rng = random.Random(5)
+    pairs = list(itertools.product(small_values(2), repeat=2))
+    pairs += [(draw_value(rng), draw_value(rng)) for _ in range(100)]
+    assert len(pairs) == 3_125
+    for v, w in pairs:
+        assert subst_single(v, "x", w).value, (v, w)
 
 
-@given(values, values)
-def test_subst_preserves_valueness(v, w):
-    assert subst_single(v, "x", w).value
-
-
-@given(values, values, values)
-def test_subst_composition_law(t, v, w):
-    rho = Substitution({"x": v})
-    sigma = Substitution({"y": w})
-    assert subst_apply(subst_apply(t, rho), sigma) == \
-        subst_apply(t, compose(rho, sigma))
+def test_subst_composition_law():
+    # every t and v of up to 2 leaves with every one-leaf w, and 100
+    # triples drawn of up to 6
+    rng = random.Random(6)
+    triples = list(itertools.product(small_values(2), small_values(2),
+                                     small_values(1)))
+    triples += [(draw_value(rng), draw_value(rng), draw_value(rng))
+                for _ in range(100)]
+    assert len(triples) == 15_225
+    for t, v, w in triples:
+        rho = Substitution({"x": v})
+        sigma = Substitution({"y": w})
+        assert subst_apply(subst_apply(t, rho), sigma) == \
+            subst_apply(t, compose(rho, sigma)), (t, v, w)
 
 
 # -- the sharing substitution against the rebuilding one

@@ -5,7 +5,6 @@ outcomes compare, hash and print as the dataclasses they were."""
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from helpers import (
     Stepped, assert_records_keep_the_rules, brute_force_unifiable, compose,
@@ -276,10 +275,11 @@ def test_substitutions_and_problems_compare_by_value():
     assert Substitution() != Problem() and Problem() != ()
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_mgu_deterministic(seed):
-    problems = _random_problems(3, seed)
+def test_mgu_deterministic():
+    # three goal sets from each seed 0..39
+    problems = [problem for seed in range(40)
+                for problem in _random_problems(3, seed)]
+    assert len(problems) == 120
     for problem in problems:
         a = mgu(problem)
         b = mgu(problem)
