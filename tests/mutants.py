@@ -20,7 +20,7 @@ tree print the same killers for every mutant.
 
 On a 2-core machine a mutant takes one Tier-1 run, about 22 s, but the
 two that break mgu take minutes, for their hanging tests: the whole
-table takes about 17 minutes.
+table takes about 20 minutes.
 
 Tier-1 runs only test_mutants.py, which checks that every snippet still
 occurs exactly once in today's source, so the table cannot rot.
