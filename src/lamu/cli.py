@@ -159,12 +159,15 @@ def cmd_test_confluence(args, out) -> int:
 
 def cmd_test_soundness(args, out) -> int:
     def sound(src, i, tally):
+        typing = _typing(src)
+        model = None
         try:
-            typing = _typing(src)
             model = _model_for(src, args.cap, typing)
             return denot.soundness_check(src.program, model, fuel=args.fuel,
                                          typing=typing).ok
-        except (denot.TooLarge, denot.DenotError):
+        except (denot.TooLarge, denot.DenotError) as exc:
+            if model is not None and isinstance(exc, denot.DenotError):
+                raise   # a fault of denotation, not a missing model
             tally["skipped"] += 1
             return True
 

@@ -82,6 +82,9 @@ def tokenize(text: str) -> List[Token]:
         if kind != "ws":
             if kind == "op" or kind == "lower" and value in _KEYWORDS:
                 kind = value
+            elif kind in ("int", "atloc") and len(value.lstrip("@L")) > 100:
+                # so that every number read, and its successor, prints
+                raise ParseError("a numeral has at most 100 digits", line, col)
             tokens.append(Token(kind, value, line, col))
         newlines = value.count("\n")
         if newlines:

@@ -30,9 +30,9 @@ from .typecheck import (
 
 class TooLarge(LamuError):
     def __init__(self, what, count, cap):
+        if isinstance(count, int) and count >> 64:  # no decimal past 64 bits
+            count = f"at least 2^{count.bit_length() - 1}"
         super().__init__(f"enumeration of {what} needs {count} elements, cap is {cap}")
-        self.count = count
-        self.cap = cap
 
 
 class DenotError(LamuError):
@@ -125,26 +125,12 @@ class Model:
             for name, n in base_sizes.items()}
         self._enum_cache: Dict[Type, List[SemValue]] = {}
         self._cons_cache: Dict[str, SemValue] = {}
-        feeds: Dict[str, set] = {}   # base -> the bases its arguments use
+        self._closing: set = set()   # bases begun; a closed one is cached
         for c in self.sig:
-            base = _result_base(self.sig[c])
-            self._bases.setdefault(base, [])
+            self._bases.setdefault(_result_base(self.sig[c]), [])
             for sub in base_names(*arg_types(self.sig[c])):
                 self._bases.setdefault(sub, [])
-                feeds.setdefault(base, set()).add(sub)
-        # a base that feeds its own constructors' arguments would contain
-        # its own images, so no finite model exists
-        for base in sorted(feeds):
-            seen, stack = set(), list(feeds[base])
-            while stack:
-                sub = stack.pop()
-                if sub == base:
-                    raise TooLarge(f"base type {base}", "infinitely many",
-                                   self.cap)
-                if sub not in seen:
-                    seen.add(sub)
-                    stack.extend(feeds.get(sub, ()))
-        # the feed graph is acyclic: enumerating a base closes it once
+        # enumerating a base closes it once, or finds it on a cycle
         for c in sorted(self.sig):
             self.enum_type(Base(_result_base(self.sig[c])))
         for name, atoms in self._bases.items():
@@ -158,7 +144,8 @@ class Model:
         deterministic order.  Raises TooLarge beyond the cap.  A base
         type holds its declared atoms, then each constructor's images
         over its argument types in itertools.product order, constructors
-        in name order; the first enumeration closes it."""
+        in name order; the first enumeration closes it.  A base met again
+        while being closed would hold its own images, so it is infinite."""
         if ty in self._enum_cache:
             return self._enum_cache[ty]
         if isinstance(ty, Meta):
@@ -166,6 +153,10 @@ class Model:
         if isinstance(ty, Base):
             if ty.name not in self._bases:
                 raise DenotError(f"base type {ty.name} has no interpretation")
+            if ty.name in self._closing:
+                raise TooLarge(f"base type {ty.name}", "infinitely many",
+                               self.cap)
+            self._closing.add(ty.name)
             result = self._bases[ty.name]
             for c in sorted(self.sig):
                 if _result_base(self.sig[c]) == ty.name:
@@ -179,12 +170,13 @@ class Model:
             domain = self.enum_type(ty.left)
             codomain = self.enum_type(ty.right)
             n, m = len(domain), len(codomain)
-            count = (2 ** m) ** n
-            if count > self.cap:
-                raise TooLarge(repr(ty), count, self.cap)
+            k = m * n   # 2 ** k tables: past the cap iff k >= its bit length
+            if k >= self.cap.bit_length():
+                raise TooLarge(repr(ty), 2 ** k if k < 64 else f"2^{k}",
+                               self.cap)
             subsets = [frozenset(s)
-                       for k in range(m + 1)
-                       for s in itertools.combinations(codomain, k)]
+                       for r in range(m + 1)
+                       for s in itertools.combinations(codomain, r)]
             result = [
                 Table(tuple(zip(domain, images)))
                 for images in itertools.product(subsets, repeat=n)]

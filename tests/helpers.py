@@ -723,7 +723,12 @@ class RoundLoopModel(Model):
     the enumerations cleared each round, until no base gains an atom;
     each product is compared with the cap only once built.  The
     definition that denot.Model's one closure in dependency order is
-    checked against."""
+    checked against.  A cycle of the feed graph is searched for first,
+    in the order of Model's closing walk: from each constructor's result
+    base, constructors in name order, their argument bases left to
+    right; the first base met again on the current path is named.  So
+    on a signature with both a cycle and a product past the cap the two
+    may name different faults; the parity cases hold none such."""
 
     def __init__(self, base_sizes, sig, cap=4096):
         for name, n in base_sizes.items():
@@ -743,23 +748,28 @@ class RoundLoopModel(Model):
                 raise DenotError(f"base type {name} is empty")
 
     def _close_bases(self):
-        feeds = {}   # base -> the bases its arguments use
+        feeds = {}   # base -> the bases its arguments use, in walk order
         for c in self.sig:
             base = _result_base(self.sig[c])
             self._bases.setdefault(base, [])
             for sub in base_names(*arg_types(self.sig[c])):
                 self._bases.setdefault(sub, [])
-                feeds.setdefault(base, set()).add(sub)
-        for base in sorted(feeds):
-            seen, stack = set(), list(feeds[base])
-            while stack:
-                sub = stack.pop()
-                if sub == base:
-                    raise TooLarge(f"base type {base}", "infinitely many",
-                                   self.cap)
-                if sub not in seen:
-                    seen.add(sub)
-                    stack.extend(feeds.get(sub, ()))
+        for c in sorted(self.sig):
+            feeds.setdefault(_result_base(self.sig[c]), []).extend(
+                base_names(*arg_types(self.sig[c])))
+        acyclic = set()
+
+        def search(base, path):
+            if base in path:
+                raise TooLarge(f"base type {base}", "infinitely many",
+                               self.cap)
+            if base not in acyclic:
+                for sub in feeds.get(base, ()):
+                    search(sub, path | {base})
+                acyclic.add(base)
+
+        for c in sorted(self.sig):
+            search(_result_base(self.sig[c]), frozenset())
         changed = True
         while changed:
             changed = False
@@ -795,7 +805,9 @@ class RoundLoopModel(Model):
             n, m = len(domain), len(codomain)
             count = (2 ** m) ** n
             if count > self.cap:
-                raise TooLarge(repr(ty), count, self.cap)
+                shown = count if count < 2 ** 64 else \
+                    f"2^{count.bit_length() - 1}"
+                raise TooLarge(repr(ty), shown, self.cap)
             subsets = [frozenset(s)
                        for k in range(m + 1)
                        for s in itertools.combinations(codomain, k)]
@@ -1165,16 +1177,21 @@ def corpus_sources() -> Iterator[tuple]:
             yield name, parse_file(handle.read())
 
 
-def cli(*argv, **popen):
-    """lamu.cli started in a subprocess, which does not see pytest's
-    pythonpath setting."""
+def python(*argv, **popen):
+    """Python started in a subprocess with src/ on its path, which it
+    does not get from pytest's pythonpath setting."""
     src_dir = os.path.join(os.path.dirname(CORPUS), os.pardir, "src")
     pythonpath = os.pathsep.join(
         filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath, **popen.pop("env", {}))
-    return subprocess.Popen([sys.executable, "-m", "lamu.cli", *argv],
+    return subprocess.Popen([sys.executable, *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=env, **popen)
+
+
+def cli(*argv, **popen):
+    """lamu.cli started in a subprocess."""
+    return python("-m", "lamu.cli", *argv, **popen)
 
 
 # ---------------------------------------------------------------------------

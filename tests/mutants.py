@@ -160,6 +160,12 @@ MUTANTS = [
            "        ty = stack.pop()\n"
            "        if isinstance(ty, Base):\n"
            "            out.add(ty.name)\n"),
+    Mutant("arrow-cap-check-admits-its-boundary", "denot.py",
+           "if k >= self.cap.bit_length():",
+           "if k > self.cap.bit_length():"),
+    Mutant("closing-set-is-never-filled", "denot.py",
+           "            self._closing.add(ty.name)\n",
+           ""),
     Mutant("atloc-token-keeps-only-its-digits", "concrete.py",
            "            tokens.append(Token(kind, value, line, col))\n",
            "            tokens.append(Token(kind, value[2:] if kind == \"atloc\" "

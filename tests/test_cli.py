@@ -15,7 +15,7 @@ from lamu.cli import (
     build_parser, main,
 )
 from lamu.concrete import parse_file
-from lamu.denot import SoundnessVerdict
+from lamu.denot import DenotError, SoundnessVerdict
 from lamu.generator import DEFAULT_SIGNATURE, STRATIFIED_SIGNATURE
 from lamu.reduction import Exploration
 from lamu.syntax import Program, alpha_eq
@@ -156,6 +156,23 @@ def test_deep_inputs_exit_two(tmp_path, capsys):
         code, out, err = run_main(argv, capsys)
         assert code == EXIT_USER_ERROR
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_numeral_too_long_to_print_exits_two(tmp_path, monkeypatch,
+                                               capsys):
+    # a base size of 5 000 digits, and a location of 4 300 digits whose
+    # successor, the next location the run issues, no message could print
+    base = tmp_path / "base.luni"
+    base.write_text(f"base i = {'7' * 5000}.\n")
+    loc = tmp_path / "loc.luni"
+    loc.write_text(rf"(\x@L{'9' * 4300}. x) (\y. y)" + "\n")
+    error = "error: a numeral has at most 100 digits at line 1, column {}"
+    for path, column in ((base, 10), (loc, 4)):
+        code, out, err = run_main(["run", str(path)], capsys)
+        assert (code, out, err) == (EXIT_USER_ERROR, "",
+                                    error.format(column) + "\n")
+    code, out = run_repl([base.read_text().strip(), "C"], monkeypatch, capsys)
+    assert (code, out) == (EXIT_OK, [error.format(10), "C", ""])
 
 
 def test_unprintable_result_leaves_no_header(tmp_path, capsys):
@@ -321,6 +338,25 @@ def test_denote_rejects_a_recursive_signature_at_once(capsys):
     assert "base type i" in err
 
 
+def test_denote_refuses_a_count_too_long_to_print_at_once(
+        tmp_path, monkeypatch, capsys):
+    # f : k -> j, with 4 002 atoms in k and 8 in j, has 2 ** 32016 tables
+    declarations = ("base i = 4000.", "base j = 8.", "cons K : i -> k.",
+                    "cons M : j -> m.")
+    program = r"\f. M (f (K x))"
+    path = tmp_path / "huge.luni"
+    path.write_text("\n".join([*declarations, program]) + "\n",
+                    encoding="utf-8")
+    error = ("error: enumeration of k -> j needs 2^32016 elements, cap is "
+             "4096")
+    assert within(1.0, "denote on a binder type of 2 ** 32016 tables",
+                  lambda: run_main(["denote", str(path)], capsys)) \
+        == (EXIT_USER_ERROR, "", error + "\n")
+    code, out = run_repl([" ".join(declarations), ":denote " + program],
+                         monkeypatch, capsys)
+    assert (code, out) == (EXIT_OK, [error, ""])
+
+
 def test_denote_names_the_same_empty_base_under_every_hash_seed(tmp_path):
     # a and b are both empty; the model registers a constructor's
     # argument bases left to right, so the error names a, whatever order
@@ -444,6 +480,37 @@ def test_soundness_suite_types_each_sample_once(monkeypatch, capsys):
     assert out.strip() == ("soundness: 20 samples, 1 skipped (no finite "
                            "model), 0 counterexamples")
     assert calls == {"lamu.cli": 20}
+
+
+def test_soundness_suite_skips_the_draws_whose_count_is_too_long_to_print(
+        capsys):
+    # each seed draws binder types of more than 4 300 decimal digits
+    for seed, skipped in (("1", 21), ("5", 25)):
+        assert run_main(["test-soundness", "--seed", seed], capsys) == (
+            EXIT_OK, f"soundness: 200 samples, {skipped} skipped (no finite "
+            "model), 0 counterexamples\n", "")
+
+
+def test_soundness_suite_skips_only_a_model_that_is_not_built(monkeypatch,
+                                                              capsys):
+    # an empty base leaves a sample without a model; a DenotError while
+    # denoting is a fault, one error line
+    def empty(*args, **kwargs):
+        raise DenotError("base type i is empty")
+
+    def faulty(*args, **kwargs):
+        raise DenotError("application of a non-function denotation")
+
+    argv = ["test-soundness", "--samples", "3"]
+    with monkeypatch.context() as patch:
+        patch.setattr("lamu.denot.Model", empty)
+        assert run_main(argv, capsys) == (
+            EXIT_OK, "soundness: 3 samples, 3 skipped (no finite model), 0 "
+            "counterexamples\n", "")
+    monkeypatch.setattr("lamu.denot.soundness_check", faulty)
+    assert run_main(argv, capsys) == (
+        EXIT_USER_ERROR, "",
+        "error: application of a non-function denotation\n")
 
 
 def test_soundness_suite_counts_skipped_draws(capsys):

@@ -104,6 +104,16 @@ def test_parse_errors_have_positions():
         parse_program("")
 
 
+def test_a_numeral_has_at_most_100_digits():
+    digits = "9" * 100
+    assert parse_file(f"base i = {digits}.").base_sizes == {"i": int(digits)}
+    assert parse_term(rf"\x@L{digits}. x").loc == int(digits)
+    for text in (f"base i = {digits}7.", rf"\x@L{digits}7. x"):
+        with pytest.raises(ParseError, match="^a numeral has at most 100 "
+                                             "digits at line 1, column"):
+            parse_file(text)
+
+
 # each expectation the parser can miss, with the message it raises
 MISSED = [
     (parse_file, "def k = C )", "expected '.', found ')' at line 1, column 11"),

@@ -11,7 +11,8 @@ from lamu.concrete import parse_program
 from helpers import (
     CRITERION_8_DRAWS, RoundLoopModel, assert_records_keep_the_rules,
     criterion_8_draws, denote_toplevel_oracle, is_unitary, model_sizes,
-    soundness_check_oracle, typed_steps_oracle, within, worked_example,
+    python, soundness_check_oracle, typed_steps_oracle, within,
+    worked_example,
 )
 from lamu.denot import (
     Atom, DenotError, Model, Table, TooLarge, denote, denote_toplevel, soundness_check,
@@ -115,6 +116,7 @@ def test_closure_matches_the_round_loop_oracle():
     # A : j -> i before Z : k -> j has put Z(k#0) into j
     worked = worked_example()[1].sig    # T : nat -> nat -> tuple
     nat, tup = worked["N1"], worked["T"].right.right
+    a, b, c, d, x, y = map(Base, "abcdxy")
     cases = [
         ({}, SIG, 4096, [I, Arrow(I, I)]),
         ({}, STRATIFIED, 4096, [I, PAIR, Arrow(I, PAIR)]),
@@ -131,6 +133,11 @@ def test_closure_matches_the_round_loop_oracle():
         ({"j": 1, "k": 1}, default_signature({
             "A": Arrow(Base("j"), I), "Z": Arrow(Base("k"), Base("j"))}),
          4096, [I]),
+        ({}, default_signature({"A": Arrow(x, y), "B": Arrow(y, x)}), 4096,
+         []),
+        ({}, default_signature({"A": Arrow(d, c), "B": Arrow(c, d),
+                                "C": Arrow(b, a), "D": Arrow(a, b)}), 4096,
+         []),
     ]
     for seed in (7, 11, 29, 53):
         cases += _stream_models(seed, STRATIFIED_SIGNATURE, 4096, 300)
@@ -146,7 +153,7 @@ def test_closure_matches_the_round_loop_oracle():
             models += 1
         else:
             enumerations += sum(isinstance(e, tuple) for e in closure[1])
-    assert (len(cases), models, enumerations) == (1311, 3, 166)
+    assert (len(cases), models, enumerations) == (1313, 5, 166)
 
 
 def test_function_typed_constructor_arguments_keep_no_stale_tables():
@@ -199,33 +206,75 @@ def test_closure_builds_only_the_atoms_it_keeps(monkeypatch):
     assert len(built) == 18
 
 
+# Each signature's error, from a Model built in a fresh process under
+# several hash seeds, so that a walk or a registration that follows a
+# set's order fails under some of them
+_FIRST_ERRORS = """
+import sys
+from lamu.concrete import parse_file
+from lamu.denot import Model
+from lamu.syntax import LamuError
+from lamu.typecheck import default_signature
+for text in sys.argv[1:]:
+    src = parse_file(text)
+    try:
+        Model(src.base_sizes, default_signature(src.signature))
+    except LamuError as exc:
+        print(exc)
+"""
+
+
 def test_errors_name_the_first_base_in_name_order():
-    def message(sizes, sig):
-        with pytest.raises(LamuError) as info:
-            Model(sizes, default_signature(sig))
-        return str(info.value)
-    a, b, c, d = map(Base, "abcd")
     cycle = "enumeration of base type {} needs infinitely many elements, " \
             "cap is 4096"
-    # two disjoint cycles, a -> b -> a and c -> d -> c
-    assert message({}, {"K": Arrow(d, c), "H": Arrow(c, d), "G": Arrow(a, b),
-                        "F": Arrow(b, a)}) == cycle.format("a")
-    # a chain a <- b into the cycle b -> c -> b
-    assert message({}, {"F": Arrow(b, a), "G": Arrow(c, b),
-                        "H": Arrow(b, c)}) == cycle.format("b")
-    # two empty bases: the first declared, and the first in the
-    # signature's own order, result before arguments
-    assert message({"n": 0, "m": 0}, {}) == "base type n is empty"
-    assert message({}, {"F": Arrow(d, c), "G": Arrow(b, a)}) \
-        == "base type c is empty"
-    # a constructor's argument bases, left to right
-    assert message({"c": 1}, {"F": Arrow(a, Arrow(b, c))}) \
-        == "base type a is empty"
+    cases = {
+        # two disjoint cycles, a -> b -> a and c -> d -> c: the closing
+        # walk starts at F's result a and meets a again through b
+        "cons K : d -> c. cons H : c -> d. cons G : a -> b. "
+        "cons F : b -> a.": cycle.format("a"),
+        # a chain a <- b into the cycle b -> c -> b
+        "cons F : b -> a. cons G : c -> b. cons H : b -> c.":
+            cycle.format("b"),
+        # the walk starts at A's result y, not at x, the first in name
+        # order on the cycle
+        "cons A : x -> y. cons B : y -> x.": cycle.format("y"),
+        "cons A : d -> c. cons B : c -> d. cons C : b -> a. "
+        "cons D : a -> b.": cycle.format("c"),
+        # two empty bases: the first declared, and the first in the
+        # signature's own order, result before arguments
+        "base n = 0. base m = 0.": "base type n is empty",
+        "cons F : d -> c. cons G : b -> a.": "base type c is empty",
+        # a constructor's argument bases, left to right
+        "base c = 1. cons F : a -> b -> c.": "base type a is empty",
+    }
+    runs = [python("-c", _FIRST_ERRORS, *cases, text=True,
+                   env={"PYTHONHASHSEED": str(seed)}) for seed in range(6)]
+    outputs = {run.communicate(timeout=60) for run in runs}
+    assert outputs == {("".join(f"{m}\n" for m in cases.values()), "")}
 
 
 def test_empty_base_rejected():
     with pytest.raises(DenotError):
         Model({"n": 0}, default_signature())
+
+
+def test_a_count_of_a_million_digits_is_refused_at_once():
+    # 2 ** (4096 * 1024) tables, whose decimal has 1 262 612 digits
+    j = Base("j")
+    with pytest.raises(TooLarge, match="^enumeration of i -> j needs "
+                                       "2\\^4194304 elements, cap is 4096$"):
+        within(1, "a binder type of 2 ** 4194304 tables", lambda: Model(
+            {"i": 4096, "j": 1024}, {}).enum_type(Arrow(I, j)))
+
+
+def test_a_product_past_64_bits_is_named_by_its_binary_order():
+    # 4096 ** 7 = 2 ** 84 images of F
+    sig = {"F": Arrow(I, Arrow(I, Arrow(I, Arrow(I, Arrow(I, Arrow(
+        I, Arrow(I, Base("j"))))))))}
+    with pytest.raises(TooLarge, match="^enumeration of base type j needs "
+                                       "at least 2\\^84 elements, cap is "
+                                       "4096$"):
+        Model({"i": 4096}, sig)
 
 
 def test_arrow_enumeration_count():
@@ -235,6 +284,14 @@ def test_arrow_enumeration_count():
     with pytest.raises(TooLarge):
         Model({"n": 3}, default_signature(), cap=64).enum_type(
             Arrow(Base("n"), Arrow(Base("n"), Base("n"))))
+    # at the cap's boundary: one domain atom and six codomain atoms give
+    # 2 ** 6 tables, which the size check takes in its exponent
+    d, c = Base("d"), Base("c")
+    assert len(Model({"d": 1, "c": 6}, {}, cap=64).enum_type(Arrow(d, c))) \
+        == 64
+    with pytest.raises(TooLarge, match="^enumeration of d -> c needs 64 "
+                                       "elements, cap is 63$"):
+        Model({"d": 1, "c": 6}, {}, cap=63).enum_type(Arrow(d, c))
 
 
 def test_constructors_are_unitary_and_injective():
