@@ -9,7 +9,8 @@ enumeration is guarded by a cap.  Constructors are interpreted by
 injective tagging: each constructor application reserves a distinct
 atom in its result base type.  A base type is closed once, in
 dependency order: its declared atoms, then its constructors' images
-over the closed enumerations of their argument types.
+over the closed enumerations of their argument types.  A value is
+hashed once, when built, and a table applied by a lookup in its index.
 """
 from __future__ import annotations
 
@@ -41,13 +42,14 @@ class DenotError(LamuError):
 
 class Atom:
     """An element of a base type; tag is ("atom", i) or ("cons", name,
-    (child values...)).  A value, immutable by contract: == and hash
-    compare the field tuple."""
-    __slots__ = ("base", "tag")
+    (child values...)).  A value, immutable by contract: == compares the
+    field tuple, and _hash, taken when the atom is built, is its hash."""
+    __slots__ = ("base", "tag", "_hash")
 
     def __init__(self, base, tag):
         self.base = base
         self.tag = tag
+        self._hash = hash((base, tag))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -55,7 +57,7 @@ class Atom:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.base, self.tag))
+        return self._hash
 
     def __repr__(self):
         if self.tag[0] == "atom":
@@ -69,11 +71,16 @@ class Atom:
 class Table:
     """A function ⟦A⟧ -> P(⟦B⟧), materialized over the full enumeration
     of the domain in canonical order: entries holds (argument, image)
-    pairs.  A value, immutable by contract, compared and hashed as Atom."""
-    __slots__ = ("entries",)
+    pairs.  A value, immutable by contract, compared and hashed as Atom;
+    its _index, from argument to image, makes application one lookup.
+    An underscored slot is a fact taken when the value is built, no
+    field: ==, hash and repr leave it out."""
+    __slots__ = ("entries", "_hash", "_index")
 
     def __init__(self, entries):
         self.entries = entries
+        self._hash = hash((entries,))
+        self._index = dict(entries)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -81,13 +88,13 @@ class Table:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.entries,))
+        return self._hash
 
     def __call__(self, arg: "SemValue") -> FrozenSet["SemValue"]:
-        for a, image in self.entries:
-            if a == arg:
-                return image
-        raise DenotError(f"argument {arg!r} outside table domain")
+        image = self._index.get(arg)
+        if image is None:
+            raise DenotError(f"argument {arg!r} outside table domain")
+        return image
 
     def __repr__(self):
         inner = ", ".join(

@@ -20,6 +20,9 @@ against one slow definition, here unless named:
   mgu_goal (one goal, no Problem)      mgu of a one-goal Problem (test_unify)
   infer, check                         infer_oracle, check_oracle
   denote_toplevel (thread by thread)   denote_toplevel_oracle (product)
+  Atom, Table (hash taken when built,  ScanAtom, ScanTable (hash taken
+    application by lookup)             on every call, a linear scan),
+                                       through denote_toplevel_scanning
   Model (bases closed in order)        RoundLoopModel (rounds, fixpoint)
   soundness_check, typed_steps         soundness_check_oracle,
                                        typed_steps_oracle (whole programs)
@@ -41,7 +44,7 @@ import subprocess
 import sys
 from typing import Iterator, List, NamedTuple, Optional
 
-from lamu import unify
+from lamu import denot, unify
 from lamu.concrete import parse_file, parse_program
 from lamu.denot import (
     Atom, DenotError, InclusionReport, Model, SemValue, SoundnessVerdict,
@@ -137,9 +140,16 @@ def _ruled(x) -> bool:
             and type(x) is not Substitution)
 
 
+def _is_field(slot: str) -> bool:
+    """Whether a slot holds a field, not a fact taken when its object is
+    built: a term's value flag, or an underscored slot, such as an
+    Atom's or a Table's hash and a Table's index."""
+    return slot != "value" and not slot.startswith("_")
+
+
 def fields(x) -> tuple:
-    """x's fields in slot order; on a node, without value."""
-    return tuple([getattr(x, f) for f in type(x).__slots__ if f != "value"])
+    """x's fields in slot order, without its construction-time facts."""
+    return tuple([getattr(x, f) for f in type(x).__slots__ if _is_field(f)])
 
 
 def rule_key(x):
@@ -154,13 +164,13 @@ def rule_key(x):
     if not _ruled(x):
         return x
     compared = [f for f in type(x).__slots__
-                if f != "value" and not (f == "ann" and isinstance(x, Term))]
+                if _is_field(f) and not (f == "ann" and isinstance(x, Term))]
     return (type(x), *[rule_key(getattr(x, f)) for f in compared])
 
 
 def rule_repr(x) -> str:
     """What repr prints: a node or record as Class(field=value, ...),
-    without value; an atom as base#i or its constructor applied to its
+    its fields only; an atom as base#i or its constructor applied to its
     arguments, a table as its entries, a base type as its name, an
     arrow with its left side in parentheses when that is an arrow, a
     metavariable as ?id; anything else as its own repr."""
@@ -188,7 +198,7 @@ def rule_repr(x) -> str:
     if not _ruled(x) or cls is unify.Problem:
         return repr(x)
     shown = [f"{f}={rule_repr(getattr(x, f))}" for f in cls.__slots__
-             if f != "value"]
+             if _is_field(f)]
     return f"{cls.__name__}({', '.join(shown)})"
 
 
@@ -715,6 +725,65 @@ def denote_toplevel_oracle(x, model, gamma):
     for combo in itertools.product(*domains):
         out |= denote(x, dict(zip(names, combo)), model)
     return out
+
+
+class ScanAtom(Atom):
+    """An Atom hashed afresh from its fields on every call: the
+    definition that Atom's hash, taken once when it is built, is checked
+    against.  It is equal to an Atom with the same fields, so that a
+    denotation of these compares with one of src's values, through their
+    hashes too."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if isinstance(other, Atom):
+            return (self.base, self.tag) == (other.base, other.tag)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.tag))
+
+
+class ScanTable(Table):
+    """A Table hashed afresh on every call, compared as ScanAtom, and
+    applied by a linear scan of its entries: the definition that Table's
+    hash and index, taken once when it is built, are checked against."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if isinstance(other, Table):
+            return (self.entries,) == (other.entries,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
+
+    def __call__(self, arg):
+        for a, image in self.entries:
+            if a == arg:
+                return image
+        raise DenotError(f"argument {arg!r} outside table domain")
+
+
+def denote_toplevel_scanning(x, model, gamma):
+    """denote_toplevel in model built again, from its declared atoms,
+    signature and cap, with ScanAtom and ScanTable in place of lamu.denot's
+    Atom and Table while it runs."""
+    declared = {name: sum(a.tag[0] == "atom" for a in atoms)
+                for name, atoms in model._bases.items()}
+    saved = denot.Atom, denot.Table
+    denot.Atom, denot.Table = ScanAtom, ScanTable
+    try:
+        return denote_toplevel(x, Model(declared, model.sig, model.cap),
+                               gamma)
+    finally:
+        denot.Atom, denot.Table = saved
+
+
+def equal_images_source(n: int) -> str:
+    """A file whose denotation is one table of n tables of n entries,
+    each entry applying the constructor K twice."""
+    return f"base i = {n}.\ncons K : i -> k.\n\\x. \\y. K x =:= K y\n"
 
 
 class RoundLoopModel(Model):

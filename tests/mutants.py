@@ -38,7 +38,7 @@ from typing import NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # A test that runs longer under a mutant, or wants more memory, fails:
 # a mutant can make a term grow without end, in C code that no signal
-# interrupts.  Tier-1's slowest test takes under 2 s.
+# interrupts.  Tier-1's slowest test takes about 2 s.
 TEST_SECONDS = 20
 MEMORY_BYTES = 2 << 30
 
@@ -166,6 +166,15 @@ MUTANTS = [
     Mutant("closing-set-is-never-filled", "denot.py",
            "            self._closing.add(ty.name)\n",
            ""),
+    Mutant("atom-hash-leaves-out-the-base", "denot.py",
+           "        self._hash = hash((base, tag))\n",
+           "        self._hash = hash(tag)\n"),
+    Mutant("table-hash-reads-the-first-entry-alone", "denot.py",
+           "        self._hash = hash((entries,))\n",
+           "        self._hash = hash((entries[:1],))\n"),
+    Mutant("table-index-answers-a-missing-argument-with-nothing", "denot.py",
+           "image = self._index.get(arg)\n",
+           "image = self._index.get(arg, frozenset())\n"),
     Mutant("atloc-token-keeps-only-its-digits", "concrete.py",
            "            tokens.append(Token(kind, value, line, col))\n",
            "            tokens.append(Token(kind, value[2:] if kind == \"atloc\" "

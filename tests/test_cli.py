@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import CORPUS, cli, within
+from helpers import CORPUS, cli, equal_images_source, within
 from lamu.cli import (
     EXIT_BROKEN_PIPE, EXIT_COUNTEREXAMPLE, EXIT_FAILED_PROGRAM, EXIT_OK,
     EXIT_USER_ERROR,
@@ -355,6 +355,21 @@ def test_denote_refuses_a_count_too_long_to_print_at_once(
     code, out = run_repl([" ".join(declarations), ":denote " + program],
                          monkeypatch, capsys)
     assert (code, out) == (EXIT_OK, [error, ""])
+
+
+def test_denote_applies_each_table_by_lookup(tmp_path, capsys):
+    # one table of 200 tables of 200 entries, each entry applying K twice:
+    # with a linear scan for each argument and a hash that walks a table
+    # again whenever a set takes it, this took 2.75 s on a 2-core host
+    path = tmp_path / "images.luni"
+    path.write_text(equal_images_source(200), encoding="utf-8")
+    code, out, err = within(1.0, "denote over 200 atoms",
+                            lambda: run_main(["denote", str(path)], capsys))
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["type: i -> i -> unit", "denotation (1 element(s)):"]
+    # K is injective, so K x =:= K y holds on the diagonal alone
+    assert len(lines) == 3 and lines[2].count("{Ok}") == 200
 
 
 def test_denote_names_the_same_empty_base_under_every_hash_seed(tmp_path):

@@ -7,12 +7,12 @@ import itertools
 
 import pytest
 
-from lamu.concrete import parse_program
+from lamu.concrete import parse_file, parse_program
 from helpers import (
     CRITERION_8_DRAWS, RoundLoopModel, assert_records_keep_the_rules,
-    criterion_8_draws, denote_toplevel_oracle, is_unitary, model_sizes,
-    python, soundness_check_oracle, typed_steps_oracle, within,
-    worked_example,
+    criterion_8_draws, denote_toplevel_oracle, denote_toplevel_scanning,
+    equal_images_source, is_unitary, model_sizes, python,
+    soundness_check_oracle, typed_steps_oracle, within, worked_example,
 )
 from lamu.denot import (
     Atom, DenotError, Model, Table, TooLarge, denote, denote_toplevel, soundness_check,
@@ -446,13 +446,17 @@ def test_soundness_on_samples():
 # the thread-by-thread toplevel denotation against the product form
 
 def _assert_parity(x, model, gamma):
-    """Equal denotations, or the same exception type."""
+    """Equal denotations, or the same exception, class and message: thread
+    by thread, in the product form, and under the values that hash on
+    every call and apply by a scan."""
     def outcome(denotation):
         try:
             return denotation(x, model, gamma)
         except LamuError as exc:
-            return type(exc)
-    assert outcome(denote_toplevel) == outcome(denote_toplevel_oracle), x
+            return type(exc), str(exc)
+    fast = outcome(denote_toplevel)
+    assert fast == outcome(denote_toplevel_oracle), x
+    assert fast == outcome(denote_toplevel_scanning), x
 
 
 def _assert_parity_along_trace(p, model, fuel):
@@ -466,10 +470,15 @@ def _assert_parity_along_trace(p, model, fuel):
 def test_toplevel_denotation_matches_the_product_form_on_criterion_8():
     # the worked example, and the draws criterion 8 checks or skips;
     # along the traces of the 15 draws it skips, 61 programs raise
-    # TooLarge, and must do so in both forms
+    # TooLarge, and must do so in every form; then a table of 100 tables
+    # of 100 entries, each applying a 100-entry table twice
     _assert_parity_along_trace(*worked_example(), 200)
     for p, _, m in itertools.islice(criterion_8_draws(), CRITERION_8_DRAWS):
         _assert_parity_along_trace(p, m, 100)
+    src = parse_file(equal_images_source(100))
+    sig = default_signature(src.signature)
+    typing = infer({}, sig, src.program)
+    _assert_parity(typing.node, Model(src.base_sizes, sig), typing.gamma)
 
 
 def test_toplevel_denotation_sums_the_threads_environments():
