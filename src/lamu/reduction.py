@@ -4,10 +4,11 @@ the six reduction rules, and fuel-bounded normalization with traces.
 A weak context never goes under a binder, so it is a path of ``App``,
 ``Guard`` and ``Unif`` nodes from the thread root down to the redex.  A
 ``Redex`` carries that path as a zipper (Huet 1997): each link names the
-parent node and the side the path takes through it.  The search appends
-redexes to a list and stops once it holds as many as the caller asks
-for: one under ``leftmost``, every redex of the last thread that has
-one under ``rightmost``, every redex of the program under ``random``.
+parent node and the side the path takes through it.  One walk on an
+explicit stack, the defunctionalised recursion (Reynolds 1972), appends
+a thread's redexes in post-order and stops once it holds as many as the
+caller asks for: one under ``leftmost``, every redex under ``random``.
+``rightmost`` walks the mirror image and stops at the first redex.
 
 Reduction rules rewrite a single thread of the toplevel program; beta
 steps may split one thread into several, and failed unifications delete
@@ -27,8 +28,9 @@ parent.  The memos are keyed by identity: ``==`` would hash whole
 terms, and a location alone would rest on coherence and ignore ``ann``.
 ``Redex`` and ``TraceStep`` are built through ``tuple.__new__``, which
 skips the NamedTuple's generated Python-level ``__new__``.  ``evaluate``
-is the one loop that steps a program: it splices each delta into a list
-of threads, so a step costs the size of the thread it rewrites, not the
+is the one loop that steps a program, and under ``leftmost`` it runs the
+walk itself from its cursor.  It writes each delta into a list of
+threads, so a step costs the size of the thread it rewrites, not the
 size of the program.  ``replay`` rebuilds the whole programs from the
 deltas for ``--trace``.
 
@@ -95,41 +97,84 @@ class TraceStep(NamedTuple):
     focus: Optional[Term] = None
 
 
-def _collect(t: Term, path, thread: int, out: list, limit: int):
-    """Append the redexes of t, reached along path in the given thread,
-    to out in leftmost-innermost order (post-order, children left to
-    right), stopping once out holds limit of them.  The search enters no
-    child that is a value: a value holds no redex."""
-    cls = type(t)
-    if cls is App:
-        fn, arg = t.fn, t.arg
-        if not fn.value:
-            _collect(fn, (t, 0, path), thread, out, limit)
-            if len(out) >= limit:
+def _collect(t: Term, thread: int, out: list, limit: int):
+    """Append the redexes of t, the given thread, to out in
+    leftmost-innermost order (post-order, children left to right),
+    stopping once out holds limit of them.  The walk enters no child that
+    is a value: a value holds no redex.  Its stack, a linked list of
+    (parent, side, outer path, rest), holds each right sibling still to
+    search (side 1) and each guard whose left side is a value (side 2),
+    which fires after its right side."""
+    path = stack = None
+    while True:
+        cls = type(t)
+        if cls is App:
+            fn, arg = t.fn, t.arg
+            if not fn.value:
+                if not arg.value:
+                    stack = (t, 1, path, stack)
+                t, path = fn, (t, 0, path)
+                continue
+            if not arg.value:
+                t, path = arg, (t, 1, path)
+                continue
+            rule = BETA if type(fn) is AbsLoc else None
+        elif cls is Guard or cls is Unif:
+            left, right = t.left, t.right
+            if not left.value:
+                if not right.value:
+                    stack = (t, 1, path, stack)
+                t, path = left, (t, 0, path)
+                continue
+            if not right.value:
+                if cls is Guard:
+                    stack = (t, 2, path, stack)
+                t, path = right, (t, 1, path)
+                continue
+            rule = GUARD if cls is Guard else UNIF
+        else:
+            rule = ALLOC if cls is Abs else FRESH if cls is Fresh else None
+        while True:
+            if rule is not None:
+                out.append(_new(Redex, (thread, path, t, rule)))
+                if len(out) >= limit:
+                    return
+            if stack is None:
                 return
-        if not arg.value:
-            _collect(arg, (t, 1, path), thread, out, limit)
-        elif type(fn) is AbsLoc:
-            out.append(_new(Redex, (thread, path, t, BETA)))
-    elif cls is Guard or cls is Unif:
-        left, right = t.left, t.right
-        if not left.value:
-            _collect(left, (t, 0, path), thread, out, limit)
-            if len(out) >= limit:
-                return
-        if not right.value:
-            _collect(right, (t, 1, path), thread, out, limit)
-            if len(out) >= limit:
-                return
-        if cls is Guard:
-            if left.value:
-                out.append(_new(Redex, (thread, path, t, GUARD)))
-        elif left.value and right.value:
-            out.append(_new(Redex, (thread, path, t, UNIF)))
-    elif cls is Abs:
-        out.append(_new(Redex, (thread, path, t, ALLOC)))
-    elif cls is Fresh:
-        out.append(_new(Redex, (thread, path, t, FRESH)))
+            t, side, path, stack = stack
+            if side == 1:
+                t, path = (t.arg if type(t) is App else t.right), (t, 1, path)
+                break
+            rule = GUARD
+
+
+def _last_redex(t: Term, thread: int) -> Optional[Redex]:
+    """The last of t's redexes in _collect's order, or None: the mirror
+    walk, a node's own redex first and then its children right to left,
+    stops at the first redex it meets."""
+    path = stack = None
+    while True:
+        cls = type(t)
+        if cls is Abs or cls is Fresh:
+            return _new(Redex, (thread, path, t, ALLOC if cls is Abs else FRESH))
+        if cls is App or cls is Guard or cls is Unif:
+            if cls is App:
+                left, right, rule = t.fn, t.arg, BETA
+                fires = right.value and type(left) is AbsLoc
+            else:
+                left, right, rule = t.left, t.right, GUARD if cls is Guard else UNIF
+                fires = left.value and (cls is Guard or right.value)
+            if fires:
+                return _new(Redex, (thread, path, t, rule))
+            if not left.value:
+                stack = (t, path, stack)    # a left sibling still to search
+            if not right.value:
+                t, path = right, (t, 1, path)
+                continue
+        if stack is None:
+            return None
+        t, path, stack = stack
+        t, path = (t.fn if type(t) is App else t.left), (t, 0, path)
 
 
 def _plug(path, t: Term) -> Term:
@@ -150,7 +195,7 @@ def enumerate_redexes(p) -> List[Redex]:
     out = []
     for i, t in enumerate(p):
         if not t.value:
-            _collect(t, None, i, out, _ALL)
+            _collect(t, i, out, _ALL)
     return out
 
 
@@ -159,30 +204,30 @@ def find_redex(p, strategy="leftmost", rng=None, start=0) -> Optional[Redex]:
     leftmost thread, leftmost-innermost position, searching from thread
     start on.  Returns None iff the program is normal (from thread start
     on, under leftmost).  Leftmost searches forward from thread start and
-    rightmost backward from the last thread; both skip the threads that
-    are values and stop in the first thread that has a redex.  Random
-    draws from every redex of the program."""
-    # leftmost reads out[0]: CPython specialises a non-negative list index
+    rightmost backward from the last thread, walking each thread's
+    redexes backward; both skip the threads that are values and stop at
+    the first redex they meet.  Random draws from every redex of the
+    program."""
     if strategy == "leftmost":
-        order, limit, pick = range(start, len(p)), 1, 0
+        out = []
+        for i in range(start, len(p)):
+            if not p[i].value:
+                _collect(p[i], i, out, 1)
+                if out:
+                    return out[0]
     elif strategy == "rightmost":
-        order, limit, pick = range(len(p) - 1, -1, -1), _ALL, -1
+        for i in range(len(p) - 1, -1, -1):
+            redex = None if p[i].value else _last_redex(p[i], i)
+            if redex is not None:
+                return redex
     elif strategy == "random":
         redexes = enumerate_redexes(p)
-        if not redexes:
-            return None
-        if rng is None:
-            raise ValueError("random strategy needs an rng")
-        return redexes[rng.randrange(len(redexes))]
+        if redexes:
+            if rng is None:
+                raise ValueError("random strategy needs an rng")
+            return redexes[rng.randrange(len(redexes))]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    out = []
-    for i in order:
-        t = p[i]
-        if not t.value:
-            _collect(t, None, i, out, limit)
-            if out:
-                return out[pick]
     return None
 
 
@@ -268,27 +313,45 @@ class EvalResult(Record):
 
 def evaluate(p: Program, fuel=1000, strategy="leftmost", seed=0) -> EvalResult:
     """Step the program up to fuel times.  normal=False means out of fuel.
-    The threads live in one list and each step splices its delta in.
-    Under leftmost every thread before the last stepped one is normal and
-    unchanged, so the search resumes at that thread."""
+    The threads live in one list: a step that leaves one thread replaces
+    it by index, any other splices its delta in.  Under leftmost every
+    thread before the last stepped one is normal and unchanged, so the
+    loop searches from that thread on itself, without find_redex."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     session = check_coherent(p)
     rng = random.Random(seed) if strategy == "random" else None
+    leftmost = strategy == "leftmost"
     trace: List[TraceStep] = []
-    threads, start = list(p), 0
+    threads, i, n = list(p), 0, len(p)
     for _ in range(fuel):
-        redex = find_redex(threads, strategy, rng, start)
-        if redex is None:
-            return EvalResult(Program(threads), trace, True)
-        i = redex.thread
+        if leftmost:
+            out = []
+            while i < n:
+                t = threads[i]
+                if not t.value:
+                    _collect(t, i, out, 1)
+                    if out:
+                        break
+                i += 1
+            else:
+                return EvalResult(Program(threads), trace, True)
+            redex = out[0]
+        else:
+            redex = find_redex(threads, strategy, rng)
+            if redex is None:
+                return EvalResult(Program(threads), trace, True)
+            i = redex.thread
         ts = step_at(threads[i], redex, session)
         trace.append(ts)
-        threads[i:i + 1] = ts.after
-        if strategy == "leftmost":
-            start = i
+        after = ts.after
+        if len(after) == 1:
+            threads[i] = after[0]
+        else:
+            threads[i:i + 1] = after
+            n = len(threads)
     return EvalResult(Program(threads), trace,
-                      find_redex(threads, start=start) is None)
+                      find_redex(threads, start=i if leftmost else 0) is None)
 
 
 def replay(p: Program, trace) -> Iterator[Tuple[TraceStep, Program]]:

@@ -10,7 +10,9 @@ against one slow definition, here unless named:
   subst_single, subst_apply (sharing)  subst_oracle (rebuilding)
   pretty_term (dispatch on type)       pretty_term_oracle (levels)
   enumerate_redexes's paths            redexes_with_contexts (weak contexts)
-  find_redex (stops early)             find_redex_oracle (every redex)
+  enumerate_redexes (explicit stack)   redexes_oracle (recursion)
+  find_redex (stops early)             find_redex_oracle (every redex,
+                                       by redexes_oracle)
   step_at, evaluate (thread deltas)    program_step_at (plug, then splice)
   reachable_normal_forms               product_bfs (whole programs)
   term_key, canonical_program          canon_oracle.canonicalize
@@ -330,11 +332,52 @@ def redexes_with_contexts(p) -> List[ContextRedex]:
     return out
 
 
+def collect_oracle(t: Term, path, thread: int, out: list):
+    """Append the redexes of t, reached along path in the given thread,
+    to out in leftmost-innermost order (post-order, children left to
+    right): the recursive search, one Python frame per level, that
+    reduction._collect's explicit stack replaced.  It enters no child
+    that is a value: a value holds no redex."""
+    cls = type(t)
+    if cls is App:
+        fn, arg = t.fn, t.arg
+        if not fn.value:
+            collect_oracle(fn, (t, 0, path), thread, out)
+        if not arg.value:
+            collect_oracle(arg, (t, 1, path), thread, out)
+        elif type(fn) is AbsLoc:
+            out.append(Redex(thread, path, t, BETA))
+    elif cls is Guard or cls is Unif:
+        left, right = t.left, t.right
+        if not left.value:
+            collect_oracle(left, (t, 0, path), thread, out)
+        if not right.value:
+            collect_oracle(right, (t, 1, path), thread, out)
+        if cls is Guard:
+            if left.value:
+                out.append(Redex(thread, path, t, GUARD))
+        elif left.value and right.value:
+            out.append(Redex(thread, path, t, UNIF))
+    elif cls is Abs:
+        out.append(Redex(thread, path, t, ALLOC))
+    elif cls is Fresh:
+        out.append(Redex(thread, path, t, FRESH))
+
+
+def redexes_oracle(p) -> List[Redex]:
+    """Every redex of a program or a sequence of threads, in order, by
+    collect_oracle: what enumerate_redexes is checked against."""
+    out = []
+    for i, t in enumerate(p):
+        collect_oracle(t, None, i, out)
+    return out
+
+
 def find_redex_oracle(p, strategy="leftmost", rng=None):
     """The redex the strategy picks among every redex of the program, in
     order: the selection that reduction.find_redex, which stops early
     under leftmost and rightmost, is checked against."""
-    redexes = enumerate_redexes(p)
+    redexes = redexes_oracle(p)
     if not redexes:
         return None
     if strategy == "leftmost":

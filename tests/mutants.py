@@ -52,20 +52,85 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant("collect-visits-arg-before-fn", "reduction.py",
-           "        if not fn.value:\n"
-           "            _collect(fn, (t, 0, path), thread, out, limit)\n"
-           "            if len(out) >= limit:\n"
+           "            if not fn.value:\n"
+           "                if not arg.value:\n"
+           "                    stack = (t, 1, path, stack)\n"
+           "                t, path = fn, (t, 0, path)\n"
+           "                continue\n"
+           "            if not arg.value:\n"
+           "                t, path = arg, (t, 1, path)\n"
+           "                continue\n"
+           "            rule = BETA if type(fn) is AbsLoc else None\n"
+           "        elif cls is Guard or cls is Unif:\n"
+           "            left, right = t.left, t.right\n"
+           "            if not left.value:\n"
+           "                if not right.value:\n"
+           "                    stack = (t, 1, path, stack)\n"
+           "                t, path = left, (t, 0, path)\n"
+           "                continue\n"
+           "            if not right.value:\n"
+           "                if cls is Guard:\n"
+           "                    stack = (t, 2, path, stack)\n"
+           "                t, path = right, (t, 1, path)\n"
+           "                continue\n"
+           "            rule = GUARD if cls is Guard else UNIF\n"
+           "        else:\n"
+           "            rule = ALLOC if cls is Abs else FRESH if cls is Fresh else None\n"
+           "        while True:\n"
+           "            if rule is not None:\n"
+           "                out.append(_new(Redex, (thread, path, t, rule)))\n"
+           "                if len(out) >= limit:\n"
+           "                    return\n"
+           "            if stack is None:\n"
            "                return\n"
-           "        if not arg.value:\n"
-           "            _collect(arg, (t, 1, path), thread, out, limit)\n"
-           "        elif type(fn) is AbsLoc:\n",
-           "        if not arg.value:\n"
-           "            _collect(arg, (t, 1, path), thread, out, limit)\n"
-           "            if len(out) >= limit:\n"
+           "            t, side, path, stack = stack\n"
+           "            if side == 1:\n",
+           "            if not arg.value:\n"
+           "                if not fn.value:\n"
+           "                    stack = (t, 0, path, stack)\n"
+           "                t, path = arg, (t, 1, path)\n"
+           "                continue\n"
+           "            if not fn.value:\n"
+           "                t, path = fn, (t, 0, path)\n"
+           "                continue\n"
+           "            rule = BETA if type(fn) is AbsLoc else None\n"
+           "        elif cls is Guard or cls is Unif:\n"
+           "            left, right = t.left, t.right\n"
+           "            if not left.value:\n"
+           "                if not right.value:\n"
+           "                    stack = (t, 1, path, stack)\n"
+           "                t, path = left, (t, 0, path)\n"
+           "                continue\n"
+           "            if not right.value:\n"
+           "                if cls is Guard:\n"
+           "                    stack = (t, 2, path, stack)\n"
+           "                t, path = right, (t, 1, path)\n"
+           "                continue\n"
+           "            rule = GUARD if cls is Guard else UNIF\n"
+           "        else:\n"
+           "            rule = ALLOC if cls is Abs else FRESH if cls is Fresh else None\n"
+           "        while True:\n"
+           "            if rule is not None:\n"
+           "                out.append(_new(Redex, (thread, path, t, rule)))\n"
+           "                if len(out) >= limit:\n"
+           "                    return\n"
+           "            if stack is None:\n"
            "                return\n"
-           "        if not fn.value:\n"
-           "            _collect(fn, (t, 0, path), thread, out, limit)\n"
-           "        if arg.value and type(fn) is AbsLoc:\n"),
+           "            t, side, path, stack = stack\n"
+           "            if side == 0:\n"
+           "                t, path = t.fn, (t, 0, path)\n"
+           "                break\n"
+           "            if side == 1:\n"),
+    Mutant("collect-drops-the-deferred-guard", "reduction.py",
+           "                if cls is Guard:\n"
+           "                    stack = (t, 2, path, stack)\n",
+           ""),
+    Mutant("evaluate-keeps-its-thread-count-after-a-split", "reduction.py",
+           "            threads[i:i + 1] = after\n"
+           "            n = len(threads)\n",
+           "            threads[i:i + 1] = after\n"
+           "            if not after:\n"
+           "                n = len(threads)\n"),
     Mutant("app-counts-a-var-head-as-a-constructor", "syntax.py",
            "type(fn) is Cons or (type(fn) is App and fn.value))",
            "type(fn) in (Cons, Var) or (type(fn) is App and fn.value))"),

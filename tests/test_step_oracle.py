@@ -176,6 +176,17 @@ def test_leftmost_stops_at_the_first_redex_of_a_wide_thread():
     assert {ts.rule for ts in result.trace} == {ALLOC}
 
 
+def test_rightmost_stops_at_the_last_redex_of_a_wide_thread():
+    # each step allocates the rightmost leaf still unallocated; the walk
+    # backward meets it first (about 0.05 s), where one that collected
+    # every redex of the thread on each step took 13.8 s
+    p = Program((_p_tree(4096),))
+    result = within(1.0, "4 096 rightmost steps of one wide thread",
+                    lambda: evaluate(p, fuel=40_960, strategy="rightmost"))
+    assert result.normal and result.steps == 4096
+    assert {ts.rule for ts in result.trace} == {ALLOC}
+
+
 def test_divergent_evaluates_in_linear_time():
     # after two allocs every step splits a C off the diverging thread; a
     # step that copied the whole program would make 20 000 steps
