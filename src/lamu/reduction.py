@@ -29,9 +29,15 @@ terms, and a location alone would rest on coherence and ignore ``ann``.
 ``Redex`` and ``TraceStep`` are built through ``tuple.__new__``, which
 skips the NamedTuple's generated Python-level ``__new__``.  ``evaluate``
 is the one loop that steps a program, and under ``leftmost`` it runs the
-walk itself from its cursor.  It writes each delta into a list of
-threads, so a step costs the size of the thread it rewrites, not the
-size of the program.  ``replay`` rebuilds the whole programs from the
+walk itself from its cursor and keeps two tables for the run, keyed by
+identity: a node table, through which ``_plug`` builds each rebuilt
+``App``, ``Guard`` or ``Unif`` once per pair of children, and a memo
+from a thread to the step it took.  Threads that ``|`` splits share
+their context, so a run meets few distinct threads, many times each,
+and steps each of them once.  Alloc and fresh steps are never memoised:
+each issues a new location or variable.  ``evaluate`` writes each delta
+into a list of threads, so a step costs the size of the thread it
+rewrites, not the size of the program.  ``replay`` rebuilds the whole programs from the
 deltas for ``--trace``.
 
 Because threads never interact, ``reachable_normal_forms`` explores each
@@ -177,16 +183,25 @@ def _last_redex(t: Term, thread: int) -> Optional[Redex]:
         t, path = (t.fn if type(t) is App else t.left), (t, 0, path)
 
 
-def _plug(path, t: Term) -> Term:
+def _plug(path, t: Term, nodes) -> Term:
     """Rebuild the thread around t along path: only the nodes on the path
-    are new, every subterm beside it is shared."""
+    are new, every subterm beside it is shared.  nodes is None or a node
+    table, a dict from ``(class, id(left), id(right))`` to the node built
+    of those children, through which each node is built once and shared."""
     while path is not None:
         parent, side, path = path
-        if type(parent) is App:
-            t = App(t, parent.arg) if side == 0 else App(parent.fn, t)
+        cls = type(parent)
+        if side == 0:
+            left, right = t, (parent.arg if cls is App else parent.right)
         else:
-            t = (type(parent)(t, parent.right) if side == 0
-                 else type(parent)(parent.left, t))
+            left, right = (parent.fn if cls is App else parent.left), t
+        if nodes is None:
+            t = cls(left, right)
+        else:
+            key = (cls, id(left), id(right))
+            t = nodes.get(key)
+            if t is None:
+                t = nodes[key] = cls(left, right)
     return t
 
 
@@ -246,10 +261,12 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
     path = redex.path
     focus = redex.focus
     rule = redex.rule
+    nodes = session.nodes
     sigma = fresh_var = fresh_loc = None
     if rule == ALLOC:
         fresh_loc = session.fresh_loc()
-        after = (_plug(path, AbsLoc(fresh_loc, focus.var, focus.body, focus.ann)),)
+        after = (_plug(path, AbsLoc(fresh_loc, focus.var, focus.body, focus.ann),
+                       nodes),)
     elif rule == BETA:
         fn, arg = focus.fn, focus.arg
         key = (id(fn), id(arg))
@@ -259,12 +276,13 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
         else:
             body = subst_single(fn.body, fn.var, arg).threads
             session.betas[key] = (fn, arg, body)
-        after = body if path is None else tuple([_plug(path, s) for s in body])
+        after = body if path is None else tuple([_plug(path, s, nodes) for s in body])
     elif rule == GUARD:
-        after = (_plug(path, focus.right),)
+        after = (_plug(path, focus.right, nodes),)
     elif rule == FRESH:
         fresh_var = session.fresh_var()
-        after = (_plug(path, subst_single(focus.body, focus.var, Var(fresh_var))),)
+        after = (_plug(path, subst_single(focus.body, focus.var, Var(fresh_var)),
+                       nodes),)
     elif rule == UNIF:
         left, right = focus.left, focus.right
         key = (id(left), id(right))
@@ -276,7 +294,7 @@ def step_at(t: Term, redex: Redex, session: Session) -> TraceStep:
             session.unifications[key] = (left, right, outcome)
         if isinstance(outcome, unify.Solved):
             sigma = outcome.substitution
-            after = (subst_apply(_plug(path, Cons(OK)), sigma),)
+            after = (subst_apply(_plug(path, Cons(OK), nodes), sigma),)
         else:
             rule, after = FAILRULE, ()
     else:
@@ -316,12 +334,20 @@ def evaluate(p: Program, fuel=1000, strategy="leftmost", seed=0) -> EvalResult:
     The threads live in one list: a step that leaves one thread replaces
     it by index, any other splices its delta in.  Under leftmost every
     thread before the last stepped one is normal and unchanged, so the
-    loop searches from that thread on itself, without find_redex."""
+    loop searches from that thread on itself, without find_redex.  It
+    also keeps the session's node table and a memo from a thread object
+    to the step it took, since a leftmost step depends on the thread
+    alone: a thread met again takes that step, re-indexed if it moved,
+    without a walk.  Alloc and fresh steps are never memoised: each
+    issues a new location or variable."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     session = check_coherent(p)
     rng = random.Random(seed) if strategy == "random" else None
     leftmost = strategy == "leftmost"
+    if leftmost:
+        session.nodes = {}
+    memo = {}       # id(thread) -> the TraceStep it took, which holds it
     trace: List[TraceStep] = []
     threads, i, n = list(p), 0, len(p)
     for _ in range(fuel):
@@ -330,19 +356,27 @@ def evaluate(p: Program, fuel=1000, strategy="leftmost", seed=0) -> EvalResult:
             while i < n:
                 t = threads[i]
                 if not t.value:
+                    ts = memo.get(id(t))
+                    if ts is not None:
+                        break
                     _collect(t, i, out, 1)
                     if out:
                         break
                 i += 1
             else:
                 return EvalResult(Program(threads), trace, True)
-            redex = out[0]
+            if ts is None:
+                ts = step_at(t, out[0], session)
+                if ts.rule != ALLOC and ts.rule != FRESH:
+                    memo[id(t)] = ts
+            elif ts.thread != i:
+                ts = _new(TraceStep, (ts.rule, i) + ts[2:])
         else:
             redex = find_redex(threads, strategy, rng)
             if redex is None:
                 return EvalResult(Program(threads), trace, True)
             i = redex.thread
-        ts = step_at(threads[i], redex, session)
+            ts = step_at(threads[i], redex, session)
         trace.append(ts)
         after = ts.after
         if len(after) == 1:

@@ -583,8 +583,8 @@ def check_coherent(p: Program) -> "Session":
 # Fresh-name and location supplies
 
 class Session:
-    """Per-run supplies of fresh variable names and locations, and the
-    run's two memos.
+    """Per-run supplies of fresh variable names and locations, the run's
+    two memos, and, for a leftmost ``evaluate``, its node table.
 
     Names are never re-issued; the avoid set should contain every name
     occurring in the program under evaluation, as in the session that
@@ -602,6 +602,14 @@ class Session:
     an entry holds both objects, so their ids name that one pair while
     the session lives.  The tables are separate because a ``Unif``'s
     sides may be an ``App``'s two halves.
+
+    ``nodes`` is None, or under a leftmost ``reduction.evaluate`` the
+    run's node table: it maps ``(class, id(left), id(right))`` to the
+    ``App``, ``Guard`` or ``Unif`` that ``step_at`` rebuilt of those two
+    children, so each is built once in the run and then shared; these
+    carry no ``ann``.  ``evaluate`` keeps beside it a memo from a thread
+    to the step it took, which alloc and fresh steps never enter, since
+    each issues a new location or variable.
     """
 
     def __init__(self, avoid=(), first_loc=1):
@@ -610,6 +618,7 @@ class Session:
         self._loc_n = first_loc
         self.betas = {}
         self.unifications = {}
+        self.nodes = None
 
     def fresh_var(self) -> str:
         while True:

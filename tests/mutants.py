@@ -131,6 +131,17 @@ MUTANTS = [
            "            threads[i:i + 1] = after\n"
            "            if not after:\n"
            "                n = len(threads)\n"),
+    Mutant("evaluate-memoises-a-step-that-issues-a-name", "reduction.py",
+           "                if ts.rule != ALLOC and ts.rule != FRESH:\n"
+           "                    memo[id(t)] = ts\n",
+           "                memo[id(t)] = ts\n"),
+    Mutant("node-table-key-drops-the-class", "reduction.py",
+           "            key = (cls, id(left), id(right))\n",
+           "            key = (id(left), id(right))\n"),
+    Mutant("memo-hit-keeps-the-recorded-thread-index", "reduction.py",
+           "            elif ts.thread != i:\n"
+           "                ts = _new(TraceStep, (ts.rule, i) + ts[2:])\n",
+           ""),
     Mutant("app-counts-a-var-head-as-a-constructor", "syntax.py",
            "type(fn) is Cons or (type(fn) is App and fn.value))",
            "type(fn) in (Cons, Var) or (type(fn) is App and fn.value))"),

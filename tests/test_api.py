@@ -644,7 +644,7 @@ def test_the_check_sees_bad_imports():
     ]
 
 
-SEARCH = {"_collect", "find_redex", "enumerate_redexes"}
+SEARCH = {"_collect", "_last_redex", "find_redex", "enumerate_redexes"}
 UNIFYING = {"unify", "unifications"}
 
 

@@ -16,10 +16,11 @@ stream is checked against the step rebuilt from its weak context by
 the rebuilding substitution, and every unification it steps, its
 outcome memoised or not, against a fresh ``mgu_goal``.  A sha256 pins
 every answer of ``evaluate`` and the explorer on the criterion-4 stream
-and the critical pairs."""
+and the critical pairs.  Three pinned programs put leftmost ``evaluate``'s
+step memo and node table where a mistake shows, and a count of
+``step_at`` calls pins that each distinct thread is stepped once."""
 
 import hashlib
-import itertools
 import random
 from collections import Counter
 
@@ -98,16 +99,33 @@ def assert_same_trace(p, fuel):
     return result
 
 
+def fork_program(k):
+    """The k-fork program: k nested calls of a function that splits its
+    argument v into v | S v, so it ends in 2 ** k threads."""
+    calls = "f (" * k + "C" + ")" * k
+    return parse_program(rf"(\f. {calls}) (\x. x | S x)")
+
+
 def fork_ladder():
     """(k, fuel, the k-fork program) for k = 2..8."""
     for k in range(2, 9):
-        calls = "f (" * k + "C" + ")" * k
-        yield k, 10 * 2 ** k, parse_program(rf"(\f. {calls}) (\x. x | S x)")
+        yield k, 10 * 2 ** k, fork_program(k)
 
 
 ISSUED = r"fresh y. C | fresh y. (y =:= C) | \x. x"
 # builds the value S (S (... C)), one level every three steps
 GROWING = r"(\x. \y. x x (S y)) (\x. \y. x x (S y)) C"
+OMEGA = r"(\x. x x) (\x. x x)"
+# (program, its normal form): where leftmost evaluate's step memo and
+# node table could go wrong.  In the first two one thread object recurs
+# with an alloc, then a fresh redex, each of which must issue a new
+# name; in the third a Guard and a Unif are rebuilt over the same two
+# children.
+MEMO_EDGES = [
+    (r"(\f. f C | f C) (\x. \y. y)", r"(\y@L3. y) | \y@L4. y"),
+    (r"(\f. f C | f C) (\x. fresh y. y)", "v0 | v1"),
+    (r"(\v. ((\x. x) v =:= v) | ((\x. x) v ; v)) D", "Ok | D"),
+]
 
 
 def test_fork_ladder_matches_oracle():
@@ -124,6 +142,38 @@ def test_corpus_matches_oracle():
 def test_generated_programs_match_oracle():
     for p in criterion_4_programs(200):
         assert_same_trace(p, 200)
+
+
+def test_memo_edges_match_oracle():
+    for src, normal_form in MEMO_EDGES:
+        result = assert_same_trace(parse_program(src), 20)
+        assert result.normal
+        assert pretty_program(result.program) == normal_form
+
+
+def test_leftmost_steps_each_distinct_thread_once(monkeypatch):
+    # the k-fork ladder's 2 ** k + 2 steps meet k (k + 1) / 2 + 3
+    # distinct threads, and its 2 ** k result threads are k + 1 distinct
+    # objects; omega and the divergent program each step one thread
+    # object over and over; each stepped every thread before the memo
+    calls = Counter()
+
+    def counting_step_at(t, redex, session):
+        calls["step_at"] += 1
+        return step_at(t, redex, session)
+
+    monkeypatch.setattr(reduction, "step_at", counting_step_at)
+    for k, expected in [(10, 58), (12, 81)]:
+        calls.clear()
+        result = evaluate(fork_program(k), fuel=10 * 2 ** k)
+        assert result.normal and result.steps == 2 ** k + 2
+        assert calls["step_at"] == expected
+        assert len({id(t) for t in result.program}) == k + 1
+    for src in (OMEGA, DIVERGENT):
+        calls.clear()
+        result = evaluate(parse_program(src), fuel=5000)
+        assert not result.normal and result.steps == 5000
+        assert calls["step_at"] == 5
 
 
 def test_oracle_sees_issued_names():
@@ -241,6 +291,7 @@ def streams():
     out += [(p, 200) for p in criterion_4_programs(200)]
     out += [(parse_program(ISSUED), 10), (parse_program(DIVERGENT), 2000),
             (parse_program(GROWING), 900)]
+    out += [(parse_program(src), 20) for src, _ in MEMO_EDGES]
     return out
 
 
@@ -303,11 +354,17 @@ def assert_strategy_picks(p, fuel, strategy, seed):
 
 
 def test_every_strategy_matches_the_oracle():
-    # two seeds a strategy: leftmost and rightmost stop early and ignore
-    # the seed, random draws from the same list
+    # leftmost and rightmost ignore the seed, so they run at seed 0
+    # alone, as the last lines check; random draws under two seeds
+    runs = [(strategy, 0) for strategy in STRATEGIES] + [("random", 1)]
     for p, fuel in streams():
-        for strategy, seed in itertools.product(STRATEGIES, (0, 1)):
+        for strategy, seed in runs:
             assert_strategy_picks(p, fuel, strategy, seed)
+    p = parse_program(ISSUED)
+    for strategy in ("leftmost", "rightmost"):
+        traces = [[by_value(ts) for ts in evaluate(p, 10, strategy, seed).trace]
+                  for seed in (0, 1)]
+        assert traces[0] == traces[1] and len(traces[0]) == 4
 
 
 def test_paths_match_weak_contexts():
