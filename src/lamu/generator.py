@@ -16,7 +16,7 @@ from .syntax import (
     make_spine, singleton,
 )
 from .typecheck import (
-    Arrow, Base, Type, ambient_context, arg_types, default_signature, typable,
+    Arrow, Base, Type, arg_types, default_signature, typable,
 )
 
 IOTA = Base("i")
@@ -133,8 +133,7 @@ class Generator:
         sig = default_signature(self.config.signature)
         while True:
             p = self.program()
-            if not self.config.well_typed or typable(
-                    ambient_context(p), sig, p):
+            if not self.config.well_typed or typable(sig, p):
                 yield p
 
 

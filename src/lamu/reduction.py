@@ -187,7 +187,10 @@ def _plug(path, t: Term, nodes) -> Term:
     """Rebuild the thread around t along path: only the nodes on the path
     are new, every subterm beside it is shared.  nodes is None or a node
     table, a dict from ``(class, id(left), id(right))`` to the node built
-    of those children, through which each node is built once and shared."""
+    of those children, through which each node is built once and shared;
+    past the first miss it builds without looking up, since no key holds
+    the id of a node just built: each entry keeps its children alive."""
+    built = False
     while path is not None:
         parent, side, path = path
         cls = type(parent)
@@ -199,9 +202,10 @@ def _plug(path, t: Term, nodes) -> Term:
             t = cls(left, right)
         else:
             key = (cls, id(left), id(right))
-            t = nodes.get(key)
+            t = None if built else nodes.get(key)
             if t is None:
                 t = nodes[key] = cls(left, right)
+                built = True
     return t
 
 

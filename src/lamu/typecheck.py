@@ -4,16 +4,18 @@ the subject-reduction and soundness harnesses), and the
 subject-reduction harness, which re-checks only the threads each step
 made: a program has a type exactly when each of its threads has it.
 
-Inference introduces metavariables for unannotated binders and solves
-the first-order equality constraints by syntactic unification, in a pass
-that returns types only.  ``infer`` then defaults leftover metavariables
-to fresh base types, so they never escape a successful result, and
-builds the one annotated copy of the input; ``check`` unifies with the
-expected type, and ``typable`` stops after the pass: neither builds.
+One engine serves all three entry points: a pass that returns types
+only and solves by first-order unification over a union-find table of
+int metavariables (Huet 1976), in one scoped context.  ``infer`` then
+defaults leftover metavariables to fresh base types, so they never
+escape a successful result, and builds the one annotated copy of the
+input; ``check`` unifies with the expected type; ``typable`` stops after
+the pass and formats no message: neither builds.
 """
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from typing import Dict, Iterator, List, Optional, Union
 
 from .reduction import FRESH, evaluate
@@ -115,147 +117,141 @@ class TypeCheckError(LamuError):
 
 
 def default_signature(extra=None) -> Dict[str, Type]:
-    sig = {OK: UNIT}
-    if extra:
-        sig.update(extra)
-    return sig
+    return {OK: UNIT, **(extra or {})}
 
 
-class _Solver:
-    def __init__(self):
-        self._next = 0
-        self._bindings: Dict[int, Type] = {}
+_OK = Cons(OK)
 
-    def fresh(self) -> Meta:
-        m = Meta(self._next)
-        self._next += 1
-        return m
 
-    def resolve(self, ty: Type) -> Type:
-        while isinstance(ty, Meta) and ty.id in self._bindings:
-            ty = self._bindings[ty.id]
+class _Clash(Exception):
+    """A failed unification, raised bare: (where, a, b), a the open
+    metavariable that occurs in b, or a and b two types that differ."""
+
+
+class _Engine:
+    """One pass of inference in the context gamma; gamma None types each
+    free variable as ambient when first met.  A metavariable is an int,
+    its slot in the table: None while open, else what it is bound to."""
+
+    def __init__(self, gamma: Optional[Dict[str, Optional[Type]]],
+                 sig: Dict[str, Type]):
+        self.sig = sig
+        self.table: List[object] = []
+        self.anns: List[object] = []    # binders' types, in post-order
+        self.ambient = gamma is None
+        self.gamma = {name: self.fresh() if ty is None else ty
+                      for name, ty in (gamma or {}).items()}
+        self.scope = dict(self.gamma)   # name -> type; None: unbound
+
+    def fresh(self) -> int:
+        self.table.append(None)
+        return len(self.table) - 1
+
+    def resolve(self, ty):
+        table = self.table
+        while type(ty) is int and table[ty] is not None:
+            ty = table[ty]
         return ty
 
-    def _occurs(self, mid: int, ty: Type) -> bool:
+    def occurs(self, m: int, ty) -> bool:
         ty = self.resolve(ty)
-        if isinstance(ty, Meta):
-            return ty.id == mid
-        if isinstance(ty, Arrow):
-            return self._occurs(mid, ty.left) or self._occurs(mid, ty.right)
-        return False
+        if type(ty) is Arrow:
+            return self.occurs(m, ty.left) or self.occurs(m, ty.right)
+        return type(ty) is int and ty == m
 
-    def unify(self, a: Type, b: Type, where: str):
-        a = self.resolve(a)
-        b = self.resolve(b)
-        if a == b:
-            return
-        if isinstance(a, Meta):
-            if self._occurs(a.id, b):
-                raise TypeCheckError(f"occurs check failed at {where}: "
-                                     f"{a!r} in {self.zonk(b)!r}")
-            self._bindings[a.id] = b
-            return
-        if isinstance(b, Meta):
-            self.unify(b, a, where)
-            return
-        if isinstance(a, Arrow) and isinstance(b, Arrow):
+    def unify(self, a, b, where: str):
+        a, b = self.resolve(a), self.resolve(b)
+        if type(b) is int and type(a) is not int:
+            a, b = b, a
+        if type(a) is int:
+            if type(b) is Arrow and self.occurs(a, b):
+                raise _Clash(where, a, b)
+            if type(b) is not int or a != b:
+                self.table[a] = b
+        elif type(a) is Arrow and type(b) is Arrow:
             self.unify(a.left, b.left, where)
             self.unify(a.right, b.right, where)
-            return
-        raise TypeCheckError(
-            f"type mismatch at {where}: {self.zonk(a)!r} vs {self.zonk(b)!r}")
+        elif a is not b and not (type(a) is Base and type(b) is Base
+                                 and a.name == b.name):
+            raise _Clash(where, a, b)
 
-    def zonk(self, ty: Type) -> Type:
+    def zonk(self, ty, leaf) -> Type:
+        """ty solved, with each open metavariable m replaced by leaf(m)."""
         ty = self.resolve(ty)
-        if isinstance(ty, Arrow):
-            return Arrow(self.zonk(ty.left), self.zonk(ty.right))
+        if type(ty) is int:
+            return leaf(ty)
+        if type(ty) is Arrow:
+            return Arrow(self.zonk(ty.left, leaf), self.zonk(ty.right, leaf))
         return ty
 
+    def solve(self, x, expected=None):
+        """x's type, at expected if given; only here is a clash worded."""
+        try:
+            ty = self.term(x)
+            if expected is not None:
+                self.unify(ty, expected, "expected type")
+            return ty
+        except _Clash as clash:
+            where, a, b = clash.args
+            text = (f"occurs check failed at {where}: {Meta(a)!r} in "
+                    if type(a) is int else
+                    f"type mismatch at {where}: {self.zonk(a, Meta)!r} vs ")
+            raise TypeCheckError(text + repr(self.zonk(b, Meta))) from None
 
-class _Inferencer:
-    """Inference in two passes.  The first, run when the inferencer is
-    built, solves the constraints over x for its type and returns types
-    only; it lists each binder's type once its body is done, in
-    post-order.  The second, ``typing``, defaults the leftover
-    metavariables and builds the one annotated copy of x."""
-
-    def __init__(self, gamma: Dict[str, Optional[Type]],
-                 sig: Dict[str, Type], x: Union[Term, Program]):
-        self.sig = sig
-        self.solver = _Solver()
-        self.anns: List[Type] = []
-        self.gamma = {name: self.lift(ty) for name, ty in gamma.items()}
-        self.type = (self.program(self.gamma, x) if isinstance(x, Program)
-                     else self.term(self.gamma, x))
-
-    def lift(self, ty: Optional[Type]) -> Type:
-        return self.solver.fresh() if ty is None else ty
-
-    def term(self, gamma: Dict[str, Type], t: Term) -> Type:
-        if isinstance(t, Var):
-            if t.name not in gamma:
-                raise TypeCheckError(f"unbound variable {t.name}")
-            return gamma[t.name]
-        if isinstance(t, Cons):
-            return self.cons(t.name)
-        if isinstance(t, (Abs, AbsLoc)):
-            a = self.lift(t.ann)
-            b = self.program({**gamma, t.var: a}, t.body)
-            self.anns.append(a)
-            return Arrow(a, b)
-        if isinstance(t, App):
-            fty = self.term(gamma, t.fn)
-            aty = self.term(gamma, t.arg)
-            result = self.solver.fresh()
-            self.solver.unify(fty, Arrow(aty, result), "application")
+    def term(self, t):
+        cls = type(t)
+        if cls is Var:
+            ty = self.scope.get(t.name)
+            if ty is None:
+                if not self.ambient:
+                    raise TypeCheckError(f"unbound variable {t.name}")
+                ty = self.scope[t.name] = self.fresh()
+            return ty
+        if cls is Cons:
+            ty = self.sig.get(t.name)
+            if ty is None:
+                raise TypeCheckError(f"constructor {t.name} has no declared type")
+            return ty
+        if cls is App:
+            fty, aty, result = self.term(t.fn), self.term(t.arg), self.fresh()
+            self.unify(fty, Arrow(aty, result), "application")
             return result
-        if isinstance(t, Fresh):
-            a = self.lift(t.ann)
-            b = self.term({**gamma, t.var: a}, t.body)
-            self.anns.append(a)
-            return b
-        if isinstance(t, (Guard, Unif)):
-            lty = self.term(gamma, t.left)
-            rty = self.term(gamma, t.right)
-            if isinstance(t, Guard):
-                self.solver.unify(lty, self.cons(OK), "guard condition")
+        if cls is Guard or cls is Unif:
+            lty, rty = self.term(t.left), self.term(t.right)
+            if cls is Guard:
+                self.unify(lty, self.term(_OK), "guard condition")
                 return rty
-            self.solver.unify(lty, rty, "unification goal")
-            return self.cons(OK)
+            self.unify(lty, rty, "unification goal")
+            return self.term(_OK)
+        if cls is Abs or cls is AbsLoc or cls is Fresh:
+            a = self.fresh() if t.ann is None else t.ann
+            outer = self.scope.get(t.var)
+            self.scope[t.var] = a
+            b = self.term(t.body) if cls is Fresh else self.program(t.body)
+            self.scope[t.var] = outer
+            self.anns.append(a)
+            return b if cls is Fresh else Arrow(a, b)
+        if cls is Program:
+            return self.program(t)
         raise TypeCheckError(f"cannot type {t!r}")
 
-    def cons(self, name: str) -> Type:
-        if name not in self.sig:
-            raise TypeCheckError(f"constructor {name} has no declared type")
-        return self.sig[name]
-
-    def program(self, gamma: Dict[str, Type], p: Program) -> Type:
-        ty = self.solver.fresh()
-        for t in p:
-            self.solver.unify(self.term(gamma, t), ty, "alternative thread")
+    def program(self, p: Program):
+        ty = self.fresh()
+        for t in p.threads:
+            self.unify(self.term(t), ty, "alternative thread")
         return ty
 
-    def typing(self, x) -> "Typing":
+    def typing(self, ty, x) -> "Typing":
         """Each leftover metavariable becomes a fresh base type, named in
         the order the type, the binders (post-order) and the context
         first mention it; x is copied with its binders' types."""
         taken = base_names(*self.sig.values())
         names = (f"t{n}" for n in itertools.count() if f"t{n}" not in taken)
-        bases: Dict[int, Base] = {}
-
-        def default(ty: Type) -> Type:
-            ty = self.solver.resolve(ty)
-            if isinstance(ty, Meta):
-                if ty.id not in bases:
-                    bases[ty.id] = Base(next(names))
-                return bases[ty.id]
-            if isinstance(ty, Arrow):
-                return Arrow(default(ty.left), default(ty.right))
-            return ty
-
-        ty = default(self.type)
-        node = _annotated(x, iter([default(a) for a in self.anns]))
-        return Typing(ty, node, {n: default(a) for n, a in self.gamma.items()})
+        default = defaultdict(lambda: Base(next(names))).__getitem__
+        ty = self.zonk(ty, default)
+        node = _annotated(x, iter([self.zonk(a, default) for a in self.anns]))
+        return Typing(ty, node, {n: self.zonk(a, default)
+                                 for n, a in self.gamma.items()})
 
 
 def _annotated(x, anns: Iterator[Type]):
@@ -289,14 +285,16 @@ def infer(gamma: Dict[str, Optional[Type]], sig: Dict[str, Type],
           x: Union[Term, Program]) -> Typing:
     """Principal type plus annotated input.  gamma entries may be None
     for ambient variables whose types should be inferred."""
-    return _Inferencer(gamma, sig, x).typing(x)
+    engine = _Engine(gamma, sig)
+    return engine.typing(engine.solve(x), x)
 
 
-def typable(gamma, sig, x) -> bool:
-    """Whether x has a type: infer's solving pass alone, building nothing."""
+def typable(sig, x) -> bool:
+    """Whether x has a type when each of its free variables is ambient:
+    the pass alone, which builds no node and formats no message."""
     try:
-        _Inferencer(gamma, sig, x)
-    except TypeCheckError:
+        _Engine(None, sig).term(x)
+    except (_Clash, TypeCheckError):
         return False
     return True
 
@@ -304,8 +302,7 @@ def typable(gamma, sig, x) -> bool:
 def check(gamma, sig, x, expected: Type) -> None:
     """Returns if the typing judgment at the expected type is derivable
     and raises TypeCheckError otherwise; builds no node."""
-    inf = _Inferencer(gamma, sig, x)
-    inf.solver.unify(inf.type, expected, "expected type")
+    _Engine(gamma, sig).solve(x, expected)
 
 
 def ambient_context(x) -> Dict[str, Optional[Type]]:

@@ -70,9 +70,8 @@ from lamu.syntax import (
     singleton, spine, subst_apply, subterms, term_key,
 )
 from lamu.typecheck import (
-    Arrow, Base, Meta, Type, TypeCheckError, Typing, _Solver,
-    ambient_context, arg_types, base_names, base_names_used,
-    default_signature, infer,
+    Arrow, Base, Meta, Type, TypeCheckError, Typing, ambient_context,
+    arg_types, base_names, base_names_used, default_signature, infer,
 )
 
 
@@ -935,7 +934,59 @@ class RoundLoopModel(Model):
 # an inferencer that builds a copy of the input with metavariables for its
 # binders, a defaulter that builds it again, check returning that typing,
 # a step loop that rebuilds every whole program with replay, and
-# soundness that denotes the whole program after every step
+# soundness that denotes the whole program after every step; and the
+# solver they share, whose metavariables are Meta records bound in a dict
+
+class _Solver:
+    def __init__(self):
+        self._next = 0
+        self._bindings = {}
+
+    def fresh(self):
+        m = Meta(self._next)
+        self._next += 1
+        return m
+
+    def resolve(self, ty):
+        while isinstance(ty, Meta) and ty.id in self._bindings:
+            ty = self._bindings[ty.id]
+        return ty
+
+    def _occurs(self, mid, ty):
+        ty = self.resolve(ty)
+        if isinstance(ty, Meta):
+            return ty.id == mid
+        if isinstance(ty, Arrow):
+            return self._occurs(mid, ty.left) or self._occurs(mid, ty.right)
+        return False
+
+    def unify(self, a, b, where):
+        a = self.resolve(a)
+        b = self.resolve(b)
+        if a == b:
+            return
+        if isinstance(a, Meta):
+            if self._occurs(a.id, b):
+                raise TypeCheckError(f"occurs check failed at {where}: "
+                                     f"{a!r} in {self.zonk(b)!r}")
+            self._bindings[a.id] = b
+            return
+        if isinstance(b, Meta):
+            self.unify(b, a, where)
+            return
+        if isinstance(a, Arrow) and isinstance(b, Arrow):
+            self.unify(a.left, b.left, where)
+            self.unify(a.right, b.right, where)
+            return
+        raise TypeCheckError(
+            f"type mismatch at {where}: {self.zonk(a)!r} vs {self.zonk(b)!r}")
+
+    def zonk(self, ty):
+        ty = self.resolve(ty)
+        if isinstance(ty, Arrow):
+            return Arrow(self.zonk(ty.left), self.zonk(ty.right))
+        return ty
+
 
 class _NodeInferencer:
     def __init__(self, sig):

@@ -236,6 +236,33 @@ MUTANTS = [
            "        ty = stack.pop()\n"
            "        if isinstance(ty, Base):\n"
            "            out.add(ty.name)\n"),
+    Mutant("engine-skips-the-occurs-check", "typecheck.py",
+           "            if type(b) is Arrow and self.occurs(a, b):\n",
+           "            if False:\n"),
+    Mutant("scope-keeps-a-binding-after-its-body", "typecheck.py",
+           "            self.scope[t.var] = outer\n",
+           ""),
+    Mutant("typable-passes-a-failed-guard", "typecheck.py",
+           "                self.unify(lty, self.term(_OK), \"guard condition\")\n",
+           "                try:\n"
+           "                    self.unify(lty, self.term(_OK), \"guard condition\")\n"
+           "                except _Clash:\n"
+           "                    if not self.ambient:\n"
+           "                        raise\n"),
+    Mutant("unify-links-the-right-root-to-the-left", "typecheck.py",
+           "            if type(b) is not int or a != b:\n"
+           "                self.table[a] = b\n",
+           "            if type(b) is not int:\n"
+           "                self.table[a] = b\n"
+           "            elif a != b:\n"
+           "                self.table[b] = a\n"),
+    Mutant("plug-stops-filling-the-table-after-a-miss", "reduction.py",
+           "                t = nodes[key] = cls(left, right)\n"
+           "                built = True\n",
+           "                t = cls(left, right)\n"
+           "                if not built:\n"
+           "                    nodes[key] = t\n"
+           "                built = True\n"),
     Mutant("arrow-cap-check-admits-its-boundary", "denot.py",
            "if k >= self.cap.bit_length():",
            "if k > self.cap.bit_length():"),

@@ -1,9 +1,10 @@
 """Tests for simple typing: inference, checking, failure modes, and
 subject reduction along evaluation; inference and check against the
-oracles that built the annotated copy twice, and a guard that check
-and typable build no node; types compare, hash and print as the dataclasses they
-were."""
+oracles that built the annotated copy twice, and guards that check
+and typable build no node and that typable formats no message; types
+compare, hash and print as the dataclasses they were."""
 
+import functools
 import itertools
 
 import pytest
@@ -105,7 +106,7 @@ def test_unknown_symbols():
             infer({}, sig, p)
         with pytest.raises(TypeCheckError, match=f"^{message}$"):
             check({}, sig, p, I)
-        assert not typable({}, sig, p)
+        assert not typable(sig, p)
         assert _inferred(infer_oracle, {}, sig, p) == message
 
 
@@ -320,15 +321,24 @@ def test_check_matches_the_oracle_on_criterion_7():
     assert len(steps) > 700
 
 
-class _Unbuildable(type):
-    """A stand-in for a node class: isinstance answers as for the class,
-    and building one fails."""
+def _forbid(monkeypatch, method, classes):
+    """Each class's method raises from now on."""
+    def refusing(cls):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{cls.__name__}.{method} was called")
+        return refuse
 
-    def __instancecheck__(cls, obj):
-        return isinstance(obj, cls.node)
+    for cls in classes:
+        monkeypatch.setattr(cls, method, refusing(cls))
 
-    def __call__(cls, *args, **kwargs):
-        raise AssertionError(f"check built a {cls.node.__name__}")
+
+def _node_classes():
+    """Every node class typecheck imports."""
+    nodes = {name: cls for name, cls in vars(lamu.typecheck).items()
+             if isinstance(cls, type) and issubclass(cls, (Term, Program))}
+    assert {"Abs", "AbsLoc", "App", "Cons", "Fresh", "Guard", "Program",
+            "Unif", "Var"} <= set(nodes)
+    return nodes.values()
 
 
 def test_check_builds_no_node(monkeypatch):
@@ -336,34 +346,47 @@ def test_check_builds_no_node(monkeypatch):
     # decides every step of criterion 7's stream
     sig = default_signature(criterion_7_config().signature)
     steps = list(_criterion_7_steps())
-    nodes = {name: cls for name, cls in vars(lamu.typecheck).items()
-             if isinstance(cls, type) and issubclass(cls, (Term, Program))}
-    assert {"Abs", "AbsLoc", "App", "Fresh", "Guard", "Program",
-            "Unif"} <= set(nodes)
-    for name, cls in nodes.items():
-        monkeypatch.setattr(lamu.typecheck, name,
-                            _Unbuildable(name, (), {"node": cls}))
+    _forbid(monkeypatch, "__init__", _node_classes())
     for context, x, ty in steps:
         assert check(context, sig, x, ty) is None
     assert len(steps) > 700
 
 
+@functools.lru_cache(maxsize=None)
+def _criteria_7_and_8_draws():
+    """(signature, draw, whether infer types it) for every draw criteria
+    7 and 8 make until they accept 300 and CRITERION_8_DRAWS programs."""
+    cases = []
+    for config, count in ((criterion_7_config(), 300),
+                          (criterion_8_config(), CRITERION_8_DRAWS)):
+        sig = default_signature(config.signature)
+        draws, accepted = Generator(config), 0
+        while accepted < count:
+            p = draws.program()
+            typed = not isinstance(
+                _inferred(infer, ambient_context(p), sig, p), str)
+            cases.append((sig, p, typed))
+            accepted += typed
+    return tuple(cases)
+
+
 def test_typable_answers_as_infer_and_builds_no_node(monkeypatch):
     # every candidate criteria 7 and 8's streams draw, rejected ones
     # included; with every node class typecheck imports unbuildable
-    cases = []
-    for config in (criterion_7_config(), criterion_8_config()):
-        sig = default_signature(config.signature)
-        draws = Generator(config)
-        for _ in range(400):
-            p = draws.program()
-            gamma = ambient_context(p)
-            cases.append((gamma, sig, p, not isinstance(
-                _inferred(infer, gamma, sig, p), str)))
-    for name, cls in vars(lamu.typecheck).items():
-        if isinstance(cls, type) and issubclass(cls, (Term, Program)):
-            monkeypatch.setattr(lamu.typecheck, name,
-                                _Unbuildable(name, (), {"node": cls}))
-    assert [typable(gamma, sig, p) for gamma, sig, p, _ in cases] == [
+    cases = _criteria_7_and_8_draws()
+    _forbid(monkeypatch, "__init__", _node_classes())
+    assert [typable(sig, p) for sig, p, _ in cases] == [
         typed for *_, typed in cases]
-    assert 100 < sum(typed for *_, typed in cases) < 700
+    assert sum(typed for *_, typed in cases) == 300 + CRITERION_8_DRAWS
+    assert len(cases) > 1500
+
+
+def test_typable_formats_no_message(monkeypatch):
+    # the same draws, with every type class's repr raising: a rejected
+    # draw costs typable no TypeCheckError text
+    cases = _criteria_7_and_8_draws()
+    _forbid(monkeypatch, "__repr__", (Base, Arrow, Meta))
+    with pytest.raises(AssertionError, match="Base.__repr__"):
+        repr(I)
+    assert [typable(sig, p) for sig, p, _ in cases] == [
+        typed for *_, typed in cases]
