@@ -11,6 +11,8 @@ atom in its result base type.  A base type is closed once, in
 dependency order: its declared atoms, then its constructors' images
 over the closed enumerations of their argument types.  A value is
 hashed once, when built, and a table applied by a lookup in its index.
+A call denotes each closed binder once: it denotes the same set under
+every environment.
 """
 from __future__ import annotations
 
@@ -221,10 +223,18 @@ def denote(x: Union[Term, Program], env: Dict[str, SemValue],
            model: Model) -> FrozenSet[SemValue]:
     """Denotation of a type-annotated term or program under an
     environment covering its free variables."""
+    return _denote(x, env, model, {})
+
+
+def _denote(x, env, model, binders):
+    """The walk of one denote or denote_toplevel call.  binders maps the
+    id of each Abs, AbsLoc or Fresh met to the binder and, if it has no
+    free variables, its denotation, the same under every environment:
+    a closed binder is denoted on its first visit and then read back."""
     if isinstance(x, Program):
         out = frozenset()
         for t in x:
-            out |= denote(t, env, model)
+            out |= _denote(t, env, model, binders)
         return out
     t = x
     if isinstance(t, Var):
@@ -233,17 +243,17 @@ def denote(x: Union[Term, Program], env: Dict[str, SemValue],
         return frozenset((env[t.name],))
     if isinstance(t, Cons):
         return frozenset((model.cons_interp(t.name),))
-    if isinstance(t, (Abs, AbsLoc)):
-        if t.ann is None:
-            raise DenotError("abstraction lacks a binder type annotation")
-        domain = model.enum_type(t.ann)
-        entries = tuple(
-            (a, denote(t.body, {**env, t.var: a}, model))
-            for a in domain)
-        return frozenset((Table(entries),))
+    if isinstance(t, (Abs, AbsLoc, Fresh)):
+        known = binders.get(id(t))
+        if known is None:
+            known = binders[id(t)] = (
+                t, None if free_vars(t) else _binder(t, env, model, binders))
+        if known[1] is not None:
+            return known[1]
+        return _binder(t, env, model, binders)
     if isinstance(t, App):
-        fns = denote(t.fn, env, model)
-        args = denote(t.arg, env, model)
+        fns = _denote(t.fn, env, model, binders)
+        args = _denote(t.arg, env, model, binders)
         out = set()
         for f in fns:
             if not isinstance(f, Table):
@@ -252,21 +262,29 @@ def denote(x: Union[Term, Program], env: Dict[str, SemValue],
                 out |= f(a)
         return frozenset(out)
     if isinstance(t, Unif):
-        if denote(t.left, env, model) & denote(t.right, env, model):
+        if (_denote(t.left, env, model, binders)
+                & _denote(t.right, env, model, binders)):
             return frozenset((model.ok,))
         return frozenset()
     if isinstance(t, Guard):
-        if not denote(t.left, env, model):
+        if not _denote(t.left, env, model, binders):
             return frozenset()
-        return denote(t.right, env, model)
-    if isinstance(t, Fresh):
-        if t.ann is None:
-            raise DenotError("fresh binder lacks a type annotation")
-        out = frozenset()
-        for a in model.enum_type(t.ann):
-            out |= denote(t.body, {**env, t.var: a}, model)
-        return out
+        return _denote(t.right, env, model, binders)
     raise DenotError(f"cannot denote {t!r}")
+
+
+def _binder(t, env, model, binders):
+    """The denotation of an Abs, AbsLoc or Fresh under env: its body
+    walked once for each value of its binder's type."""
+    if t.ann is None:
+        raise DenotError("fresh binder lacks a type annotation"
+                         if isinstance(t, Fresh) else
+                         "abstraction lacks a binder type annotation")
+    entries = tuple((a, _denote(t.body, {**env, t.var: a}, model, binders))
+                    for a in model.enum_type(t.ann))
+    if isinstance(t, Fresh):
+        return frozenset().union(*(image for _, image in entries))
+    return frozenset((Table(entries),))
 
 
 def denote_toplevel(x: Union[Term, Program], model: Model,
@@ -283,10 +301,10 @@ def denote_toplevel(x: Union[Term, Program], model: Model,
     if missing:
         raise DenotError(f"no types for free variables {missing}")
     domains = {n: model.enum_type(gamma[n]) for n in names}
-    out = frozenset()
+    out, binders = frozenset(), {}
     for t, vs in zip(threads, own):
         for combo in itertools.product(*(domains[n] for n in vs)):
-            out |= denote(t, dict(zip(vs, combo)), model)
+            out |= _denote(t, dict(zip(vs, combo)), model, binders)
     return out
 
 

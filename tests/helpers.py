@@ -21,7 +21,10 @@ against one slow definition, here unless named:
   mgu (one pass, in place)             mgu_oracle (iterates unify_step)
   mgu_goal (one goal, no Problem)      mgu of a one-goal Problem (test_unify)
   infer, check                         infer_oracle, check_oracle
-  denote_toplevel (thread by thread)   denote_toplevel_oracle (product)
+  denote (each closed binder denoted   denote_oracle (every binder under
+    once per call)                     every environment)
+  denote_toplevel (thread by thread)   denote_toplevel_oracle (product,
+                                       by denote_oracle)
   Atom, Table (hash taken when built,  ScanAtom, ScanTable (hash taken
     application by lookup)             on every call, a linear scan),
                                        through denote_toplevel_scanning
@@ -50,7 +53,7 @@ from lamu import denot, unify
 from lamu.concrete import parse_file, parse_program
 from lamu.denot import (
     Atom, DenotError, InclusionReport, Model, SemValue, SoundnessVerdict,
-    Table, TooLarge, _result_base, denote, denote_toplevel,
+    Table, TooLarge, _result_base, denote_toplevel,
 )
 from lamu.equiv import (
     STUCK_CONS, STUCK_GUARD, STUCK_LAM, STUCK_UNIF, STUCK_VAR, StuckKind,
@@ -447,6 +450,29 @@ def coherent(x) -> bool:
     return coherence_witness([x]) is None
 
 
+def check_step_invariants(threads_before, ts):
+    """The threads after the step ts of a run whose threads were
+    threads_before, once the step is checked against what a run keeps.
+    The stepped thread is the object at index ts.thread, so a caller
+    that splices every step and ends with the run's own threads, object
+    for object, has seen each step leave every other thread alone.
+    Every thread the step made is coherent.  The location alloc issued,
+    or the variable fresh issued, occurs nowhere before the step."""
+    assert threads_before[ts.thread] is ts.before, (
+        "the stepped thread is not the thread at its index", ts)
+    for t in ts.after:
+        witness = coherence_witness([t])
+        assert witness is None, ("an incoherent thread", t, witness)
+    if ts.rule == ALLOC:
+        assert not any(ts.fresh_loc in locations(t)
+                       for t in threads_before), ("a reissued location", ts)
+    elif ts.rule == FRESH:
+        assert not any(ts.fresh_var in all_names(t)
+                       for t in threads_before), ("a reissued variable", ts)
+    i = ts.thread
+    return [*threads_before[:i], *ts.after, *threads_before[i + 1:]]
+
+
 def plug(w: Term, x):
     """Plug a term or program into a weak context; programs distribute
     thread-wise and fail maps to fail."""
@@ -754,10 +780,66 @@ def is_unitary(value: SemValue, ty: Type) -> bool:
     return True
 
 
-def denote_toplevel_oracle(x, model, gamma):
+def denote_oracle(x, env, model):
+    """The denotation of a term or program under env, each binder walked
+    again under every environment, closed or not: the definition that
+    denot.denote, which denotes each closed binder once per call, is
+    checked against."""
+    if isinstance(x, Program):
+        out = frozenset()
+        for t in x:
+            out |= denote_oracle(t, env, model)
+        return out
+    t = x
+    if isinstance(t, Var):
+        if t.name not in env:
+            raise DenotError(f"variable {t.name} missing from environment")
+        return frozenset((env[t.name],))
+    if isinstance(t, Cons):
+        return frozenset((model.cons_interp(t.name),))
+    if isinstance(t, (Abs, AbsLoc)):
+        if t.ann is None:
+            raise DenotError("abstraction lacks a binder type annotation")
+        domain = model.enum_type(t.ann)
+        entries = tuple(
+            (a, denote_oracle(t.body, {**env, t.var: a}, model))
+            for a in domain)
+        return frozenset((Table(entries),))
+    if isinstance(t, App):
+        fns = denote_oracle(t.fn, env, model)
+        args = denote_oracle(t.arg, env, model)
+        out = set()
+        for f in fns:
+            if not isinstance(f, Table):
+                raise DenotError("application of a non-function denotation")
+            for a in args:
+                out |= f(a)
+        return frozenset(out)
+    if isinstance(t, Unif):
+        if denote_oracle(t.left, env, model) & denote_oracle(t.right, env,
+                                                             model):
+            return frozenset((model.ok,))
+        return frozenset()
+    if isinstance(t, Guard):
+        if not denote_oracle(t.left, env, model):
+            return frozenset()
+        return denote_oracle(t.right, env, model)
+    if isinstance(t, Fresh):
+        if t.ann is None:
+            raise DenotError("fresh binder lacks a type annotation")
+        out = frozenset()
+        for a in model.enum_type(t.ann):
+            out |= denote_oracle(t.body, {**env, t.var: a}, model)
+        return out
+    raise DenotError(f"cannot denote {t!r}")
+
+
+def denote_toplevel_oracle(x, model, gamma, walk=None):
     """The toplevel denotation as the union over every environment on all
-    the free variables of x, each denoting the whole of x: the definition
-    that the thread-by-thread denot.denote_toplevel is checked against."""
+    the free variables of x, each denoting the whole of x with walk,
+    denote_oracle unless given: the definition that the thread-by-thread
+    denot.denote_toplevel is checked against."""
+    walk = walk or denote_oracle
     names = sorted(free_vars(x))
     missing = [n for n in names if n not in gamma]
     if missing:
@@ -765,7 +847,7 @@ def denote_toplevel_oracle(x, model, gamma):
     domains = [model.enum_type(gamma[n]) for n in names]
     out = frozenset()
     for combo in itertools.product(*domains):
-        out |= denote(x, dict(zip(names, combo)), model)
+        out |= walk(x, dict(zip(names, combo)), model)
     return out
 
 

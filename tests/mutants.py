@@ -278,6 +278,13 @@ MUTANTS = [
     Mutant("table-index-answers-a-missing-argument-with-nothing", "denot.py",
            "image = self._index.get(arg)\n",
            "image = self._index.get(arg, frozenset())\n"),
+    Mutant("closed-memo-takes-an-open-binder", "denot.py",
+           "                t, None if free_vars(t) else "
+           "_binder(t, env, model, binders))\n",
+           "                t, _binder(t, env, model, binders))\n"),
+    Mutant("closedness-read-from-the-body", "denot.py",
+           "None if free_vars(t) else",
+           "None if free_vars(t.body) else"),
     Mutant("atloc-token-keeps-only-its-digits", "concrete.py",
            "            tokens.append(Token(kind, value, line, col))\n",
            "            tokens.append(Token(kind, value[2:] if kind == \"atloc\" "

@@ -43,7 +43,7 @@ from collections import Counter
 import pytest
 
 import lamu
-from helpers import Stepped
+from helpers import Stepped, denote_oracle
 from lamu.concrete import SourceFile, Token, hm_translate, parse_program
 from lamu.denot import (
     Atom, InclusionReport, Model, SoundnessVerdict, Table, denote,
@@ -1084,6 +1084,22 @@ def _model():
     return Model({"i": 1}, default_signature({"C": Base("i")}))
 
 
+# each denoted under no environment, by denote and by denote_oracle
+DENOTE_ERRORS = [
+    ("denote-an-undeclared-constructor", Cons("Q"),
+     "DenotError: constructor Q has no declared type"),
+    ("denote-an-unbound-variable", Var("x"),
+     "DenotError: variable x missing from environment"),
+    ("denote-an-unannotated-abs", Abs("x", singleton(Var("x"))),
+     "DenotError: abstraction lacks a binder type annotation"),
+    ("denote-an-unannotated-fresh", Fresh("x", Var("x")),
+     "DenotError: fresh binder lacks a type annotation"),
+    ("denote-an-application-of-a-non-function", App(Cons("C"), Cons("C")),
+     "DenotError: application of a non-function denotation"),
+    ("denote-a-non-term", Base("i"), "DenotError: cannot denote i"),
+]
+
+
 @pytest.mark.parametrize("call, outcome", [
     pytest.param(lambda: Table(((Atom("i", ("atom", 0)), frozenset()),))(
         Atom("i", ("atom", 1))),
@@ -1102,23 +1118,8 @@ def _model():
     pytest.param(lambda: _model().enum_type(Base("q")),
                  "DenotError: base type q has no interpretation",
                  id="enum-type-of-an-undeclared-base"),
-    pytest.param(lambda: denote(Cons("Q"), {}, _model()),
-                 "DenotError: constructor Q has no declared type",
-                 id="denote-an-undeclared-constructor"),
-    pytest.param(lambda: denote(Var("x"), {}, _model()),
-                 "DenotError: variable x missing from environment",
-                 id="denote-an-unbound-variable"),
-    pytest.param(lambda: denote(Abs("x", singleton(Var("x"))), {}, _model()),
-                 "DenotError: abstraction lacks a binder type annotation",
-                 id="denote-an-unannotated-abs"),
-    pytest.param(lambda: denote(Fresh("x", Var("x")), {}, _model()),
-                 "DenotError: fresh binder lacks a type annotation",
-                 id="denote-an-unannotated-fresh"),
-    pytest.param(lambda: denote(App(Cons("C"), Cons("C")), {}, _model()),
-                 "DenotError: application of a non-function denotation",
-                 id="denote-an-application-of-a-non-function"),
-    pytest.param(lambda: denote(Base("i"), {}, _model()),
-                 "DenotError: cannot denote i", id="denote-a-non-term"),
+    *(pytest.param(lambda x=x: denote(x, {}, _model()), outcome, id=name)
+      for name, x, outcome in DENOTE_ERRORS),
     pytest.param(lambda: hm_translate(Abs("x", Program((Var("x"), Var("x"))))),
                  "LamuError: hm_translate input must be a pure lambda term",
                  id="hm-translate-a-two-thread-body"),
@@ -1131,3 +1132,12 @@ def test_unreached_error_paths_say_what_is_pinned(call, outcome):
     except LamuError as exc:
         result = f"{type(exc).__name__}: {exc}"
     assert result == outcome
+
+
+@pytest.mark.parametrize("x, outcome", [
+    pytest.param(x, outcome, id=name) for name, x, outcome in DENOTE_ERRORS])
+def test_denote_raises_as_its_oracle(x, outcome):
+    for walk in (denote, denote_oracle):
+        with pytest.raises(LamuError) as info:
+            walk(x, {}, _model())
+        assert f"{type(info.value).__name__}: {info.value}" == outcome

@@ -2,11 +2,14 @@
 unitary constructors, denotation clauses, and soundness along steps;
 semantic values compare, hash and print as the dataclasses they were."""
 
+import collections
 import functools
 import itertools
 
 import pytest
 
+import helpers
+from lamu import denot
 from lamu.concrete import parse_file, parse_program
 from helpers import (
     CRITERION_8_DRAWS, RoundLoopModel, assert_records_keep_the_rules,
@@ -20,8 +23,8 @@ from lamu.denot import (
 from lamu.generator import STRATIFIED_SIGNATURE, Generator, GeneratorConfig
 from lamu.reduction import FRESH, evaluate
 from lamu.syntax import (
-    AbsLoc, Cons, Fresh, Guard, LamuError, Program, Unif, Var, singleton,
-    subterms,
+    Abs, AbsLoc, Cons, Fresh, Guard, LamuError, Program, Unif, Var,
+    free_vars, singleton, subterms,
 )
 from lamu.typecheck import (
     Arrow, Base, ambient_context, default_signature, infer, typed_steps,
@@ -447,8 +450,8 @@ def test_soundness_on_samples():
 
 def _assert_parity(x, model, gamma):
     """Equal denotations, or the same exception, class and message: thread
-    by thread, in the product form, and under the values that hash on
-    every call and apply by a scan."""
+    by thread, in the product form by denote_oracle and by denote, and
+    under the values that hash on every call and apply by a scan."""
     def outcome(denotation):
         try:
             return denotation(x, model, gamma)
@@ -456,6 +459,8 @@ def _assert_parity(x, model, gamma):
             return type(exc), str(exc)
     fast = outcome(denote_toplevel)
     assert fast == outcome(denote_toplevel_oracle), x
+    assert fast == outcome(functools.partial(denote_toplevel_oracle,
+                                             walk=denote)), x
     assert fast == outcome(denote_toplevel_scanning), x
 
 
@@ -479,6 +484,45 @@ def test_toplevel_denotation_matches_the_product_form_on_criterion_8():
     sig = default_signature(src.signature)
     typing = infer({}, sig, src.program)
     _assert_parity(typing.node, Model(src.base_sizes, sig), typing.gamma)
+
+
+def test_a_call_denotes_each_closed_binder_once(monkeypatch):
+    # the seed-29 stream's draw 74 is one thread, \x. (\y. x y) |
+    # y =:= z ; y | fresh y. \y. y, with y, z : t0 -> t0: the oracle
+    # walks its closed fresh y. \y. y under each of the 16 values of x
+    # in each of the 256 environments of y and z; each denote_toplevel
+    # call of its soundness check denotes every closed binder once
+    p, typing, m = next(itertools.islice(criterion_8_draws(), 74, None))
+    (node,) = [t for t in subterms(typing.node)
+               if type(t) is Fresh and not free_vars(t)]
+    visits = collections.Counter()
+
+    def counted(walk):
+        def visit(t, *rest):
+            visits[id(t)] += 1
+            return walk(t, *rest)
+        return visit
+
+    monkeypatch.setattr(helpers, "denote_oracle",
+                        counted(helpers.denote_oracle))
+    denote_toplevel_oracle(typing.node, m, typing.gamma)
+    assert visits[id(node)] == 4096
+    calls = []
+
+    def recorded(x, model, gamma):
+        visits.clear()
+        sem = denote_toplevel(x, model, gamma)
+        closed = [t for t in subterms(x)
+                  if type(t) in (Abs, AbsLoc, Fresh) and not free_vars(t)]
+        calls.append((any(t is node for t in closed),
+                      [visits[id(t)] for t in closed]))
+        return sem
+
+    monkeypatch.setattr(denot, "_binder", counted(denot._binder))
+    monkeypatch.setattr(denot, "denote_toplevel", recorded)
+    assert soundness_check(p, m, fuel=100, typing=typing).ok
+    # node and its body \y. y, in the program and after its alloc step
+    assert calls == [(True, [1, 1])] * 2
 
 
 def test_toplevel_denotation_sums_the_threads_environments():

@@ -1,18 +1,25 @@
 """Tests for the small-step evaluator: individual rules, strategies,
 traces, bounded exploration, and the session's memo of beta steps."""
 
+import itertools
+import operator
 import random
 
 import pytest
 
-from helpers import replay, splice, subst_single_oracle
+from helpers import (
+    CRITERION_8_DRAWS, check_step_invariants, criterion_7_config,
+    criterion_8_config, replay, splice, subst_single_oracle,
+)
 from lamu import reduction, syntax
 from lamu.concrete import parse_program
 from lamu.equiv import is_normal_term, struct_equiv
+from lamu.generator import Generator
 from lamu.parallel import par_normalize, par_step
 from lamu.reduction import (
-    ALLOC, BETA, FAILRULE, FRESH, GUARD, UNIF, enumerate_redexes,
-    evaluate, find_redex, reachable_normal_forms, step, step_at,
+    ALLOC, BETA, FAILRULE, FRESH, GUARD, STRATEGIES, UNIF,
+    enumerate_redexes, evaluate, find_redex, reachable_normal_forms, step,
+    step_at,
 )
 from lamu.syntax import (
     Abs, AbsLoc, App, CoherenceError, Cons, Fresh, Guard, Program, Session,
@@ -293,6 +300,47 @@ def test_step_at_either_redex():
     right = splice(p, step_at(p[0], redexes[1], session))
     assert left == singleton(App(Cons("Ok"), Unif(D, D)))
     assert right == singleton(App(Unif(C, C), Cons("Ok")))
+
+
+def test_every_step_keeps_the_run_invariants_on_criteria_7_and_8():
+    # each stream at its criterion's fuel, under every strategy: each
+    # step's threads coherent, each issued name new to the program, and
+    # the run's threads, object for object, the spliced deltas
+    steps = {}
+    for config, count, fuel in ((criterion_7_config(), 300, 200),
+                                (criterion_8_config(), CRITERION_8_DRAWS,
+                                 100)):
+        programs = list(itertools.islice(Generator(config).programs(),
+                                         count))
+        for strategy, p in itertools.product(STRATEGIES, programs):
+            result = evaluate(p, fuel, strategy)
+            threads = list(p)
+            for ts in result.trace:
+                threads = check_step_invariants(threads, ts)
+                steps[ts.rule] = steps.get(ts.rule, 0) + 1
+            assert len(threads) == len(result.program)
+            assert all(map(operator.is_, threads, result.program))
+    assert all(steps.get(rule) for rule in (ALLOC, BETA, FAILRULE, FRESH,
+                                            GUARD, UNIF)), steps
+
+
+def test_the_step_checker_refuses_each_broken_invariant():
+    threads = [ID1, Abs("y", singleton(Y)), Fresh("z", Var("z"))]
+    session = check_coherent(Program(threads))
+    alloc = step_at(threads[1], enumerate_redexes(Program(threads))[0],
+                    session)
+    fresh = step_at(threads[2], enumerate_redexes(Program(threads))[1],
+                    session)
+    assert (alloc.rule, alloc.thread, fresh.rule) == (ALLOC, 1, FRESH)
+    after = check_step_invariants(check_step_invariants(threads, alloc),
+                                  fresh)
+    assert after[0] is ID1 and len(after) == 3
+    clash = App(ID1, AbsLoc(1, "y", singleton(C)))
+    for broken in (alloc._replace(thread=0), alloc._replace(fresh_loc=1),
+                   fresh._replace(fresh_var="x"),
+                   alloc._replace(after=(clash,))):
+        with pytest.raises(AssertionError):
+            check_step_invariants(threads, broken)
 
 
 def test_random_strategy_needs_rng():
